@@ -29,6 +29,7 @@ import contextlib
 import json
 import os
 import tempfile
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -284,6 +285,18 @@ def fingerprint_from_json(value):
     raise ValueError(f"invalid fingerprint element {value!r}")
 
 
+def _check_fingerprint_json(value) -> None:
+    """Raise ``ValueError`` exactly where :func:`fingerprint_from_json`
+    would, without building the tuples."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif not isinstance(item, (str, int, bool)):
+            raise ValueError(f"invalid fingerprint element {item!r}")
+
+
 class PersistentCacheStore:
     """Cross-run persistence for :class:`ProofCache` verdicts.
 
@@ -301,12 +314,20 @@ class PersistentCacheStore:
     a cold start, never to a crash or a misused verdict.
 
     Writes are atomic (temp file + ``os.replace`` in the same directory)
-    and *merging*: :meth:`save` re-reads the current file under an
-    inter-process file lock and unions it with the new entries, so
+    and *merging*: :meth:`save` takes an inter-process file lock and
+    unions the current file's contents with the new entries, so
     concurrent writers can never corrupt the file and never lose each
     other's verdicts (on platforms without ``fcntl`` the lock degrades to
     plain atomic replace, where a racing writer's batch may be dropped but
     the file always stays readable).
+
+    The store remembers the decoded contents of the file it last loaded or
+    wrote, together with that file's identity.  While the file under the
+    lock is still that one, a merge-save unions into the remembered
+    contents instead of re-reading the file, so an edit-sized save costs
+    the encoding of one file, not a parse as well.  Records handed to
+    :meth:`save` and returned by :meth:`load` are shared with the
+    remembered contents and must not be mutated in place.
     """
 
     FILENAME = "proof_cache.json"
@@ -340,6 +361,14 @@ class PersistentCacheStore:
         #: start).  Consumed by
         #: :class:`repro.verifier.incremental.DependencyIndex`.
         self.last_dependencies: dict[str, dict] = {}
+        #: ``(entries, profiles, dependencies)`` as the file held them when
+        #: this store last read or wrote it, or None.
+        self._known: tuple[dict, dict, dict] | None = None
+        #: That file's ``os.fstat`` at the time.
+        self._known_stat: os.stat_result | None = None
+        #: Closes a read-only fd kept open on that file, so that its inode
+        #: cannot be recycled for another file while it is remembered.
+        self._known_fd: weakref.finalize | None = None
 
     # -- reading -----------------------------------------------------------------
 
@@ -353,18 +382,62 @@ class PersistentCacheStore:
         self.last_load_status = status
         self.last_profiles = profiles
         self.last_dependencies = dependencies
-        return entries
+        return dict(entries)
 
     def _read(
         self,
     ) -> tuple[dict[tuple, CachedVerdict], dict[str, dict], dict[str, dict], str]:
+        """Parse the file and remember what it held (see :meth:`save`)."""
+        self._forget()
         try:
-            raw = self.path.read_text(encoding="utf-8")
+            fd = os.open(self.path, os.O_RDONLY)
         except (FileNotFoundError, NotADirectoryError):
             return {}, {}, {}, "cold:missing"
         except OSError:
             return {}, {}, {}, "cold:unreadable"
-        return self._parse(raw)
+        try:
+            # Identity before contents: an edit racing the read leaves the
+            # remembered stat stale, so the next save re-reads.
+            stat = os.fstat(fd)
+            with open(fd, encoding="utf-8", closefd=False) as handle:
+                raw = handle.read()
+        except (OSError, ValueError):
+            os.close(fd)
+            return {}, {}, {}, "cold:unreadable"
+        entries, profiles, dependencies, status = self._parse(raw)
+        self._remember(fd, stat, (entries, dict(profiles), dict(dependencies)))
+        return entries, profiles, dependencies, status
+
+    def _remember(
+        self, fd: int, stat: os.stat_result, state: tuple[dict, dict, dict]
+    ) -> None:
+        """Remember ``state`` as the contents of the file open on ``fd``."""
+        self._forget()
+        self._known = state
+        self._known_stat = stat
+        self._known_fd = weakref.finalize(self, os.close, fd)
+
+    def _forget(self) -> None:
+        if self._known_fd is not None:
+            self._known_fd()
+        self._known = self._known_stat = self._known_fd = None
+
+    def _file_is_known(self) -> bool:
+        """Whether the file is still the one last read or written here:
+        same inode, size and modification time.  Any other writer replaces
+        the file (a new inode) or edits it in place (a new mtime)."""
+        if self._known is None:
+            return False
+        try:
+            current = os.stat(self.path)
+        except OSError:
+            return False
+        known = self._known_stat
+        return (
+            os.path.samestat(current, known)
+            and current.st_size == known.st_size
+            and current.st_mtime_ns == known.st_mtime_ns
+        )
 
     def _parse(
         self, raw: str
@@ -432,8 +505,8 @@ class PersistentCacheStore:
         list of per-method records each carrying ``[label, fingerprint]``
         sequent pairs); semantic interpretation lives in
         :class:`repro.verifier.incremental.DependencyIndex`, which decodes
-        the fingerprints.  Damaged classes are skipped, like damaged
-        entries.
+        the fingerprints.  Fingerprints are checked where they lie, not
+        decoded.  Damaged classes are skipped, like damaged entries.
         """
         if not isinstance(raw_dependencies, dict):
             return {}
@@ -446,10 +519,10 @@ class PersistentCacheStore:
                 }
                 methods = []
                 for method_name, method_record in record["methods"]:
-                    sequents = [
-                        [str(label), fingerprint_to_json(fingerprint_from_json(fp))]
-                        for label, fp in method_record["sequents"]
-                    ]
+                    sequents = []
+                    for label, fp in method_record["sequents"]:
+                        _check_fingerprint_json(fp)
+                        sequents.append([str(label), fp])
                     methods.append(
                         [
                             str(method_name),
@@ -479,8 +552,10 @@ class PersistentCacheStore:
         """Atomically write ``entries``; returns the number persisted.
 
         With ``merge`` (the default) the current on-disk entries are
-        re-read and unioned in first, so concurrent writers and repeated
-        partial runs accumulate instead of clobbering each other.
+        unioned in first, so concurrent writers and repeated partial runs
+        accumulate instead of clobbering each other.  The file is re-read
+        for that only when it is not the one this store last read or
+        wrote; otherwise the remembered contents are what it holds.
         ``profiles`` optionally carries the per-class measured cost
         profiles to persist alongside (merged per class name, new data
         winning); ``dependencies`` likewise carries the JSON-ready
@@ -489,7 +564,13 @@ class PersistentCacheStore:
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         with self._write_lock():
-            return self._save_locked(entries, merge, profiles, dependencies)
+            try:
+                return self._save_locked(entries, merge, profiles, dependencies)
+            except BaseException:
+                # The remembered contents may hold a merge that never
+                # reached the file.
+                self._forget()
+                raise
 
     @contextlib.contextmanager
     def _write_lock(self):
@@ -511,14 +592,17 @@ class PersistentCacheStore:
         profiles: dict[str, dict] | None = None,
         dependencies: dict[str, dict] | None = None,
     ) -> int:
-        combined: dict[tuple, CachedVerdict] = {}
-        combined_profiles: dict[str, dict] = {}
-        combined_dependencies: dict[str, dict] = {}
+        known = None
         if merge:
-            disk_entries, disk_profiles, disk_dependencies, _ = self._read()
-            combined.update(disk_entries)
-            combined_profiles.update(disk_profiles)
-            combined_dependencies.update(disk_dependencies)
+            if not self._file_is_known():
+                self._read()
+            known = self._known
+        combined, combined_profiles, combined_dependencies = known or ({}, {}, {})
+        for key in entries:
+            if key not in combined:
+                # Only str/int/bool leaves may reach the file; keys already
+                # remembered were checked when they arrived.
+                fingerprint_to_json(key)
         combined.update(entries)
         if profiles:
             combined_profiles.update(profiles)
@@ -536,9 +620,10 @@ class PersistentCacheStore:
             "portfolio": self.portfolio_key,
             "profiles": combined_profiles,
             "dependencies": combined_dependencies,
+            # The C encoder writes the tuple keys as nested arrays.
             "entries": [
                 [
-                    fingerprint_to_json(key),
+                    key,
                     {
                         "proved": verdict.proved,
                         "refuted": verdict.refuted,
@@ -552,19 +637,31 @@ class PersistentCacheStore:
                 for key, verdict in combined.items()
             ],
         }
+        # One-shot ``dumps`` runs the C encoder; ``json.dump`` to a file
+        # would stream through the pure-Python one, for the same bytes.
+        text = json.dumps(payload, separators=(",", ":"))
         fd, temp_path = tempfile.mkstemp(
             prefix=self.path.name + ".", suffix=".tmp", dir=self.directory
         )
+        known_fd = None
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
+                handle.write(text)
                 handle.flush()
                 os.fsync(handle.fileno())
+            known_fd = os.open(temp_path, os.O_RDONLY)
+            # Renaming keeps the inode, size and mtime that identify it.
+            stat = os.fstat(known_fd)
             os.replace(temp_path, self.path)
         except BaseException:
+            if known_fd is not None:
+                os.close(known_fd)
             try:
                 os.unlink(temp_path)
             except OSError:
                 pass
             raise
+        self._remember(
+            known_fd, stat, (combined, combined_profiles, combined_dependencies)
+        )
         return len(combined)

@@ -671,11 +671,21 @@ class VerificationEngine:
             and self.dependency_index.mutations == self._flushed_dependency_mutations
         ):
             return 0
-        self._flushed_mutations = cache.mutations
-        self._flushed_profile_mutations = self.cost_model.mutations
-        self._flushed_dependency_mutations = self.dependency_index.mutations
-        return self.persistent_store.save(
+        marks = (
+            cache.mutations,
+            self.cost_model.mutations,
+            self.dependency_index.mutations,
+        )
+        saved = self.persistent_store.save(
             cache.snapshot(),
             profiles=self.cost_model.profiles_snapshot(),
             dependencies=self.dependency_index.snapshot(),
         )
+        # Only a save that returned counts as flushed: after a failed one
+        # the next flush must write the batch again.
+        (
+            self._flushed_mutations,
+            self._flushed_profile_mutations,
+            self._flushed_dependency_mutations,
+        ) = marks
+        return saved

@@ -9,6 +9,8 @@ mode).
 
 from __future__ import annotations
 
+import errno
+import io
 import json
 import multiprocessing
 import os
@@ -310,6 +312,109 @@ class TestConcurrentWriters:
         }
 
 
+def _legacy_encoding(store, entries, profiles=None, dependencies=None) -> str:
+    """What a save wrote before saves stopped re-reading the file: the same
+    payload streamed through ``json.dump``."""
+    payload = {
+        "format": CACHE_FORMAT_VERSION,
+        "fingerprint_version": FINGERPRINT_VERSION,
+        "portfolio": store.portfolio_key,
+        "profiles": profiles or {},
+        "dependencies": dependencies or {},
+        "entries": [
+            [
+                fingerprint_to_json(key),
+                {
+                    "proved": verdict.proved,
+                    "refuted": verdict.refuted,
+                    "prover": verdict.winning_prover,
+                    "wall": round(verdict.wall, 6),
+                    "cpu": round(verdict.cpu, 6),
+                },
+            ]
+            for key, verdict in entries.items()
+        ],
+    }
+    handle = io.StringIO()
+    json.dump(payload, handle, separators=(",", ":"))
+    return handle.getvalue()
+
+
+class TestMergeWithoutReread:
+    """A merge-save unions into what the store last read or wrote while the
+    file is still that one, and re-reads whenever anyone else wrote it."""
+
+    def test_interleaved_second_store_is_merged(self, tmp_path):
+        first = PersistentCacheStore(tmp_path, "k")
+        second = PersistentCacheStore(tmp_path, "k")
+        batches = [{(("i", n),): CachedVerdict(True, False, "smt")} for n in range(3)]
+        first.save(batches[0])
+        second.save(batches[1])
+        first.save(batches[2])
+        assert set(PersistentCacheStore(tmp_path, "k").load()) == {
+            key for batch in batches for key in batch
+        }
+
+    def test_in_place_edit_is_merged(self, tmp_path):
+        store = PersistentCacheStore(tmp_path, "k")
+        store.save({(("i", 1),): CachedVerdict(True, False, "smt")})
+        inode = store.path.stat().st_ino
+        payload = json.loads(store.path.read_text())
+        payload["entries"].append(
+            [[["i", 2]], {"proved": True, "refuted": False, "prover": "fol"}]
+        )
+        store.path.write_text(json.dumps(payload))
+        assert store.path.stat().st_ino == inode
+        store.save({(("i", 3),): CachedVerdict(True, False, "smt")})
+        assert set(store.load()) == {(("i", 1),), (("i", 2),), (("i", 3),)}
+
+    def test_own_file_is_not_parsed_again(self, tmp_path, monkeypatch):
+        PersistentCacheStore(tmp_path, "k").save(sample_entries())
+        parses = []
+        original = PersistentCacheStore._parse
+
+        def counting(self, raw):
+            parses.append(len(raw))
+            return original(self, raw)
+
+        monkeypatch.setattr(PersistentCacheStore, "_parse", counting)
+        store = PersistentCacheStore(tmp_path, "k")
+        entries = store.load()
+        assert len(parses) == 1
+        store.save({(("i", 1),): CachedVerdict(True, False, "smt")})
+        store.save({(("i", 2),): CachedVerdict(True, False, "smt")})
+        assert len(parses) == 1
+        assert set(store.load()) == set(entries) | {(("i", 1),), (("i", 2),)}
+
+    def test_unchanged_saves_write_the_legacy_bytes(self, tmp_path):
+        store = PersistentCacheStore(tmp_path, "k")
+        entries = sample_entries()
+        profiles = {"Good": {"wall": 1.0, "cpu": 0.9, "sequents": 3}}
+        record = {
+            "artifacts": {"state": "d0"},
+            "methods": [["m", {"digest": "d1", "sequents": [["L", [["i", 1]]]]}]],
+        }
+        dependencies = {"Good": record}
+        store.save(entries, profiles=profiles, dependencies=dependencies)
+        first = store.path.read_bytes()
+        store.save(entries, profiles=profiles, dependencies=dependencies)
+        assert store.path.read_bytes() == first
+        expected = _legacy_encoding(store, entries, profiles, dependencies)
+        assert first == expected.encode("utf-8")
+
+    def test_new_keys_are_still_checked(self, tmp_path):
+        store = PersistentCacheStore(tmp_path, "k")
+        store.save(sample_entries())
+        before = store.path.read_bytes()
+        with pytest.raises(ValueError):
+            store.save({(("i", 1.5),): CachedVerdict(True, False, "smt")})
+        assert store.path.read_bytes() == before
+        # The failed merge is not remembered: the next save writes only
+        # what the file held plus its own batch.
+        store.save({(("i", 2),): CachedVerdict(True, False, "smt")})
+        assert set(store.load()) == set(sample_entries()) | {(("i", 2),)}
+
+
 class TestEngineWiring:
     @pytest.fixture(scope="class")
     def linked_list(self):
@@ -339,6 +444,28 @@ class TestEngineWiring:
         ]
         warm_hits = [o.dispatch.cache_origin for m in warm.methods for o in m.outcomes]
         assert set(warm_hits) == {"disk"}
+
+    def test_failed_flush_is_written_by_the_next(self, tmp_path, monkeypatch):
+        engine = self._engine(tmp_path)
+        store = engine.persistent_store
+        key = (("i", 7),)
+        engine.portfolio.proof_cache.store(key, CachedVerdict(True, False, "smt"))
+        real_save = store.save
+        failures = []
+
+        def save_failing_once(*args, **kwargs):
+            if not failures:
+                failures.append(True)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_save(*args, **kwargs)
+
+        monkeypatch.setattr(store, "save", save_failing_once)
+        with pytest.raises(OSError):
+            engine.flush_persistent_cache()
+        # Nothing new was learned since, but the batch never reached disk.
+        assert engine.flush_persistent_cache() == 1
+        assert set(PersistentCacheStore(tmp_path, store.portfolio_key).load()) == {key}
+        assert engine.flush_persistent_cache() == 0
 
     def test_no_persist_is_read_only(self, tmp_path, linked_list):
         engine = self._engine(tmp_path, persist=False)

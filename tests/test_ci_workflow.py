@@ -133,6 +133,28 @@ def test_incremental_smoke_step_and_artifact():
         sys.path.pop(0)
 
 
+def test_tier1_runs_traced_edit_serve_and_uploads_its_record():
+    """Every commit drives the store merge-save path and the benchmark's
+    tracing hooks end to end; a wrong verdict fails the step."""
+    jobs = load_workflow()["jobs"]
+    runs = all_run_lines(jobs["tier1"])
+    assert (
+        "python3 perfbench/run.py --workload edit-serve "
+        "--seed 1 --seconds 1 --trace 1"
+    ) in runs
+    uploads = [
+        step
+        for step in jobs["tier1"]["steps"]
+        if "upload-artifact" in step.get("uses", "")
+    ]
+    assert any(
+        step["with"]["path"] == ".perfbench/results/"
+        and step["with"]["name"] == "perfbench-edit-serve-${{ github.sha }}"
+        for step in uploads
+    ), "tier1 must upload the perfbench edit-serve record"
+    assert (REPO_ROOT / "perfbench" / "run.py").exists()
+
+
 def test_lint_job_runs_ruff_with_committed_config():
     jobs = load_workflow()["jobs"]
     runs = all_run_lines(jobs["lint"])
