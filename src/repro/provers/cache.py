@@ -62,7 +62,7 @@ FINGERPRINT_VERSION = 1
 #: changes incompatibly.  Version 2 added measured per-sequent prover
 #: timings (``wall`` / ``cpu``) to every entry and the per-class
 #: ``profiles`` section; version 3 added the per-class ``dependencies``
-#: section (the incremental-verification dependency index mapping source
+#: section (the dependency index mapping source
 #: artifacts to the fingerprints they produce); older stores cold-start
 #: cleanly.
 CACHE_FORMAT_VERSION = 3
@@ -208,15 +208,7 @@ class ProofCache:
         return len(self._entries)
 
     def key(self, task: ProofTask) -> tuple:
-        return self.key_for_fingerprint(task_fingerprint(task))
-
-    def key_for_fingerprint(self, fingerprint: tuple) -> tuple:
-        """The cache key for a raw (tenant-free) task fingerprint.
-
-        The dependency index (:mod:`repro.verifier.incremental`) stores raw
-        fingerprints so one index serves every tenant; resolving a verdict
-        for the active tenant goes through this, exactly like :meth:`key`.
-        """
+        fingerprint = task_fingerprint(task)
         if self.namespace:
             return (("tenant", self.namespace), *fingerprint)
         return fingerprint

@@ -2,7 +2,7 @@
 
 from .daemon import DaemonClient, DaemonError, VerifierDaemon
 from .engine import ClassReport, MethodReport, SequentOutcome, VerificationEngine
-from .parallel import ParallelRunStats, ProverPool, WorkerLoad, verify_class_parallel
+from .parallel import ParallelRunStats, ProverPool, WorkerLoad
 from .report import (
     Table1Row,
     Table2Row,

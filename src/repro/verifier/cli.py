@@ -11,9 +11,10 @@ Subcommands::
                                   build* functions; see repro.frontend.loader)
     jahob-py verify <file.py> --watch
                                   keep verifying the file as it changes:
-                                  stream incremental verdicts, re-proving
-                                  only the sequents each edit invalidated
-                                  (self-hosts a daemon, or --connect)
+                                  stream verdicts per edit; the warm proof
+                                  cache re-proves only the sequents each
+                                  edit invalidated (self-hosts a daemon,
+                                  or --connect)
     jahob-py table1               regenerate Table 1 (suite-scheduled when
                                   --jobs > 1; see --schedule)
     jahob-py table2               regenerate Table 2 (slow: verifies twice)
@@ -196,8 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--watch",
         action="store_true",
-        help="keep verifying the file as it changes: stream incremental "
-        "verdicts, re-proving only the sequents each edit invalidated "
+        help="keep verifying the file as it changes: stream verdicts per "
+        "edit, re-proving only the sequents each edit invalidated "
         "(file operand only; works locally or with --connect)",
     )
     verify.add_argument(

@@ -44,9 +44,10 @@ Supported ``"op"`` values:
               schedule plan
 ``watch``     ``{"path": ..., "interval": ..?, "max_events": ..?}`` --
               subscribe to a program file: the daemon polls its content,
-              re-verifies **incrementally** on every change
-              (:mod:`repro.verifier.incremental`) and streams one
-              ``verdicts`` event per change over the same connection --
+              re-verifies it on every change (the warm proof cache
+              re-proves only the sequents the edit invalidated) and
+              streams one ``verdicts`` event per change, with
+              clean/dirty/dispatched accounting, over the same connection --
               the one op that breaks the one-request/one-response rule,
               which is why it exists on the socket transports only (the
               HTTP front door deliberately does not route it)
@@ -136,8 +137,8 @@ __all__ = ["PROTOCOL_VERSION", "DaemonError", "VerifierDaemon", "DaemonClient"]
 #: bare busy error with admission control (structured ``code`` /
 #: ``retry_after`` rejections, priority lanes, per-client rate limits and
 #: tenant cache namespaces) and added the HTTP front door; version 6 added
-#: the streaming ``watch`` op (incremental re-verification of a subscribed
-#: file, many response events on one connection -- socket transports only).
+#: the streaming ``watch`` op (re-verification of a subscribed file on every
+#: change, many response events on one connection -- socket transports only).
 PROTOCOL_VERSION = 6
 
 #: Hard cap on one request line; a unix-socket peer is trusted, but a
@@ -554,10 +555,10 @@ class VerifierDaemon:
 
         The first verification fires immediately (the subscriber wants a
         baseline verdict), then the file's content digest is polled every
-        ``interval`` seconds and each change streams one incremental
-        ``verdicts`` event.  The subscription always ends with a
-        ``closed`` event carrying the reason, so clients never block on a
-        read that nothing will answer.
+        ``interval`` seconds and each change streams one ``verdicts``
+        event.  The subscription always ends with a ``closed`` event
+        carrying the reason, so clients never block on a read that nothing
+        will answer.
         """
         path = request.get("path")
         if not isinstance(path, str):
@@ -646,14 +647,21 @@ class VerifierDaemon:
                 pass
 
     def _watch_verify(self, path: str, client_id: str, priority: str) -> dict:
-        """One watch cycle: admit, load, verify incrementally, report.
+        """One watch cycle: admit, load, verify, report.
 
-        Runs under the same admission control as every engine op (each
-        cycle takes and releases the engine slot, so a watch subscription
-        never starves interactive requests), and folds the edit-to-verdict
-        latency into the watch histogram the ``metrics`` op reports.
+        Each class is re-verified with the warm engine's ordinary
+        :meth:`~repro.verifier.engine.VerificationEngine.verify_class`, so
+        the proof cache answers every sequent the edit left alone; its
+        dependency record from before the run is diffed against the one
+        the run wrote (:func:`~repro.verifier.incremental.edit_accounting`)
+        for the event's clean/dirty/dispatched accounting.  Runs under the
+        same admission control as every engine op (each cycle takes and
+        releases the engine slot, so a watch subscription never starves
+        interactive requests), and folds the edit-to-verdict latency into
+        the watch histogram the ``metrics`` op reports.
         """
         from ..frontend.loader import ProgramLoadError, load_class_models
+        from .incremental import edit_accounting
 
         start = time.monotonic()
         decision = self.admission.admit(client=client_id, priority=priority)
@@ -665,10 +673,16 @@ class VerifierDaemon:
         try:
             models = load_class_models(path)
             classes = []
+            index = self.engine.dependency_index
             for model in models:
-                report, incremental = self.engine.verify_class_incremental(model)
+                previous = index.get(model.name)
+                verify_start = time.monotonic()
+                report = self.engine.verify_class(model)
+                accounting = edit_accounting(previous, index.get(model.name), report)
+                accounting["jobs"] = self.engine.jobs
+                accounting["wall"] = time.monotonic() - verify_start
                 payload = _report_payload(report)
-                payload["incremental"] = incremental.as_dict()
+                payload["incremental"] = accounting
                 classes.append(payload)
         except ProgramLoadError as exc:
             # A mid-edit syntax error is normal watch traffic: report it

@@ -172,9 +172,10 @@ class ClassPlan:
     shard: list = field(default_factory=list)
     stats: object = None
     entries: list[PlanEntry] = field(default_factory=list)
-    #: Whether execution should record the class's dependency record
-    #: (False for strip-proofs ablation runs, whose stripped bodies must
-    #: not overwrite the real program's record).
+    #: Whether execution should record the class's dependency record and
+    #: cost profile (False for strip-proofs ablation runs: the stripped
+    #: class keeps the real one's name, and its sequents must not
+    #: overwrite the real program's record or profile).
     record_index: bool = True
 
     @property
@@ -269,14 +270,11 @@ class VerificationEngine:
         self._flushed_mutations = 0
         self._flushed_profile_mutations = 0
         self._flushed_dependency_mutations = 0
-        #: :class:`~repro.verifier.incremental.IncrementalRunStats` of the
-        #: most recent :meth:`verify_class_incremental` call.
-        self.last_incremental_stats = None
         #: Measured cost profiles feeding the suite scheduler's adaptive
         #: planning and the daemon's ``metrics`` op.
         self.cost_model = CostModel()
         #: Per-class dependency records mapping source artifacts to the
-        #: sequent fingerprints they produce (incremental verification).
+        #: sequent fingerprints they produce (watch-mode edit accounting).
         self.dependency_index = DependencyIndex()
         if cache_dir is not None and self.portfolio.proof_cache is not None:
             spec = PortfolioSpec.from_portfolio(self.portfolio)
@@ -364,8 +362,7 @@ class VerificationEngine:
         through the shared :mod:`repro.verifier.parallel` phases (pool or
         in-parent for ``jobs <= 1``), the merge replays verdicts in
         deterministic shard order, and -- unless the plan opted out -- the
-        class's dependency record is refreshed for future incremental
-        runs.
+        class's cost profile and dependency record are refreshed.
         """
         from .parallel import (
             build_class_report,
@@ -381,12 +378,14 @@ class VerificationEngine:
         results = run_shard(self, plan.shard, jobs, stats)
         resolve_shard(self.portfolio, plan.shard, results)
         resolve_duplicates(self.portfolio, plan.slots, results)
-        for slot in plan.shard:
-            self.observe_timing(plan.target.name, slot.key, results[slot.shard_index])
-        self.cost_model.reprofile(
-            plan.target.name, [slot.key for slot in plan.slots]
-        )
         if plan.record_index:
+            for slot in plan.shard:
+                self.observe_timing(
+                    plan.target.name, slot.key, results[slot.shard_index]
+                )
+            self.cost_model.reprofile(
+                plan.target.name, [slot.key for slot in plan.slots]
+            )
             self.record_dependencies(plan.target, plan.slots)
         return build_class_report(plan.target, plan.slots), stats
 
@@ -404,16 +403,9 @@ class VerificationEngine:
         """Verify one method, dispatching every sequent to the portfolio."""
         start = time.monotonic()
         report = MethodReport(cls.name, method.name)
-        cache = self.portfolio.proof_cache
         for sequent in self.method_sequents(cls, method):
-            task = self.task_for(sequent)
-            dispatch = self.portfolio.dispatch(task)
+            dispatch = self.portfolio.dispatch(self.task_for(sequent))
             report.outcomes.append(SequentOutcome(sequent, dispatch))
-            if not dispatch.cached:
-                # key() re-fingerprints, but fingerprints are memoized so
-                # this is a dict lookup, not a traversal.
-                key = cache.key(task) if cache is not None else None
-                self.observe_timing(cls.name, key, dispatch)
         report.elapsed = time.monotonic() - start
         return report
 
@@ -453,48 +445,27 @@ class VerificationEngine:
             for method in target.methods:
                 report.methods.append(self.verify_method(target, method))
             self.last_parallel_stats = None
-            cache = self.portfolio.proof_cache
-            if cache is not None:
-                # Same ground-truth profile rebuild the scheduled paths
-                # do; the dispatched tasks ride in the report, so no
-                # sequent regeneration is needed.
-                self.cost_model.reprofile(
-                    target.name,
-                    [
-                        cache.key(outcome.dispatch.task)
-                        for method_report in report.methods
-                        for outcome in method_report.outcomes
-                    ],
-                )
-                if not strip_proofs:
+            if not strip_proofs:
+                # The bookkeeping execute_class_plan does; the dispatched
+                # tasks ride in the report, so no sequent regeneration is
+                # needed.  key() re-fingerprints, but fingerprints are
+                # memoized so this is a dict lookup, not a traversal.
+                cache = self.portfolio.proof_cache
+                keys = []
+                for method_report in report.methods:
+                    for outcome in method_report.outcomes:
+                        dispatch = outcome.dispatch
+                        key = cache.key(dispatch.task) if cache is not None else None
+                        self.observe_timing(target.name, key, dispatch)
+                        keys.append(key)
+                self.cost_model.reprofile(target.name, keys)
+                if cache is not None:
                     self.dependency_index.record(
                         target.name, record_from_report(self, target, report)
                     )
         self.last_suite_stats = None
         self.flush_persistent_cache()
         return report
-
-    def verify_class_incremental(
-        self, cls: ClassModel, jobs: int | None = None
-    ):
-        """Re-verify ``cls`` against its dependency record.
-
-        Returns ``(ClassReport,
-        :class:`~repro.verifier.incremental.IncrementalRunStats`)``.
-        Methods whose artifacts are unchanged resolve from the index
-        without sequent regeneration; changed methods re-plan, and only
-        fingerprints absent from the record (the *dirty* set) can reach
-        the provers.  Verdicts are identical to a full
-        :meth:`verify_class` of the same class.
-        """
-        from .incremental import verify_class_incremental as _verify_incremental
-
-        report, stats = _verify_incremental(self, cls, jobs=jobs)
-        self.last_incremental_stats = stats
-        self.last_parallel_stats = None
-        self.last_suite_stats = None
-        self.flush_persistent_cache()
-        return report, stats
 
     def verify_suite(
         self,

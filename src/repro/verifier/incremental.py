@@ -1,26 +1,23 @@
-"""Incremental verification: the sequent-level dependency index.
+"""The sequent-level dependency index and watch-mode edit accounting.
 
 The paper's workflow is developer-interactive -- edit an invariant or a
-method body, re-verify, repeat -- yet a plain re-run re-plans the whole
-class even though the alpha-normalized fingerprints in the proof cache
-(:func:`repro.provers.cache.task_fingerprint`) already identify exactly
-which sequents an edit invalidates.  This module closes that loop:
+method body, re-verify, repeat.  Re-verification is an ordinary
+:meth:`~repro.verifier.engine.VerificationEngine.verify_class` on a warm
+engine: the alpha-normalized fingerprints in the proof cache
+(:func:`repro.provers.cache.task_fingerprint`) already send only the
+sequents an edit invalidated to the provers.  This module keeps the
+bookkeeping that lets watch mode *report* that:
 
 * every full verification records, per class, a **dependency record**
   mapping the source artifacts that produce sequents -- method bodies,
   the invariant set, the state declarations and the engine's translation
-  policy -- to the fingerprints they produced (:func:`record_from_slots`);
+  policy -- to the fingerprints they produced (:func:`record_from_slots`,
+  :func:`record_from_report`);
 * the records persist alongside the proof cache (format v3, see
   ``docs/cache-format.md``) in :class:`DependencyIndex`;
-* :func:`verify_class_incremental` diffs an edited class against its
-  record.  A method whose digest is unchanged (under unchanged class
-  artifacts) resolves **without regenerating its sequents**: the recorded
-  fingerprints are looked up straight in the proof cache and answered as
-  ``cache_origin="index"`` verdicts.  Only changed methods are re-lowered,
-  and of their sequents only the fingerprints absent from the record are
-  *dirty* -- everything else is answered by the warm cache.  The dirty
-  set equals the fingerprint diff (new set minus indexed set) exactly,
-  which the differential tests assert.
+* :func:`edit_accounting` diffs a class's record from before a run
+  against the one the run wrote: fingerprints the old record lacks are
+  *dirty*, the rest *clean*.
 
 Digests are structural, not textual: terms digest through their
 alpha-normalized fingerprints, so renaming a bound variable or reordering
@@ -31,8 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import time
-from dataclasses import dataclass, field
 
 from ..frontend.ast import ClassModel, Method
 from ..logic.terms import Term
@@ -45,14 +40,12 @@ from ..provers.cache import (
 
 __all__ = [
     "DependencyIndex",
-    "IncrementalRunStats",
-    "ResolvedSequent",
     "artifact_digest",
     "class_artifacts",
+    "edit_accounting",
     "method_digest",
     "record_from_report",
     "record_from_slots",
-    "verify_class_incremental",
 ]
 
 
@@ -136,10 +129,9 @@ class DependencyIndex:
                              "sequents": [[label, fingerprint-json], ...]}],
                      ...]}
 
-    Fingerprints are stored raw (tenant-free); resolution goes through
-    :meth:`~repro.provers.cache.ProofCache.key_for_fingerprint` so one
-    index serves every tenant of a shared daemon.  ``mutations`` lets the
-    engine's flush skip writes when nothing changed.
+    Fingerprints are stored raw (tenant-free), so one index serves every
+    tenant of a shared daemon.  ``mutations`` lets the engine's flush skip
+    writes when nothing changed.
     """
 
     def __init__(self, records: dict[str, dict] | None = None) -> None:
@@ -211,214 +203,57 @@ def record_from_report(engine, target: ClassModel, report) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Incremental verification
+# Edit accounting
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResolvedSequent:
-    """Stand-in for a sequent answered from the dependency index.
+def edit_accounting(previous: dict | None, current: dict | None, report) -> dict:
+    """Clean/dirty accounting of one re-verification of a class.
 
-    Clean methods resolve without re-lowering, so there is no
-    :class:`~repro.vcgen.sequent.Sequent` object to attach -- only the
-    recorded label survives, which is all reports need.
+    ``previous`` is the class's dependency record before the run and
+    ``current`` the record the run wrote (``None`` when there is none, as
+    on an engine without a proof cache).  A sequent is *dirty* when the
+    previous record lacks its fingerprint and *clean* otherwise; a cold
+    start (no previous record, or changed class artifacts) makes every
+    sequent dirty.  ``dispatched`` counts the outcomes the proof cache
+    could not answer.
     """
-
-    label: str
-
-
-@dataclass
-class IncrementalRunStats:
-    """Accounting of one :func:`verify_class_incremental` run.
-
-    ``sequents_dirty`` counts exactly the fingerprint diff (fingerprints
-    produced by the edited class that the index had not recorded);
-    ``dispatched`` is the subset of those the warm cache could not answer.
-    ``methods_skipped`` methods were resolved purely from the index,
-    without sequent regeneration.  ``cold_start`` marks a run that had no
-    usable prior record (first sight of the class, or artifacts changed).
-    """
-
-    class_name: str
-    jobs: int = 1
-    cold_start: bool = False
-    methods_total: int = 0
-    methods_skipped: int = 0
-    sequents_total: int = 0
-    sequents_clean: int = 0
-    sequents_dirty: int = 0
-    dispatched: int = 0
-    dirty_labels: list[str] = field(default_factory=list)
-    wall: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "class": self.class_name,
-            "jobs": self.jobs,
-            "cold_start": self.cold_start,
-            "methods_total": self.methods_total,
-            "methods_skipped": self.methods_skipped,
-            "sequents_total": self.sequents_total,
-            "sequents_clean": self.sequents_clean,
-            "sequents_dirty": self.sequents_dirty,
-            "dispatched": self.dispatched,
-            "dirty_labels": list(self.dirty_labels),
-            "wall": self.wall,
+    cold_start = (
+        previous is None
+        or current is None
+        or previous["artifacts"] != current["artifacts"]
+    )
+    outcomes = [
+        (method.method_name, outcome)
+        for method in report.methods
+        for outcome in method.outcomes
+    ]
+    dirty_labels = [f"{name}:{outcome.sequent.label}" for name, outcome in outcomes]
+    if not cold_start:
+        # A record lists its sequents in report order (both come from the
+        # same run), so the current fingerprints zip with the labels.
+        known = {
+            fingerprint_from_json(fp_json)
+            for _, record in previous["methods"]
+            for _, fp_json in record["sequents"]
         }
-
-
-def _resolve_clean_method(engine, record: dict):
-    """Resolve one unchanged method purely from cache + index.
-
-    Returns the synthesized outcome list, or ``None`` if any recorded
-    verdict has been evicted (the caller then re-plans the method like a
-    dirty one).  Statistics fold exactly like ``consult_cache`` hits, so
-    counters stay comparable to a full run.
-    """
-    # Imported lazily: engine.py imports this module at the top level.
-    from ..provers.dispatch import DispatchResult
-    from .engine import SequentOutcome
-
-    portfolio = engine.portfolio
-    cache = portfolio.proof_cache
-    resolved = []
-    for label, fp_json in record["sequents"]:
-        key = cache.key_for_fingerprint(fingerprint_from_json(fp_json))
-        verdict = cache.lookup(key)
-        if verdict is None:
-            return None
-        resolved.append((label, verdict))
-    outcomes = []
-    for label, verdict in resolved:
-        portfolio.statistics.sequents_attempted += 1
-        portfolio.statistics.cache_hits += 1
-        if verdict.origin == "disk":
-            portfolio.statistics.cache_hits_disk += 1
-        if verdict.proved:
-            portfolio.statistics.sequents_proved += 1
-        outcomes.append(
-            SequentOutcome(
-                ResolvedSequent(label),
-                DispatchResult(
-                    task=None,
-                    proved=verdict.proved,
-                    refuted=verdict.refuted,
-                    winning_prover=verdict.winning_prover,
-                    cached=True,
-                    cache_origin="index",
-                ),
-            )
+        current_fps = (
+            fingerprint_from_json(fp_json)
+            for _, record in current["methods"]
+            for _, fp_json in record["sequents"]
         )
-    return outcomes
-
-
-def verify_class_incremental(engine, cls: ClassModel, jobs: int | None = None):
-    """Re-verify ``cls`` against its dependency record.
-
-    Returns ``(ClassReport, IncrementalRunStats)``.  Verdicts are
-    identical to a full (cold) verification of the same class: clean
-    sequents resolve from the proof cache under their recorded
-    fingerprints, dirty ones run through the normal plan/dispatch/resolve
-    phases.  Falls back to a cold plan (everything dirty) when the engine
-    has no proof cache or no usable record.
-    """
-    from .engine import ClassReport, MethodReport, SequentOutcome
-    from .parallel import (
-        ParallelRunStats,
-        _Slot,
-        plan_method,
-        resolve_duplicates,
-        resolve_shard,
-        run_shard,
-    )
-
-    start = time.monotonic()
-    jobs = engine.jobs if jobs is None else max(1, int(jobs))
-    cache = engine.portfolio.proof_cache
-    index = engine.dependency_index
-    stats = IncrementalRunStats(cls.name, jobs=jobs, methods_total=len(cls.methods))
-
-    old = index.get(cls.name) if cache is not None else None
-    artifacts = class_artifacts(engine, cls) if cache is not None else {}
-    shared_clean = old is not None and old.get("artifacts") == artifacts
-    stats.cold_start = not shared_clean
-    old_methods: dict[str, dict] = (
-        {name: rec for name, rec in old["methods"]} if shared_clean else {}
-    )
-    indexed_fps = {
-        fingerprint_from_json(fp_json)
-        for rec in old_methods.values()
-        for _, fp_json in rec["sequents"]
+        dirty_labels = [
+            label
+            for label, fingerprint in zip(dirty_labels, current_fps)
+            if fingerprint not in known
+        ]
+    return {
+        "class": report.class_name,
+        "cold_start": cold_start,
+        "methods_total": report.methods_total,
+        "sequents_total": len(outcomes),
+        "sequents_clean": len(outcomes) - len(dirty_labels),
+        "sequents_dirty": len(dirty_labels),
+        "dispatched": sum(1 for _, outcome in outcomes if not outcome.dispatch.cached),
+        "dirty_labels": dirty_labels,
     }
-
-    run_stats = ParallelRunStats(jobs=jobs)
-    shard: list[_Slot] = []
-    pending_by_key: dict[tuple, int] = {}
-    clean_outcomes: dict[int, list] = {}
-    dirty_slots: dict[int, list[_Slot]] = {}
-    new_methods: list = []
-
-    for method_index, method in enumerate(cls.methods):
-        record = old_methods.get(method.name)
-        digest = method_digest(method) if cache is not None else ""
-        if record is not None and record["digest"] == digest:
-            outcomes = _resolve_clean_method(engine, record)
-            if outcomes is not None:
-                clean_outcomes[method_index] = outcomes
-                stats.methods_skipped += 1
-                stats.sequents_clean += len(outcomes)
-                stats.sequents_total += len(outcomes)
-                new_methods.append([method.name, record])
-                continue
-        slots = plan_method(
-            engine, cls, method, method_index, shard, pending_by_key, run_stats
-        )
-        dirty_slots[method_index] = slots
-        sequents = []
-        for slot in slots:
-            fingerprint = task_fingerprint(slot.task)
-            sequents.append([slot.sequent.label, fingerprint_to_json(fingerprint)])
-            if fingerprint in indexed_fps:
-                stats.sequents_clean += 1
-            else:
-                stats.sequents_dirty += 1
-                stats.dirty_labels.append(f"{method.name}:{slot.sequent.label}")
-        stats.sequents_total += len(slots)
-        new_methods.append([method.name, {"digest": digest, "sequents": sequents}])
-
-    run_stats.sequents_total = stats.sequents_total
-    run_stats.dispatched = len(shard)
-    stats.dispatched = len(shard)
-    results = run_shard(engine, shard, jobs, run_stats)
-    resolve_shard(engine.portfolio, shard, results)
-    for slots in dirty_slots.values():
-        resolve_duplicates(engine.portfolio, slots, results)
-    for slot in shard:
-        engine.observe_timing(cls.name, slot.key, results[slot.shard_index])
-    if cache is not None:
-        engine.cost_model.reprofile(
-            cls.name,
-            [
-                cache.key_for_fingerprint(fingerprint_from_json(fp_json))
-                for _, rec in new_methods
-                for _, fp_json in rec["sequents"]
-            ],
-        )
-
-    report = ClassReport(cls.name)
-    for method_index, method in enumerate(cls.methods):
-        method_report = MethodReport(cls.name, method.name)
-        if method_index in clean_outcomes:
-            method_report.outcomes = clean_outcomes[method_index]
-        else:
-            for slot in dirty_slots[method_index]:
-                method_report.outcomes.append(SequentOutcome(slot.sequent, slot.result))
-        method_report.elapsed = sum(
-            outcome.dispatch.elapsed for outcome in method_report.outcomes
-        )
-        report.methods.append(method_report)
-
-    if cache is not None:
-        index.record(cls.name, {"artifacts": artifacts, "methods": new_methods})
-    stats.wall = time.monotonic() - start
-    return report, stats

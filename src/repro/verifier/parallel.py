@@ -62,12 +62,10 @@ __all__ = [
     "WorkerBackend",
     "ProverPool",
     "plan_class",
-    "plan_method",
     "run_shard",
     "resolve_shard",
     "resolve_duplicates",
     "build_class_report",
-    "verify_class_parallel",
 ]
 
 
@@ -88,7 +86,7 @@ class WorkerLoad:
 
 @dataclass
 class ParallelRunStats:
-    """Scheduling statistics of one :func:`verify_class_parallel` run.
+    """Scheduling statistics of one planned class or suite run.
 
     ``backend`` names the worker backend that ran the shard:
     ``"process"`` for the in-process pool (and the ``jobs <= 1``
@@ -304,60 +302,34 @@ def plan_class(
     hit/duplicate counts (``stats.dispatched`` is left to the caller, which
     knows when the shard is complete).
     """
-    slots: list[_Slot] = []
-    for method_index, method in enumerate(target.methods):
-        slots.extend(
-            plan_method(
-                engine, target, method, method_index, shard, pending_by_key, stats
-            )
-        )
-    stats.sequents_total += len(slots)
-    return slots
-
-
-def plan_method(
-    engine,
-    target: ClassModel,
-    method,
-    method_index: int,
-    shard: list[_Slot],
-    pending_by_key: dict[tuple, int],
-    stats: ParallelRunStats,
-) -> list[_Slot]:
-    """The per-method slice of :func:`plan_class`.
-
-    Exposed separately so incremental verification
-    (:mod:`repro.verifier.incremental`) can re-plan only a class's dirty
-    methods while its clean methods resolve from the dependency index
-    without sequent regeneration.  ``stats.sequents_total`` is left to the
-    caller, which knows the full planned extent of the run.
-    """
     portfolio = engine.portfolio
     slots: list[_Slot] = []
-    for sequent in engine.method_sequents(target, method):
-        slot = _Slot(method_index, sequent, engine.task_for(sequent))
-        slots.append(slot)
-        key, hit = portfolio.consult_cache(slot.task)
-        slot.key = key
-        if hit is not None:
-            slot.result = hit
-            if hit.cache_origin == "disk":
-                stats.hits_disk += 1
-            else:
-                stats.hits_memory += 1
-            continue
-        if key is not None and key in pending_by_key:
-            # A duplicate of a sequent already queued this run: the
-            # sequential path would find its verdict in the warm cache.
-            slot.duplicate_of = pending_by_key[key]
-            portfolio.statistics.cache_misses -= 1  # counted by consult_cache
-            portfolio.statistics.cache_hits += 1
-            stats.duplicates_folded += 1
-            continue
-        slot.shard_index = len(shard)
-        shard.append(slot)
-        if key is not None:
-            pending_by_key[key] = slot.shard_index
+    for method_index, method in enumerate(target.methods):
+        for sequent in engine.method_sequents(target, method):
+            slot = _Slot(method_index, sequent, engine.task_for(sequent))
+            slots.append(slot)
+            key, hit = portfolio.consult_cache(slot.task)
+            slot.key = key
+            if hit is not None:
+                slot.result = hit
+                if hit.cache_origin == "disk":
+                    stats.hits_disk += 1
+                else:
+                    stats.hits_memory += 1
+                continue
+            if key is not None and key in pending_by_key:
+                # A duplicate of a sequent already queued this run: the
+                # sequential path would find its verdict in the warm cache.
+                slot.duplicate_of = pending_by_key[key]
+                portfolio.statistics.cache_misses -= 1  # counted by consult_cache
+                portfolio.statistics.cache_hits += 1
+                stats.duplicates_folded += 1
+                continue
+            slot.shard_index = len(shard)
+            shard.append(slot)
+            if key is not None:
+                pending_by_key[key] = slot.shard_index
+    stats.sequents_total += len(slots)
     return slots
 
 
@@ -489,20 +461,3 @@ def build_class_report(target: ClassModel, slots: list[_Slot]):
         )
         report.methods.append(method_report)
     return report
-
-
-def verify_class_parallel(engine, target: ClassModel, jobs: int):
-    """Verify every method of ``target`` with ``jobs`` worker processes.
-
-    Returns ``(ClassReport, ParallelRunStats)``.  Verdicts, prover
-    attribution and portfolio statistics are identical to the sequential
-    :meth:`~repro.verifier.engine.VerificationEngine.verify_class` path
-    (modulo timing jitter on near-timeout sequents, which both paths share).
-
-    Since the plan/execute split this is a thin composition of the
-    engine's :meth:`~repro.verifier.engine.VerificationEngine.plan_class_run`
-    and :meth:`~repro.verifier.engine.VerificationEngine.execute_class_plan`
-    -- kept as the stable entry point the engine and older callers use.
-    """
-    plan = engine.plan_class_run(target)
-    return engine.execute_class_plan(plan, jobs=jobs)

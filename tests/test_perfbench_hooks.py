@@ -1,11 +1,12 @@
-"""The names the benchmark's traced run patches must exist.
+"""The names the benchmark's traced run patches must exist and be called.
 
 ``perfbench/tracing.py`` measures each layer by replacing the functions and
 methods the pipeline calls (``PersistentCacheStore.save``,
 ``engine.record_from_report``, ...).  A rename under ``src/`` would only
-surface as a ``KeyError`` in a ``--trace 1`` run; this installs and removes
-the wrappers on every tier-1 run instead.  The benchmark's files are
-imported, never edited.
+surface as a ``KeyError`` in a ``--trace 1`` run, and a call that stopped
+going through a patched name would silently read 0; this installs and
+removes the wrappers on every tier-1 run instead.  The benchmark's files
+are imported, never edited.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from pathlib import Path
 import pytest
 
 from repro.provers.cache import CachedVerdict, PersistentCacheStore
+from repro.provers.dispatch import default_portfolio
+from repro.suite.common import StructureBuilder
+from repro.verifier.engine import VerificationEngine
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -63,3 +67,29 @@ def test_store_spans_and_fsync_are_observable(tracing, tmp_path, monkeypatch):
     assert tracer.calls("provers.cache.store.load") == 1
     assert tracer.calls("provers.cache.store.save") == 2
     assert len(synced) == 2
+
+
+def test_dependency_record_spans_on_both_paths(tracing):
+    """``verifier.incremental.record_s`` sums these spans, so each path
+    that writes a dependency record must produce one: a jobs=1
+    ``verify_class`` through ``record_from_report``, a jobs=1
+    ``verify_suite`` through ``record_from_slots``."""
+    s = StructureBuilder("Toggle")
+    s.concrete("on", "int")
+    s.invariant("Bit", "0 <= on & on <= 1")
+    m = s.method("flip", modifies="on", ensures="on = 1 - old on")
+    m.assign("on", "1 - on")
+    m.done()
+    toggle = s.build()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_layer_wrappers(tracer)
+        engine = VerificationEngine(default_portfolio().scaled(0.4), jobs=1)
+        engine.verify_class(toggle)
+        after_class = tracer.calls("verifier.incremental.record")
+        engine.verify_suite([toggle], jobs=1)
+        after_suite = tracer.calls("verifier.incremental.record")
+    finally:
+        tracer.uninstall()
+    assert after_class >= 1
+    assert after_suite - after_class >= 1
