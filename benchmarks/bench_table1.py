@@ -26,6 +26,7 @@ from repro.provers.dispatch import default_portfolio
 from repro.suite import all_structures
 from repro.provers.result import PortfolioStatistics
 from repro.verifier.engine import VerificationEngine
+from repro.verifier.parallel import RunRecord
 from repro.verifier.report import (
     Table1Row,
     format_performance,
@@ -54,10 +55,11 @@ def run_suite(
 
     Shared by the ``--jobs N`` comparison benchmark below and the tier-1
     smoke tests (``tests/test_bench_smoke.py``); returns ``(engine,
-    reports)`` so callers can inspect statistics and parallel scheduling.
+    reports, run)`` so callers can inspect statistics and scheduling.
     With ``suite_schedule`` the classes are verified as one job graph
     (:meth:`VerificationEngine.verify_suite`, longest class first) instead
-    of class by class.
+    of class by class; ``run`` is the engine's ``last_run`` record, folded
+    over the per-class calls in the latter case.
     """
     engine = VerificationEngine(
         default_portfolio(with_cache=use_proof_cache).scaled(TIMEOUT_SCALE),
@@ -69,9 +71,13 @@ def run_suite(
     structures = structures or all_structures()
     if suite_schedule:
         reports = engine.verify_suite(structures)
-    else:
-        reports = [engine.verify_class(cls) for cls in structures]
-    return engine, reports
+        return engine, reports, engine.last_run
+    run = RunRecord(jobs=engine.jobs)
+    reports = []
+    for cls in structures:
+        reports.append(engine.verify_class(cls))
+        run.merge(engine.last_run)
+    return engine, reports, run
 
 
 @pytest.mark.parametrize(
@@ -132,8 +138,7 @@ def test_table1_parallel_jobs(jobs, benchmark):
     def verify_parallel():
         return run_suite(jobs=jobs)
 
-    engine, reports = benchmark.pedantic(verify_parallel, rounds=1, iterations=1)
-    stats = engine.parallel_stats_total
+    engine, reports, stats = benchmark.pedantic(verify_parallel, rounds=1, iterations=1)
     benchmark.extra_info["jobs"] = jobs
     benchmark.extra_info["dispatched"] = stats.dispatched
     benchmark.extra_info["cache_hits_memory"] = stats.hits_memory
@@ -160,8 +165,7 @@ def test_table1_suite_scheduled(jobs, benchmark):
     def verify_suite():
         return run_suite(jobs=jobs, suite_schedule=True)
 
-    engine, reports = benchmark.pedantic(verify_suite, rounds=1, iterations=1)
-    stats = engine.last_suite_stats
+    engine, reports, stats = benchmark.pedantic(verify_suite, rounds=1, iterations=1)
     benchmark.extra_info["jobs"] = jobs
     benchmark.extra_info["schedule_order"] = ", ".join(stats.schedule_order)
     benchmark.extra_info["dispatched"] = stats.dispatched
@@ -190,9 +194,10 @@ def run_smoke(jobs: int = 2, structure_names=SMOKE_STRUCTURES) -> dict:
 
     chosen = [cls for cls in all_structures() if cls.name in structure_names]
     start = _time.monotonic()
-    engine, reports = run_suite(jobs=jobs, structures=chosen, suite_schedule=True)
+    engine, reports, stats = run_suite(
+        jobs=jobs, structures=chosen, suite_schedule=True
+    )
     wall = _time.monotonic() - start
-    stats = engine.last_suite_stats
     counters = performance_counters(engine.portfolio)
     return {
         "mode": "smoke",

@@ -2,18 +2,18 @@
 
 from .daemon import DaemonClient, DaemonError, VerifierDaemon
 from .engine import ClassReport, MethodReport, SequentOutcome, VerificationEngine
-from .parallel import ParallelRunStats, ProverPool, WorkerLoad
+from .parallel import ProverPool, RunRecord, WorkerLoad
 from .report import (
     Table1Row,
     Table2Row,
-    format_suite,
+    format_run,
     format_table1,
     format_table2,
     format_verify,
     table1_rows,
     table2_rows,
 )
-from .scheduler import ClassScheduleStats, SuiteRunStats, verify_suite
+from .scheduler import ClassScheduleStats
 from .stats import ClassStatistics, class_statistics
 from .strip import strip_proofs_from_class, strip_proofs_from_method
 

@@ -15,8 +15,8 @@ Subcommands::
                                   cache re-proves only the sequents each
                                   edit invalidated (self-hosts a daemon,
                                   or --connect)
-    jahob-py table1               regenerate Table 1 (suite-scheduled when
-                                  --jobs > 1; see --schedule)
+    jahob-py table1               regenerate Table 1 (the whole catalogue
+                                  as one suite-scheduled run)
     jahob-py table2               regenerate Table 2 (slow: verifies twice)
     jahob-py serve                run the warm verification daemon on a
                                   unix socket (--socket) or TCP (--tcp),
@@ -32,7 +32,7 @@ Subcommands::
     jahob-py metrics              scheduling metrics of a running daemon:
                                   per-worker latency histograms, measured
                                   per-class costs, cache provenance and
-                                  the last suite plan (requires --connect)
+                                  the last run's plan (requires --connect)
     jahob-py shutdown             stop a daemon (requires --connect)
     jahob-py worker               run a remote prover worker (--listen to
                                   await coordinators, --connect to register
@@ -59,10 +59,10 @@ import sys
 
 from ..provers.dispatch import default_portfolio
 from .engine import VerificationEngine
+from .parallel import RunRecord
 from .report import (
-    format_parallel,
     format_performance,
-    format_suite,
+    format_run,
     format_table1,
     format_table2,
     format_verify,
@@ -77,12 +77,11 @@ __all__ = ["main"]
 DEFAULT_SOCKET = ".jahob.sock"
 
 
-def _print_perf(engine: VerificationEngine) -> None:
+def _print_perf(engine: VerificationEngine, run: RunRecord) -> None:
+    """The ``--perf`` block: counters, the command's run record (every
+    verification call of the command, folded) and the store status."""
     print(format_performance(portfolio=engine.portfolio))
-    if engine.last_suite_stats is not None:
-        print(format_suite(engine.last_suite_stats))
-    elif engine.parallel_stats_total is not None:
-        print(format_parallel(engine.parallel_stats_total))
+    print(format_run(run))
     if engine.persistent_store is not None:
         print(
             f"Persistent cache: {engine.persistent_store.path} "
@@ -131,14 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-persist",
         action="store_true",
         help="with --cache-dir: read the persistent cache but do not write it back",
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=("suite", "class"),
-        default="suite",
-        help="with --jobs > 1, how table1 shards work: 'suite' plans the whole "
-        "catalogue as one job graph (longest class first), 'class' shards "
-        "each class separately; verdicts are identical either way",
     )
     parser.add_argument(
         "--connect",
@@ -280,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="print a running daemon's scheduling metrics: per-worker "
         "latency, measured per-class costs, cache provenance and the "
-        "last suite plan (requires --connect)",
+        "last run's plan (requires --connect)",
     )
     subparsers.add_parser(
         "shutdown",
@@ -399,7 +390,6 @@ _ENGINE_FLAGS = (
     ("--jobs", "jobs"),
     ("--cache-dir", "cache_dir"),
     ("--no-persist", "no_persist"),
-    ("--schedule", "schedule"),
     ("--perf", "perf"),
     ("--workers", "workers"),
 )
@@ -742,7 +732,7 @@ def main(argv: list[str] | None = None) -> int:
         dropped = _non_default_flags(
             parser,
             args,
-            [pair for pair in _ENGINE_FLAGS if pair[0] in ("--perf", "--schedule")],
+            [pair for pair in _ENGINE_FLAGS if pair[0] == "--perf"],
         )
         if dropped:
             print(
@@ -799,42 +789,38 @@ def main(argv: list[str] | None = None) -> int:
             except ProgramLoadError as exc:
                 print(str(exc), file=sys.stderr)
                 return 2
-            reports = [
-                engine.verify_class(model, strip_proofs=args.no_proofs)
-                for model in models
-            ]
+            run = RunRecord(jobs=engine.jobs)
+            reports = []
+            for model in models:
+                reports.append(engine.verify_class(model, strip_proofs=args.no_proofs))
+                run.merge(engine.last_run)
             print(format_verify_file(os.path.abspath(args.name), reports))
             if args.perf:
-                _print_perf(engine)
+                _print_perf(engine, run)
             return 0 if all(report.verified for report in reports) else 1
         cls = structure_by_name(args.name)
         report = engine.verify_class(cls, strip_proofs=args.no_proofs)
         print(format_verify(report))
         if args.perf:
-            _print_perf(engine)
+            _print_perf(engine, engine.last_run)
         return 0 if report.verified else 1
 
     if args.command == "table1":
         classes = all_structures()
-        # Parallel backends (process pool or remote workers) default to
-        # suite scheduling: one job graph, cross-class dedup, one session.
-        if (args.jobs > 1 or engine.uses_remote_workers) and args.schedule == "suite":
-            reports = engine.verify_suite(classes)
-            rows = table1_rows(classes, reports=reports)
-        else:
-            rows = table1_rows(classes, engine)
+        rows = table1_rows(classes, reports=engine.verify_suite(classes))
         print(format_table1(rows))
         if args.perf:
             print()
-            _print_perf(engine)
+            _print_perf(engine, engine.last_run)
         return 0
 
     if args.command == "table2":
-        rows = [row for row, _, _ in table2_rows(all_structures(), engine)]
+        run = RunRecord(jobs=engine.jobs)
+        rows = [row for row, _, _ in table2_rows(all_structures(), engine, run)]
         print(format_table2(rows))
         if args.perf:
             print()
-            _print_perf(engine)
+            _print_perf(engine, run)
         return 0
 
     return 2

@@ -40,8 +40,7 @@ Supported ``"op"`` values:
 ``stats``     engine counters (:meth:`PerformanceCounters.as_dict`)
 ``metrics``   scheduling observability: per-worker answer-latency
               histograms, per-class measured cost profiles, cache-hit
-              provenance, watch-mode latency and the last suite run's
-              schedule plan
+              provenance, watch-mode latency and the last run's plan
 ``watch``     ``{"path": ..., "interval": ..?, "max_events": ..?}`` --
               subscribe to a program file: the daemon polls its content,
               re-verifies it on every change (the warm proof cache
@@ -109,7 +108,7 @@ from .admission import (
 )
 from .engine import ClassReport, VerificationEngine
 from .report import (
-    format_suite,
+    format_run,
     format_table1,
     format_verify,
     format_verify_file,
@@ -827,9 +826,8 @@ class VerifierDaemon:
 
     def _op_suite(self, request: dict) -> dict:
         reports = self._suite_reports(request)
-        stats = self.engine.last_suite_stats
         return {
-            "output": format_suite(stats),
+            "output": format_run(self.engine.last_run),
             "exit": 0 if all(report.verified for report in reports) else 1,
             "reports": [_report_payload(report) for report in reports],
         }
@@ -876,7 +874,8 @@ class VerifierDaemon:
     def _op_metrics(self, request: dict) -> dict:
         """Scheduling observability, answered lock-free (like ``stats``):
         latency histograms, measured class costs, cache provenance and
-        the last suite plan are all readable while the engine proves."""
+        the last run's plan (of any ``verify_class`` or ``verify_suite``
+        call) are all readable while the engine proves."""
         engine = self.engine
         counters = performance_counters(engine.portfolio)
         response = {
@@ -893,7 +892,7 @@ class VerifierDaemon:
             },
             "schedule": None,
         }
-        stats = engine.last_suite_stats
+        stats = engine.last_run
         if stats is not None:
             response["schedule"] = {
                 "jobs": stats.jobs,

@@ -9,21 +9,23 @@ For each method of a class model the engine
 4. offers every sequent to the prover portfolio with per-prover timeouts,
    honouring ``from``-clause assumption selection.
 
-The per-method and per-class reports carry everything the paper's Tables 1
-and 2 need: sequent counts, proved counts, verification time and the prover
-that discharged each sequent.
+Every run is planned, then executed (:mod:`repro.verifier.scheduler`);
+:meth:`VerificationEngine.verify_method` is kept as the plain dispatch loop
+the differential tests compare against.  The per-method and per-class
+reports carry everything the paper's Tables 1 and 2 need: sequent counts,
+proved counts, verification time and the prover that discharged each
+sequent.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..frontend.ast import ClassModel, Method
 from ..frontend.lower import lower_method
 from ..gcl.desugar import Desugarer
-from ..provers.cache import PersistentCacheStore, ProofCache, task_fingerprint
+from ..provers.cache import PersistentCacheStore, ProofCache
 from ..provers.dispatch import (
     DispatchResult,
     PortfolioSpec,
@@ -35,17 +37,18 @@ from ..vcgen.assumptions import relevance_filter
 from ..vcgen.sequent import Sequent
 from ..vcgen.vcgen import VcGenerator
 from .costmodel import CostModel
-from .incremental import DependencyIndex, record_from_report, record_from_slots
+from .incremental import DependencyIndex, record_from_slots
 from .strip import strip_proofs_from_class
 
 __all__ = [
     "SequentOutcome",
     "MethodReport",
     "ClassReport",
-    "PlanEntry",
-    "ClassPlan",
     "VerificationEngine",
 ]
+
+#: Kept bound for perfbench/tracing.py, which patches both names.
+record_from_report = record_from_slots
 
 
 @dataclass
@@ -71,7 +74,12 @@ class MethodReport:
     class_name: str
     method_name: str
     outcomes: list[SequentOutcome] = field(default_factory=list)
-    elapsed: float = 0.0
+
+    @property
+    def elapsed(self) -> float:
+        """Prover CPU seconds of the sequents this run dispatched; cache
+        hits and folded duplicates count 0, whatever ``jobs``."""
+        return sum(outcome.dispatch.elapsed for outcome in self.outcomes)
 
     @property
     def sequents_total(self) -> int:
@@ -100,7 +108,11 @@ class MethodReport:
 
 @dataclass
 class ClassReport:
-    """Verification results for a whole data structure."""
+    """Verification results for a whole data structure.
+
+    ``elapsed`` sums the methods' ``elapsed``: the prover CPU time of the
+    sequents this run dispatched (cache hits count 0), whatever ``jobs``.
+    """
 
     class_name: str
     methods: list[MethodReport] = field(default_factory=list)
@@ -138,57 +150,12 @@ class ClassReport:
         return used
 
 
-@dataclass(frozen=True)
-class PlanEntry:
-    """One sequent of a verification plan.
-
-    The plan's unit of identity is the (class, method, fingerprint)
-    triple: the fingerprint is the alpha-normalized cache identity of the
-    sequent's proof task, so two plans can be diffed without comparing
-    terms.  ``dispatch`` marks the sequents the cache could not answer --
-    the ones execution will actually send to the provers.
-    """
-
-    class_name: str
-    method_name: str
-    fingerprint: tuple
-    dispatch: bool
-
-
-@dataclass
-class ClassPlan:
-    """The planned (but not yet executed) verification of one class.
-
-    Produced by :meth:`VerificationEngine.plan_class_run`: sequent
-    generation, cache consults and fingerprint dedup have happened (in
-    deterministic sequential order -- planning *is* the cache-authority
-    phase), but nothing has been dispatched.  Feed it to
-    :meth:`VerificationEngine.execute_class_plan` to run the provers on
-    the surviving shard and assemble the report.
-    """
-
-    target: ClassModel
-    slots: list = field(default_factory=list)
-    shard: list = field(default_factory=list)
-    stats: object = None
-    entries: list[PlanEntry] = field(default_factory=list)
-    #: Whether execution should record the class's dependency record and
-    #: cost profile (False for strip-proofs ablation runs: the stripped
-    #: class keeps the real one's name, and its sequents must not
-    #: overwrite the real program's record or profile).
-    record_index: bool = True
-
-    @property
-    def dispatch_count(self) -> int:
-        return len(self.shard)
-
-
 class VerificationEngine:
     """Drives lowering, VC generation and prover dispatch.
 
     ``jobs`` > 1 shards prover dispatch across that many worker processes
-    (:mod:`repro.verifier.parallel`); verdicts stay identical to the
-    sequential path.  ``cache_dir`` attaches a persistent
+    (:mod:`repro.verifier.parallel`); verdicts stay identical to
+    ``jobs=1``.  ``cache_dir`` attaches a persistent
     :class:`~repro.provers.cache.PersistentCacheStore` keyed by the
     portfolio configuration: verdicts are loaded at start-up and -- unless
     ``persist`` is False -- written back atomically after every
@@ -210,7 +177,7 @@ class VerificationEngine:
     registered with a coordinator-side
     :class:`~repro.verifier.remote.WorkerRegistry`.  The parent keeps all
     cache authority either way, so verdicts stay bit-identical to
-    sequential runs.
+    local runs.
     """
 
     def __init__(
@@ -258,14 +225,9 @@ class VerificationEngine:
         self.persist = persist
         self.keep_pool_warm = keep_pool_warm
         self.persistent_store: PersistentCacheStore | None = None
-        #: :class:`~repro.verifier.parallel.ParallelRunStats` of the most
-        #: recent parallel ``verify_class`` call (None after sequential runs).
-        self.last_parallel_stats = None
-        #: Aggregate of every parallel run this engine performed.
-        self.parallel_stats_total = None
-        #: :class:`~repro.verifier.scheduler.SuiteRunStats` of the most
-        #: recent :meth:`verify_suite` call.
-        self.last_suite_stats = None
+        #: :class:`~repro.verifier.parallel.RunRecord` of the most recent
+        #: :meth:`verify_class` or :meth:`verify_suite` call.
+        self.last_run = None
         self._pool = None
         self._flushed_mutations = 0
         self._flushed_profile_mutations = 0
@@ -308,8 +270,8 @@ class VerificationEngine:
         """The proof task the portfolio receives for ``sequent``.
 
         Applies the engine's ``from``-clause and relevance-filter policy;
-        the sequential and parallel paths share this so both dispatch
-        byte-identical tasks.
+        the pipeline and the :meth:`verify_method` reference share this so
+        both dispatch byte-identical tasks.
         """
         task = sequent.to_task(apply_from_clause=self.apply_from_clauses)
         if self.use_relevance_filter and not (
@@ -318,95 +280,19 @@ class VerificationEngine:
             task = relevance_filter(task)
         return task
 
-    # -- plan / execute ---------------------------------------------------------------
-
-    def plan_class_run(self, cls: ClassModel, strip_proofs: bool = False) -> ClassPlan:
-        """Phase 1: plan ``cls``'s verification without dispatching.
-
-        Generates every sequent in deterministic sequential order, answers
-        cache hits, folds fingerprint duplicates, and returns a
-        :class:`ClassPlan` whose ``entries`` are the run's (class, method,
-        fingerprint) triples -- ``dispatch=True`` for the unique misses
-        execution will actually prove.  Hand the plan to
-        :meth:`execute_class_plan`.
-        """
-        from .parallel import ParallelRunStats, plan_class
-
-        target = strip_proofs_from_class(cls) if strip_proofs else cls
-        stats = ParallelRunStats(jobs=self.jobs)
-        shard: list = []
-        pending_by_key: dict[tuple, int] = {}
-        slots = plan_class(self, target, shard, pending_by_key, stats)
-        entries = [
-            PlanEntry(
-                class_name=target.name,
-                method_name=target.methods[slot.method_index].name,
-                fingerprint=task_fingerprint(slot.task),
-                dispatch=slot.shard_index is not None,
-            )
-            for slot in slots
-        ]
-        return ClassPlan(
-            target=target,
-            slots=slots,
-            shard=shard,
-            stats=stats,
-            entries=entries,
-            record_index=not strip_proofs,
-        )
-
-    def execute_class_plan(self, plan: ClassPlan, jobs: int | None = None):
-        """Phases 2--3: dispatch a plan's shard and assemble the report.
-
-        Returns ``(ClassReport, ParallelRunStats)``.  Dispatch goes
-        through the shared :mod:`repro.verifier.parallel` phases (pool or
-        in-parent for ``jobs <= 1``), the merge replays verdicts in
-        deterministic shard order, and -- unless the plan opted out -- the
-        class's cost profile and dependency record are refreshed.
-        """
-        from .parallel import (
-            build_class_report,
-            resolve_duplicates,
-            resolve_shard,
-            run_shard,
-        )
-
-        jobs = self.jobs if jobs is None else max(1, int(jobs))
-        stats = plan.stats
-        stats.jobs = jobs
-        stats.dispatched = len(plan.shard)
-        results = run_shard(self, plan.shard, jobs, stats)
-        resolve_shard(self.portfolio, plan.shard, results)
-        resolve_duplicates(self.portfolio, plan.slots, results)
-        if plan.record_index:
-            for slot in plan.shard:
-                self.observe_timing(
-                    plan.target.name, slot.key, results[slot.shard_index]
-                )
-            self.cost_model.reprofile(
-                plan.target.name, [slot.key for slot in plan.slots]
-            )
-            self.record_dependencies(plan.target, plan.slots)
-        return build_class_report(plan.target, plan.slots), stats
-
-    def record_dependencies(self, target: ClassModel, slots) -> None:
-        """Refresh ``target``'s dependency record from a full run's slots."""
-        if self.portfolio.proof_cache is None:
-            return
-        self.dependency_index.record(
-            target.name, record_from_slots(self, target, slots)
-        )
-
     # -- verification ---------------------------------------------------------------
 
     def verify_method(self, cls: ClassModel, method: Method) -> MethodReport:
-        """Verify one method, dispatching every sequent to the portfolio."""
-        start = time.monotonic()
+        """Verify one method by offering each sequent to ``portfolio.dispatch``.
+
+        The plain reference procedure -- no planning, sharding or
+        bookkeeping.  The differential tests compare :meth:`verify_class`
+        and :meth:`verify_suite` against it; the engine never calls it.
+        """
         report = MethodReport(cls.name, method.name)
         for sequent in self.method_sequents(cls, method):
             dispatch = self.portfolio.dispatch(self.task_for(sequent))
             report.outcomes.append(SequentOutcome(sequent, dispatch))
-        report.elapsed = time.monotonic() - start
         return report
 
     def verify_class(
@@ -415,13 +301,13 @@ class VerificationEngine:
         strip_proofs: bool = False,
         parallel: int | None = None,
     ) -> ClassReport:
-        """Verify every method of ``cls``.
+        """Verify every method of ``cls``: a one-class :meth:`verify_suite`.
 
         With ``strip_proofs`` the integrated proof language constructs are
-        removed first (the Table 2 ablation).  ``parallel`` overrides the
-        engine's ``jobs`` setting for this call; any value > 1 shards
-        dispatch across worker processes with verdicts identical to the
-        sequential path.
+        removed first (the Table 2 ablation); such a run records no
+        timing, cost profile or dependency record, because the stripped
+        class keeps the real one's name.  ``parallel`` overrides the
+        engine's ``jobs`` setting for this call.
 
         The portfolio's sequent-level proof cache stays warm across the
         whole run: the near-duplicate split sequents of one method, the
@@ -429,42 +315,8 @@ class VerificationEngine:
         the unchanged sequents of the stripped/annotated pair are each
         dispatched to the provers only once.
         """
-        jobs = self.jobs if parallel is None else max(1, int(parallel))
-        if jobs > 1 or self.uses_remote_workers:
-            plan = self.plan_class_run(cls, strip_proofs=strip_proofs)
-            report, run_stats = self.execute_class_plan(plan, jobs=jobs)
-            self.last_parallel_stats = run_stats
-            if self.parallel_stats_total is None:
-                from .parallel import ParallelRunStats
-
-                self.parallel_stats_total = ParallelRunStats(jobs=jobs)
-            self.parallel_stats_total.merge(run_stats)
-        else:
-            target = strip_proofs_from_class(cls) if strip_proofs else cls
-            report = ClassReport(cls.name)
-            for method in target.methods:
-                report.methods.append(self.verify_method(target, method))
-            self.last_parallel_stats = None
-            if not strip_proofs:
-                # The bookkeeping execute_class_plan does; the dispatched
-                # tasks ride in the report, so no sequent regeneration is
-                # needed.  key() re-fingerprints, but fingerprints are
-                # memoized so this is a dict lookup, not a traversal.
-                cache = self.portfolio.proof_cache
-                keys = []
-                for method_report in report.methods:
-                    for outcome in method_report.outcomes:
-                        dispatch = outcome.dispatch
-                        key = cache.key(dispatch.task) if cache is not None else None
-                        self.observe_timing(target.name, key, dispatch)
-                        keys.append(key)
-                self.cost_model.reprofile(target.name, keys)
-                if cache is not None:
-                    self.dependency_index.record(
-                        target.name, record_from_report(self, target, report)
-                    )
-        self.last_suite_stats = None
-        self.flush_persistent_cache()
+        target = strip_proofs_from_class(cls) if strip_proofs else cls
+        (report,) = self._run([target], parallel, record=not strip_proofs)
         return report
 
     def verify_suite(
@@ -479,21 +331,40 @@ class VerificationEngine:
         (:mod:`repro.verifier.scheduler`).  ``classes`` defaults to the
         full benchmark catalogue; ``jobs`` overrides the engine setting.
         Returns one :class:`ClassReport` per class, in input order, with
-        verdicts, attribution and counters identical to calling
-        :meth:`verify_class` on each class in that order.
+        verdicts, attribution and counters identical to running
+        :meth:`verify_method` over each class's methods in that order.
         """
-        from .scheduler import verify_suite as _verify_suite
-
         if classes is None:
             from ..suite.catalog import all_structures
 
             classes = all_structures()
+        return self._run(classes, jobs, record=True)
+
+    def _run(self, classes: list[ClassModel], jobs: int | None, record: bool):
+        """Plan, execute, keep the run record in :attr:`last_run`, flush."""
+        from .scheduler import execute_suite, plan_suite
+
         jobs = self.jobs if jobs is None else max(1, int(jobs))
-        reports, run_stats = _verify_suite(self, classes, jobs)
-        self.last_suite_stats = run_stats
-        self.last_parallel_stats = None
+        plan = plan_suite(self, classes, jobs, record=record)
+        reports, self.last_run = execute_suite(self, plan, jobs)
         self.flush_persistent_cache()
         return reports
+
+    def record_class_run(self, cls: ClassModel, slots) -> None:
+        """Learn from one class's executed slots: fold the dispatched
+        sequents' timings into the cost model, rebuild the class's profile
+        and refresh its dependency record."""
+        for slot in slots:
+            if slot.shard_index is not None:
+                self.cost_model.observe(
+                    cls.name, slot.key, slot.result.wall, slot.result.elapsed
+                )
+        # The slots are the class's complete current fingerprint set:
+        # rebuild the profile from ground truth instead of letting
+        # increments drift across edits and evictions.
+        self.cost_model.reprofile(cls.name, [slot.key for slot in slots])
+        if self.portfolio.proof_cache is not None:
+            self.dependency_index.record(cls.name, record_from_slots(self, cls, slots))
 
     # -- worker-pool management -----------------------------------------------------
 
@@ -558,7 +429,7 @@ class VerificationEngine:
         The daemon calls this before it starts accepting connections, so
         no worker is ever forked while a request (whose connection fd the
         fork would inherit) is in flight, and no request pays pool
-        start-up.  No-op for sequential engines or without
+        start-up.  No-op for ``jobs=1`` local engines or without
         ``keep_pool_warm``.
         """
         if self.jobs <= 1 and not self.uses_remote_workers:
@@ -608,15 +479,6 @@ class VerificationEngine:
         cache = self.portfolio.proof_cache
         if cache is not None:
             cache.namespace = tenant or ""
-
-    # -- cost model ------------------------------------------------------------------
-
-    def observe_timing(self, class_name: str, key, result) -> None:
-        """Fold one actually-dispatched sequent's measured cost into the
-        cost model (cache hits carry no new timing and are ignored)."""
-        if result.cached:
-            return
-        self.cost_model.observe(class_name, key, result.wall, result.elapsed)
 
     # -- persistence ---------------------------------------------------------------
 

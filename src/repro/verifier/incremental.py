@@ -11,8 +11,7 @@ bookkeeping that lets watch mode *report* that:
 * every full verification records, per class, a **dependency record**
   mapping the source artifacts that produce sequents -- method bodies,
   the invariant set, the state declarations and the engine's translation
-  policy -- to the fingerprints they produced (:func:`record_from_slots`,
-  :func:`record_from_report`);
+  policy -- to the fingerprints they produced (:func:`record_from_slots`);
 * the records persist alongside the proof cache (format v3, see
   ``docs/cache-format.md``) in :class:`DependencyIndex`;
 * :func:`edit_accounting` diffs a class's record from before a run
@@ -44,7 +43,6 @@ __all__ = [
     "class_artifacts",
     "edit_accounting",
     "method_digest",
-    "record_from_report",
     "record_from_slots",
 ]
 
@@ -158,7 +156,7 @@ class DependencyIndex:
 def record_from_slots(engine, target: ClassModel, slots) -> dict:
     """Build ``target``'s dependency record from its planned slots.
 
-    ``slots`` is the complete, sequentially ordered slot list of a full
+    ``slots`` is the complete, method/sequent-ordered slot list of a full
     verification (every slot carries its task); the record maps each
     method to the fingerprints its sequents produced.
     """
@@ -177,27 +175,6 @@ def record_from_slots(engine, target: ClassModel, slots) -> dict:
                     "sequents": by_method.get(method_index, []),
                 },
             ]
-        )
-    return {"artifacts": class_artifacts(engine, target), "methods": methods}
-
-
-def record_from_report(engine, target: ClassModel, report) -> dict:
-    """Build ``target``'s dependency record from a sequential run's report.
-
-    The sequential path has no slot list, but every outcome carries its
-    dispatched task, which is all the record needs.
-    """
-    methods = []
-    for method, method_report in zip(target.methods, report.methods):
-        sequents = [
-            [
-                outcome.sequent.label,
-                fingerprint_to_json(task_fingerprint(outcome.dispatch.task)),
-            ]
-            for outcome in method_report.outcomes
-        ]
-        methods.append(
-            [method.name, {"digest": method_digest(method), "sequents": sequents}]
         )
     return {"artifacts": class_artifacts(engine, target), "methods": methods}
 

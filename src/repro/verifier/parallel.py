@@ -2,17 +2,20 @@
 
 The sequents of a class are independent proof obligations, so the paper's
 Tables 1--2 workload is embarrassingly parallel once each sequent is cheap
-to fingerprint (PR 1).  This module shards the *cache-missing* sequents of
-a class across a ``ProcessPoolExecutor`` worker pool and deterministically
-merges the verdicts back into the same :class:`~repro.verifier.engine.MethodReport`
-/ :class:`~repro.verifier.engine.ClassReport` shapes the sequential path
-produces.
+to fingerprint.  This module holds the phases every verification runs
+through: plan the sequents against the cache, run the provers on the
+*cache-missing* ones (in the parent for ``jobs <= 1``, otherwise on a
+worker pool), and deterministically merge the verdicts into
+:class:`~repro.verifier.engine.MethodReport` /
+:class:`~repro.verifier.engine.ClassReport` shapes.
 
 Design: parent-side cache authority
 -----------------------------------
 
 All caching decisions happen in the parent process, in the exact sequent
-order the sequential engine would use:
+order of a plain dispatch loop
+(:meth:`~repro.verifier.engine.VerificationEngine.verify_method`, the
+reference the differential tests compare against):
 
 1. sequent generation runs in the parent (it is cheap and memoized);
 2. for every task, the parent runs the dispatcher's cache phase
@@ -21,15 +24,15 @@ order the sequential engine would use:
 3. misses are *deduplicated by fingerprint*: the first occurrence becomes
    the shard representative, later occurrences are resolved as memory
    cache hits once the representative's verdict arrives -- exactly what
-   the sequential warm cache would have done;
+   the reference loop's warm cache would have done;
 4. only unique misses are shipped to workers.  Each worker rebuilds the
    prover portfolio from a picklable :class:`~repro.provers.dispatch.PortfolioSpec`
    (prover objects never cross process boundaries) and runs the pure
    prover phase with no cache of its own;
 5. the parent replays each verdict into its own statistics and cache
    (:meth:`record_outcome` / :meth:`store_verdict`), so counters, verdicts,
-   prover attribution and cache contents are bit-identical to a sequential
-   run over the same sequents.
+   prover attribution and cache contents are bit-identical to the
+   reference loop over the same sequents.
 
 Because the parent owns the cache, there is exactly one writer for the
 persistent store and workers stay read-free; a fully warm run dispatches
@@ -37,7 +40,7 @@ nothing and never even spawns the pool.
 
 The phases are exposed as free functions (:func:`plan_class`,
 :func:`run_shard`, :func:`resolve_shard`, :func:`resolve_duplicates`,
-:func:`build_class_report`) so the suite-level scheduler
+:func:`build_class_report`) so the scheduler
 (:mod:`repro.verifier.scheduler`) can plan *several* classes into one shard
 before dispatching anything.  :class:`ProverPool` wraps the executor so the
 daemon (:mod:`repro.verifier.daemon`) can keep workers warm across
@@ -57,7 +60,7 @@ from ..provers.result import ProofTask
 from ..vcgen.sequent import Sequent
 
 __all__ = [
-    "ParallelRunStats",
+    "RunRecord",
     "WorkerLoad",
     "WorkerBackend",
     "ProverPool",
@@ -85,9 +88,15 @@ class WorkerLoad:
 
 
 @dataclass
-class ParallelRunStats:
-    """Scheduling statistics of one planned class or suite run.
+class RunRecord:
+    """What one ``verify_class`` or ``verify_suite`` run did.
 
+    Every sequent of the run is exactly one of: ``dispatched`` to the
+    provers, answered from the cache (``hits_memory`` / ``hits_disk``),
+    or folded onto an identical pending sequent (``duplicates_folded``).
+    ``classes`` holds one
+    :class:`~repro.verifier.scheduler.ClassScheduleStats` per planned
+    class and ``schedule_order`` the longest-class-first dispatch order.
     ``backend`` names the worker backend that ran the shard:
     ``"process"`` for the in-process pool (and the ``jobs <= 1``
     in-parent path), ``"remote"`` for distributed workers.
@@ -102,6 +111,8 @@ class ParallelRunStats:
     duplicates_folded: int = 0
     wall_time: float = 0.0
     workers: list[WorkerLoad] = field(default_factory=list)
+    classes: list = field(default_factory=list)
+    schedule_order: list[str] = field(default_factory=list)
 
     @property
     def prover_time(self) -> float:
@@ -116,8 +127,8 @@ class ParallelRunStats:
                 return
         self.workers.append(WorkerLoad(pid, tasks, prover_time))
 
-    def merge(self, other: "ParallelRunStats") -> None:
-        """Fold another run's numbers in (used across classes of a suite)."""
+    def merge(self, other: "RunRecord") -> None:
+        """Fold a later run in (a command that verifies several times)."""
         if other.backend != "process":
             self.backend = other.backend
         self.sequents_total += other.sequents_total
@@ -128,6 +139,8 @@ class ParallelRunStats:
         self.wall_time += other.wall_time
         for load in other.workers:
             self.fold_worker(load.pid, load.tasks, load.prover_time)
+        self.classes.extend(other.classes)
+        self.schedule_order.extend(other.schedule_order)
 
 
 @dataclass
@@ -175,7 +188,7 @@ class WorkerBackend:
     differential harnesses assert for both.
     """
 
-    #: Human-readable backend name, recorded in ``ParallelRunStats.backend``.
+    #: Human-readable backend name, recorded in ``RunRecord.backend``.
     backend_name = "process"
 
     def matches(self, spec: PortfolioSpec, jobs: int) -> bool:
@@ -285,20 +298,20 @@ def plan_class(
     target: ClassModel,
     shard: list[_Slot],
     pending_by_key: dict[tuple, int],
-    stats: ParallelRunStats,
+    stats: RunRecord,
 ) -> list[_Slot]:
     """Phase 1 (parent): plan one class's sequents against the cache.
 
-    Generates ``target``'s sequents in the exact order the sequential
-    engine would, answers in-memory / persistent-store hits immediately,
+    Generates ``target``'s sequents in the exact order the reference loop
+    would, answers in-memory / persistent-store hits immediately,
     folds fingerprint duplicates onto their pending representative, and
     appends the unique misses to ``shard``.  ``shard`` and
     ``pending_by_key`` may be shared across several classes (the suite
     scheduler plans the whole catalogue into one shard, so a sequent
     repeated across classes is still proved only once, exactly as a
-    sequential engine's warm cache would).
+    reference loop's warm cache would).
 
-    Returns the class's slots in sequential order; ``stats`` accumulates
+    Returns the class's slots in method/sequent order; ``stats`` accumulates
     hit/duplicate counts (``stats.dispatched`` is left to the caller, which
     knows when the shard is complete).
     """
@@ -319,7 +332,7 @@ def plan_class(
                 continue
             if key is not None and key in pending_by_key:
                 # A duplicate of a sequent already queued this run: the
-                # sequential path would find its verdict in the warm cache.
+                # reference loop would find its verdict in the warm cache.
                 slot.duplicate_of = pending_by_key[key]
                 portfolio.statistics.cache_misses -= 1  # counted by consult_cache
                 portfolio.statistics.cache_hits += 1
@@ -337,7 +350,7 @@ def run_shard(
     engine,
     shard: list[_Slot],
     jobs: int,
-    stats: ParallelRunStats,
+    stats: RunRecord,
     order: list[int] | None = None,
     on_result=None,
 ) -> list[DispatchResult]:
@@ -348,10 +361,9 @@ def run_shard(
     returned list is always indexed by shard position, so the merge stays
     deterministic regardless of dispatch order.  With ``jobs <= 1`` (and
     no remote workers configured on the engine) the provers run
-    in-process on the parent's portfolio (no pool), which is what makes a
-    suite-scheduled ``--jobs 1`` run behave exactly like the sequential
-    engine modulo scheduling bookkeeping.  An engine with remote workers
-    always dispatches through its :class:`WorkerBackend`.
+    in-process on the parent's portfolio (no pool), in dispatch order, as
+    the reference loop would.  An engine with remote workers always
+    dispatches through its :class:`WorkerBackend`.
 
     ``on_result(slot, result)`` is called in the parent as each verdict
     arrives (completion order, not merge order); the suite scheduler uses
@@ -364,7 +376,7 @@ def run_shard(
         indexed = [(slot.shard_index, slot.task) for slot in shard]
         if order is not None:
             indexed = [indexed[position] for position in order]
-        if jobs <= 1 and not getattr(engine, "uses_remote_workers", False):
+        if jobs <= 1 and not engine.uses_remote_workers:
             pid = os.getpid()
             for index, task in indexed:
                 task_start = time.monotonic()
@@ -404,7 +416,7 @@ def resolve_shard(
 ) -> None:
     """Phase 3a: replay worker verdicts into the parent, in shard order.
 
-    Statistics and cache contents end up bit-identical to a sequential
+    Statistics and cache contents end up bit-identical to a plain
     dispatch loop over the same tasks.  Pass ``store=False`` when every
     verdict was already stored as it arrived (the suite scheduler's
     checkpoint callback), so each verdict is stored exactly once either
@@ -442,10 +454,7 @@ def resolve_duplicates(
 def build_class_report(target: ClassModel, slots: list[_Slot]):
     """Assemble the :class:`~repro.verifier.engine.ClassReport` for ``target``.
 
-    Outcomes appear in sequential method/sequent order.  The sequential
-    path measures per-method wall time; in a parallel run the methods
-    overlap, so the closest faithful number is the prover time actually
-    spent on the method's sequents.
+    Outcomes appear in method/sequent order.
     """
     # Imported here: engine.py imports this module lazily and vice versa.
     from .engine import ClassReport, MethodReport, SequentOutcome
@@ -456,8 +465,5 @@ def build_class_report(target: ClassModel, slots: list[_Slot]):
         for slot in slots:
             if slot.method_index == method_index:
                 method_report.outcomes.append(SequentOutcome(slot.sequent, slot.result))
-        method_report.elapsed = sum(
-            outcome.dispatch.elapsed for outcome in method_report.outcomes
-        )
         report.methods.append(method_report)
     return report

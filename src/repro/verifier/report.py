@@ -29,8 +29,7 @@ __all__ = [
     "format_table2",
     "format_table",
     "format_performance",
-    "format_parallel",
-    "format_suite",
+    "format_run",
     "format_verify",
     "format_verify_file",
     "format_metrics",
@@ -41,7 +40,12 @@ __all__ = [
 
 @dataclass
 class Table1Row:
-    """One data structure's row of Table 1."""
+    """One data structure's row of Table 1.
+
+    ``verification_time`` (the "Time (s)" column) is the class report's
+    ``elapsed``: prover CPU seconds of the sequents the run dispatched,
+    with cache hits counting 0.
+    """
 
     class_name: str
     methods: int
@@ -177,13 +181,21 @@ def table1_rows(
 
 
 def table2_rows(
-    classes: list[ClassModel], engine: VerificationEngine
+    classes: list[ClassModel], engine: VerificationEngine, run=None
 ) -> list[tuple[Table2Row, ClassReport, ClassReport]]:
-    """Compute Table 2 by verifying each structure with and without proofs."""
+    """Compute Table 2 by verifying each structure with and without proofs.
+
+    ``run``, a :class:`~repro.verifier.parallel.RunRecord`, gets every
+    verification call's record merged into it when given.
+    """
     rows: list[tuple[Table2Row, ClassReport, ClassReport]] = []
     for cls in classes:
         without = engine.verify_class(cls, strip_proofs=True)
+        if run is not None:
+            run.merge(engine.last_run)
         with_proofs = engine.verify_class(cls, strip_proofs=False)
+        if run is not None:
+            run.merge(engine.last_run)
         rows.append(
             (
                 Table2Row(
@@ -251,60 +263,27 @@ def format_performance(
     return "\n".join(lines)
 
 
-def _dispatch_counter_lines(stats) -> list[str]:
-    """The run-counter lines shared by :func:`format_parallel` and
-    :func:`format_suite` (``stats`` is a ``ParallelRunStats`` or
-    subclass)."""
-    return [
+def format_run(stats) -> str:
+    """Render the run record of one or more verification calls.
+
+    ``stats`` is a :class:`~repro.verifier.parallel.RunRecord`: pooled
+    dispatch and cache-provenance counters, the per-class plan, the
+    longest-class-first dispatch order and one line per worker (an OS
+    pid for the in-process pool, a ``host/pid`` label for remote
+    workers).
+    """
+    backend = "" if stats.backend == "process" else f", {stats.backend} workers"
+    lines = [
+        f"Run plan ({stats.jobs} jobs{backend})",
+        f"  dispatch order      {', '.join(stats.schedule_order)}",
         f"  sequents total      {stats.sequents_total}",
-        f"  shipped to workers  {stats.dispatched}",
+        f"  dispatched          {stats.dispatched}",
         f"  answered from cache {stats.hits_memory + stats.hits_disk} "
         f"(memory {stats.hits_memory}, disk {stats.hits_disk})",
         f"  duplicates folded   {stats.duplicates_folded}",
-        f"  pool wall time      {stats.wall_time:.1f}s "
+        f"  dispatch wall time  {stats.wall_time:.1f}s "
         f"(prover time {stats.prover_time:.1f}s)",
     ]
-
-
-def _worker_load_lines(stats) -> list[str]:
-    """One line per worker; the identity is an OS pid for the in-process
-    pool and a ``host/pid`` label for remote workers, so distributed runs
-    carry per-worker provenance in the same report."""
-    return [
-        f"  worker {str(load.pid):<12} {load.tasks} sequents, "
-        f"{load.prover_time:.1f}s"
-        for load in stats.workers
-    ]
-
-
-def _backend_suffix(stats) -> str:
-    backend = getattr(stats, "backend", "process")
-    return "" if backend == "process" else f", {backend} workers"
-
-
-def format_parallel(stats) -> str:
-    """Render the scheduling statistics of a parallel verification run.
-
-    ``stats`` is a :class:`~repro.verifier.parallel.ParallelRunStats`.
-    """
-    lines = [f"Parallel dispatch ({stats.jobs} jobs{_backend_suffix(stats)})"]
-    lines += _dispatch_counter_lines(stats)
-    lines += _worker_load_lines(stats)
-    return "\n".join(lines)
-
-
-def format_suite(stats) -> str:
-    """Render the scheduling statistics of a suite-level run.
-
-    ``stats`` is a :class:`~repro.verifier.scheduler.SuiteRunStats`: the
-    pooled counters of :func:`format_parallel` plus the per-class
-    breakdown and the longest-class-first dispatch order.
-    """
-    lines = [
-        f"Suite schedule ({stats.jobs} jobs{_backend_suffix(stats)})",
-        f"  dispatch order      {', '.join(stats.schedule_order)}",
-    ]
-    lines += _dispatch_counter_lines(stats)
     header = [
         "class", "cost hint", "hint src", "sequents", "dispatched", "cache", "dup"
     ]
@@ -312,7 +291,7 @@ def format_suite(stats) -> str:
         [
             cls.class_name,
             f"{cls.cost_hint:.3g}",
-            getattr(cls, "hint_source", "static"),
+            cls.hint_source,
             str(cls.sequents),
             str(cls.dispatched),
             str(cls.hits_memory + cls.hits_disk),
@@ -321,7 +300,11 @@ def format_suite(stats) -> str:
         for cls in stats.classes
     ]
     lines.extend("  " + line for line in format_table(header, rows).splitlines())
-    lines += _worker_load_lines(stats)
+    lines += [
+        f"  worker {str(load.pid):<12} {load.tasks} sequents, "
+        f"{load.prover_time:.1f}s"
+        for load in stats.workers
+    ]
     return "\n".join(lines)
 
 
@@ -332,7 +315,7 @@ def format_metrics(payload: dict) -> str:
     payload is the JSON object
     :meth:`~repro.verifier.daemon.VerifierDaemon._op_metrics` builds, so
     the sections mirror its fields (cache provenance, measured class
-    costs, the last suite plan, per-worker latency).
+    costs, the last run's plan, per-worker latency).
     """
     lines = [f"Daemon metrics (protocol {payload.get('protocol', '?')})"]
     counters = payload.get("counters") or {}
@@ -372,7 +355,7 @@ def format_metrics(payload: dict) -> str:
     schedule = payload.get("schedule")
     if schedule:
         lines.append(
-            f"Last suite plan ({schedule.get('jobs')} jobs, "
+            f"Last run's plan ({schedule.get('jobs')} jobs, "
             f"{schedule.get('backend')} backend)"
         )
         lines.append(f"  dispatch order      {', '.join(schedule.get('order', []))}")

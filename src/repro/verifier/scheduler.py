@@ -1,36 +1,41 @@
-"""Suite-level verification scheduler.
+"""Plan and execute: the one pipeline every verification runs through.
 
-PR 2 parallelized dispatch *within* one class: each ``verify_class`` call
-plans its own shard and its stragglers still serialize the end of a
-whole-catalogue run (the worker pool drains while the next class has not
-even been planned yet).  This module plans the **entire suite as one job
-graph**:
+:meth:`~repro.verifier.engine.VerificationEngine.verify_class` is a
+one-class suite and
+:meth:`~repro.verifier.engine.VerificationEngine.verify_suite` a
+many-class one; both are :func:`plan_suite` followed by
+:func:`execute_suite`:
 
-1. every class is decomposed into sequent shards up front, in the exact
-   catalogue/method/sequent order the per-class sequential path uses --
-   cache consults and fingerprint dedup are resolved parent-side in that
-   deterministic order (:func:`~repro.verifier.parallel.plan_class` with a
-   suite-wide shard and pending map), so verdicts, prover attribution and
-   cache counters stay bit-identical to per-class sequential runs;
-2. the surviving unique misses of *all* classes are interleaved across the
-   existing worker pool in **longest-class-first** order.  Class cost
-   comes from the engine's :class:`~repro.verifier.costmodel.CostModel`
-   -- measured per-sequent profiles where the warm persistent store (or
-   this process) has timings, persisted per-class profiles next, then the
-   static :data:`repro.suite.catalog.CLASS_COST_HINTS` table, and only
-   then :data:`~repro.suite.catalog.DEFAULT_COST_HINT`; each class's
+1. every class is decomposed into sequent shards up front, in
+   catalogue/method/sequent order -- cache consults and fingerprint
+   dedup are resolved parent-side in that deterministic order
+   (:func:`~repro.verifier.parallel.plan_class` with a suite-wide shard
+   and pending map), so verdicts, prover attribution and cache counters
+   stay bit-identical to the plain
+   :meth:`~repro.verifier.engine.VerificationEngine.verify_method` loop;
+2. the surviving unique misses of *all* classes are dispatched -- in the
+   parent for ``jobs <= 1``, otherwise across the worker pool -- in
+   **longest-class-first** order.  Class cost comes from the engine's
+   :class:`~repro.verifier.costmodel.CostModel` -- measured per-sequent
+   profiles where the warm persistent store (or this process) has
+   timings, persisted per-class profiles next, then the static
+   :data:`repro.suite.catalog.CLASS_COST_HINTS` table, and only then
+   :data:`~repro.suite.catalog.DEFAULT_COST_HINT`; each class's
    :class:`ClassScheduleStats` records which source won.  Within a class,
    sequents with measured timings dispatch longest-first ahead of
-   unmeasured ones (which keep their sequential order);
-3. the merge replays verdicts in deterministic shard order and assembles
-   one :class:`~repro.verifier.engine.ClassReport` per class, in the input
+   unmeasured ones (which keep their planned order);
+3. the merge replays verdicts in deterministic shard order, lets the
+   engine record each class's timings, cost profile and dependency record
+   (unless the plan is a strip-proofs ablation), and assembles one
+   :class:`~repro.verifier.engine.ClassReport` per class, in the input
    order.
 
 Dispatch *order* is a pure scheduling choice: results are merged by shard
 index, and per-sequent timeouts are per-process CPU budgets
 (:class:`~repro.provers.result.Budget`), so reordering cannot flip a
-verdict.  The differential harness
-(``tests/verifier/test_scheduler_differential.py``) pins this down.
+verdict.  The differential harnesses
+(``tests/verifier/test_parallel_differential.py``,
+``tests/verifier/test_scheduler_differential.py``) pin this down.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ from dataclasses import dataclass, field
 
 from ..frontend.ast import ClassModel
 from ..suite.catalog import cost_hint
-from .costmodel import HINT_STATIC, CostModel
+from .costmodel import HINT_STATIC
 from .parallel import (
-    ParallelRunStats,
+    RunRecord,
     _Slot,
     build_class_report,
     plan_class,
@@ -53,11 +58,9 @@ from .parallel import (
 __all__ = [
     "ClassScheduleStats",
     "SuitePlan",
-    "SuiteRunStats",
     "plan_dispatch_order",
     "plan_suite",
     "execute_suite",
-    "verify_suite",
 ]
 
 #: Flush newly arrived verdicts to the persistent store every this many
@@ -85,19 +88,6 @@ class ClassScheduleStats:
     hint_source: str = HINT_STATIC
 
 
-@dataclass
-class SuiteRunStats(ParallelRunStats):
-    """Scheduling statistics of one :func:`verify_suite` run.
-
-    Extends the per-run counters of :class:`ParallelRunStats` with the
-    per-class breakdown and the longest-class-first dispatch order that
-    was actually used.
-    """
-
-    classes: list[ClassScheduleStats] = field(default_factory=list)
-    schedule_order: list[str] = field(default_factory=list)
-
-
 def plan_dispatch_order(
     classes: list[ClassModel], costs: list[float] | None = None
 ) -> list[int]:
@@ -118,7 +108,7 @@ def plan_dispatch_order(
 
 @dataclass
 class SuitePlan:
-    """The planned (but not yet executed) verification of a whole suite.
+    """The planned (but not yet executed) verification of some classes.
 
     Produced by :func:`plan_suite`: every class's sequents are generated
     and cache-consulted in deterministic catalogue order, with the shard
@@ -130,20 +120,27 @@ class SuitePlan:
     planned: list[tuple[ClassModel, list[_Slot]]] = field(default_factory=list)
     shard: list[_Slot] = field(default_factory=list)
     shard_ranges: list[tuple[int, int]] = field(default_factory=list)
-    stats: SuiteRunStats = None
+    stats: RunRecord = None
+    #: Whether execution records each class's timings, cost profile and
+    #: dependency record.  False for strip-proofs ablations: the stripped
+    #: class keeps the real one's name, and its sequents must not
+    #: overwrite the real program's profile or record.
+    record: bool = True
 
 
-def plan_suite(engine, classes: list[ClassModel], jobs: int = 1) -> SuitePlan:
+def plan_suite(
+    engine, classes: list[ClassModel], jobs: int = 1, record: bool = True
+) -> SuitePlan:
     """Phase 1: plan every class against the (shared) cache, in catalogue
     order -- this is the deterministic cache-authority order.
 
     The shard and the pending-duplicate map span the whole suite, so a
     sequent repeated across classes is proved once and its later
-    occurrences resolve as the memory cache hits a sequential engine
-    would see.
+    occurrences resolve as the memory cache hits the reference loop
+    would see.  ``record`` becomes :attr:`SuitePlan.record`.
     """
-    cost_model: CostModel = getattr(engine, "cost_model", None) or CostModel()
-    stats = SuiteRunStats(jobs=jobs)
+    cost_model = engine.cost_model
+    stats = RunRecord(jobs=jobs)
     shard: list[_Slot] = []
     pending_by_key: dict[tuple, int] = {}
     planned: list[tuple[ClassModel, list[_Slot]]] = []
@@ -174,27 +171,18 @@ def plan_suite(engine, classes: list[ClassModel], jobs: int = 1) -> SuitePlan:
         shard=shard,
         shard_ranges=shard_ranges,
         stats=stats,
+        record=record,
     )
 
 
-def verify_suite(engine, classes: list[ClassModel], jobs: int):
-    """Verify ``classes`` as one scheduled job graph.
-
-    Returns ``(reports, SuiteRunStats)`` with one
-    :class:`~repro.verifier.engine.ClassReport` per class, in input order.
-    Verdicts, attribution and portfolio counters are bit-identical to
-    calling ``verify_class`` sequentially on the same engine for each
-    class in the same order (the differential tests assert this for
-    ``jobs`` in {1, 2, 4}).  Composes :func:`plan_suite` and
-    :func:`execute_suite`.
-    """
-    return execute_suite(engine, plan_suite(engine, classes, jobs), jobs)
-
-
 def execute_suite(engine, plan: SuitePlan, jobs: int):
-    """Phases 2--3: dispatch a suite plan's shard and assemble reports."""
+    """Phases 2--3: dispatch a plan's shard and assemble the reports.
+
+    Returns ``(reports, RunRecord)`` with one
+    :class:`~repro.verifier.engine.ClassReport` per class, in input order.
+    """
     portfolio = engine.portfolio
-    cost_model: CostModel = getattr(engine, "cost_model", None) or CostModel()
+    cost_model = engine.cost_model
     classes = plan.classes
     planned = plan.planned
     shard = plan.shard
@@ -234,10 +222,9 @@ def execute_suite(engine, plan: SuitePlan, jobs: int):
         order.extend(sorted(range(start, end), key=slot_rank))
 
     # Checkpoint verdicts to the persistent store as they arrive so an
-    # interrupted multi-minute run keeps what it already proved (the
-    # per-class path gets this for free from its per-class flushes).
-    # Storing early cannot change any decision: every cache consult
-    # already happened in phase 1, and the merge re-stores idempotently.
+    # interrupted multi-minute run keeps what it already proved.  Storing
+    # early cannot change any decision: every cache consult already
+    # happened in phase 1, and the merge re-stores idempotently.
     arrivals = 0
 
     def checkpoint(slot, result):
@@ -255,19 +242,9 @@ def execute_suite(engine, plan: SuitePlan, jobs: int):
     # dispatched verdict, so the replay only does the accounting.
     resolve_shard(portfolio, shard, results, store=False)
     reports = []
-    observe = getattr(engine, "observe_timing", None)
-    record_dependencies = getattr(engine, "record_dependencies", None)
     for cls, slots in planned:
         resolve_duplicates(portfolio, slots, results)
-        if observe is not None:
-            for slot in slots:
-                if slot.shard_index is not None:
-                    observe(cls.name, slot.key, results[slot.shard_index])
-            # The slots are the class's complete current fingerprint set:
-            # rebuild the profile from ground truth instead of letting
-            # increments drift across edits/evictions.
-            cost_model.reprofile(cls.name, [slot.key for slot in slots])
-        if record_dependencies is not None:
-            record_dependencies(cls, slots)
+        if plan.record:
+            engine.record_class_run(cls, slots)
         reports.append(build_class_report(cls, slots))
     return reports, stats

@@ -107,7 +107,7 @@ def test_suite_scheduler_prices_generated_classes_at_default(clean_registry):
     classes = register_corpus(corpus()[:4])
     engine = make_engine(jobs=2)
     engine.verify_suite(list(classes))
-    stats = engine.last_suite_stats
+    stats = engine.last_run
     engine.close()
     assert stats is not None
     sources = {cls.class_name: cls.hint_source for cls in stats.classes}

@@ -478,6 +478,6 @@ class TestEngineWiring:
         first.verify_class(linked_list)
         second = self._engine(tmp_path, jobs=2)
         second.verify_class(linked_list)
-        stats = second.last_parallel_stats
+        stats = second.last_run
         assert stats.dispatched == 0
         assert stats.hits_disk == stats.sequents_total

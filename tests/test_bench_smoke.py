@@ -64,8 +64,10 @@ def test_table1_jobs2_smoke():
     tight budget, with verdicts identical to the sequential runner."""
     structures = _fast_structures()
     start = time.monotonic()
-    seq_engine, seq_reports = bench_table1.run_suite(jobs=1, structures=structures)
-    par_engine, par_reports = bench_table1.run_suite(jobs=2, structures=structures)
+    seq_engine, seq_reports, _ = bench_table1.run_suite(jobs=1, structures=structures)
+    par_engine, par_reports, stats = bench_table1.run_suite(
+        jobs=2, structures=structures
+    )
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"smoke budget blown: {elapsed:.1f}s"
     for seq, par in zip(seq_reports, par_reports):
@@ -78,8 +80,7 @@ def test_table1_jobs2_smoke():
             for m in par.methods
             for o in m.outcomes
         ]
-    stats = par_engine.parallel_stats_total
-    assert stats is not None
+    assert stats.jobs == 2
     assert stats.dispatched + stats.hits_memory + stats.duplicates_folded == (
         stats.sequents_total
     )
@@ -98,21 +99,21 @@ def test_warm_persistent_cache_speedup(tmp_path):
     """
     structures = _fast_structures()
     start = time.monotonic()
-    cold_engine, cold_reports = bench_table1.run_suite(
+    cold_engine, cold_reports, _ = bench_table1.run_suite(
         jobs=2, structures=structures, cache_dir=tmp_path
     )
     cold = time.monotonic() - start
     assert cold_engine.portfolio.statistics.cache_hits_disk == 0
 
     start = time.monotonic()
-    warm_engine, warm_reports = bench_table1.run_suite(
+    warm_engine, warm_reports, warm_run = bench_table1.run_suite(
         jobs=2, structures=structures, cache_dir=tmp_path
     )
     warm = time.monotonic() - start
     stats = warm_engine.portfolio.statistics
     assert stats.cache_hits_disk > 0
     assert stats.per_prover == {}  # every sequent answered from disk
-    assert warm_engine.parallel_stats_total.dispatched == 0
+    assert warm_run.dispatched == 0
     for cold_report, warm_report in zip(cold_reports, warm_reports):
         assert [
             (o.sequent.label, o.proved, o.prover)
@@ -130,10 +131,8 @@ def test_table1_suite_scheduled_smoke(tmp_path):
     """``bench_table1``'s suite-scheduled runner on the fast structures:
     same verdicts as the per-class runner, sane scheduling accounting."""
     structures = _fast_structures()
-    per_class_engine, per_class_reports = bench_table1.run_suite(
-        jobs=2, structures=structures
-    )
-    suite_engine, suite_reports = bench_table1.run_suite(
+    _, per_class_reports, _ = bench_table1.run_suite(jobs=2, structures=structures)
+    _, suite_reports, stats = bench_table1.run_suite(
         jobs=2, structures=structures, suite_schedule=True
     )
     for per_class_report, suite_report in zip(per_class_reports, suite_reports):
@@ -146,8 +145,7 @@ def test_table1_suite_scheduled_smoke(tmp_path):
             for m in suite_report.methods
             for o in m.outcomes
         ]
-    stats = suite_engine.last_suite_stats
-    assert stats is not None and stats.jobs == 2
+    assert stats.jobs == 2
     assert stats.schedule_order[0] == "Circular List"  # costliest fast class
     assert stats.dispatched + stats.hits_memory + stats.hits_disk + (
         stats.duplicates_folded

@@ -155,6 +155,22 @@ def test_tier1_runs_traced_edit_serve_and_uploads_its_record():
     assert (REPO_ROOT / "perfbench" / "run.py").exists()
 
 
+def test_tier1_reports_src_line_delta_on_pull_requests():
+    """A PR's job summary carries its ``src/`` line delta against the base
+    commit, which the checkout must fetch enough history to reach."""
+    steps = load_workflow()["jobs"]["tier1"]["steps"]
+    checkout = next(step for step in steps if "checkout" in step.get("uses", ""))
+    assert checkout.get("with", {}).get("fetch-depth") == 0
+    [delta] = [step for step in steps if "--shortstat" in step.get("run", "")]
+    assert delta.get("if") == "github.event_name == 'pull_request'"
+    assert delta["env"]["BASE_SHA"] == "${{ github.event.pull_request.base.sha }}"
+    assert 'git diff --shortstat "$BASE_SHA" HEAD -- src/' in delta["run"]
+    assert "$GITHUB_STEP_SUMMARY" in delta["run"]
+    # It runs before the test suite, so a failing suite still reports it.
+    pytest_step = next(step for step in steps if "pytest" in step.get("run", ""))
+    assert steps.index(delta) < steps.index(pytest_step)
+
+
 def test_lint_job_runs_ruff_with_committed_config():
     jobs = load_workflow()["jobs"]
     runs = all_run_lines(jobs["lint"])

@@ -2,7 +2,7 @@
 
 ``perfbench/tracing.py`` measures each layer by replacing the functions and
 methods the pipeline calls (``PersistentCacheStore.save``,
-``engine.record_from_report``, ...).  A rename under ``src/`` would only
+``engine.record_from_slots``, ...).  A rename under ``src/`` would only
 surface as a ``KeyError`` in a ``--trace 1`` run, and a call that stopped
 going through a patched name would silently read 0; this installs and
 removes the wrappers on every tier-1 run instead.  The benchmark's files
@@ -69,11 +69,12 @@ def test_store_spans_and_fsync_are_observable(tracing, tmp_path, monkeypatch):
     assert len(synced) == 2
 
 
-def test_dependency_record_spans_on_both_paths(tracing):
-    """``verifier.incremental.record_s`` sums these spans, so each path
-    that writes a dependency record must produce one: a jobs=1
-    ``verify_class`` through ``record_from_report``, a jobs=1
-    ``verify_suite`` through ``record_from_slots``."""
+def test_one_dependency_record_span_per_recorded_class(tracing):
+    """``verifier.incremental.record_s`` sums these spans.  Every run goes
+    through the one plan/execute pipeline, which records each class once
+    through ``record_from_slots``: one span per class for a jobs=1
+    ``verify_class`` and for a jobs=1 ``verify_suite``, none for a
+    strip-proofs run (it must not overwrite the real class's record)."""
     s = StructureBuilder("Toggle")
     s.concrete("on", "int")
     s.invariant("Bit", "0 <= on & on <= 1")
@@ -89,7 +90,10 @@ def test_dependency_record_spans_on_both_paths(tracing):
         after_class = tracer.calls("verifier.incremental.record")
         engine.verify_suite([toggle], jobs=1)
         after_suite = tracer.calls("verifier.incremental.record")
+        engine.verify_class(toggle, strip_proofs=True)
+        after_strip = tracer.calls("verifier.incremental.record")
     finally:
         tracer.uninstall()
-    assert after_class >= 1
-    assert after_suite - after_class >= 1
+    assert after_class == 1
+    assert after_suite - after_class == 1
+    assert after_strip == after_suite

@@ -19,7 +19,7 @@ import dataclasses
 from repro.provers.dispatch import default_portfolio
 from repro.verifier.costmodel import HINT_DEFAULT, HINT_MEASURED, HINT_STATIC
 from repro.verifier.engine import VerificationEngine
-from repro.verifier.report import format_suite
+from repro.verifier.report import format_run
 from repro.verifier.scheduler import plan_dispatch_order
 
 from test_parallel_differential import (
@@ -44,7 +44,7 @@ def engine_with_store(tmp_path, jobs: int = 2) -> VerificationEngine:
 def test_cold_run_plans_from_static_hints(tmp_path):
     engine = engine_with_store(tmp_path)
     engine.verify_suite(structures(CLASSES))
-    stats = engine.last_suite_stats
+    stats = engine.last_run
     assert {cls.hint_source for cls in stats.classes} == {HINT_STATIC}
     engine.close()
 
@@ -57,7 +57,7 @@ def test_warm_second_run_plans_from_measured_profiles(tmp_path):
 
     second = engine_with_store(tmp_path)
     reports = second.verify_suite(classes)
-    stats = second.last_suite_stats
+    stats = second.last_run
     # The acceptance assertion: every class's plan entry derives from
     # measured per-sequent profiles, and says so.
     assert {cls.hint_source for cls in stats.classes} == {HINT_MEASURED}
@@ -66,7 +66,7 @@ def test_warm_second_run_plans_from_measured_profiles(tmp_path):
     # order degenerates to input order (ties) -- and nothing dispatches.
     assert stats.schedule_order == [cls.class_name for cls in stats.classes]
     # The hint source is visible in the rendered plan too.
-    rendered = format_suite(stats)
+    rendered = format_run(stats)
     assert "measured" in rendered and "hint src" in rendered
     # Nothing was dispatched -- the plan was measured, the answers warm.
     assert stats.dispatched == 0
@@ -107,13 +107,13 @@ def test_non_catalogue_class_graduates_from_default_to_measured(tmp_path):
 
     first = engine_with_store(tmp_path)
     first.verify_suite([custom])
-    cold = first.last_suite_stats.classes[0]
+    cold = first.last_run.classes[0]
     assert cold.hint_source == HINT_DEFAULT
     first.close()
 
     second = engine_with_store(tmp_path)
     second.verify_suite([custom])
-    warm = second.last_suite_stats.classes[0]
+    warm = second.last_run.classes[0]
     assert warm.hint_source == HINT_MEASURED
     assert warm.cost_hint > 0
     second.close()
@@ -125,9 +125,9 @@ def test_measured_costs_update_same_engine_second_suite(tmp_path):
     classes = structures(CLASSES[:2])
     engine = engine_with_store(tmp_path)
     engine.verify_suite(classes)
-    assert {c.hint_source for c in engine.last_suite_stats.classes} == {HINT_STATIC}
+    assert {c.hint_source for c in engine.last_run.classes} == {HINT_STATIC}
     engine.verify_suite(classes)
-    assert {c.hint_source for c in engine.last_suite_stats.classes} == {HINT_MEASURED}
+    assert {c.hint_source for c in engine.last_run.classes} == {HINT_MEASURED}
     engine.close()
 
 
@@ -141,7 +141,7 @@ def test_dispatch_order_reflects_remaining_work_not_total_cost(tmp_path):
 
     second = engine_with_store(tmp_path)
     second.verify_suite([warm_cls, cold_cls])
-    stats = second.last_suite_stats
+    stats = second.last_run
     by_name = {cls.class_name: cls for cls in stats.classes}
     assert by_name[warm_cls.name].dispatched == 0
     assert by_name[cold_cls.name].dispatched > 0
@@ -205,7 +205,7 @@ def test_measured_sequents_dispatch_longest_first_within_class(tmp_path):
     # measured cost attached.
     second.portfolio.proof_cache.clear()
     second.verify_suite(classes)
-    stats = second.last_suite_stats
+    stats = second.last_run
     assert stats.dispatched > 0
     assert stats.classes[0].hint_source == HINT_MEASURED
     second.close()

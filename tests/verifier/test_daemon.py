@@ -139,7 +139,7 @@ def test_suite_op_runs_scheduler(daemon):
         "Array List",
         "Cursor List",
     ]
-    assert "Suite schedule" in response["output"]
+    assert "Run plan" in response["output"]
 
 
 def test_unknown_op_and_bad_request(daemon):

@@ -1,4 +1,4 @@
-"""Edit re-verification: the plan/execute split, the dependency index and
+"""Edit re-verification: the plan/execute phases, the dependency index and
 the watch-mode edit accounting.
 
 Re-verifying an edited class is an ordinary ``verify_class`` on a warm
@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.provers.cache import task_fingerprint
 from repro.provers.dispatch import default_portfolio
 from repro.suite import structure_by_name
 from repro.suite.common import StructureBuilder
 from repro.verifier.engine import VerificationEngine
 from repro.verifier.incremental import edit_accounting
+from repro.verifier.scheduler import execute_suite, plan_suite
 
 TIMEOUT_SCALE = 0.4
 
@@ -78,39 +80,45 @@ def verdicts(report):
     ]
 
 
-# -- plan / execute split ---------------------------------------------------------
+# -- plan / execute ---------------------------------------------------------------
 
 
-def test_plan_entries_and_execute_match_full_verify():
+def plan_fingerprints(plan) -> set:
+    """The plan's sequent identities: each planned slot's task fingerprint."""
+    return {task_fingerprint(slot.task) for _, slots in plan.planned for slot in slots}
+
+
+def test_plan_and_execute_match_full_verify():
     engine = make_engine()
-    plan = engine.plan_class_run(build_counter())
-    assert {(entry.class_name, entry.method_name) for entry in plan.entries} == {
-        ("Counter", "increment"),
-        ("Counter", "reset"),
+    plan = plan_suite(engine, [build_counter()])
+    ((cls, slots),) = plan.planned
+    assert {cls.methods[slot.method_index].name for slot in slots} == {
+        "increment",
+        "reset",
     }
     # Cold engine: every unique sequent is planned for dispatch.
-    assert plan.dispatch_count == sum(1 for e in plan.entries if e.dispatch) > 0
-    report, run_stats = engine.execute_class_plan(plan)
-    assert run_stats.dispatched == plan.dispatch_count
+    assert len(plan.shard) == plan.stats.dispatched > 0
+    (report,), run = execute_suite(engine, plan, jobs=1)
+    assert run.dispatched == len(plan.shard)
     baseline = make_engine().verify_class(build_counter())
     assert verdicts(report) == verdicts(baseline)
     # Replanning on the warm engine answers everything from the cache.
-    warm = engine.plan_class_run(build_counter())
-    assert warm.dispatch_count == 0
-    assert {entry.fingerprint for entry in warm.entries} == {
-        entry.fingerprint for entry in plan.entries
-    }
+    warm = plan_suite(engine, [build_counter()])
+    assert not warm.shard
+    assert plan_fingerprints(warm) == plan_fingerprints(plan)
 
 
-def test_strip_proofs_plan_does_not_overwrite_dependency_record():
+def test_strip_proofs_run_does_not_overwrite_dependency_record():
     engine = make_engine()
     engine.verify_class(build_counter())
     record = engine.dependency_index.get("Counter")
     assert record is not None
-    plan = engine.plan_class_run(build_counter(), strip_proofs=True)
-    assert not plan.record_index
-    engine.execute_class_plan(plan)
+    engine.verify_class(build_counter(), strip_proofs=True)
     # The ablation run must not poison the real program's record.
+    assert engine.dependency_index.get("Counter") == record
+    # Nor may a plan that opts out of recording, whatever it contains.
+    plan = plan_suite(engine, [build_counter(EDITED_ENSURES)], record=False)
+    execute_suite(engine, plan, jobs=1)
     assert engine.dependency_index.get("Counter") == record
 
 
@@ -174,12 +182,8 @@ def test_one_method_edit_reproves_exactly_the_fingerprint_diff():
     assert report.verified
 
     # The dirty set is exactly the plan-level fingerprint diff.
-    base_fps = {
-        entry.fingerprint
-        for entry in make_engine().plan_class_run(build_counter()).entries
-    }
-    edited_entries = make_engine().plan_class_run(edited).entries
-    dirty_fps = {e.fingerprint for e in edited_entries} - base_fps
+    base_fps = plan_fingerprints(plan_suite(make_engine(), [build_counter()]))
+    dirty_fps = plan_fingerprints(plan_suite(make_engine(), [edited])) - base_fps
     assert stats["sequents_dirty"] == len(dirty_fps) == 1
     assert stats["dispatched"] == len(dirty_fps)
     assert stats["dirty_labels"] == ["reset:Post.2"]

@@ -5,7 +5,7 @@ protocol is the same TCP + handshake either way); the coordinator is a
 :class:`~repro.verifier.engine.VerificationEngine` with ``workers=``.  The
 contract mirrors the in-process pool's: per-sequent verdicts, prover
 attribution, cache provenance and portfolio counters must be bit-identical
-to a fresh sequential engine on the same classes -- **including** when a
+to the ``verify_method`` reference on the same classes -- **including** when a
 worker is SIGKILLed mid-run and its in-flight tasks are requeued onto the
 survivor.
 """
@@ -31,6 +31,7 @@ from test_parallel_differential import (
     TIMEOUT_SCALE,
     aggregate_trace,
     make_engine,
+    reference_run,
     sequent_trace,
     statistics_trace,
     structures,
@@ -115,18 +116,17 @@ def test_one_worker_class_differential(secret_file):
     worker = WorkerProcess(secret_file)
     try:
         classes = structures(FAST_CLASSES[:2])
-        sequential = make_engine(jobs=1, use_cache=True)
-        seq_reports = [sequential.verify_class(cls) for cls in classes]
+        sequential, seq_reports = reference_run(classes, use_cache=True)
         remote = remote_engine([worker.address])
         remote_reports = [remote.verify_class(cls) for cls in classes]
         for seq_report, rem_report in zip(seq_reports, remote_reports):
             assert sequent_trace(seq_report) == sequent_trace(rem_report)
             assert aggregate_trace(seq_report) == aggregate_trace(rem_report)
         assert statistics_trace(sequential) == statistics_trace(remote)
-        stats = remote.last_parallel_stats
+        stats = remote.last_run
         assert stats.backend == "remote"
         # Per-worker provenance: the one worker's label carries host/pid.
-        [load] = remote.parallel_stats_total.workers
+        [load] = stats.workers
         assert str(load.pid).endswith(f"/{worker.pid}")
         remote.close()
     finally:
@@ -135,15 +135,14 @@ def test_one_worker_class_differential(secret_file):
 
 def test_two_workers_suite_differential(worker_pair):
     classes = structures(FAST_CLASSES)
-    sequential = make_engine(jobs=1, use_cache=True)
-    seq_reports = [sequential.verify_class(cls) for cls in classes]
+    sequential, seq_reports = reference_run(classes, use_cache=True)
     remote = remote_engine([worker.address for worker in worker_pair])
     suite_reports = remote.verify_suite(classes)
     for seq_report, suite_report in zip(seq_reports, suite_reports):
         assert sequent_trace(seq_report) == sequent_trace(suite_report)
         assert aggregate_trace(seq_report) == aggregate_trace(suite_report)
     assert statistics_trace(sequential) == statistics_trace(remote)
-    stats = remote.last_suite_stats
+    stats = remote.last_run
     assert stats.backend == "remote"
     assert (
         stats.dispatched
@@ -163,10 +162,9 @@ def test_two_workers_suite_differential(worker_pair):
 def test_worker_kill_mid_run_requeues_and_stays_identical(worker_pair):
     """The acceptance case: SIGKILL one of two workers mid-suite; the
     surviving worker absorbs the requeued tasks and the results are still
-    bit-identical to the sequential path."""
+    bit-identical to the reference."""
     classes = structures(FAST_CLASSES)
-    sequential = make_engine(jobs=1, use_cache=True)
-    seq_reports = [sequential.verify_class(cls) for cls in classes]
+    sequential, seq_reports = reference_run(classes, use_cache=True)
 
     remote = remote_engine([worker.address for worker in worker_pair])
     by_pid = {worker.pid: worker for worker in worker_pair}
@@ -201,7 +199,7 @@ def test_worker_kill_mid_run_requeues_and_stays_identical(worker_pair):
         assert sequent_trace(seq_report) == sequent_trace(suite_report)
         assert aggregate_trace(seq_report) == aggregate_trace(suite_report)
     assert statistics_trace(sequential) == statistics_trace(remote)
-    stats = remote.last_suite_stats
+    stats = remote.last_run
     # Every dispatched task is attributed to some worker even though one
     # died; the survivor carried the requeued share.
     assert sum(load.tasks for load in stats.workers) == stats.dispatched
@@ -334,8 +332,7 @@ def test_registry_registration_differential(secret_file, tmp_path):
     )
     try:
         cls = structures(("Array List",))[0]
-        sequential = make_engine(jobs=1, use_cache=True)
-        seq_report = sequential.verify_class(cls)
+        _, (seq_report,) = reference_run([cls], use_cache=True)
         # Idle period before the first request: a registered worker must
         # wait indefinitely for work (regression: the dial-phase socket
         # timeout of 5s used to survive the handshake, so a worker whose
@@ -345,7 +342,7 @@ def test_registry_registration_differential(secret_file, tmp_path):
         report = engine.verify_class(cls)
         assert sequent_trace(seq_report) == sequent_trace(report)
         assert aggregate_trace(seq_report) == aggregate_trace(report)
-        stats = engine.last_parallel_stats
+        stats = engine.last_run
         assert stats.backend == "remote"
         assert sum(load.tasks for load in stats.workers) == stats.dispatched > 0
         assert str(stats.workers[0].pid).endswith(f"/{proc.pid}")
@@ -364,10 +361,10 @@ def test_remote_warm_cache_dispatches_nothing(worker_pair):
     remote = remote_engine([worker.address for worker in worker_pair])
     cls = structures(("Cursor List",))[0]
     remote.verify_class(cls)
-    first = remote.last_parallel_stats
+    first = remote.last_run
     assert first.dispatched > 0
     remote.verify_class(cls)
-    second = remote.last_parallel_stats
+    second = remote.last_run
     assert second.dispatched == 0
     assert second.hits_memory == second.sequents_total
     assert second.workers == []

@@ -1,11 +1,12 @@
-"""Differential harness: suite scheduling must equal per-class sequential runs.
+"""Differential harness: suite scheduling must equal the reference loop.
 
 The suite scheduler (:mod:`repro.verifier.scheduler`) plans the whole
 catalogue as one job graph and interleaves dispatch longest-class-first.
 None of that may be observable in the results: for every ``jobs`` value, a
 ``verify_suite`` run must produce per-sequent verdicts, prover attribution,
-cache provenance and portfolio counters bit-identical to a fresh engine
-calling ``verify_class`` on the same classes in the same order.
+cache provenance and portfolio counters bit-identical to the
+``verify_method`` reference (a fresh engine dispatching every method of
+the same classes, in the same order, through ``portfolio.dispatch``).
 
 Fast classes run in tier 1; the full catalogue at ``jobs in {1, 2, 4}`` is
 marked ``slow`` (run it with ``pytest -m slow``).
@@ -26,6 +27,7 @@ from test_parallel_differential import (
     TIMEOUT_SCALE,
     aggregate_trace,
     make_engine,
+    reference_run,
     sequent_trace,
     statistics_trace,
     structures,
@@ -33,15 +35,14 @@ from test_parallel_differential import (
 
 
 def assert_suite_differential(classes, jobs: int, use_cache: bool = True) -> None:
-    sequential = make_engine(jobs=1, use_cache=use_cache)
-    seq_reports = [sequential.verify_class(cls) for cls in classes]
+    reference, ref_reports = reference_run(classes, use_cache)
     suite = make_engine(jobs=jobs, use_cache=use_cache)
     suite_reports = suite.verify_suite(classes)
-    for seq_report, suite_report in zip(seq_reports, suite_reports):
-        assert sequent_trace(seq_report) == sequent_trace(suite_report)
-        assert aggregate_trace(seq_report) == aggregate_trace(suite_report)
-    assert statistics_trace(sequential) == statistics_trace(suite)
-    stats = suite.last_suite_stats
+    for ref_report, suite_report in zip(ref_reports, suite_reports):
+        assert sequent_trace(ref_report) == sequent_trace(suite_report)
+        assert aggregate_trace(ref_report) == aggregate_trace(suite_report)
+    assert statistics_trace(reference) == statistics_trace(suite)
+    stats = suite.last_run
     assert stats is not None
     assert stats.jobs == jobs
     # Every sequent is accounted for exactly once.
@@ -62,16 +63,15 @@ def test_fast_classes_suite_differential(jobs):
 
 
 def test_fast_classes_suite_differential_cache_off():
-    # Without a cache nothing may be deduplicated either -- the sequential
+    # Without a cache nothing may be deduplicated either -- the reference
     # loop re-proves every duplicate, so the suite must ship them all.
     classes = structures(FAST_CLASSES[:2])
-    sequential = make_engine(jobs=1, use_cache=False)
-    seq_reports = [sequential.verify_class(cls) for cls in classes]
+    _, ref_reports = reference_run(classes, use_cache=False)
     suite = make_engine(jobs=2, use_cache=False)
     suite_reports = suite.verify_suite(classes)
-    for seq_report, suite_report in zip(seq_reports, suite_reports):
-        assert sequent_trace(seq_report) == sequent_trace(suite_report)
-    stats = suite.last_suite_stats
+    for ref_report, suite_report in zip(ref_reports, suite_reports):
+        assert sequent_trace(ref_report) == sequent_trace(suite_report)
+    stats = suite.last_run
     assert stats.duplicates_folded == 0
     assert stats.dispatched == stats.sequents_total
 
@@ -113,17 +113,17 @@ def test_suite_report_order_is_input_order():
     assert [report.class_name for report in reports] == [cls.name for cls in classes]
     # The schedule order differs from the input order (cost-sorted), yet
     # the reports come back in input order.
-    assert engine.last_suite_stats.schedule_order != [cls.name for cls in classes]
+    assert engine.last_run.schedule_order != [cls.name for cls in classes]
 
 
 def test_suite_warm_second_run_dispatches_nothing():
     classes = structures(FAST_CLASSES[:2])
     engine = make_engine(jobs=2, use_cache=True)
     engine.verify_suite(classes)
-    first = engine.last_suite_stats
+    first = engine.last_run
     assert first.dispatched > 0
     reports = engine.verify_suite(classes)
-    second = engine.last_suite_stats
+    second = engine.last_run
     assert second.dispatched == 0
     assert second.hits_memory == second.sequents_total
     for report in reports:
@@ -139,14 +139,14 @@ def test_suite_cross_class_dedup_folds_repeats():
     Scheduling the same class twice makes every sequent of the second
     copy a cross-class duplicate: it must fold onto the pending
     representative from the first copy (never dispatch), and the verdicts
-    and counters must still match a sequential engine, which proves the
+    and counters must still match the reference loop, which proves the
     first copy and answers the second from its warm cache.
     """
     cls = structures(FAST_CLASSES[:1])[0]
     assert_suite_differential([cls, cls], jobs=2)
     engine = make_engine(jobs=2, use_cache=True)
     engine.verify_suite([cls, cls])
-    stats = engine.last_suite_stats
+    stats = engine.last_run
     first_copy, second_copy = stats.classes
     assert second_copy.dispatched == 0
     assert second_copy.duplicates_folded == second_copy.sequents > 0
@@ -170,7 +170,7 @@ def test_suite_second_engine_serves_from_disk(tmp_path):
         cache_dir=tmp_path,
     )
     second.verify_suite(classes)
-    stats = second.last_suite_stats
+    stats = second.last_run
     assert stats.dispatched == 0
     assert stats.hits_disk == stats.sequents_total
 

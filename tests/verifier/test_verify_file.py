@@ -179,6 +179,43 @@ def test_cli_catalogue_names_still_resolve(capsys):
     assert out.splitlines()[-1].startswith("total:")
 
 
+def run_record_rows(out: str) -> dict[str, list[str]]:
+    """The per-class rows of the ``--perf`` run record, by class name."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:1] == ["class"])
+    rows = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("  ") or line.startswith("  worker "):
+            break
+        cells = re.split(r"\s{2,}", line.strip())
+        rows[cells[0]] = cells[1:]
+    return rows
+
+
+def test_cli_perf_prints_the_run_record_at_jobs_one(capsys):
+    code, out, _ = run_cli(["--perf", "verify", "Array List"], capsys)
+    assert code == 0
+    assert "Run plan (1 jobs)" in out
+    assert "dispatch order      Array List" in out
+    dispatched = re.search(r"^  dispatched +(\d+)$", out, re.M)
+    assert dispatched and int(dispatched.group(1)) > 0
+    assert list(run_record_rows(out)) == ["Array List"]
+
+
+def test_cli_perf_run_record_covers_every_model_of_a_file(tmp_path, capsys):
+    path = tmp_path / "two.py"
+    path.write_text(GOOD_PROGRAM + FAILING_PROGRAM)
+    code, out, _ = run_cli(["--perf", "verify", str(path)], capsys)
+    assert code == 1
+    order = re.search(r"^  dispatch order +(.+)$", out, re.M).group(1)
+    assert sorted(order.split(", ")) == ["Broken", "Toggle"]
+    rows = run_record_rows(out)
+    assert sorted(rows) == ["Broken", "Toggle"]
+    total = re.search(r"^  sequents total +(\d+)$", out, re.M)
+    # Columns: cost hint, hint src, sequents, dispatched, cache, dup.
+    assert int(total.group(1)) == sum(int(cells[2]) for cells in rows.values()) > 0
+
+
 # -- daemon -----------------------------------------------------------------------
 
 
