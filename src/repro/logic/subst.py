@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from itertools import count
 
 from .sorts import SortError
@@ -69,19 +69,42 @@ def substitute(term: Term, mapping: Mapping[Var, Term]) -> Term:
     """
     if not mapping:
         return term
+    _check_sorts(mapping)
+    relevant_names = frozenset(v.name for v in mapping)
+    if free_var_names(term).isdisjoint(relevant_names):
+        return term
+    replacement_free = frozenset().union(
+        *(free_var_names(t) for t in mapping.values())
+    )
+    return _subst(term, dict(mapping), relevant_names, replacement_free, {})
+
+
+def substituter(mapping: Mapping[Var, Term]) -> Callable[[Term], Term]:
+    """:func:`substitute` with ``mapping`` fixed, for applying to many terms:
+    a subterm the terms share is rewritten once."""
+    _check_sorts(mapping)
+    mapping = dict(mapping)
+    relevant_names = frozenset(v.name for v in mapping)
+    replacement_free = frozenset().union(
+        *(free_var_names(t) for t in mapping.values())
+    )
+    memo: dict[Term, Term] = {}
+
+    def apply(term: Term) -> Term:
+        if free_var_names(term).isdisjoint(relevant_names):
+            return term
+        return _subst(term, mapping, relevant_names, replacement_free, memo)
+
+    return apply
+
+
+def _check_sorts(mapping: Mapping[Var, Term]) -> None:
     for var, replacement in mapping.items():
         if var.sort != replacement.sort:
             raise SortError(
                 f"substituting {var.name}:{var.sort} with a term of sort "
                 f"{replacement.sort}"
             )
-    relevant_names = frozenset(v.name for v in mapping)
-    if free_var_names(term).isdisjoint(relevant_names):
-        return term
-    replacement_free = frozenset().union(
-        *(free_var_names(t) for t in mapping.values())
-    ) if mapping else frozenset()
-    return _subst(term, dict(mapping), relevant_names, replacement_free, {})
 
 
 def _subst(

@@ -26,6 +26,7 @@ protocol are documented normatively in ``docs/cache-format.md``.
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import tempfile
@@ -213,6 +214,11 @@ class ProofCache:
             return (("tenant", self.namespace), *fingerprint)
         return fingerprint
 
+    def fingerprint_of(self, key: tuple) -> tuple:
+        """The task fingerprint inside a :meth:`key` made under the
+        current namespace."""
+        return key[1:] if self.namespace else key
+
     def lookup(self, key: tuple) -> CachedVerdict | None:
         return self._entries.get(key)
 
@@ -268,25 +274,33 @@ def fingerprint_to_json(value):
     raise ValueError(f"fingerprints contain only str/int/bool, got {type(value)!r}")
 
 
-def fingerprint_from_json(value):
-    """Decode :func:`fingerprint_to_json` output back into tuples."""
+def fingerprint_from_json(value, shared: dict | None = None):
+    """Decode :func:`fingerprint_to_json` output back into tuples.
+
+    Equal subtrees decode to one tuple object.  ``shared``, one dict passed
+    across a batch, extends that to the whole batch: a store's keys and
+    dependency records then hold each hypothesis common to many sequents
+    once, instead of tens of thousands of copies that every garbage
+    collection of a long-lived process would walk.
+    """
+    if shared is None:
+        shared = {}
     if isinstance(value, list):
-        return tuple(fingerprint_from_json(item) for item in value)
+        # Leaves are checked inline, by exact type (``json.loads`` builds no
+        # subclasses): a warm start decodes every stored fingerprint.
+        items = []
+        for item in value:
+            kind = type(item)
+            if kind is list:
+                item = fingerprint_from_json(item, shared)
+            elif kind is not str and kind is not int and kind is not bool:
+                raise ValueError(f"invalid fingerprint element {item!r}")
+            items.append(item)
+        decoded = tuple(items)
+        return shared.setdefault(decoded, decoded)
     if isinstance(value, (str, int, bool)):
         return value
     raise ValueError(f"invalid fingerprint element {value!r}")
-
-
-def _check_fingerprint_json(value) -> None:
-    """Raise ``ValueError`` exactly where :func:`fingerprint_from_json`
-    would, without building the tuples."""
-    pending = [value]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, list):
-            pending.extend(item)
-        elif not isinstance(item, (str, int, bool)):
-            raise ValueError(f"invalid fingerprint element {item!r}")
 
 
 class PersistentCacheStore:
@@ -396,7 +410,17 @@ class PersistentCacheStore:
         except (OSError, ValueError):
             os.close(fd)
             return {}, {}, {}, "cold:unreadable"
-        entries, profiles, dependencies, status = self._parse(raw)
+        # The parsed JSON arrays -- tens of thousands -- live until decoding
+        # ends and hold no cycles; collections in between would only promote
+        # them, and a long-lived process (daemon, test runner) would pay for
+        # that in full-heap passes over its own objects.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            entries, profiles, dependencies, status = self._parse(raw)
+        finally:
+            if collecting:
+                gc.enable()
         self._remember(fd, stat, (entries, dict(profiles), dict(dependencies)))
         return entries, profiles, dependencies, status
 
@@ -450,10 +474,11 @@ class PersistentCacheStore:
         if not isinstance(raw_entries, list):
             return {}, {}, {}, "cold:corrupt"
         entries: dict[tuple, CachedVerdict] = {}
+        shared: dict[tuple, tuple] = {}
         for pair in raw_entries:
             try:
                 raw_key, verdict = pair
-                key = fingerprint_from_json(raw_key)
+                key = fingerprint_from_json(raw_key, shared)
                 if not isinstance(key, tuple):
                     raise ValueError("fingerprint must be a tuple")
                 entries[key] = CachedVerdict(
@@ -468,7 +493,7 @@ class PersistentCacheStore:
                 # Skip individually damaged entries; keep the rest.
                 continue
         profiles = self._parse_profiles(payload.get("profiles"))
-        dependencies = self._parse_dependencies(payload.get("dependencies"))
+        dependencies = self._parse_dependencies(payload.get("dependencies"), shared)
         return entries, profiles, dependencies, f"warm:{len(entries)}"
 
     @staticmethod
@@ -490,15 +515,16 @@ class PersistentCacheStore:
         return profiles
 
     @staticmethod
-    def _parse_dependencies(raw_dependencies) -> dict[str, dict]:
+    def _parse_dependencies(raw_dependencies, shared: dict) -> dict[str, dict]:
         """Validate the per-class dependency-index section.
 
         The store only checks the JSON *shape* (string artifact digests, a
         list of per-method records each carrying ``[label, fingerprint]``
         sequent pairs); semantic interpretation lives in
-        :class:`repro.verifier.incremental.DependencyIndex`, which decodes
-        the fingerprints.  Fingerprints are checked where they lie, not
-        decoded.  Damaged classes are skipped, like damaged entries.
+        :class:`repro.verifier.incremental.DependencyIndex`.  Fingerprints
+        decode to tuples, as in memory, sharing the subtrees of the entry
+        keys decoded with ``shared``.  Damaged classes are skipped, like
+        damaged entries.
         """
         if not isinstance(raw_dependencies, dict):
             return {}
@@ -513,8 +539,7 @@ class PersistentCacheStore:
                 for method_name, method_record in record["methods"]:
                     sequents = []
                     for label, fp in method_record["sequents"]:
-                        _check_fingerprint_json(fp)
-                        sequents.append([str(label), fp])
+                        sequents.append([str(label), fingerprint_from_json(fp, shared)])
                     methods.append(
                         [
                             str(method_name),

@@ -324,5 +324,9 @@ class PortfolioSpec:
 
     @property
     def cache_key(self) -> str:
-        """The persistent-cache compatibility key of this line-up."""
-        return ";".join(f"{name}:{timeout:g}" for name, timeout in self.entries)
+        """The persistent-cache compatibility key of this line-up: each
+        prover's name, revision and timeout."""
+        return ";".join(
+            f"{name}@{PROVER_FACTORIES[name].revision}:{timeout:g}"
+            for name, timeout in self.entries
+        )

@@ -6,6 +6,14 @@ delegates to.  Given a set of ground equalities and disequalities over terms
 uninterpreted), it decides satisfiability by congruence closure, and exposes
 the equivalence classes so the arithmetic solver can exchange equalities with
 it (a lightweight Nelson-Oppen combination).
+
+Every merge is recorded in a *proof forest* (Nieuwenhuis & Oliveras, "Fast
+Congruence Closure and Extensions", 2007): an edge between the two merged
+nodes labelled with its reason -- the tags passed in with an asserted
+equality, or the congruence of two application nodes.  :meth:`explain`
+walks the forest to the tags behind an entailed equality, so a conflict
+comes out of :meth:`CongruenceClosure.check` together with the asserted
+facts it rests on.
 """
 
 from __future__ import annotations
@@ -19,11 +27,16 @@ __all__ = ["CongruenceClosure", "EufConflict"]
 
 @dataclass
 class EufConflict:
-    """A detected conflict: the disequality violated by the closure."""
+    """A detected conflict: the disequality violated by the closure.
+
+    ``explanation`` holds the tags of the asserted facts the conflict
+    rests on.
+    """
 
     left: Term
     right: Term
     reason: str = ""
+    explanation: frozenset = frozenset()
 
 
 class CongruenceClosure:
@@ -33,6 +46,11 @@ class CongruenceClosure:
     curried into ``(op, child_ids)`` signatures for congruence detection.
     Binders are treated as opaque constants (they are ground lambdas or
     comprehensions that survived simplification).
+
+    Asserted facts carry ``tags``, a frozenset of opaque tags (the theory
+    checker uses literal indices); the proof forest keeps, per node, its
+    forest parent and the reason of that edge: the frozenset of tags of an
+    asserted equality, or a ``(node, node)`` pair of congruent applications.
     """
 
     def __init__(self) -> None:
@@ -43,8 +61,11 @@ class CongruenceClosure:
         self._signature: dict[tuple, int] = {}
         self._uses: list[list[int]] = []  # node -> application nodes using it
         self._args: list[tuple[str, tuple[int, ...]] | None] = []
-        self._disequalities: list[tuple[int, int, Term, Term]] = []
-        self._pending: list[tuple[int, int]] = []
+        self._size: list[int] = []
+        self._disequalities: list[tuple[int, int, Term, Term, frozenset]] = []
+        self._pending: list[tuple[int, int, object]] = []
+        self._proof_parent: list[int] = []
+        self._proof_reason: list[object] = []
 
     # -- interning -------------------------------------------------------------
 
@@ -70,8 +91,11 @@ class CongruenceClosure:
         self._terms.append(term)
         self._parent.append(node)
         self._rank.append(0)
+        self._size.append(1)
         self._uses.append([])
         self._args.append(args)
+        self._proof_parent.append(node)
+        self._proof_reason.append(None)
         return node
 
     # -- union-find --------------------------------------------------------------
@@ -93,6 +117,7 @@ class CongruenceClosure:
         self._parent[rb] = ra
         if self._rank[ra] == self._rank[rb]:
             self._rank[ra] += 1
+        self._size[ra] += self._size[rb]
         self._uses[ra].extend(self._uses[rb])
         return ra
 
@@ -106,19 +131,23 @@ class CongruenceClosure:
         if existing is None:
             self._signature[signature] = node
         elif self.find(existing) != self.find(node):
-            self._pending.append((existing, node))
+            self._pending.append((existing, node, (existing, node)))
 
     # -- public API ---------------------------------------------------------------
 
-    def assert_equal(self, left: Term, right: Term) -> None:
-        """Assert ``left = right``."""
-        self._pending.append((self.intern(left), self.intern(right)))
+    def assert_equal(
+        self, left: Term, right: Term, tags: frozenset = frozenset()
+    ) -> None:
+        """Assert ``left = right``, justified by ``tags``."""
+        self._pending.append((self.intern(left), self.intern(right), tags))
         self._process()
 
-    def assert_distinct(self, left: Term, right: Term) -> None:
-        """Assert ``left != right``."""
+    def assert_distinct(
+        self, left: Term, right: Term, tags: frozenset = frozenset()
+    ) -> None:
+        """Assert ``left != right``, justified by ``tags``."""
         lid, rid = self.intern(left), self.intern(right)
-        self._disequalities.append((lid, rid, left, right))
+        self._disequalities.append((lid, rid, left, right, tags))
 
     def are_equal(self, left: Term, right: Term) -> bool:
         """True when the closure entails ``left = right``."""
@@ -126,32 +155,101 @@ class CongruenceClosure:
 
     def check(self) -> EufConflict | None:
         """Return a conflict if some asserted disequality is violated, or if
-        two distinct integer/boolean literals were merged."""
+        two distinct integer/boolean literals were merged, with the tags it
+        rests on as its ``explanation``."""
         self._process()
-        for lid, rid, left, right in self._disequalities:
+        for lid, rid, left, right, tags in self._disequalities:
             if self.find(lid) == self.find(rid):
-                return EufConflict(left, right, "disequality violated")
+                return EufConflict(
+                    left, right, "disequality violated", tags | self._explain(lid, rid)
+                )
         # Distinct literals must not be merged.
-        literal_classes: dict[int, Term] = {}
+        literal_classes: dict[int, tuple[Term, int]] = {}
         for term, node in self._ids.items():
             if isinstance(term, (IntLit, BoolLit)):
                 root = self.find(node)
                 other = literal_classes.get(root)
-                if other is not None and other != term:
-                    return EufConflict(other, term, "distinct literals merged")
-                literal_classes[root] = term
+                if other is not None and other[0] != term:
+                    return EufConflict(
+                        other[0],
+                        term,
+                        "distinct literals merged",
+                        self._explain(other[1], node),
+                    )
+                literal_classes[root] = (term, node)
         return None
+
+    def explain(self, left: Term, right: Term) -> frozenset:
+        """The tags of the asserted equalities that entail ``left = right``
+        (which must hold)."""
+        lid, rid = self._ids[left], self._ids[right]
+        if self.find(lid) != self.find(rid):
+            raise ValueError(f"{left} = {right} is not entailed")
+        return self._explain(lid, rid)
 
     def _process(self) -> None:
         while self._pending:
-            a, b = self._pending.pop()
+            a, b, reason = self._pending.pop()
             ra, rb = self.find(a), self.find(b)
             if ra == rb:
                 continue
             users = list(self._uses[ra]) + list(self._uses[rb])
+            # Hang the smaller proof tree, re-rooted at its endpoint, under
+            # the other endpoint.
+            if self._size[ra] > self._size[rb]:
+                a, b = b, a
+            self._reroot(a)
+            self._proof_parent[a] = b
+            self._proof_reason[a] = reason
             self._union(ra, rb)
             for user in users:
                 self._update_signature(user)
+
+    # -- proof forest -------------------------------------------------------------
+
+    def _reroot(self, node: int) -> None:
+        """Make ``node`` the root of its proof tree by reversing the edges
+        on its path to the old root."""
+        previous, reason = node, None
+        while True:
+            parent = self._proof_parent[node]
+            parent_reason = self._proof_reason[node]
+            self._proof_parent[node] = previous
+            self._proof_reason[node] = reason
+            if parent == node:
+                return
+            previous, reason, node = node, parent_reason, parent
+
+    def _explain(self, a: int, b: int) -> frozenset:
+        """Tags on the proof-forest paths between ``a`` and ``b``, following
+        congruence edges into the arguments of the two applications."""
+        tags: set = set()
+        done: set[int] = set()  # nodes whose edge to the parent is explained
+        todo = [(a, b)]
+        while todo:
+            a, b = todo.pop()
+            if a == b:
+                continue
+            ancestors = {a}
+            node = a
+            while self._proof_parent[node] != node:
+                node = self._proof_parent[node]
+                ancestors.add(node)
+            common = b
+            while common not in ancestors:
+                common = self._proof_parent[common]
+            for node in (a, b):
+                while node != common:
+                    if node not in done:
+                        done.add(node)
+                        reason = self._proof_reason[node]
+                        if isinstance(reason, frozenset):
+                            tags.update(reason)
+                        else:
+                            left, right = reason
+                            todo.extend(zip(self._args[left][1], self._args[right][1]))
+                    node = self._proof_parent[node]
+        return frozenset(tags)
 
     # -- class inspection -----------------------------------------------------------
 

@@ -26,6 +26,9 @@ class Prover(ABC):
 
     #: Human-readable name used in reports and statistics.
     name: str = "prover"
+    #: Bumped whenever the prover's verdicts can change for the same task, so
+    #: persistent proof caches written by an older revision are discarded.
+    revision: int = 1
 
     @abstractmethod
     def attempt(self, task: ProofTask, budget: Budget) -> ProverResult:

@@ -14,12 +14,19 @@ gaps merely make the prover incomplete (never unsound).  Strict integer
 inequalities are tightened (``a < b`` becomes ``a + 1 <= b``) before the
 rational check, which recovers most of the integer reasoning the benchmark
 verification conditions need.
+
+Constraints may carry ``tags`` (a frozenset of opaque tags).  Every
+elimination row carries the union of the tags of the constraints it was
+combined from, so an infeasible constant row names its origin set -- the
+support of a Farkas combination -- and an implied equality names the
+constraints that entail it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ..logic.sorts import INT
 from ..logic.terms import App, IntLit, Term
@@ -63,8 +70,12 @@ class LinearExpr:
 
     def scale(self, factor: int | Fraction) -> "LinearExpr":
         factor = Fraction(factor)
-        coeffs = {atom: coeff * factor for atom, coeff in self.coeffs}
-        return LinearExpr._from_dict(coeffs, self.constant * factor)
+        if not factor:
+            return LinearExpr((), Fraction(0))
+        # A non-zero factor keeps every coefficient non-zero and the atom
+        # order, so the result needs no re-normalising.
+        coeffs = tuple((atom, coeff * factor) for atom, coeff in self.coeffs)
+        return LinearExpr(coeffs, self.constant * factor)
 
     def sub(self, other: "LinearExpr") -> "LinearExpr":
         return self.add(other.scale(-1))
@@ -116,12 +127,21 @@ def linearize(term: Term) -> LinearExpr:
     return LinearExpr.of_atom(term)
 
 
+@lru_cache(maxsize=65536)
+def _difference(left: Term, right: Term) -> LinearExpr:
+    """``left - right`` as a linear expression (the theory checker asserts
+    the same atoms once per boolean model)."""
+    return linearize(left).sub(linearize(right))
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
-    """A constraint ``expr <= 0`` (``is_equality`` makes it ``expr = 0``)."""
+    """A constraint ``expr <= 0`` (``is_equality`` makes it ``expr = 0``),
+    justified by ``tags``."""
 
     expr: LinearExpr
     is_equality: bool = False
+    tags: frozenset = frozenset()
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         relation = "=" if self.is_equality else "<="
@@ -156,27 +176,32 @@ class LinearSolver:
 
     # -- constraint entry -------------------------------------------------------
 
-    def add_le(self, expr: LinearExpr) -> None:
+    def add_le(self, expr: LinearExpr, tags: frozenset = frozenset()) -> None:
         """Add ``expr <= 0``."""
-        self.constraints.append(LinearConstraint(expr, False))
+        self.constraints.append(LinearConstraint(expr, False, tags))
 
-    def add_eq(self, expr: LinearExpr) -> None:
+    def add_eq(self, expr: LinearExpr, tags: frozenset = frozenset()) -> None:
         """Add ``expr = 0``."""
-        self.constraints.append(LinearConstraint(expr, True))
+        self.constraints.append(LinearConstraint(expr, True, tags))
 
-    def add_le_terms(self, left: Term, right: Term) -> None:
+    def add_le_terms(
+        self, left: Term, right: Term, tags: frozenset = frozenset()
+    ) -> None:
         """Add ``left <= right``."""
-        self.add_le(linearize(left).sub(linearize(right)))
+        self.add_le(_difference(left, right), tags)
 
-    def add_lt_terms(self, left: Term, right: Term) -> None:
+    def add_lt_terms(
+        self, left: Term, right: Term, tags: frozenset = frozenset()
+    ) -> None:
         """Add ``left < right`` (integer-tightened to ``left + 1 <= right``)."""
-        self.add_le(
-            linearize(left).sub(linearize(right)).add(LinearExpr.of_constant(1))
-        )
+        difference = _difference(left, right)
+        self.add_le(LinearExpr(difference.coeffs, difference.constant + 1), tags)
 
-    def add_eq_terms(self, left: Term, right: Term) -> None:
+    def add_eq_terms(
+        self, left: Term, right: Term, tags: frozenset = frozenset()
+    ) -> None:
         """Add ``left = right``."""
-        self.add_eq(linearize(left).sub(linearize(right)))
+        self.add_eq(_difference(left, right), tags)
 
     # -- feasibility ------------------------------------------------------------
 
@@ -186,108 +211,145 @@ class LinearSolver:
         Returns False both when feasible and when the elimination exceeds the
         constraint budget (the sound direction for a refutation prover).
         """
+        return self.explain_infeasible() is not None
+
+    def explain_infeasible(self) -> frozenset | None:
+        """The tags of the constraints combined into an infeasible constant
+        row, or None when :meth:`is_infeasible` would say False."""
         try:
             return self._check_infeasible()
         except _BudgetExceeded:
-            return False
+            return None
 
     def entails_le(self, expr: LinearExpr) -> bool:
-        """True when the constraints entail ``expr <= 0`` (over integers)."""
+        """True when the constraints entail ``expr <= 0`` (over integers).
+
+        The one-sided boolean query of this class's public API; the theory
+        checker needs the tags and goes through :meth:`entails_eq`.
+        """
+        return self._entailment(expr) is not None
+
+    def _entailment(self, expr: LinearExpr) -> frozenset | None:
+        """The tags behind ``expr <= 0``, or None when it is not entailed."""
         probe = self.copy()
         # Negation over integers: expr >= 1, i.e. 1 - expr <= 0.
-        probe.add_le(LinearExpr.of_constant(1).sub(expr))
-        return probe.is_infeasible()
+        probe.add_le(LinearExpr.of_constant(1).sub(expr), _PROBE_TAGS)
+        tags = probe.explain_infeasible()
+        return None if tags is None else tags - _PROBE_TAGS
 
-    def entails_eq(self, left: Term, right: Term) -> bool:
-        """True when the constraints entail ``left = right``."""
-        difference = linearize(left).sub(linearize(right))
-        return self.entails_le(difference) and self.entails_le(difference.scale(-1))
+    def entails_eq(self, left: Term, right: Term) -> frozenset | None:
+        """The tags behind ``left = right``, or None when the constraints do
+        not entail it."""
+        difference = _difference(left, right)
+        below = self._entailment(difference)
+        if below is None:
+            return None
+        above = self._entailment(difference.scale(-1))
+        return None if above is None else below | above
 
-    def implied_equalities(self, atoms: list[Term]) -> list[tuple[Term, Term]]:
-        """Pairs among ``atoms`` that the constraints force to be equal.
+    def implied_equalities(
+        self, atoms: list[Term]
+    ) -> list[tuple[Term, Term, frozenset]]:
+        """Pairs among ``atoms`` that the constraints force to be equal, each
+        with the tags behind it.
 
         Used for the Nelson-Oppen style exchange with congruence closure.
         The quadratic pairwise check is capped to keep the cost bounded.
         """
-        pairs: list[tuple[Term, Term]] = []
+        pairs: list[tuple[Term, Term, frozenset]] = []
         limit = 6
         atoms = atoms[:limit]
         for i, left in enumerate(atoms):
             for right in atoms[i + 1:]:
-                if self.entails_eq(left, right):
-                    pairs.append((left, right))
+                tags = self.entails_eq(left, right)
+                if tags is not None:
+                    pairs.append((left, right, tags))
         return pairs
 
     # -- Fourier-Motzkin ---------------------------------------------------------
 
-    def _normalised(self) -> list[LinearExpr] | None:
-        """Expand equalities into inequality pairs; returns ``expr <= 0`` rows."""
-        rows: list[LinearExpr] = []
+    def _normalised(self) -> list[tuple[LinearExpr, frozenset]]:
+        """Expand equalities into inequality pairs; returns ``expr <= 0`` rows
+        with their tags."""
+        rows: list[tuple[LinearExpr, frozenset]] = []
         for constraint in self.constraints:
-            rows.append(constraint.expr)
+            rows.append((constraint.expr, constraint.tags))
             if constraint.is_equality:
-                rows.append(constraint.expr.scale(-1))
+                rows.append((constraint.expr.scale(-1), constraint.tags))
         return rows
 
-    def _check_infeasible(self) -> bool:
+    def _check_infeasible(self) -> frozenset | None:
         rows = self._normalised()
         # Iteratively eliminate atoms.
         while True:
             if self.deadline is not None:
                 self.deadline.check()
             # Constant rows decide immediately.
-            pending: list[LinearExpr] = []
+            pending: list[tuple[LinearExpr, frozenset]] = []
             for row in rows:
-                if row.is_constant:
-                    if row.constant > 0:
-                        return True
+                expr, tags = row
+                if expr.is_constant:
+                    if expr.constant.numerator > 0:
+                        return tags
                 else:
                     pending.append(row)
             rows = pending
             if not rows:
-                return False
+                return None
             atom = self._pick_atom(rows)
             rows = self._eliminate(rows, atom)
             if len(rows) > self.max_constraints:
                 raise _BudgetExceeded()
 
     @staticmethod
-    def _pick_atom(rows: list[LinearExpr]) -> Term:
+    def _pick_atom(rows: list[tuple[LinearExpr, frozenset]]) -> Term:
         occurrences: dict[Term, tuple[int, int]] = {}
-        for row in rows:
+        for row, _ in rows:
             for atom, coeff in row.coeffs:
                 pos, neg = occurrences.get(atom, (0, 0))
-                if coeff > 0:
+                if coeff.numerator > 0:
                     pos += 1
                 else:
                     neg += 1
                 occurrences[atom] = (pos, neg)
         return min(occurrences, key=lambda a: occurrences[a][0] * occurrences[a][1])
 
-    def _eliminate(self, rows: list[LinearExpr], atom: Term) -> list[LinearExpr]:
-        upper: list[LinearExpr] = []  # rows where coeff > 0  (atom <= ...)
-        lower: list[LinearExpr] = []  # rows where coeff < 0  (atom >= ...)
-        rest: list[LinearExpr] = []
+    def _eliminate(
+        self, rows: list[tuple[LinearExpr, frozenset]], atom: Term
+    ) -> list[tuple[LinearExpr, frozenset]]:
+        upper: list[tuple[LinearExpr, frozenset]] = []  # coeff > 0 (atom <= ...)
+        lower: list[tuple[LinearExpr, frozenset]] = []  # coeff < 0 (atom >= ...)
+        rest: list[tuple[LinearExpr, frozenset]] = []
         for row in rows:
-            coeff = row.coefficient(atom)
-            if coeff > 0:
-                upper.append(row.scale(Fraction(1) / coeff))
-            elif coeff < 0:
-                lower.append(row.scale(Fraction(1) / -coeff))
+            expr, tags = row
+            coeff = expr.coefficient(atom)
+            # Signs via the numerator: a Fraction comparison costs far more.
+            if coeff.numerator > 0:
+                upper.append((expr.scale(Fraction(1) / coeff), tags))
+            elif coeff.numerator < 0:
+                lower.append((expr.scale(Fraction(1) / -coeff), tags))
             else:
                 rest.append(row)
         ticks = 0
-        for up in upper:
-            for low in lower:
+        for up, up_tags in upper:
+            for low, low_tags in lower:
                 ticks += 1
                 if self.deadline is not None and not ticks & 0xFF:
                     self.deadline.check()
-                combined = up.add(low)
+                coeffs = up._as_dict()
+                for a, c in low.coeffs:
+                    coeffs[a] = coeffs.get(a, 0) + c
                 # ``atom`` cancels by construction.
-                coeffs = {a: c for a, c in combined.coeffs if a != atom}
-                rest.append(LinearExpr._from_dict(coeffs, combined.constant))
+                del coeffs[atom]
+                combined = LinearExpr._from_dict(coeffs, up.constant + low.constant)
+                rest.append((combined, up_tags | low_tags))
         return rest
 
 
 class _BudgetExceeded(Exception):
     pass
+
+
+#: Tags the negated goal of an entailment probe, so the probe row can be
+#: dropped from the explanation.
+_PROBE_TAGS = frozenset((object(),))

@@ -38,6 +38,8 @@ class SmtProver(Prover):
     """Lazy-combination SMT prover over EUF + LIA with quantifier heuristics."""
 
     name = "smt"
+    #: 2: theory conflicts are explained cores, not deletion-minimised ones.
+    revision = 2
 
     def __init__(
         self,
@@ -83,6 +85,7 @@ class SmtProver(Prover):
 
         checker = TheoryChecker()
         iterations = 0
+        core_sizes: list[int] = []
         while True:
             budget.check()
             iterations += 1
@@ -99,7 +102,8 @@ class SmtProver(Prover):
                 return ProverResult(
                     Outcome.PROVED,
                     reason=f"unsat after {iterations} theory iterations, "
-                    f"{len(instances)} instantiations",
+                    f"{len(instances)} instantiations, "
+                    f"{_conflict_summary(core_sizes)}",
                 )
             literals = encoder.model_literals(sat_result.model)
             conflict = checker.check(literals, budget)
@@ -107,9 +111,19 @@ class SmtProver(Prover):
                 return ProverResult(
                     Outcome.UNKNOWN,
                     reason="theory-consistent boolean model "
-                    "(quantifier instantiation exhausted)",
+                    "(quantifier instantiation exhausted), "
+                    f"{_conflict_summary(core_sizes)}",
                 )
+            core_sizes.append(len(conflict.core))
             encoder.block(conflict.core)
+
+
+def _conflict_summary(core_sizes: list[int]) -> str:
+    """``N theory conflicts, mean core K`` for a prover result's reason."""
+    if not core_sizes:
+        return "0 theory conflicts"
+    mean = sum(core_sizes) / len(core_sizes)
+    return f"{len(core_sizes)} theory conflicts, mean core {mean:.1f}"
 
 
 class _GroundEncoder:
@@ -120,6 +134,8 @@ class _GroundEncoder:
         # Reserve a variable that is always true, used for boolean literals.
         self._true_var = self.tseitin.fresh_var()
         self.tseitin.assert_literal(self._true_var)
+        # Integer equality atoms already tied to their order atoms.
+        self._split_int_eq: set[Term] = set()
 
     # -- encoding -----------------------------------------------------------------
 
@@ -175,13 +191,11 @@ class _GroundEncoder:
             isinstance(atom, App)
             and atom.op == "eq"
             and atom.args[0].sort == INT
-            and atom not in getattr(self, "_split_int_eq", set())
+            and atom not in self._split_int_eq
         ):
             # eq(a,b) <-> ~(a<b) & ~(b<a): ties the boolean equality atom to
             # the order atoms so the arithmetic solver sees disequalities.
-            split = getattr(self, "_split_int_eq", set())
-            split.add(atom)
-            self._split_int_eq = split
+            self._split_int_eq.add(atom)
             left, right = atom.args
             lt_left = self.tseitin.atom_var(
                 _canonical_atom(App("lt", (left, right), BOOL))

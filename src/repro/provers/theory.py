@@ -10,11 +10,18 @@ exchanging equalities between the two solvers in a lightweight Nelson-Oppen
 loop.  It is used as the theory backend of the lazy SMT-lite prover: the SAT
 core proposes a boolean model, the checker either accepts it or returns a
 conflicting subset of literals that is turned into a blocking clause.
+
+Both solvers explain their conflicts: every literal is asserted with its
+index as tag, an equality exchanged between the solvers carries the tags the
+other solver derived it from, and the conflict core is the set of literals
+whose tags the failing solver reports.  One run of the procedure therefore
+yields both the verdict and the core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..logic.clauses import Literal
 from ..logic.sorts import INT
@@ -41,87 +48,93 @@ _FALSE = BoolLit(False)
 class TheoryChecker:
     """Consistency checking for conjunctions of ground theory literals."""
 
-    def __init__(self, exchange_rounds: int = 3, minimize_cores: bool = True) -> None:
+    def __init__(self, exchange_rounds: int = 3) -> None:
         self.exchange_rounds = exchange_rounds
-        self.minimize_cores = minimize_cores
 
     # -- public API -------------------------------------------------------------
 
     def check(
         self, literals: list[Literal], budget: Budget | None = None
     ) -> TheoryConflict | None:
-        """Return a conflict (with a minimised core) or None if consistent."""
-        if self._consistent(literals, budget):
+        """Return a conflict (with its explained core) or None if consistent."""
+        core = self._conflict(literals, budget)
+        if core is None:
             return None
-        core = list(literals)
-        if self.minimize_cores:
-            core = self._minimize(core, budget)
-        return TheoryConflict(core, "EUF+LIA conflict")
+        return TheoryConflict([literals[i] for i in sorted(core)], "EUF+LIA conflict")
 
     # -- consistency ------------------------------------------------------------
 
-    def _consistent(self, literals: list[Literal], budget: Budget | None) -> bool:
+    def _conflict(
+        self, literals: list[Literal], budget: Budget | None
+    ) -> frozenset[int] | None:
+        """Indices of an inconsistent subset of ``literals``, or None when
+        the procedure finds them consistent."""
         if budget is not None:
             budget.check()
         closure = CongruenceClosure()
         arithmetic = LinearSolver(deadline=budget)
         closure.assert_distinct(_TRUE, _FALSE)
         int_terms: set[Term] = set()
-        shared_atoms: set[Term] = set()
+        # Shared atom -> tags of the first literal that made it shared.
+        shared_atoms: dict[Term, frozenset] = {}
 
-        for literal in literals:
+        for index, literal in enumerate(literals):
+            tags = frozenset((index,))
             atom = literal.atom
             if isinstance(atom, BoolLit):
                 if atom.value != literal.positive:
-                    return False
+                    return tags
                 continue
             if isinstance(atom, App) and atom.op == "eq":
                 left, right = atom.args
                 if literal.positive:
-                    closure.assert_equal(left, right)
+                    closure.assert_equal(left, right, tags)
                     if left.sort == INT:
-                        arithmetic.add_eq_terms(left, right)
+                        arithmetic.add_eq_terms(left, right, tags)
                 else:
-                    closure.assert_distinct(left, right)
+                    closure.assert_distinct(left, right, tags)
                     # Integer disequalities are split at the boolean level by
                     # the preprocessing pass; here they only inform EUF.
-                self._collect(left, int_terms, shared_atoms)
-                self._collect(right, int_terms, shared_atoms)
+                self._collect(left, tags, int_terms, shared_atoms)
+                self._collect(right, tags, int_terms, shared_atoms)
                 continue
             if isinstance(atom, App) and atom.op in ("le", "lt"):
                 left, right = atom.args
                 if literal.positive:
                     if atom.op == "le":
-                        arithmetic.add_le_terms(left, right)
+                        arithmetic.add_le_terms(left, right, tags)
                     else:
-                        arithmetic.add_lt_terms(left, right)
+                        arithmetic.add_lt_terms(left, right, tags)
                 else:
                     # ~(l <= r)  ==  r < l ;  ~(l < r)  ==  r <= l
                     if atom.op == "le":
-                        arithmetic.add_lt_terms(right, left)
+                        arithmetic.add_lt_terms(right, left, tags)
                     else:
-                        arithmetic.add_le_terms(right, left)
-                self._collect(left, int_terms, shared_atoms)
-                self._collect(right, int_terms, shared_atoms)
+                        arithmetic.add_le_terms(right, left, tags)
+                self._collect(left, tags, int_terms, shared_atoms)
+                self._collect(right, tags, int_terms, shared_atoms)
                 continue
             # Any other atom (membership in an opaque set variable, an
             # uninterpreted predicate, a boolean field read, ...) is handled
             # as an equation with the boolean constants in EUF.
-            closure.assert_equal(atom, _TRUE if literal.positive else _FALSE)
-            self._collect(atom, int_terms, shared_atoms)
+            closure.assert_equal(atom, _TRUE if literal.positive else _FALSE, tags)
+            self._collect(atom, tags, int_terms, shared_atoms)
 
         # Intern every collected term so congruences between terms that only
         # occur inside arithmetic atoms (e.g. ``g[x]`` and ``g[y]`` when only
         # ``g[y]`` appears under an inequality) are still detected.
-        for term in int_terms | shared_atoms:
+        for term in int_terms | shared_atoms.keys():
             closure.intern(term)
 
-        if closure.check() is not None:
-            return False
-        if arithmetic.is_infeasible():
-            return False
+        conflict = closure.check()
+        if conflict is not None:
+            return conflict.explanation
+        core = arithmetic.explain_infeasible()
+        if core is not None:
+            return core
 
-        # Nelson-Oppen style equality exchange.
+        # Nelson-Oppen style equality exchange; every exchanged equality
+        # carries the tags the sending solver derived it from.
         known_pairs: set[tuple[Term, Term]] = set()
         int_term_list = sorted(int_terms, key=repr)
         shared_list = sorted(shared_atoms, key=repr)
@@ -135,55 +148,60 @@ class TheoryChecker:
                 if key in known_pairs:
                     continue
                 known_pairs.add(key)
-                arithmetic.add_eq_terms(left, right)
+                arithmetic.add_eq_terms(left, right, closure.explain(left, right))
                 changed = True
-            if arithmetic.is_infeasible():
-                return False
+            core = arithmetic.explain_infeasible()
+            if core is not None:
+                return core
             # LIA -> EUF (restricted to atoms that occur under uninterpreted
             # symbols, where new congruences can actually fire).  This
             # direction costs one entailment check per pair, so it is only
             # attempted for small shared-variable sets and when there are
-            # arithmetic facts to draw from.
+            # arithmetic facts to draw from.  The literals that made the two
+            # atoms shared join the explanation, so the core still passes
+            # this restriction when it is checked on its own.
             if arithmetic.constraints and len(shared_list) <= 4:
-                for left, right in arithmetic.implied_equalities(shared_list):
+                for left, right, tags in arithmetic.implied_equalities(shared_list):
                     if closure.are_equal(left, right):
                         continue
-                    closure.assert_equal(left, right)
+                    tags = tags | shared_atoms[left] | shared_atoms[right]
+                    closure.assert_equal(left, right, tags)
                     changed = True
-            if closure.check() is not None:
-                return False
+            conflict = closure.check()
+            if conflict is not None:
+                return conflict.explanation
             if not changed:
                 break
-        return True
+        return None
 
     @staticmethod
-    def _collect(term: Term, int_terms: set[Term], shared_atoms: set[Term]) -> None:
-        for sub in subterms(term):
-            if sub.sort == INT and not isinstance(sub, IntLit):
-                int_terms.add(sub)
-            if isinstance(sub, App):
-                # Arguments of select / uninterpreted applications are the
-                # "shared" positions where arithmetic equalities can enable
-                # new congruences.
-                if sub.op == "select" or not sub.is_interpreted:
-                    for arg in sub.args:
-                        if arg.sort == INT and not isinstance(arg, IntLit):
-                            shared_atoms.add(arg)
+    def _collect(
+        term: Term,
+        tags: frozenset,
+        int_terms: set[Term],
+        shared_atoms: dict[Term, frozenset],
+    ) -> None:
+        ints, shared = _int_positions(term)
+        int_terms.update(ints)
+        for arg in shared:
+            shared_atoms.setdefault(arg, tags)
 
-    # -- core minimisation --------------------------------------------------------
 
-    def _minimize(self, core: list[Literal], budget: Budget | None) -> list[Literal]:
-        """Deletion-based minimisation of a conflicting literal set."""
-        if len(core) > 120:
-            return core
-        index = 0
-        current = list(core)
-        while index < len(current):
-            if budget is not None and budget.expired():
-                return current
-            candidate = current[:index] + current[index + 1:]
-            if candidate and not self._consistent(candidate, budget):
-                current = candidate
-            else:
-                index += 1
-        return current
+@lru_cache(maxsize=65536)
+def _int_positions(term: Term) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
+    """The non-literal integer subterms of ``term`` and the integer
+    arguments of its select / uninterpreted applications, in pre-order."""
+    ints: list[Term] = []
+    shared: list[Term] = []
+    for sub in subterms(term):
+        if sub.sort == INT and not isinstance(sub, IntLit):
+            ints.append(sub)
+        if isinstance(sub, App):
+            # Arguments of select / uninterpreted applications are the
+            # "shared" positions where arithmetic equalities can enable new
+            # congruences.
+            if sub.op == "select" or not sub.is_interpreted:
+                for arg in sub.args:
+                    if arg.sort == INT and not isinstance(arg, IntLit):
+                        shared.append(arg)
+    return tuple(ints), tuple(shared)

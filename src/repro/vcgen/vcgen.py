@@ -34,7 +34,7 @@ from ..gcl.simple import (
     SSkip,
 )
 from ..logic.simplify import simplify
-from ..logic.subst import FreshNameGenerator, substitute
+from ..logic.subst import FreshNameGenerator, substituter
 from ..logic.terms import FALSE, Term, Var, free_var_names
 from .sequent import Sequent
 from .split import split_goal
@@ -134,10 +134,9 @@ class VcGenerator:
                 var: Var(self._fresh.fresh(var.name), var.sort)
                 for var in command.variables
             }
-
-            def rename(formula: Term) -> Term:
-                return substitute(formula, renaming)
-
+            # One substitution for all pending sequents: the hypotheses
+            # they share are renamed once.
+            rename = substituter(renaming)
             return [sequent.map_formulas(rename) for sequent in pending]
         if isinstance(command, SChoice):
             left = self._process(command.left, list(pending))

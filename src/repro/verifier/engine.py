@@ -208,6 +208,9 @@ class VerificationEngine:
         self.apply_from_clauses = apply_from_clauses
         self.use_relevance_filter = use_relevance_filter
         self.runtime_checks = runtime_checks
+        # Class name -> (the version last verified, {id(method): (method,
+        # sequents)}); see :meth:`method_sequents`.
+        self._sequents: dict[str, tuple[ClassModel, dict[int, tuple]]] = {}
         if isinstance(workers, str):
             workers = [piece.strip() for piece in workers.split(",") if piece.strip()]
         self.remote_workers: tuple[str, ...] = tuple(workers) if workers else ()
@@ -254,7 +257,27 @@ class VerificationEngine:
     # -- sequent generation ------------------------------------------------------
 
     def method_sequents(self, cls: ClassModel, method: Method) -> list[Sequent]:
-        """All (non-trivially-discharged) sequents of one method."""
+        """All (non-trivially-discharged) sequents of one method.
+
+        Class models are immutable and generation is deterministic, so the
+        engine keeps the sequents of the version of each class it verified
+        last: asked for the same class object again (a daemon serving a
+        catalogue class twice), it skips lowering and VC generation.  A new
+        version of the class replaces the old one.
+        """
+        version = self._sequents.get(cls.name)
+        if version is None or version[0] is not cls:
+            version = self._sequents[cls.name] = (cls, {})
+        # Each entry holds its method, so the id stays unique.
+        known = version[1].get(id(method))
+        if known is None:
+            known = version[1][id(method)] = (
+                method,
+                self._generate_sequents(cls, method),
+            )
+        return list(known[1])
+
+    def _generate_sequents(self, cls: ClassModel, method: Method) -> list[Sequent]:
         lowering = lower_method(cls, method, runtime_checks=self.runtime_checks)
         used: set[str] = {sv.name for sv in cls.state}
         used |= {var.name for var in method.params}

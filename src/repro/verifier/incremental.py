@@ -30,12 +30,7 @@ import hashlib
 
 from ..frontend.ast import ClassModel, Method
 from ..logic.terms import Term
-from ..provers.cache import (
-    fingerprint_from_json,
-    fingerprint_to_json,
-    task_fingerprint,
-    term_fingerprint,
-)
+from ..provers.cache import term_fingerprint
 
 __all__ = [
     "DependencyIndex",
@@ -124,12 +119,13 @@ class DependencyIndex:
 
         {"artifacts": {"state": d, "invariants": d, "policy": d},
          "methods": [[name, {"digest": d,
-                             "sequents": [[label, fingerprint-json], ...]}],
+                             "sequents": [[label, fingerprint], ...]}],
                      ...]}
 
-    Fingerprints are stored raw (tenant-free), so one index serves every
-    tenant of a shared daemon.  ``mutations`` lets the engine's flush skip
-    writes when nothing changed.
+    Fingerprints are the tenant-free tuples of the proof cache's keys, so
+    one index serves every tenant of a shared daemon; the store's JSON
+    encoder writes them as arrays.  ``mutations`` lets the engine's flush
+    skip writes when nothing changed.
     """
 
     def __init__(self, records: dict[str, dict] | None = None) -> None:
@@ -157,13 +153,14 @@ def record_from_slots(engine, target: ClassModel, slots) -> dict:
     """Build ``target``'s dependency record from its planned slots.
 
     ``slots`` is the complete, method/sequent-ordered slot list of a full
-    verification (every slot carries its task); the record maps each
-    method to the fingerprints its sequents produced.
+    verification (every slot carries its cache key); the record maps each
+    method to the fingerprints its sequents produced, taken from the keys.
     """
+    proof_cache = engine.portfolio.proof_cache
     by_method: dict[int, list] = {}
     for slot in slots:
         by_method.setdefault(slot.method_index, []).append(
-            [slot.sequent.label, fingerprint_to_json(task_fingerprint(slot.task))]
+            [slot.sequent.label, proof_cache.fingerprint_of(slot.key)]
         )
     methods = []
     for method_index, method in enumerate(target.methods):
@@ -210,14 +207,14 @@ def edit_accounting(previous: dict | None, current: dict | None, report) -> dict
         # A record lists its sequents in report order (both come from the
         # same run), so the current fingerprints zip with the labels.
         known = {
-            fingerprint_from_json(fp_json)
+            fingerprint
             for _, record in previous["methods"]
-            for _, fp_json in record["sequents"]
+            for _, fingerprint in record["sequents"]
         }
         current_fps = (
-            fingerprint_from_json(fp_json)
+            fingerprint
             for _, record in current["methods"]
-            for _, fp_json in record["sequents"]
+            for _, fingerprint in record["sequents"]
         )
         dirty_labels = [
             label

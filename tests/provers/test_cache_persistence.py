@@ -27,6 +27,7 @@ from repro.provers.cache import (
     fingerprint_to_json,
 )
 from repro.provers.dispatch import PortfolioSpec, default_portfolio
+from repro.provers.smt import SmtProver
 from repro.suite import all_structures
 from repro.verifier.engine import VerificationEngine
 
@@ -226,6 +227,24 @@ class TestInvalidation:
             PortfolioSpec.from_portfolio(base).cache_key
             != PortfolioSpec.from_portfolio(base.scaled(0.5)).cache_key
         )
+
+    def test_portfolio_key_tracks_prover_revisions(self, monkeypatch):
+        spec = PortfolioSpec.from_portfolio(default_portfolio())
+        before = spec.cache_key
+        assert f"smt@{SmtProver.revision}:" in before
+        monkeypatch.setattr(SmtProver, "revision", SmtProver.revision + 1)
+        assert spec.cache_key != before
+
+    def test_store_under_pre_revision_key_is_discarded(self, tmp_path):
+        # Stores written before prover revisions joined the key carry the
+        # bare ``name:timeout`` line-up; their verdicts (negative ones
+        # included) must not be served by the current provers.
+        spec = PortfolioSpec.from_portfolio(default_portfolio())
+        old_key = ";".join(f"{name}:{timeout:g}" for name, timeout in spec.entries)
+        PersistentCacheStore(tmp_path, old_key).save(sample_entries())
+        store = PersistentCacheStore(tmp_path, spec.cache_key)
+        assert store.load() == {}
+        assert store.last_load_status == "cold:portfolio-mismatch"
 
 
 class TestCorruptionRecovery:

@@ -193,9 +193,9 @@ class TestLinearSolver:
 
     def test_implied_equalities(self):
         solver = LinearSolver()
-        solver.add_le_terms(x, y)
-        solver.add_le_terms(y, x)
-        assert (x, y) in solver.implied_equalities([x, y, z])
+        solver.add_le_terms(x, y, frozenset({"xy"}))
+        solver.add_le_terms(y, x, frozenset({"yx"}))
+        assert (x, y, frozenset({"xy", "yx"})) in solver.implied_equalities([x, y, z])
 
     def test_linearize_nested(self):
         from repro.logic.builder import Plus

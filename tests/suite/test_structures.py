@@ -15,16 +15,15 @@ from repro.suite.linked_structures import build_circular_list, build_linked_list
 from repro.verifier import VerificationEngine, class_statistics
 
 #: Proved/total sequents of the catalogue classes that do not fully verify
-#: at timeout scale 0.4 (the other four classes prove every sequent).  A
+#: at timeout scale 0.4 (the other five classes prove every sequent).  A
 #: floor, not an exact count: a change that proves more passes, one that
 #: silently loses a proof fails.
 PROVED_FLOORS = {
     "Hash Table": (41, 50),
-    "Priority Queue": (30, 37),
-    "Binary Tree": (44, 48),
-    "Association List": (31, 33),
+    "Priority Queue": (35, 37),
+    "Binary Tree": (46, 48),
 }
-CATALOGUE_PROVED_FLOOR = 266
+CATALOGUE_PROVED_FLOOR = 275
 CATALOGUE_SEQUENTS = 288
 
 

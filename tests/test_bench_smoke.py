@@ -93,9 +93,12 @@ def test_table1_jobs2_smoke():
 def test_warm_persistent_cache_speedup(tmp_path):
     """Acceptance: a warm persistent cache makes a repeat run >= 5x faster.
 
-    The margin is generous (the measured ratio is >20x: the warm run
-    dispatches nothing and never even spawns the worker pool), so timing
-    jitter on a loaded machine cannot flip the assertion.
+    The warm run dispatches nothing and never spawns the worker pool, but
+    it still loads the store and generates every sequent, while the cold
+    side is mostly prover time.  Inside a tier-1 run on a 2-vCPU VM the
+    ratio reads about 7-14x (cold 0.5-0.85 s, warm 0.06-0.12 s), so the
+    margin is modest: every prover speed-up narrows it (ROADMAP lists
+    re-basing this gate).
     """
     structures = _fast_structures()
     start = time.monotonic()

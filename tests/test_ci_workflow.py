@@ -155,6 +155,27 @@ def test_tier1_runs_traced_edit_serve_and_uploads_its_record():
     assert (REPO_ROOT / "perfbench" / "run.py").exists()
 
 
+def test_tier1_runs_traced_table1_cold_and_uploads_its_record():
+    """Every commit records the prover layers of a cold Table 1 run (smt
+    SAT / theory / quantifier time, fol and sets timeouts)."""
+    jobs = load_workflow()["jobs"]
+    runs = all_run_lines(jobs["tier1"])
+    assert (
+        "python3 perfbench/run.py --workload table1-cold "
+        "--seed 1 --seconds 1 --trace 1"
+    ) in runs
+    uploads = [
+        step
+        for step in jobs["tier1"]["steps"]
+        if "upload-artifact" in step.get("uses", "")
+    ]
+    assert any(
+        step["with"]["path"] == ".perfbench/results/table1-cold-seed1-trace1.json"
+        and step["with"]["name"] == "perfbench-table1-cold-${{ github.sha }}"
+        for step in uploads
+    ), "tier1 must upload the perfbench table1-cold record"
+
+
 def test_tier1_reports_src_line_delta_on_pull_requests():
     """A PR's job summary carries its ``src/`` line delta against the base
     commit, which the checkout must fetch enough history to reach."""

@@ -3,9 +3,9 @@
 The daemon runs in a background thread over a real unix socket in a tmp
 directory; the client is the same :class:`DaemonClient` the CLI's
 ``--connect`` flag uses.  Wall-clock assertions are limited to the one
-acceptance ratio (warm >= 5x cold) with a huge measured margin (~30x on
-the 1-CPU reference container); everything else asserts verdicts and
-provenance, which are deterministic.
+acceptance ratio (warm >= 5x cold; measured 11-18x inside a tier-1 run
+on a 2-vCPU VM); everything else asserts verdicts and provenance, which
+are deterministic.
 """
 
 from __future__ import annotations
@@ -100,7 +100,9 @@ def test_two_warm_requests_and_provenance(daemon):
     assert warm["output"].splitlines()[-1].startswith("total:")
     assert "Array List." in warm["output"]
     # Acceptance: warm serving is >= 5x faster than the daemon's own cold
-    # start (measured ~30x; the margin absorbs load jitter).
+    # start.  Measured 11-18x inside a tier-1 run (cold 0.04-0.07 s, since
+    # earlier tests warm the process-wide term memos; warm 3-5 ms, with the
+    # engine's sequents of the class reused).
     assert warm_elapsed * 5 <= cold_elapsed, (cold_elapsed, warm_elapsed)
 
     stats = client.request({"op": "stats"})

@@ -108,6 +108,26 @@ def test_plan_and_execute_match_full_verify():
     assert plan_fingerprints(warm) == plan_fingerprints(plan)
 
 
+def test_dependency_record_is_tenant_free():
+    """Records reuse the plan's cache keys; under a tenant namespace the
+    key's tenant prefix is stripped, so every tenant writes the record the
+    anonymous tenant writes."""
+    anonymous = make_engine()
+    anonymous.verify_class(build_counter())
+    tenant = make_engine()
+    tenant.set_cache_namespace("alice")
+    tenant.verify_class(build_counter())
+    record = tenant.dependency_index.get("Counter")
+    assert record == anonymous.dependency_index.get("Counter")
+    fingerprints = [
+        fingerprint
+        for _, method in record["methods"]
+        for _, fingerprint in method["sequents"]
+    ]
+    assert fingerprints
+    assert all(fingerprint[0] != ("tenant", "alice") for fingerprint in fingerprints)
+
+
 def test_strip_proofs_run_does_not_overwrite_dependency_record():
     engine = make_engine()
     engine.verify_class(build_counter())
