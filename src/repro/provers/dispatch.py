@@ -9,7 +9,8 @@ portfolio of this package:
 * ``smt``          -- the lazy SMT-lite prover (stand-in for CVC3 / Z3),
 * ``sets``         -- the BAPA-style set-with-cardinality reasoner
   (stand-in for the MONA / BAPA decision procedures),
-* ``fol``          -- the resolution prover (stand-in for SPASS / E),
+* ``fol``          -- the resolution prover (stand-in for SPASS / E);
+  opt-in, see :func:`default_portfolio`,
 * ``model-finder`` -- a counter-model search used only to report refutations.
 
 The dispatcher also implements the paper's *assumption base control*: when a
@@ -125,7 +126,11 @@ class ProverPortfolio:
     # -- configuration ---------------------------------------------------------
 
     def only(self, *names: str) -> "ProverPortfolio":
-        """A copy of the portfolio restricted to the named provers."""
+        """A copy of the portfolio restricted to the named provers.
+
+        Raises ``ValueError`` when a name is not in the line-up.
+        """
+        self._check_names(names)
         kept = [
             PortfolioEntry(e.prover, e.timeout, e.enabled)
             for e in self.entries
@@ -136,7 +141,11 @@ class ProverPortfolio:
         )
 
     def without(self, *names: str) -> "ProverPortfolio":
-        """A copy of the portfolio with the named provers removed."""
+        """A copy of the portfolio with the named provers removed.
+
+        Raises ``ValueError`` when a name is not in the line-up.
+        """
+        self._check_names(names)
         kept = [
             PortfolioEntry(e.prover, e.timeout, e.enabled)
             for e in self.entries
@@ -145,6 +154,14 @@ class ProverPortfolio:
         return ProverPortfolio(
             kept, ProofCache() if self.proof_cache is not None else None
         )
+
+    def _check_names(self, names: tuple[str, ...]) -> None:
+        present = [entry.prover.name for entry in self.entries]
+        unknown = [name for name in names if name not in present]
+        if unknown:
+            raise ValueError(
+                f"not in the portfolio ({', '.join(present)}): {', '.join(unknown)}"
+            )
 
     def scaled(self, factor: float) -> "ProverPortfolio":
         """A copy with all per-prover timeouts scaled by ``factor``."""
@@ -261,22 +278,27 @@ class ProverPortfolio:
 def default_portfolio(
     smt_timeout: float = 4.0,
     sets_timeout: float = 1.5,
-    fol_timeout: float = 2.0,
+    fol_timeout: float = 0.0,
     model_finder_timeout: float = 0.0,
     with_cache: bool = True,
 ) -> ProverPortfolio:
-    """The standard portfolio used by the verification engine.
+    """The standard portfolio used by the verification engine: ``smt``,
+    then ``sets``.
 
-    The model finder is disabled by default (timeout 0) because refutation of
-    invalid sequents is a diagnostic aid, not part of verification; pass a
-    positive timeout to enable it.  ``with_cache`` attaches a sequent-level
-    :class:`ProofCache` (pass False for cold-cache measurements).
+    ``fol`` and the model finder are off by default (timeout 0); a positive
+    timeout appends either.  ``fol`` proves none of the catalogue's or the
+    generated corpus's sequents that ``smt`` and ``sets`` leave open, so by
+    default it would only spend its budget timing out; the model finder's
+    refutations are a diagnostic aid, not part of verification.
+    ``with_cache`` attaches a sequent-level :class:`ProofCache` (pass False
+    for cold-cache measurements).
     """
     entries = [
         PortfolioEntry(SmtProver(), smt_timeout),
         PortfolioEntry(SetCardinalityProver(), sets_timeout),
-        PortfolioEntry(FolProver(), fol_timeout),
     ]
+    if fol_timeout > 0:
+        entries.append(PortfolioEntry(FolProver(), fol_timeout))
     if model_finder_timeout > 0:
         entries.append(PortfolioEntry(FiniteModelFinder(), model_finder_timeout))
     return ProverPortfolio(entries, ProofCache() if with_cache else None)

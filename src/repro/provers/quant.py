@@ -11,7 +11,11 @@ instantiation:
   ``f(..., x, ...)``, then only ground terms that occur in the same argument
   position of the same symbol anywhere in the ground part are considered,
 * the number of candidates per variable and the total number of
-  instantiations per round are capped.
+  instantiations per round are capped,
+* each :meth:`InstantiationEngine.saturate` call indexes its ground terms
+  once, as formulas enter the ground set, so a round looks its candidates
+  up instead of rescanning every formula for every variable (the term
+  indexes of E-matching engines, de Moura & Bjorner, CADE 2007).
 
 The result is sound (instantiation only weakens a universally quantified
 assumption) and in practice sufficient once the developer has used the
@@ -93,20 +97,71 @@ def _argument_positions(term: Term, var: Var) -> set[tuple[str, int]]:
     return positions
 
 
-def _ground_terms_at_positions(
-    formulas: list[Term], positions: set[tuple[str, int]]
-) -> list[Term]:
-    found: list[Term] = []
-    seen: set[Term] = set()
-    for formula in formulas:
-        for sub in _rigid_subterms(formula):
-            if isinstance(sub, App):
-                for index, arg in enumerate(sub.args):
-                    if (sub.op, index) in positions and not isinstance(arg, Binder):
-                        if arg not in seen:
-                            seen.add(arg)
-                            found.append(arg)
-    return found
+class _GroundIndex:
+    """The ground terms of one :meth:`InstantiationEngine.saturate` call.
+
+    Each formula is walked once, when it enters the ground set.  For every
+    trigger position ``(function symbol, argument index)`` the index keeps
+    the rigid arguments seen there with the step at which each first
+    occurred; it also keeps the rigid non-boolean subterms by sort in
+    first-occurrence order.  These are exactly the orders a fresh scan of
+    all ground formulas would produce.  A node seen before is not walked
+    again: its whole subtree was recorded the first time.
+    """
+
+    def __init__(self, positions: set[tuple[str, int]], priority: list[Term]) -> None:
+        self.at: dict[tuple[str, int], dict[Term, int]] = {
+            position: {} for position in positions
+        }
+        self.by_sort: dict[Sort, list[Term]] = {}
+        self.seen: set[Term] = set()
+        self.priority_by_sort = collect_ground_terms(priority)
+        self._step = 0
+
+    def add(self, formula: Term) -> None:
+        seen, at = self.seen, self.at
+        stack = [formula]
+        while stack:
+            current = stack.pop()
+            if current in seen:
+                continue
+            seen.add(current)
+            if isinstance(current, Binder):
+                continue
+            if current.sort != BOOL:
+                self.by_sort.setdefault(current.sort, []).append(current)
+            if isinstance(current, App):
+                args = current.args
+                for index, arg in enumerate(args):
+                    table = at.get((current.op, index))
+                    if (
+                        table is not None
+                        and arg not in table
+                        and not isinstance(arg, Binder)
+                    ):
+                        table[arg] = self._step + index
+                self._step += len(args)
+                stack.extend(reversed(args))
+
+    def at_positions(
+        self, positions: frozenset[tuple[str, int]], sort: Sort
+    ) -> list[Term]:
+        """Terms of ``sort`` at any of ``positions``, by first occurrence."""
+        first: dict[Term, int] = {}
+        for position in positions:
+            for term, step in self.at[position].items():
+                if term.sort == sort and step < first.get(term, step + 1):
+                    first[term] = step
+        return sorted(first, key=first.__getitem__)
+
+    def of_sort(self, sort: Sort) -> list[Term]:
+        """Terms of ``sort``: the ground ones, then those only in the
+        priority formulas."""
+        return self.by_sort.get(sort, []) + [
+            term
+            for term in self.priority_by_sort.get(sort, ())
+            if term not in self.seen
+        ]
 
 
 class InstantiationEngine:
@@ -133,57 +188,73 @@ class InstantiationEngine:
                 QuantifiedAxiom(formula.param_vars, formula.body, formula)
             )
 
-    def candidates(
-        self,
-        var: Var,
-        body: Term,
-        ground_formulas: list[Term],
-        by_sort: dict[Sort, list[Term]],
-        priority: list[Term],
-    ) -> list[Term]:
-        """Candidate ground terms for instantiating ``var``."""
-        positions = _argument_positions(body, var)
-        candidates: list[Term] = []
-        if positions:
-            candidates = [
-                t
-                for t in _ground_terms_at_positions(ground_formulas, positions)
-                if t.sort == var.sort
+    def saturate(self, ground_formulas: list[Term], priority: list[Term]) -> list[Term]:
+        """Run up to ``max_rounds`` rounds, feeding new instances back in."""
+        triggers = [
+            [
+                (var.sort, frozenset(_argument_positions(axiom.body, var)))
+                for var in axiom.params
             ]
-        if not candidates:
-            candidates = list(by_sort.get(var.sort, []))
-        # Prefer terms appearing in the goal, then smaller terms.
-        priority_set = set()
-        for formula in priority:
-            for sub in subterms(formula):
-                priority_set.add(sub)
+            for axiom in self.axioms
+        ]
+        index = _GroundIndex(
+            {position for row in triggers for _, ps in row for position in ps},
+            priority,
+        )
+        for formula in ground_formulas:
+            index.add(formula)
+        ground = set(ground_formulas)
+        priority_set = {sub for formula in priority for sub in subterms(formula)}
+        ranks: dict[Term, tuple[int, int]] = {}
 
         def rank(term: Term) -> tuple[int, int]:
-            return (0 if term in priority_set else 1, len(str(term)))
+            # Prefer terms appearing in the goal, then smaller terms.
+            key = ranks.get(term)
+            if key is None:
+                key = ranks[term] = (0 if term in priority_set else 1, len(str(term)))
+            return key
 
-        candidates.sort(key=rank)
-        # Always provide simple literal fallbacks for integer variables so
-        # boundary cases (0, size, ...) are considered.
-        return candidates[: self.max_candidates_per_var]
+        new_instances: list[Term] = []
+        for _ in range(self.max_rounds):
+            produced = self._round(index, triggers, rank)
+            fresh = [f for f in produced if f not in ground]
+            if not fresh:
+                break
+            new_instances.extend(fresh)
+            ground.update(fresh)
+            for formula in fresh:
+                index.add(formula)
+        return new_instances
 
-    def round(
-        self,
-        ground_formulas: list[Term],
-        priority: list[Term],
-    ) -> list[Term]:
-        """Produce one round of new ground instances."""
-        by_sort = collect_ground_terms(ground_formulas + priority)
+    def _round(self, index: _GroundIndex, triggers, rank) -> list[Term]:
+        """Produce one round of new ground instances.
+
+        A variable's candidates are the ground terms of its sort at its
+        argument positions (all ground terms of its sort when there are
+        none), ranked and capped at ``max_candidates_per_var``; variables
+        with the same sort and positions share one list per round.
+        """
+        candidates: dict[tuple, list[Term]] = {}
+
+        def candidates_for(trigger) -> list[Term]:
+            found = candidates.get(trigger)
+            if found is None:
+                sort, positions = trigger
+                found = index.at_positions(positions, sort) if positions else []
+                if not found:
+                    found = index.of_sort(sort)
+                ranked = sorted(found, key=rank)
+                found = candidates[trigger] = ranked[: self.max_candidates_per_var]
+            return found
+
         produced: list[Term] = []
         produced_count = 0
-        for axiom in self.axioms:
+        for axiom, axiom_triggers in zip(self.axioms, triggers):
             if produced_count >= self.max_instances_per_round:
                 break
             if self.total_instances >= self.max_total_instances:
                 break
-            candidate_lists = [
-                self.candidates(var, axiom.body, ground_formulas, by_sort, priority)
-                for var in axiom.params
-            ]
+            candidate_lists = [candidates_for(trigger) for trigger in axiom_triggers]
             if any(not candidates for candidates in candidate_lists):
                 continue
             for combo in itertools.product(*candidate_lists):
@@ -203,16 +274,3 @@ class InstantiationEngine:
                 ):
                     break
         return produced
-
-    def saturate(self, ground_formulas: list[Term], priority: list[Term]) -> list[Term]:
-        """Run up to ``max_rounds`` rounds, feeding new instances back in."""
-        all_ground = list(ground_formulas)
-        new_instances: list[Term] = []
-        for _ in range(self.max_rounds):
-            produced = self.round(all_ground, priority)
-            fresh = [f for f in produced if f not in all_ground]
-            if not fresh:
-                break
-            new_instances.extend(fresh)
-            all_ground.extend(fresh)
-        return new_instances

@@ -246,6 +246,24 @@ class TestInvalidation:
         assert store.load() == {}
         assert store.last_load_status == "cold:portfolio-mismatch"
 
+    def test_store_under_the_former_default_key_cold_starts(self, tmp_path):
+        # The default portfolio ran fol third until fol became opt-in; a
+        # store written then (CLI default scale 0.4) must cold-start under
+        # the smt -> sets default and be rewritten under its key.
+        former_default = "smt@2:1.6;sets@1:0.6;fol@1:0.8"
+        PersistentCacheStore(tmp_path, former_default).save(sample_entries())
+        key = PortfolioSpec.from_portfolio(default_portfolio().scaled(0.4)).cache_key
+        assert "fol" not in key
+        store = PersistentCacheStore(tmp_path, key)
+        assert store.load() == {}
+        assert store.last_load_status == "cold:portfolio-mismatch"
+        fresh = {(("i", 5),): CachedVerdict(True, False, "smt")}
+        store.save(fresh)
+        assert json.loads(store.path.read_text())["portfolio"] == key
+        reloaded = PersistentCacheStore(tmp_path, key)
+        assert set(reloaded.load()) == set(fresh)
+        assert reloaded.last_load_status.startswith("warm")
+
 
 class TestCorruptionRecovery:
     @pytest.mark.parametrize(

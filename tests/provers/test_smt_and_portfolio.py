@@ -208,6 +208,20 @@ class TestPortfolio:
         assert portfolio.statistics.sequents_attempted == 1
         assert portfolio.statistics.sequents_proved == 1
 
+    def test_default_line_up_leaves_fol_opt_in(self):
+        assert default_portfolio().prover_names == ["smt", "sets"]
+        opted_in = default_portfolio(fol_timeout=2.0, model_finder_timeout=1.0)
+        assert opted_in.prover_names == ["smt", "sets", "fol", "model-finder"]
+        assert opted_in.only("fol").prover_names == ["fol"]
+
+    def test_only_and_without_reject_unknown_provers(self):
+        portfolio = default_portfolio()
+        with pytest.raises(ValueError, match="fol"):
+            portfolio.only("fol")
+        with pytest.raises(ValueError, match="spass"):
+            portfolio.without("sets", "spass")
+        assert portfolio.without("sets").prover_names == ["smt"]
+
     def test_unprovable_sequent_reports_all_attempts(self):
         portfolio = default_portfolio()
         result = portfolio.dispatch(task(["x <= y"], "y <= x"))

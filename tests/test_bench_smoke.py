@@ -6,17 +6,19 @@ slowdown turning the microbenchmarks into hangs) is caught by the fast test
 suite, not only by the benchmark trajectory.  The ``bench_table1`` suite
 runner is smoked the same way: a ``--jobs 2`` run over the
 quickly-verifying structures under a tight wall-clock budget, plus the
-persistent-cache acceptance check (a warm repeat run must be at least 5x
-faster than the cold run).
+persistent-cache acceptance check (a warm repeat run dispatches nothing
+and stays within a multiple of a front-end-only pass).
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 from pathlib import Path
 
 from repro.suite import all_structures
+from repro.verifier.engine import VerificationEngine
 
 _BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 if str(_BENCHMARKS) not in sys.path:
@@ -90,44 +92,63 @@ def test_table1_jobs2_smoke():
     )
 
 
+def _front_end_seconds(structures) -> float:
+    """Wall time of a front-end-only pass over ``structures``: every sequent
+    and proof task generated, nothing dispatched, no cache."""
+    gc.collect()
+    start = time.monotonic()
+    engine = VerificationEngine(use_proof_cache=False)
+    for cls in structures:
+        for method in cls.methods:
+            for sequent in engine.method_sequents(cls, method):
+                engine.task_for(sequent)
+    return time.monotonic() - start
+
+
 def test_warm_persistent_cache_speedup(tmp_path):
-    """Acceptance: a warm persistent cache makes a repeat run >= 5x faster.
+    """Acceptance: a warm persistent cache answers a repeat run from disk
+    in time proportional to the front end, not to the provers.
 
     The warm run dispatches nothing and never spawns the worker pool, but
-    it still loads the store and generates every sequent, while the cold
-    side is mostly prover time.  Inside a tier-1 run on a 2-vCPU VM the
-    ratio reads about 7-14x (cold 0.5-0.85 s, warm 0.06-0.12 s), so the
-    margin is modest: every prover speed-up narrows it (ROADMAP lists
-    re-basing this gate).
+    it still loads the store, generates every sequent and task, and looks
+    each one up.  So its time (best of three) is held to a multiple of a
+    front-end-only pass over the same classes (best of five), which does
+    not move with prover speed.  On a 2-vCPU VM the ratio reads 2.1-4.5x
+    (the store decode is most of the difference); a warm path that
+    re-decodes the store for every class reads 8-10x, one that runs the
+    provers again on its cache hits about 19x.
     """
     structures = _fast_structures()
-    start = time.monotonic()
     cold_engine, cold_reports, _ = bench_table1.run_suite(
         jobs=2, structures=structures, cache_dir=tmp_path
     )
-    cold = time.monotonic() - start
     assert cold_engine.portfolio.statistics.cache_hits_disk == 0
 
-    start = time.monotonic()
-    warm_engine, warm_reports, warm_run = bench_table1.run_suite(
-        jobs=2, structures=structures, cache_dir=tmp_path
-    )
-    warm = time.monotonic() - start
-    stats = warm_engine.portfolio.statistics
-    assert stats.cache_hits_disk > 0
-    assert stats.per_prover == {}  # every sequent answered from disk
-    assert warm_run.dispatched == 0
-    for cold_report, warm_report in zip(cold_reports, warm_reports):
-        assert [
-            (o.sequent.label, o.proved, o.prover)
-            for m in cold_report.methods
-            for o in m.outcomes
-        ] == [
-            (o.sequent.label, o.proved, o.prover)
-            for m in warm_report.methods
-            for o in m.outcomes
-        ]
-    assert warm * 5 <= cold, f"cold={cold:.2f}s warm={warm:.2f}s"
+    warm_times = []
+    for _ in range(3):
+        gc.collect()
+        start = time.monotonic()
+        warm_engine, warm_reports, warm_run = bench_table1.run_suite(
+            jobs=2, structures=structures, cache_dir=tmp_path
+        )
+        warm_times.append(time.monotonic() - start)
+        stats = warm_engine.portfolio.statistics
+        assert stats.cache_hits_disk > 0
+        assert stats.per_prover == {}  # every sequent answered from disk
+        assert warm_run.dispatched == 0
+        for cold_report, warm_report in zip(cold_reports, warm_reports):
+            assert [
+                (o.sequent.label, o.proved, o.prover)
+                for m in cold_report.methods
+                for o in m.outcomes
+            ] == [
+                (o.sequent.label, o.proved, o.prover)
+                for m in warm_report.methods
+                for o in m.outcomes
+            ]
+    warm = min(warm_times)
+    front_end = min(_front_end_seconds(structures) for _ in range(5))
+    assert warm <= 7 * front_end, f"warm={warm:.3f}s front end={front_end:.3f}s"
 
 
 def test_table1_suite_scheduled_smoke(tmp_path):

@@ -8,6 +8,7 @@ their printed narratives (prover cooperation, soundness sweep) are part
 of what they demonstrate.
 """
 
+import ast
 import pathlib
 import sys
 
@@ -45,6 +46,23 @@ def test_soundness_example_checks_every_construct(_examples_on_path, capsys):
     output = capsys.readouterr().out
     assert "all constructs verified" in output
     assert "NOT PROVED" not in output
+
+
+def test_cooperation_example_runs_every_portfolio(_examples_on_path, capsys):
+    """Each line names a non-empty line-up; fol, outside the default
+    portfolio, is opted in for its own line and really runs."""
+    import multi_prover_cooperation
+
+    multi_prover_cooperation.main(timeout_scale=0.1)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        portfolio, rest = line.split("portfolio: ", 1)[1].split(", attempts: ")
+        attempts = ast.literal_eval(rest.split(", provers used")[0])
+        assert portfolio and attempts, line
+    assert "portfolio: smt, sets," in lines[0]
+    assert lines[-1].startswith("first-order prover only")
+    assert "portfolio: fol," in lines[-1] and attempts["fol"] > 0
 
 
 def test_example_scripts_exist_and_are_documented():

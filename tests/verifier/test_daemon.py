@@ -3,19 +3,21 @@
 The daemon runs in a background thread over a real unix socket in a tmp
 directory; the client is the same :class:`DaemonClient` the CLI's
 ``--connect`` flag uses.  Wall-clock assertions are limited to the one
-acceptance ratio (warm >= 5x cold; measured 11-18x inside a tier-1 run
-on a 2-vCPU VM); everything else asserts verdicts and provenance, which
-are deterministic.
+acceptance ratio (a warm request within 3x of a front-end-only pass over
+the class; measured 0.6-1.3x inside a tier-1 run on a 2-vCPU VM);
+everything else asserts verdicts and provenance, which are deterministic.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
 import pytest
 
 from repro.provers.dispatch import default_portfolio
+from repro.suite.catalog import structure_by_name
 from repro.verifier.daemon import (
     PROTOCOL_VERSION,
     DaemonClient,
@@ -71,43 +73,61 @@ def test_ping_and_list(daemon):
     assert "Linked List" in names and len(names) == 8
 
 
-def test_two_warm_requests_and_provenance(daemon):
-    """Cold request runs provers; the second is served from warm memory."""
-    _, client, _ = daemon
+def _front_end_seconds(name: str) -> float:
+    """Wall time of a front-end-only pass over one catalogue class: every
+    sequent and proof task generated, nothing dispatched, no cache."""
+    gc.collect()
     start = time.monotonic()
+    engine = VerificationEngine(use_proof_cache=False)
+    cls = structure_by_name(name)
+    for method in cls.methods:
+        for sequent in engine.method_sequents(cls, method):
+            engine.task_for(sequent)
+    return time.monotonic() - start
+
+
+def test_two_warm_requests_and_provenance(daemon):
+    """Cold request runs provers; the repeats are served from warm memory."""
+    _, client, _ = daemon
     cold = client.request({"op": "verify", "name": "Array List"})
-    cold_elapsed = time.monotonic() - start
     assert cold["ok"] and cold["exit"] == 0
     assert cold["report"]["verified"]
     assert any(not outcome["cached"] for outcome in outcomes_of(cold["report"]))
 
-    start = time.monotonic()
-    warm = client.request({"op": "verify", "name": "Array List"})
-    warm_elapsed = time.monotonic() - start
-    assert warm["ok"] and warm["exit"] == 0
-    warm_outcomes = outcomes_of(warm["report"])
-    assert warm_outcomes and all(outcome["cached"] for outcome in warm_outcomes)
-    assert {outcome["origin"] for outcome in warm_outcomes} == {"memory"}
-    # Verdicts and attribution are identical cold vs warm.
-    assert [
-        (outcome["label"], outcome["proved"], outcome["prover"])
-        for outcome in outcomes_of(cold["report"])
-    ] == [
-        (outcome["label"], outcome["proved"], outcome["prover"])
-        for outcome in warm_outcomes
-    ]
+    warm_times = []
+    for _ in range(3):
+        gc.collect()
+        start = time.monotonic()
+        warm = client.request({"op": "verify", "name": "Array List"})
+        warm_times.append(time.monotonic() - start)
+        assert warm["ok"] and warm["exit"] == 0
+        warm_outcomes = outcomes_of(warm["report"])
+        assert warm_outcomes and all(outcome["cached"] for outcome in warm_outcomes)
+        assert {outcome["origin"] for outcome in warm_outcomes} == {"memory"}
+        # Verdicts and attribution are identical cold vs warm.
+        assert [
+            (outcome["label"], outcome["proved"], outcome["prover"])
+            for outcome in outcomes_of(cold["report"])
+        ] == [
+            (outcome["label"], outcome["proved"], outcome["prover"])
+            for outcome in warm_outcomes
+        ]
     # The daemon's output is the same format_verify text a local run prints.
     assert warm["output"].splitlines()[-1].startswith("total:")
     assert "Array List." in warm["output"]
-    # Acceptance: warm serving is >= 5x faster than the daemon's own cold
-    # start.  Measured 11-18x inside a tier-1 run (cold 0.04-0.07 s, since
-    # earlier tests warm the process-wide term memos; warm 3-5 ms, with the
-    # engine's sequents of the class reused).
-    assert warm_elapsed * 5 <= cold_elapsed, (cold_elapsed, warm_elapsed)
+    # Acceptance: a warm request costs no more than a small multiple of a
+    # front-end-only pass over the class (best of three requests, best of
+    # five passes), whatever the provers' speed.  Measured 0.6-1.3x inside
+    # a tier-1 run: the engine reuses the class's sequents, so a warm
+    # request is cache lookups and transport.  Running the provers again on
+    # the cache hits reads about 7x.
+    warm_elapsed = min(warm_times)
+    front_end = min(_front_end_seconds("Array List") for _ in range(5))
+    assert warm_elapsed <= 3 * front_end, (warm_elapsed, front_end)
 
     stats = client.request({"op": "stats"})
     assert stats["ok"]
-    assert stats["counters"]["proof_cache_hits_memory"] >= len(warm_outcomes)
+    assert stats["counters"]["proof_cache_hits_memory"] >= 3 * len(warm_outcomes)
 
 
 def test_warm_restart_serves_from_disk(tmp_path):
