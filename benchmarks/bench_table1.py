@@ -57,7 +57,7 @@ def run_suite(
     smoke tests (``tests/test_bench_smoke.py``); returns ``(engine,
     reports, run)`` so callers can inspect statistics and scheduling.
     With ``suite_schedule`` the classes are verified as one job graph
-    (:meth:`VerificationEngine.verify_suite`, longest class first) instead
+    (:meth:`VerificationEngine.verify_suite`, in plan order) instead
     of class by class; ``run`` is the engine's ``last_run`` record, folded
     over the per-class calls in the latter case.
     """
@@ -158,7 +158,7 @@ def test_table1_parallel_jobs(jobs, benchmark):
 
 @pytest.mark.parametrize("jobs", [2])
 def test_table1_suite_scheduled(jobs, benchmark):
-    """Whole-catalogue suite scheduling (longest class first): one job
+    """Whole-catalogue suite scheduling (in plan order): one job
     graph instead of eight per-class pool fills, verdicts identical to the
     sequential rows."""
 
@@ -167,7 +167,6 @@ def test_table1_suite_scheduled(jobs, benchmark):
 
     engine, reports, stats = benchmark.pedantic(verify_suite, rounds=1, iterations=1)
     benchmark.extra_info["jobs"] = jobs
-    benchmark.extra_info["schedule_order"] = ", ".join(stats.schedule_order)
     benchmark.extra_info["dispatched"] = stats.dispatched
     benchmark.extra_info["duplicates_folded"] = stats.duplicates_folded
     assert stats.dispatched + stats.hits_memory + stats.hits_disk + (
@@ -204,15 +203,12 @@ def run_smoke(jobs: int = 2, structure_names=SMOKE_STRUCTURES) -> dict:
         "jobs": jobs,
         "timeout_scale": TIMEOUT_SCALE,
         "wall_seconds": round(wall, 3),
-        "schedule_order": list(stats.schedule_order),
-        # The adaptive plan (PR 5): per-class cost and which rung of the
-        # cost model's fallback chain produced it.  A cold CI run records
-        # "static" everywhere; warm-cache experiments show "measured".
+        # The per-class plan, in dispatch (plan) order.
         "schedule_plan": [
             {
                 "name": cls.class_name,
-                "cost_hint": round(cls.cost_hint, 6),
-                "hint_source": cls.hint_source,
+                "sequents": cls.sequents,
+                "dispatched": cls.dispatched,
             }
             for cls in stats.classes
         ],

@@ -60,13 +60,12 @@ __all__ = [
 FINGERPRINT_VERSION = 1
 
 #: Bump whenever the on-disk JSON layout of :class:`PersistentCacheStore`
-#: changes incompatibly.  Version 2 added measured per-sequent prover
-#: timings (``wall`` / ``cpu``) to every entry and the per-class
-#: ``profiles`` section; version 3 added the per-class ``dependencies``
-#: section (the dependency index mapping source
-#: artifacts to the fingerprints they produce); older stores cold-start
-#: cleanly.
-CACHE_FORMAT_VERSION = 3
+#: changes incompatibly.  Version 3 added the per-class ``dependencies``
+#: section (the dependency index mapping source artifacts to the
+#: fingerprints they produce); version 4 dropped the measured timings
+#: (per-entry ``wall`` / ``cpu`` and the per-class ``profiles``
+#: section).  Older stores cold-start cleanly.
+CACHE_FORMAT_VERSION = 4
 
 
 # Bound variables are numbered by *relative* de Bruijn index (distance from
@@ -159,22 +158,12 @@ class CachedVerdict:
     verdicts produced (and cached) during the current process, ``"disk"``
     for verdicts loaded from a :class:`PersistentCacheStore`.  Reports use
     it to split cache-hit provenance.
-
-    ``wall`` / ``cpu`` are the measured prover cost of the sequent the
-    one time it was actually dispatched: wall-clock seconds of the
-    portfolio's prover phase and the per-process CPU seconds the provers
-    reported.  They are 0.0 for verdicts whose cost was never measured
-    (pre-v2 stores) and feed the scheduler's cost model
-    (:mod:`repro.verifier.costmodel`) -- they never influence the verdict
-    itself.
     """
 
     proved: bool
     refuted: bool
     winning_prover: str
     origin: str = "memory"
-    wall: float = 0.0
-    cpu: float = 0.0
 
 
 class ProofCache:
@@ -192,8 +181,8 @@ class ProofCache:
     (:mod:`repro.verifier.daemon`); the default ``""`` leaves keys exactly
     as before, so single-tenant callers (CLI, tests, existing persistent
     stores) are unaffected.  Namespaced keys are ordinary fingerprints to
-    everything downstream -- persistence, cost model, parallel dedup all
-    work per tenant for free.
+    everything downstream -- persistence, dependency records, parallel
+    dedup all work per tenant for free.
     """
 
     def __init__(self, max_entries: int = 1 << 16) -> None:
@@ -358,18 +347,14 @@ class PersistentCacheStore:
         #: Human-readable outcome of the last :meth:`load` call (the
         #: internal re-reads of merge-saves do not touch it).
         self.last_load_status = "not-loaded"
-        #: The per-class measured cost profiles of the last :meth:`load`
-        #: (JSON-ready ``{class: {"wall", "cpu", "sequents"}}``; empty on
-        #: a cold start).  Consumed by the engine's cost model.
-        self.last_profiles: dict[str, dict] = {}
         #: The per-class dependency index of the last :meth:`load`
         #: (JSON-ready, see ``docs/cache-format.md``; empty on a cold
         #: start).  Consumed by
         #: :class:`repro.verifier.incremental.DependencyIndex`.
         self.last_dependencies: dict[str, dict] = {}
-        #: ``(entries, profiles, dependencies)`` as the file held them when
-        #: this store last read or wrote it, or None.
-        self._known: tuple[dict, dict, dict] | None = None
+        #: ``(entries, dependencies)`` as the file held them when this
+        #: store last read or wrote it, or None.
+        self._known: tuple[dict, dict] | None = None
         #: That file's ``os.fstat`` at the time.
         self._known_stat: os.stat_result | None = None
         #: Closes a read-only fd kept open on that file, so that its inode
@@ -381,26 +366,23 @@ class PersistentCacheStore:
     def load(self) -> dict[tuple, CachedVerdict]:
         """Load the persisted verdicts, or ``{}`` on any mismatch/corruption.
 
-        The per-class cost profiles that rode along are exposed as
-        :attr:`last_profiles` afterwards.
+        The dependency index that rode along is exposed as
+        :attr:`last_dependencies` afterwards.
         """
-        entries, profiles, dependencies, status = self._read()
+        entries, dependencies, status = self._read()
         self.last_load_status = status
-        self.last_profiles = profiles
         self.last_dependencies = dependencies
         return dict(entries)
 
-    def _read(
-        self,
-    ) -> tuple[dict[tuple, CachedVerdict], dict[str, dict], dict[str, dict], str]:
+    def _read(self) -> tuple[dict[tuple, CachedVerdict], dict[str, dict], str]:
         """Parse the file and remember what it held (see :meth:`save`)."""
         self._forget()
         try:
             fd = os.open(self.path, os.O_RDONLY)
         except (FileNotFoundError, NotADirectoryError):
-            return {}, {}, {}, "cold:missing"
+            return {}, {}, "cold:missing"
         except OSError:
-            return {}, {}, {}, "cold:unreadable"
+            return {}, {}, "cold:unreadable"
         try:
             # Identity before contents: an edit racing the read leaves the
             # remembered stat stale, so the next save re-reads.
@@ -409,7 +391,7 @@ class PersistentCacheStore:
                 raw = handle.read()
         except (OSError, ValueError):
             os.close(fd)
-            return {}, {}, {}, "cold:unreadable"
+            return {}, {}, "cold:unreadable"
         # The parsed JSON arrays -- tens of thousands -- live until decoding
         # ends and hold no cycles; collections in between would only promote
         # them, and a long-lived process (daemon, test runner) would pay for
@@ -417,15 +399,15 @@ class PersistentCacheStore:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            entries, profiles, dependencies, status = self._parse(raw)
+            entries, dependencies, status = self._parse(raw)
         finally:
             if collecting:
                 gc.enable()
-        self._remember(fd, stat, (entries, dict(profiles), dict(dependencies)))
-        return entries, profiles, dependencies, status
+        self._remember(fd, stat, (entries, dict(dependencies)))
+        return entries, dependencies, status
 
     def _remember(
-        self, fd: int, stat: os.stat_result, state: tuple[dict, dict, dict]
+        self, fd: int, stat: os.stat_result, state: tuple[dict, dict]
     ) -> None:
         """Remember ``state`` as the contents of the file open on ``fd``."""
         self._forget()
@@ -457,22 +439,22 @@ class PersistentCacheStore:
 
     def _parse(
         self, raw: str
-    ) -> tuple[dict[tuple, CachedVerdict], dict[str, dict], dict[str, dict], str]:
+    ) -> tuple[dict[tuple, CachedVerdict], dict[str, dict], str]:
         try:
             payload = json.loads(raw)
         except (json.JSONDecodeError, ValueError):
-            return {}, {}, {}, "cold:corrupt"
+            return {}, {}, "cold:corrupt"
         if not isinstance(payload, dict):
-            return {}, {}, {}, "cold:corrupt"
+            return {}, {}, "cold:corrupt"
         if payload.get("format") != CACHE_FORMAT_VERSION:
-            return {}, {}, {}, "cold:format-mismatch"
+            return {}, {}, "cold:format-mismatch"
         if payload.get("fingerprint_version") != FINGERPRINT_VERSION:
-            return {}, {}, {}, "cold:fingerprint-mismatch"
+            return {}, {}, "cold:fingerprint-mismatch"
         if payload.get("portfolio") != self.portfolio_key:
-            return {}, {}, {}, "cold:portfolio-mismatch"
+            return {}, {}, "cold:portfolio-mismatch"
         raw_entries = payload.get("entries")
         if not isinstance(raw_entries, list):
-            return {}, {}, {}, "cold:corrupt"
+            return {}, {}, "cold:corrupt"
         entries: dict[tuple, CachedVerdict] = {}
         shared: dict[tuple, tuple] = {}
         for pair in raw_entries:
@@ -486,33 +468,12 @@ class PersistentCacheStore:
                     refuted=bool(verdict["refuted"]),
                     winning_prover=str(verdict["prover"]),
                     origin="disk",
-                    wall=float(verdict.get("wall", 0.0)),
-                    cpu=float(verdict.get("cpu", 0.0)),
                 )
             except (ValueError, KeyError, TypeError):
                 # Skip individually damaged entries; keep the rest.
                 continue
-        profiles = self._parse_profiles(payload.get("profiles"))
         dependencies = self._parse_dependencies(payload.get("dependencies"), shared)
-        return entries, profiles, dependencies, f"warm:{len(entries)}"
-
-    @staticmethod
-    def _parse_profiles(raw_profiles) -> dict[str, dict]:
-        """Validate the per-class profile section (damaged classes are
-        skipped, exactly like damaged entries)."""
-        if not isinstance(raw_profiles, dict):
-            return {}
-        profiles: dict[str, dict] = {}
-        for name, data in raw_profiles.items():
-            try:
-                profiles[str(name)] = {
-                    "wall": float(data["wall"]),
-                    "cpu": float(data["cpu"]),
-                    "sequents": int(data["sequents"]),
-                }
-            except (ValueError, KeyError, TypeError):
-                continue
-        return profiles
+        return entries, dependencies, f"warm:{len(entries)}"
 
     @staticmethod
     def _parse_dependencies(raw_dependencies, shared: dict) -> dict[str, dict]:
@@ -563,7 +524,6 @@ class PersistentCacheStore:
         self,
         entries: dict[tuple, CachedVerdict],
         merge: bool = True,
-        profiles: dict[str, dict] | None = None,
         dependencies: dict[str, dict] | None = None,
     ) -> int:
         """Atomically write ``entries``; returns the number persisted.
@@ -573,16 +533,14 @@ class PersistentCacheStore:
         accumulate instead of clobbering each other.  The file is re-read
         for that only when it is not the one this store last read or
         wrote; otherwise the remembered contents are what it holds.
-        ``profiles`` optionally carries the per-class measured cost
-        profiles to persist alongside (merged per class name, new data
-        winning); ``dependencies`` likewise carries the JSON-ready
-        per-class dependency index (merged per class name, new data
-        winning).
+        ``dependencies`` optionally carries the JSON-ready per-class
+        dependency index to persist alongside (merged per class name, new
+        data winning).
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         with self._write_lock():
             try:
-                return self._save_locked(entries, merge, profiles, dependencies)
+                return self._save_locked(entries, merge, dependencies)
             except BaseException:
                 # The remembered contents may hold a merge that never
                 # reached the file.
@@ -606,7 +564,6 @@ class PersistentCacheStore:
         self,
         entries: dict[tuple, CachedVerdict],
         merge: bool,
-        profiles: dict[str, dict] | None = None,
         dependencies: dict[str, dict] | None = None,
     ) -> int:
         known = None
@@ -614,15 +571,13 @@ class PersistentCacheStore:
             if not self._file_is_known():
                 self._read()
             known = self._known
-        combined, combined_profiles, combined_dependencies = known or ({}, {}, {})
+        combined, combined_dependencies = known or ({}, {})
         for key in entries:
             if key not in combined:
                 # Only str/int/bool leaves may reach the file; keys already
                 # remembered were checked when they arrived.
                 fingerprint_to_json(key)
         combined.update(entries)
-        if profiles:
-            combined_profiles.update(profiles)
         if dependencies:
             combined_dependencies.update(dependencies)
         if len(combined) > self.max_entries:
@@ -635,7 +590,6 @@ class PersistentCacheStore:
             "format": CACHE_FORMAT_VERSION,
             "fingerprint_version": FINGERPRINT_VERSION,
             "portfolio": self.portfolio_key,
-            "profiles": combined_profiles,
             "dependencies": combined_dependencies,
             # The C encoder writes the tuple keys as nested arrays.
             "entries": [
@@ -645,10 +599,6 @@ class PersistentCacheStore:
                         "proved": verdict.proved,
                         "refuted": verdict.refuted,
                         "prover": verdict.winning_prover,
-                        # 6 decimals ~ microseconds: plenty for scheduling,
-                        # and it keeps a 2^16-entry store compact.
-                        "wall": round(verdict.wall, 6),
-                        "cpu": round(verdict.cpu, 6),
                     },
                 ]
                 for key, verdict in combined.items()
@@ -678,7 +628,5 @@ class PersistentCacheStore:
             except OSError:
                 pass
             raise
-        self._remember(
-            known_fd, stat, (combined, combined_profiles, combined_dependencies)
-        )
+        self._remember(known_fd, stat, (combined, combined_dependencies))
         return len(combined)

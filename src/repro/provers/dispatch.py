@@ -77,9 +77,9 @@ class DispatchResult:
     ``wall`` is the wall-clock duration of the prover phase
     (:meth:`ProverPortfolio.run_provers`) for sequents that actually ran
     provers -- measured in whichever process ran them -- and 0.0 for
-    cache hits.  It feeds the scheduler's measured cost profiles
-    (:mod:`repro.verifier.costmodel`); ``elapsed`` stays the per-process
-    CPU total the provers themselves reported.
+    cache hits.  It feeds the per-worker load of a run's
+    :class:`~repro.verifier.parallel.RunRecord`; ``elapsed`` stays the
+    per-process CPU total the provers themselves reported.
     """
 
     task: ProofTask
@@ -260,18 +260,11 @@ class ProverPortfolio:
             self.statistics.sequents_proved += 1
 
     def store_verdict(self, key: tuple | None, result: DispatchResult) -> None:
-        """Phase 3b: remember the verdict (and its measured cost) for
-        future duplicates and for the persistent store's cost profiles."""
+        """Phase 3b: remember the verdict for future duplicates."""
         if self.proof_cache is not None and key is not None:
             self.proof_cache.store(
                 key,
-                CachedVerdict(
-                    result.proved,
-                    result.refuted,
-                    result.winning_prover,
-                    wall=result.wall,
-                    cpu=result.elapsed,
-                ),
+                CachedVerdict(result.proved, result.refuted, result.winning_prover),
             )
 
 

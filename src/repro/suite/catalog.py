@@ -19,9 +19,6 @@ __all__ = [
     "registered_structures",
     "unregister_structure",
     "STRUCTURE_ORDER",
-    "CLASS_COST_HINTS",
-    "DEFAULT_COST_HINT",
-    "cost_hint",
 ]
 
 #: Table order used by the paper (most complex first).
@@ -35,55 +32,6 @@ STRUCTURE_ORDER = (
     "Association List",
     "Linked List",
 )
-
-#: Relative single-run verification cost per class (measured seconds on the
-#: reference container at benchmark-scaled timeouts).  The suite scheduler
-#: (:mod:`repro.verifier.scheduler`) dispatches shards longest-class-first
-#: so the expensive classes cannot serialize the tail of a whole-catalog
-#: run.  Since PR 5 these static numbers are only the *third* rung of the
-#: cost fallback chain (:mod:`repro.verifier.costmodel`):
-#:
-#: 1. ``measured`` -- per-sequent prover timings from the warm persistent
-#:    cache (or from dispatches earlier in this process);
-#: 2. ``profile``  -- a persisted per-class cost profile from an earlier
-#:    run (covers classes whose individual sequent timings were evicted);
-#: 3. ``static``   -- this table;
-#: 4. ``default``  -- :data:`DEFAULT_COST_HINT`, for classes in none of
-#:    the above (e.g. ad-hoc structures verified via ``examples/``, which
-#:    graduate to ``measured`` the first time a warm store has seen them).
-#:
-#: Only the *ordering* matters for correctness; stale absolute numbers
-#: merely cost a little load balance.
-CLASS_COST_HINTS: dict[str, float] = {
-    "Priority Queue": 17.0,
-    "Hash Table": 12.0,
-    "Binary Tree": 10.0,
-    "Association List": 6.5,
-    "Circular List": 1.2,
-    "Linked List": 0.6,
-    "Array List": 0.4,
-    "Cursor List": 0.3,
-}
-
-#: Scheduling cost assumed for classes without a measured or static hint
-#: (a mid-pack value: unknown work should start neither first nor last).
-#: The last rung of the fallback chain documented on CLASS_COST_HINTS.
-DEFAULT_COST_HINT = 5.0
-
-
-def cost_hint(name: str) -> float:
-    """The *static* scheduling cost hint for class ``name``.
-
-    This is only the static tail of the fallback chain documented on
-    :data:`CLASS_COST_HINTS`; schedulers with an engine at hand should
-    ask :meth:`repro.verifier.costmodel.CostModel.class_cost`, which
-    prefers measured profiles and reports which source answered.
-    """
-    if name in CLASS_COST_HINTS:
-        return CLASS_COST_HINTS[name]
-    if name in _REGISTERED_HINTS:
-        return _REGISTERED_HINTS[name]
-    return DEFAULT_COST_HINT
 
 
 @lru_cache(maxsize=1)
@@ -109,28 +57,20 @@ def _catalogue() -> dict[str, ClassModel]:
 #: Classes registered at runtime (generated programs, ingested files),
 #: in registration order.  They resolve through :func:`structure_by_name`
 #: exactly like the paper catalogue -- which is what makes a generated
-#: class first-class for the scheduler, the caches, the cost model, the
-#: daemon's ``verify`` op and the remote worker pools -- but they are
-#: deliberately *not* part of :func:`all_structures`: Table 1 is the
-#: paper's table, and a registered class must never punch holes in it.
+#: class first-class for the scheduler, the caches, the daemon's
+#: ``verify`` op and the remote worker pools -- but they are deliberately
+#: *not* part of :func:`all_structures`: Table 1 is the paper's table,
+#: and a registered class must never punch holes in it.
 _REGISTERED: dict[str, ClassModel] = {}
-_REGISTERED_HINTS: dict[str, float] = {}
 
 
 def _normalize(name: str) -> str:
     return name.lower().replace(" ", "")
 
 
-def register_structure(
-    cls: ClassModel,
-    cost_hint: float | None = None,
-    replace: bool = False,
-) -> ClassModel:
+def register_structure(cls: ClassModel, replace: bool = False) -> ClassModel:
     """Register ``cls`` so :func:`structure_by_name` resolves it.
 
-    ``cost_hint`` optionally seeds the *static* rung of the scheduling
-    cost chain for the class (without it, registered classes price at
-    :data:`DEFAULT_COST_HINT` until a warm store has measured them).
     Collisions -- with the paper catalogue or an earlier registration --
     raise unless ``replace`` is set; the paper catalogue itself can never
     be replaced.
@@ -144,8 +84,6 @@ def register_structure(
         next((n for n in _REGISTERED if _normalize(n) == key), cls.name), None
     )
     _REGISTERED[cls.name] = cls
-    if cost_hint is not None:
-        _REGISTERED_HINTS[cls.name] = float(cost_hint)
     return cls
 
 
@@ -162,13 +100,11 @@ def unregister_structure(name: str | None = None) -> None:
     """
     if name is None:
         _REGISTERED.clear()
-        _REGISTERED_HINTS.clear()
         return
     key = _normalize(name)
     for registered in list(_REGISTERED):
         if _normalize(registered) == key:
             del _REGISTERED[registered]
-            _REGISTERED_HINTS.pop(registered, None)
             return
     raise KeyError(f"no registered structure {name!r}")
 

@@ -7,10 +7,8 @@ generator*: :func:`generate_class` builds a well-formed
 ``(family, seed, size)`` -- deterministically, so any failure anywhere in
 the pipeline is reproducible from a printed seed -- and
 :func:`register_corpus` registers the result with
-:mod:`repro.suite.catalog`, after which the suite scheduler, proof cache,
-cost model and remote worker pools all treat it exactly like a paper
-class (generated classes price at the cost model's ``default`` rung and
-graduate to ``measured`` once a warm store has seen them).
+:mod:`repro.suite.catalog`, after which the suite scheduler, proof cache
+and remote worker pools all treat it exactly like a paper class.
 
 The differential oracle harness over generated programs lives in
 ``tests/gensuite``; the shrinking entry point it uses on a failure is

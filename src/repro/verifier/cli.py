@@ -30,9 +30,9 @@ Subcommands::
                                   and a verdict check (self-hosts a
                                   daemon unless --address is given)
     jahob-py metrics              scheduling metrics of a running daemon:
-                                  per-worker latency histograms, measured
-                                  per-class costs, cache provenance and
-                                  the last run's plan (requires --connect)
+                                  per-worker latency histograms, cache
+                                  provenance and the last run's plan
+                                  (requires --connect)
     jahob-py shutdown             stop a daemon (requires --connect)
     jahob-py worker               run a remote prover worker (--listen to
                                   await coordinators, --connect to register
@@ -270,8 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser(
         "metrics",
         help="print a running daemon's scheduling metrics: per-worker "
-        "latency, measured per-class costs, cache provenance and the "
-        "last run's plan (requires --connect)",
+        "latency, cache provenance and the last run's plan (requires "
+        "--connect)",
     )
     subparsers.add_parser(
         "shutdown",

@@ -39,8 +39,8 @@ Supported ``"op"`` values:
 ``table1``    suite-scheduled full catalogue, rendered as Table 1
 ``stats``     engine counters (:meth:`PerformanceCounters.as_dict`)
 ``metrics``   scheduling observability: per-worker answer-latency
-              histograms, per-class measured cost profiles, cache-hit
-              provenance, watch-mode latency and the last run's plan
+              histograms, cache-hit provenance, watch-mode latency and
+              the last run's plan
 ``watch``     ``{"path": ..., "interval": ..?, "max_events": ..?}`` --
               subscribe to a program file: the daemon polls its content,
               re-verifies it on every change (the warm proof cache
@@ -873,15 +873,14 @@ class VerifierDaemon:
 
     def _op_metrics(self, request: dict) -> dict:
         """Scheduling observability, answered lock-free (like ``stats``):
-        latency histograms, measured class costs, cache provenance and
-        the last run's plan (of any ``verify_class`` or ``verify_suite``
-        call) are all readable while the engine proves."""
+        latency histograms, cache provenance and the last run's plan (of
+        any ``verify_class`` or ``verify_suite`` call) are all readable
+        while the engine proves."""
         engine = self.engine
         counters = performance_counters(engine.portfolio)
         response = {
             "protocol": PROTOCOL_VERSION,
             "counters": counters.as_dict(),
-            "cost_model": engine.cost_model.as_dict(),
             "workers": engine.worker_metrics(),
             "admission": self.admission.snapshot(),
             "watch": {
@@ -897,12 +896,9 @@ class VerifierDaemon:
             response["schedule"] = {
                 "jobs": stats.jobs,
                 "backend": stats.backend,
-                "order": list(stats.schedule_order),
                 "classes": [
                     {
                         "class": cls.class_name,
-                        "cost": round(cls.cost_hint, 6),
-                        "source": cls.hint_source,
                         "sequents": cls.sequents,
                         "dispatched": cls.dispatched,
                         "cache_hits": cls.hits_memory + cls.hits_disk,

@@ -36,7 +36,6 @@ from ..provers.result import ProofTask
 from ..vcgen.assumptions import relevance_filter
 from ..vcgen.sequent import Sequent
 from ..vcgen.vcgen import VcGenerator
-from .costmodel import CostModel
 from .incremental import DependencyIndex, record_from_slots
 from .strip import strip_proofs_from_class
 
@@ -233,11 +232,7 @@ class VerificationEngine:
         self.last_run = None
         self._pool = None
         self._flushed_mutations = 0
-        self._flushed_profile_mutations = 0
         self._flushed_dependency_mutations = 0
-        #: Measured cost profiles feeding the suite scheduler's adaptive
-        #: planning and the daemon's ``metrics`` op.
-        self.cost_model = CostModel()
         #: Per-class dependency records mapping source artifacts to the
         #: sequent fingerprints they produce (watch-mode edit accounting).
         self.dependency_index = DependencyIndex()
@@ -246,10 +241,6 @@ class VerificationEngine:
             self.persistent_store = PersistentCacheStore(cache_dir, spec.cache_key)
             entries = self.persistent_store.load()
             self.portfolio.proof_cache.preload(entries)
-            # The cost model sees *every* persisted timing, including the
-            # tail the preload cap keeps out of the verdict cache.
-            self.cost_model.ingest_entries(entries)
-            self.cost_model.ingest_profiles(self.persistent_store.last_profiles)
             self.dependency_index = DependencyIndex(
                 self.persistent_store.last_dependencies
             )
@@ -328,9 +319,9 @@ class VerificationEngine:
 
         With ``strip_proofs`` the integrated proof language constructs are
         removed first (the Table 2 ablation); such a run records no
-        timing, cost profile or dependency record, because the stripped
-        class keeps the real one's name.  ``parallel`` overrides the
-        engine's ``jobs`` setting for this call.
+        dependency record, because the stripped class keeps the real
+        one's name.  ``parallel`` overrides the engine's ``jobs`` setting
+        for this call.
 
         The portfolio's sequent-level proof cache stays warm across the
         whole run: the near-duplicate split sequents of one method, the
@@ -349,8 +340,8 @@ class VerificationEngine:
     ) -> list["ClassReport"]:
         """Verify several classes as one scheduled job graph.
 
-        Plans the whole suite up front and interleaves every class's
-        cache-missing sequents across one worker pool, longest class first
+        Plans the whole suite up front and dispatches every class's
+        cache-missing sequents, in plan order, across one worker pool
         (:mod:`repro.verifier.scheduler`).  ``classes`` defaults to the
         full benchmark catalogue; ``jobs`` overrides the engine setting.
         Returns one :class:`ClassReport` per class, in input order, with
@@ -374,18 +365,7 @@ class VerificationEngine:
         return reports
 
     def record_class_run(self, cls: ClassModel, slots) -> None:
-        """Learn from one class's executed slots: fold the dispatched
-        sequents' timings into the cost model, rebuild the class's profile
-        and refresh its dependency record."""
-        for slot in slots:
-            if slot.shard_index is not None:
-                self.cost_model.observe(
-                    cls.name, slot.key, slot.result.wall, slot.result.elapsed
-                )
-        # The slots are the class's complete current fingerprint set:
-        # rebuild the profile from ground truth instead of letting
-        # increments drift across edits and evictions.
-        self.cost_model.reprofile(cls.name, [slot.key for slot in slots])
+        """Refresh ``cls``'s dependency record from its executed slots."""
         if self.portfolio.proof_cache is not None:
             self.dependency_index.record(cls.name, record_from_slots(self, cls, slots))
 
@@ -509,39 +489,25 @@ class VerificationEngine:
         """Write the in-memory proof cache back to the persistent store.
 
         No-op (returning 0) without a store, with ``persist`` disabled, or
-        when no new verdict was learned since the last flush; otherwise
-        returns the number of entries now on disk.  The cost model's
-        per-class profiles ride along with every flush.
+        when neither a verdict nor a dependency record changed since the
+        last flush; otherwise returns the number of entries now on disk.
+        The dependency index rides along with every flush.
         """
         cache = self.portfolio.proof_cache
         if self.persistent_store is None or not self.persist or cache is None:
             return 0
-        # Profiles mutate *after* the run's last verdict checkpoint, so
-        # they need their own dirtiness check: a suite whose dispatch
-        # count is an exact multiple of the checkpoint interval would
-        # otherwise leave the final flush with nothing-new verdicts and
-        # silently drop the run's profiles.
-        if (
-            cache.mutations == self._flushed_mutations
-            and self.cost_model.mutations == self._flushed_profile_mutations
-            and self.dependency_index.mutations == self._flushed_dependency_mutations
-        ):
+        # Dependency records change *after* the run's last verdict
+        # checkpoint, so they need their own dirtiness check: a suite
+        # whose dispatch count is an exact multiple of the checkpoint
+        # interval would otherwise leave the final flush with
+        # nothing-new verdicts and silently drop the run's records.
+        marks = (cache.mutations, self.dependency_index.mutations)
+        if marks == (self._flushed_mutations, self._flushed_dependency_mutations):
             return 0
-        marks = (
-            cache.mutations,
-            self.cost_model.mutations,
-            self.dependency_index.mutations,
-        )
         saved = self.persistent_store.save(
-            cache.snapshot(),
-            profiles=self.cost_model.profiles_snapshot(),
-            dependencies=self.dependency_index.snapshot(),
+            cache.snapshot(), dependencies=self.dependency_index.snapshot()
         )
         # Only a save that returned counts as flushed: after a failed one
         # the next flush must write the batch again.
-        (
-            self._flushed_mutations,
-            self._flushed_profile_mutations,
-            self._flushed_dependency_mutations,
-        ) = marks
+        self._flushed_mutations, self._flushed_dependency_mutations = marks
         return saved

@@ -96,7 +96,7 @@ class RunRecord:
     or folded onto an identical pending sequent (``duplicates_folded``).
     ``classes`` holds one
     :class:`~repro.verifier.scheduler.ClassScheduleStats` per planned
-    class and ``schedule_order`` the longest-class-first dispatch order.
+    class, in plan order.
     ``backend`` names the worker backend that ran the shard:
     ``"process"`` for the in-process pool (and the ``jobs <= 1``
     in-parent path), ``"remote"`` for distributed workers.
@@ -112,7 +112,6 @@ class RunRecord:
     wall_time: float = 0.0
     workers: list[WorkerLoad] = field(default_factory=list)
     classes: list = field(default_factory=list)
-    schedule_order: list[str] = field(default_factory=list)
 
     @property
     def prover_time(self) -> float:
@@ -140,7 +139,6 @@ class RunRecord:
         for load in other.workers:
             self.fold_worker(load.pid, load.tasks, load.prover_time)
         self.classes.extend(other.classes)
-        self.schedule_order.extend(other.schedule_order)
 
 
 @dataclass
@@ -268,8 +266,7 @@ class ProverPool(WorkerBackend):
     def run(self, items: list[tuple[int, ProofTask]]):
         """Dispatch ``(index, task)`` pairs; yields ``(index, pid, wall, result)``.
 
-        Items are *dispatched* in the order given, which is what lets the
-        suite scheduler steer longest-class-first, but yielded in
+        Items are *dispatched* in the order given, but yielded in
         completion order: a straggler at the front must not hold back
         verdicts that already finished (the scheduler checkpoints them to
         the persistent store as they arrive).  Callers index by the
@@ -351,19 +348,16 @@ def run_shard(
     shard: list[_Slot],
     jobs: int,
     stats: RunRecord,
-    order: list[int] | None = None,
     on_result=None,
 ) -> list[DispatchResult]:
-    """Phase 2: run the provers on the unique misses.
+    """Phase 2: run the provers on the unique misses, in shard order.
 
-    ``order`` optionally reorders *dispatch* (a permutation of shard
-    indices -- the suite scheduler passes longest-class-first); the
-    returned list is always indexed by shard position, so the merge stays
-    deterministic regardless of dispatch order.  With ``jobs <= 1`` (and
-    no remote workers configured on the engine) the provers run
-    in-process on the parent's portfolio (no pool), in dispatch order, as
-    the reference loop would.  An engine with remote workers always
-    dispatches through its :class:`WorkerBackend`.
+    The returned list is indexed by shard position, so the merge stays
+    deterministic whatever order the verdicts arrive in.  With
+    ``jobs <= 1`` (and no remote workers configured on the engine) the
+    provers run in-process on the parent's portfolio (no pool), as the
+    reference loop would.  An engine with remote workers always dispatches
+    through its :class:`WorkerBackend`.
 
     ``on_result(slot, result)`` is called in the parent as each verdict
     arrives (completion order, not merge order); the suite scheduler uses
@@ -374,8 +368,6 @@ def run_shard(
     start = time.monotonic()
     if shard:
         indexed = [(slot.shard_index, slot.task) for slot in shard]
-        if order is not None:
-            indexed = [indexed[position] for position in order]
         if jobs <= 1 and not engine.uses_remote_workers:
             pid = os.getpid()
             for index, task in indexed:

@@ -348,9 +348,8 @@ class RemoteWorkerPool(WorkerBackend):
         worker's observed answer latency relative to the fastest peer
         (:meth:`_window`), so a slow or distant worker stops hoarding
         long sequents while fast workers idle.  Whenever a worker
-        answers, it is refilled from the front of the pending queue
-        (dispatch order is preserved, which is what the suite scheduler's
-        longest-class-first ordering relies on).  A worker that
+        answers, it is refilled from the front of the pending queue, so
+        dispatch follows the given order.  A worker that
         disconnects gets its unanswered tasks requeued onto the
         survivors; with none left, the pool waits briefly for a
         replacement registration before giving up.  With a registry, the

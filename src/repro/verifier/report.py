@@ -267,15 +267,13 @@ def format_run(stats) -> str:
     """Render the run record of one or more verification calls.
 
     ``stats`` is a :class:`~repro.verifier.parallel.RunRecord`: pooled
-    dispatch and cache-provenance counters, the per-class plan, the
-    longest-class-first dispatch order and one line per worker (an OS
-    pid for the in-process pool, a ``host/pid`` label for remote
-    workers).
+    dispatch and cache-provenance counters, the per-class plan and one
+    line per worker (an OS pid for the in-process pool, a ``host/pid``
+    label for remote workers).
     """
     backend = "" if stats.backend == "process" else f", {stats.backend} workers"
     lines = [
         f"Run plan ({stats.jobs} jobs{backend})",
-        f"  dispatch order      {', '.join(stats.schedule_order)}",
         f"  sequents total      {stats.sequents_total}",
         f"  dispatched          {stats.dispatched}",
         f"  answered from cache {stats.hits_memory + stats.hits_disk} "
@@ -284,14 +282,10 @@ def format_run(stats) -> str:
         f"  dispatch wall time  {stats.wall_time:.1f}s "
         f"(prover time {stats.prover_time:.1f}s)",
     ]
-    header = [
-        "class", "cost hint", "hint src", "sequents", "dispatched", "cache", "dup"
-    ]
+    header = ["class", "sequents", "dispatched", "cache", "dup"]
     rows = [
         [
             cls.class_name,
-            f"{cls.cost_hint:.3g}",
-            cls.hint_source,
             str(cls.sequents),
             str(cls.dispatched),
             str(cls.hits_memory + cls.hits_disk),
@@ -314,8 +308,8 @@ def format_metrics(payload: dict) -> str:
     The CLI's ``jahob-py metrics --connect`` prints exactly this; the
     payload is the JSON object
     :meth:`~repro.verifier.daemon.VerifierDaemon._op_metrics` builds, so
-    the sections mirror its fields (cache provenance, measured class
-    costs, the last run's plan, per-worker latency).
+    the sections mirror its fields (cache provenance, the last run's
+    plan, per-worker latency).
     """
     lines = [f"Daemon metrics (protocol {payload.get('protocol', '?')})"]
     counters = payload.get("counters") or {}
@@ -331,40 +325,16 @@ def format_metrics(payload: dict) -> str:
         lines.append(
             f"  persistent store    {store.get('path')} ({store.get('status')})"
         )
-    cost_model = payload.get("cost_model") or {}
-    classes = cost_model.get("classes") or {}
-    lines.append(
-        f"Measured class costs "
-        f"({cost_model.get('sequent_timings', 0)} sequent timings)"
-    )
-    if classes:
-        header = ["class", "wall (s)", "cpu (s)", "sequents", "mean (s)"]
-        rows = [
-            [
-                name,
-                f"{data.get('wall', 0.0):.2f}",
-                f"{data.get('cpu', 0.0):.2f}",
-                str(data.get("sequents", 0)),
-                f"{data.get('mean_wall', 0.0):.3f}",
-            ]
-            for name, data in sorted(classes.items())
-        ]
-        lines.extend("  " + line for line in format_table(header, rows).splitlines())
-    else:
-        lines.append("  (no measured profiles yet)")
     schedule = payload.get("schedule")
     if schedule:
         lines.append(
             f"Last run's plan ({schedule.get('jobs')} jobs, "
             f"{schedule.get('backend')} backend)"
         )
-        lines.append(f"  dispatch order      {', '.join(schedule.get('order', []))}")
-        header = ["class", "cost", "source", "sequents", "dispatched", "cache", "dup"]
+        header = ["class", "sequents", "dispatched", "cache", "dup"]
         rows = [
             [
                 entry.get("class", "?"),
-                f"{entry.get('cost', 0.0):.3g}",
-                entry.get("source", "?"),
                 str(entry.get("sequents", 0)),
                 str(entry.get("dispatched", 0)),
                 str(entry.get("cache_hits", 0)),

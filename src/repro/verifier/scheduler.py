@@ -14,25 +14,17 @@ many-class one; both are :func:`plan_suite` followed by
    stay bit-identical to the plain
    :meth:`~repro.verifier.engine.VerificationEngine.verify_method` loop;
 2. the surviving unique misses of *all* classes are dispatched -- in the
-   parent for ``jobs <= 1``, otherwise across the worker pool -- in
-   **longest-class-first** order.  Class cost comes from the engine's
-   :class:`~repro.verifier.costmodel.CostModel` -- measured per-sequent
-   profiles where the warm persistent store (or this process) has
-   timings, persisted per-class profiles next, then the static
-   :data:`repro.suite.catalog.CLASS_COST_HINTS` table, and only then
-   :data:`~repro.suite.catalog.DEFAULT_COST_HINT`; each class's
-   :class:`ClassScheduleStats` records which source won.  Within a class,
-   sequents with measured timings dispatch longest-first ahead of
-   unmeasured ones (which keep their planned order);
+   parent for ``jobs <= 1``, otherwise across the worker pool -- in plan
+   order;
 3. the merge replays verdicts in deterministic shard order, lets the
-   engine record each class's timings, cost profile and dependency record
-   (unless the plan is a strip-proofs ablation), and assembles one
+   engine record each class's dependency record (unless the plan is a
+   strip-proofs ablation), and assembles one
    :class:`~repro.verifier.engine.ClassReport` per class, in the input
    order.
 
-Dispatch *order* is a pure scheduling choice: results are merged by shard
+Dispatch order plays no part in the results: they are merged by shard
 index, and per-sequent timeouts are per-process CPU budgets
-(:class:`~repro.provers.result.Budget`), so reordering cannot flip a
+(:class:`~repro.provers.result.Budget`), so no order can flip a
 verdict.  The differential harnesses
 (``tests/verifier/test_parallel_differential.py``,
 ``tests/verifier/test_scheduler_differential.py``) pin this down.
@@ -43,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..frontend.ast import ClassModel
-from ..suite.catalog import cost_hint
-from .costmodel import HINT_STATIC
 from .parallel import (
     RunRecord,
     _Slot,
@@ -58,7 +48,6 @@ from .parallel import (
 __all__ = [
     "ClassScheduleStats",
     "SuitePlan",
-    "plan_dispatch_order",
     "plan_suite",
     "execute_suite",
 ]
@@ -70,40 +59,14 @@ _CHECKPOINT_EVERY = 32
 
 @dataclass
 class ClassScheduleStats:
-    """One class's share of a suite-scheduled run.
-
-    ``hint_source`` names which rung of the cost model's fallback chain
-    produced ``cost_hint`` (``measured`` / ``profile`` / ``static`` /
-    ``default`` -- see :mod:`repro.verifier.costmodel`), so a warm run's
-    plan visibly derives from measured profiles.
-    """
+    """One class's share of a suite-scheduled run."""
 
     class_name: str
-    cost_hint: float
     sequents: int = 0
     dispatched: int = 0
     hits_memory: int = 0
     hits_disk: int = 0
     duplicates_folded: int = 0
-    hint_source: str = HINT_STATIC
-
-
-def plan_dispatch_order(
-    classes: list[ClassModel], costs: list[float] | None = None
-) -> list[int]:
-    """Class indices in dispatch order: descending cost, ties by input
-    (catalogue) order.  Pure and deterministic.
-
-    ``costs`` are the per-class costs to sort by (the suite scheduler
-    passes the cost model's measured-first numbers); without them the
-    static catalogue hints are used.
-    """
-    if costs is None:
-        costs = [cost_hint(cls.name) for cls in classes]
-    return sorted(
-        range(len(classes)),
-        key=lambda index: (-costs[index], index),
-    )
 
 
 @dataclass
@@ -116,15 +79,12 @@ class SuitePlan:
     :func:`execute_suite` to dispatch the shard and assemble the reports.
     """
 
-    classes: list[ClassModel] = field(default_factory=list)
     planned: list[tuple[ClassModel, list[_Slot]]] = field(default_factory=list)
     shard: list[_Slot] = field(default_factory=list)
-    shard_ranges: list[tuple[int, int]] = field(default_factory=list)
     stats: RunRecord = None
-    #: Whether execution records each class's timings, cost profile and
-    #: dependency record.  False for strip-proofs ablations: the stripped
-    #: class keeps the real one's name, and its sequents must not
-    #: overwrite the real program's profile or record.
+    #: Whether execution records each class's dependency record.  False
+    #: for strip-proofs ablations: the stripped class keeps the real one's
+    #: name, and its sequents must not overwrite the real program's record.
     record: bool = True
 
 
@@ -139,40 +99,27 @@ def plan_suite(
     occurrences resolve as the memory cache hits the reference loop
     would see.  ``record`` becomes :attr:`SuitePlan.record`.
     """
-    cost_model = engine.cost_model
     stats = RunRecord(jobs=jobs)
     shard: list[_Slot] = []
     pending_by_key: dict[tuple, int] = {}
     planned: list[tuple[ClassModel, list[_Slot]]] = []
-    shard_ranges: list[tuple[int, int]] = []
     for cls in classes:
         shard_start = len(shard)
         before = (stats.hits_memory, stats.hits_disk, stats.duplicates_folded)
         slots = plan_class(engine, cls, shard, pending_by_key, stats)
         planned.append((cls, slots))
-        shard_ranges.append((shard_start, len(shard)))
-        cost, source = cost_model.class_cost(cls.name, [slot.key for slot in slots])
         stats.classes.append(
             ClassScheduleStats(
                 class_name=cls.name,
-                cost_hint=cost,
                 sequents=len(slots),
                 dispatched=len(shard) - shard_start,
                 hits_memory=stats.hits_memory - before[0],
                 hits_disk=stats.hits_disk - before[1],
                 duplicates_folded=stats.duplicates_folded - before[2],
-                hint_source=source,
             )
         )
     stats.dispatched = len(shard)
-    return SuitePlan(
-        classes=classes,
-        planned=planned,
-        shard=shard,
-        shard_ranges=shard_ranges,
-        stats=stats,
-        record=record,
-    )
+    return SuitePlan(planned=planned, shard=shard, stats=stats, record=record)
 
 
 def execute_suite(engine, plan: SuitePlan, jobs: int):
@@ -182,46 +129,13 @@ def execute_suite(engine, plan: SuitePlan, jobs: int):
     :class:`~repro.verifier.engine.ClassReport` per class, in input order.
     """
     portfolio = engine.portfolio
-    cost_model = engine.cost_model
-    classes = plan.classes
     planned = plan.planned
     shard = plan.shard
-    shard_ranges = plan.shard_ranges
     stats = plan.stats
     stats.jobs = jobs
 
-    # Phase 2: interleave the whole suite's misses across the pool,
-    # longest class first by measured-first cost.  What gates the run is
-    # each class's *remaining* work, not its historical total -- a warm
-    # class with one straggler must not lead a cold class's real load --
-    # so the ordering cost is the class cost scaled by its dispatched
-    # fraction.  Within a class, sequents with measured timings go
-    # longest-first ahead of the unmeasured rest (which keep sequential
-    # order); reordering dispatch is invisible in the results -- the
-    # merge indexes by shard position.
-    class_order = plan_dispatch_order(
-        classes,
-        costs=[
-            entry.cost_hint * entry.dispatched / entry.sequents
-            if entry.sequents
-            else 0.0
-            for entry in stats.classes
-        ],
-    )
-    stats.schedule_order = [classes[index].name for index in class_order]
-
-    def slot_rank(position: int):
-        measured = cost_model.sequent_cost(shard[position].key)
-        if measured is None:
-            return (1, 0.0, position)
-        return (0, -measured, position)
-
-    order: list[int] = []
-    for index in class_order:
-        start, end = shard_ranges[index]
-        order.extend(sorted(range(start, end), key=slot_rank))
-
-    # Checkpoint verdicts to the persistent store as they arrive so an
+    # Phase 2: dispatch the whole suite's misses in plan order, and
+    # checkpoint verdicts to the persistent store as they arrive so an
     # interrupted multi-minute run keeps what it already proved.  Storing
     # early cannot change any decision: every cache consult already
     # happened in phase 1, and the merge re-stores idempotently.
@@ -234,7 +148,7 @@ def execute_suite(engine, plan: SuitePlan, jobs: int):
         if arrivals % _CHECKPOINT_EVERY == 0:
             engine.flush_persistent_cache()
 
-    results = run_shard(engine, shard, jobs, stats, order=order, on_result=checkpoint)
+    results = run_shard(engine, shard, jobs, stats, on_result=checkpoint)
 
     # Phase 3: deterministic merge -- replay verdicts in shard order, then
     # resolve each class's folded duplicates and build its report in the

@@ -11,7 +11,6 @@ import pytest
 from oracle import CORPUS_COUNT, CORPUS_SEED, make_engine, run_oracle
 
 from repro.suite.catalog import (
-    cost_hint,
     registered_structures,
     structure_by_name,
     unregister_structure,
@@ -77,8 +76,6 @@ def test_registered_corpus_is_first_class(clean_registry):
     # (case- and space-insensitive, like the paper catalogue).
     assert structure_by_name("Gen-arith-0") is classes[0]
     assert structure_by_name("gen-struct-1") is classes[1]
-    # Unknown classes price at the cost model's default rung.
-    assert cost_hint("Gen-arith-0") == cost_hint("never-registered")
     with pytest.raises(ValueError):
         register_corpus(classes[:1])  # duplicate registration
     register_corpus(classes[:1], replace=True)
@@ -100,16 +97,16 @@ def test_corpus_passes_full_differential_oracle(tmp_path, clean_registry):
     assert facts["warm_hits"]["disk"] > 0
 
 
-def test_suite_scheduler_prices_generated_classes_at_default(clean_registry):
-    """Generated classes flow through the cost model like any unknown
-    class: the suite plan records them at the 'default' rung (they
-    graduate to 'measured' once a warm store has seen them)."""
+def test_suite_scheduler_plans_generated_classes(clean_registry):
+    """Generated classes flow through the suite scheduler like catalogue
+    classes: one plan entry per class, in input order, with every sequent
+    accounted for."""
     classes = register_corpus(corpus()[:4])
     engine = make_engine(jobs=2)
     engine.verify_suite(list(classes))
     stats = engine.last_run
     engine.close()
     assert stats is not None
-    sources = {cls.class_name: cls.hint_source for cls in stats.classes}
-    assert set(sources) == {cls.name for cls in classes}
-    assert set(sources.values()) == {"default"}
+    assert [cls.class_name for cls in stats.classes] == [cls.name for cls in classes]
+    assert sum(cls.sequents for cls in stats.classes) == stats.sequents_total > 0
+    assert sum(cls.dispatched for cls in stats.classes) == stats.dispatched

@@ -9,7 +9,9 @@ mode).
 
 from __future__ import annotations
 
+import dataclasses
 import errno
+import gc
 import io
 import json
 import multiprocessing
@@ -34,9 +36,7 @@ from repro.verifier.engine import VerificationEngine
 
 def sample_entries() -> dict[tuple, CachedVerdict]:
     return {
-        (("a", ("v", "x", "int")), ("t", True)): CachedVerdict(
-            True, False, "smt", wall=0.125, cpu=0.118
-        ),
+        (("a", ("v", "x", "int")), ("t", True)): CachedVerdict(True, False, "smt"),
         (("b", 3), ("i", -12)): CachedVerdict(False, True, "model-finder"),
         ((), ("c", "null", "obj")): CachedVerdict(False, False, ""),
     }
@@ -72,46 +72,51 @@ class TestRoundTrip:
             assert loaded[key].proved == verdict.proved
             assert loaded[key].refuted == verdict.refuted
             assert loaded[key].winning_prover == verdict.winning_prover
-            # Measured timings survive the round trip (0.0 when the
-            # sequent was never actually dispatched).
-            assert loaded[key].wall == verdict.wall
-            assert loaded[key].cpu == verdict.cpu
             # Provenance is rewritten on load.
             assert loaded[key].origin == "disk"
 
-    def test_profiles_round_trip_and_merge(self, tmp_path):
-        store = PersistentCacheStore(tmp_path, "k")
-        store.save(
-            {},
-            profiles={"Hash Table": {"wall": 12.5, "cpu": 11.0, "sequents": 58}},
-        )
-        store.save(
-            {},
-            profiles={"Array List": {"wall": 0.5, "cpu": 0.4, "sequents": 26}},
-        )
-        store.load()
-        # Merge-saves union profiles per class, like entries.
-        assert set(store.last_profiles) == {"Hash Table", "Array List"}
-        assert store.last_profiles["Hash Table"]["wall"] == 12.5
-        assert store.last_profiles["Array List"]["sequents"] == 26
-
-    def test_damaged_profiles_are_skipped(self, tmp_path):
+    def test_v3_store_cold_starts_and_next_save_writes_v4(self, tmp_path):
+        """A v3 store (``profiles`` section, per-entry ``wall`` / ``cpu``)
+        is a format mismatch: it cold-starts, and the next save rewrites
+        it in the v4 layout -- no ``profiles`` key, entries carrying
+        verdicts only."""
         store = PersistentCacheStore(tmp_path, "smt:4")
-        store.save(
-            sample_entries(),
-            profiles={"Good": {"wall": 1.0, "cpu": 0.9, "sequents": 3}},
-        )
+        store.path.parent.mkdir(parents=True, exist_ok=True)
+        v3_payload = {
+            "format": 3,
+            "fingerprint_version": FINGERPRINT_VERSION,
+            "portfolio": "smt:4",
+            "profiles": {"Good": {"wall": 1.0, "cpu": 0.9, "sequents": 3}},
+            "dependencies": {},
+            "entries": [
+                [
+                    [["i", 1]],
+                    {
+                        "proved": True,
+                        "refuted": False,
+                        "prover": "smt",
+                        "wall": 0.125,
+                        "cpu": 0.118,
+                    },
+                ]
+            ],
+        }
+        store.path.write_text(json.dumps(v3_payload))
+        assert store.load() == {}
+        assert store.last_load_status == "cold:format-mismatch"
+        store.save(sample_entries())
         payload = json.loads(store.path.read_text())
-        payload["profiles"]["Bad"] = {"wall": "not a number"}
-        payload["profiles"]["Worse"] = "not even a mapping"
-        store.path.write_text(json.dumps(payload))
-        entries = store.load()
-        assert set(entries) == set(sample_entries())
-        assert set(store.last_profiles) == {"Good"}
+        assert payload["format"] == CACHE_FORMAT_VERSION == 4
+        assert "profiles" not in payload
+        assert len(payload["entries"]) == len(sample_entries())
+        for _, verdict in payload["entries"]:
+            assert set(verdict) == {"proved", "refuted", "prover"}
+        assert set(store.load()) == set(sample_entries())
+        assert store.last_load_status.startswith("warm:")
 
     def test_old_format_store_cold_starts_cleanly(self, tmp_path):
-        """A pre-v2 store (format 1: no timings, no profiles) must be
-        discarded as a cold start, never misread or crashed on."""
+        """A format-1 store must be discarded as a cold start, never
+        misread or crashed on."""
         store = PersistentCacheStore(tmp_path, "smt:4")
         store.path.parent.mkdir(parents=True, exist_ok=True)
         old_payload = {
@@ -125,25 +130,10 @@ class TestRoundTrip:
         store.path.write_text(json.dumps(old_payload))
         assert store.load() == {}
         assert store.last_load_status == "cold:format-mismatch"
-        assert store.last_profiles == {}
         # A save over the old store recovers to the current format.
         store.save(sample_entries())
         assert len(store.load()) == len(sample_entries())
         assert store.last_load_status.startswith("warm:")
-
-    def test_entries_without_timing_fields_load_as_unmeasured(self, tmp_path):
-        """Entry-level tolerance: a v2 store whose entries lack wall/cpu
-        (e.g. hand-edited) still loads, with timings defaulting to 0."""
-        store = PersistentCacheStore(tmp_path, "smt:4")
-        store.save(sample_entries())
-        payload = json.loads(store.path.read_text())
-        for _, verdict in payload["entries"]:
-            verdict.pop("wall", None)
-            verdict.pop("cpu", None)
-        store.path.write_text(json.dumps(payload))
-        loaded = store.load()
-        assert set(loaded) == set(sample_entries())
-        assert all(v.wall == 0.0 and v.cpu == 0.0 for v in loaded.values())
 
     def test_missing_file_is_cold(self, tmp_path):
         store = PersistentCacheStore(tmp_path, "smt:4")
@@ -192,6 +182,128 @@ class TestRoundTrip:
         assert 0 < len(cache) < 8
         cache.store((("i", 100),), CachedVerdict(True, False, "smt"))
         assert cache.lookup((("i", 0),)) is not None  # preload survived
+
+
+def sample_record(fingerprint=(("i", 1),)) -> dict:
+    """A dependency record in the shape the store persists."""
+    return {
+        "artifacts": {"state": "d0", "invariants": "d1"},
+        "methods": [["m", {"digest": "d2", "sequents": [["L", fingerprint]]}]],
+    }
+
+
+class TestFormatV4:
+    """The v4 layout: verdict-only entries plus the dependency index."""
+
+    def test_cached_verdict_carries_the_verdict_only(self):
+        assert [f.name for f in dataclasses.fields(CachedVerdict)] == [
+            "proved",
+            "refuted",
+            "winning_prover",
+            "origin",
+        ]
+
+    def test_saved_payload_has_exactly_the_v4_sections(self, tmp_path):
+        store = PersistentCacheStore(tmp_path, "smt:4")
+        store.save(sample_entries(), dependencies={"Good": sample_record()})
+        payload = json.loads(store.path.read_text())
+        assert set(payload) == {
+            "format",
+            "fingerprint_version",
+            "portfolio",
+            "dependencies",
+            "entries",
+        }
+        assert payload["format"] == CACHE_FORMAT_VERSION
+        assert payload["fingerprint_version"] == FINGERPRINT_VERSION
+        assert payload["portfolio"] == "smt:4"
+
+    def test_unknown_entry_fields_are_ignored_on_load(self, tmp_path):
+        store = PersistentCacheStore(tmp_path, "k")
+        store.save({(("i", 1),): CachedVerdict(True, False, "smt")})
+        payload = json.loads(store.path.read_text())
+        payload["entries"][0][1]["wall"] = 0.5
+        store.path.write_text(json.dumps(payload))
+        loaded = store.load()
+        assert loaded == {(("i", 1),): CachedVerdict(True, False, "smt", "disk")}
+        store.save({(("i", 2),): CachedVerdict(True, False, "smt")})
+        for _, verdict in json.loads(store.path.read_text())["entries"]:
+            assert set(verdict) == {"proved", "refuted", "prover"}
+
+    def test_entries_section_that_is_not_a_list_is_corrupt(self, tmp_path):
+        store = PersistentCacheStore(tmp_path, "k")
+        store.save(sample_entries())
+        payload = json.loads(store.path.read_text())
+        payload["entries"] = {"not": "a list"}
+        store.path.write_text(json.dumps(payload))
+        assert store.load() == {}
+        assert store.last_load_status == "cold:corrupt"
+
+    def test_warm_status_counts_loaded_entries(self, tmp_path):
+        PersistentCacheStore(tmp_path, "k").save(sample_entries())
+        store = PersistentCacheStore(tmp_path, "k")
+        store.load()
+        assert store.last_load_status == f"warm:{len(sample_entries())}"
+
+    def test_load_leaves_garbage_collection_enabled(self, tmp_path):
+        PersistentCacheStore(tmp_path, "k").save(sample_entries())
+        assert gc.isenabled()
+        PersistentCacheStore(tmp_path, "k").load()
+        assert gc.isenabled()
+
+
+class TestDependencySection:
+    def test_dependencies_round_trip_with_tuple_fingerprints(self, tmp_path):
+        fingerprint = (("a", ("v", "x", "int")), ("t", True))
+        PersistentCacheStore(tmp_path, "k").save(
+            sample_entries(), dependencies={"Good": sample_record(fingerprint)}
+        )
+        store = PersistentCacheStore(tmp_path, "k")
+        store.load()
+        assert store.last_dependencies == {"Good": sample_record(fingerprint)}
+        label, loaded = store.last_dependencies["Good"]["methods"][0][1]["sequents"][0]
+        assert label == "L"
+        assert isinstance(loaded, tuple)
+
+    def test_dependencies_merge_per_class_with_new_data_winning(self, tmp_path):
+        store = PersistentCacheStore(tmp_path, "k")
+        store.save({}, dependencies={"A": sample_record(), "B": sample_record()})
+        updated = sample_record((("i", 2),))
+        store.save({}, dependencies={"B": updated})
+        reloaded = PersistentCacheStore(tmp_path, "k")
+        reloaded.load()
+        assert reloaded.last_dependencies == {"A": sample_record(), "B": updated}
+
+    def test_damaged_class_records_are_skipped(self, tmp_path):
+        store = PersistentCacheStore(tmp_path, "k")
+        store.save(sample_entries(), dependencies={"Good": sample_record()})
+        payload = json.loads(store.path.read_text())
+        payload["dependencies"]["NoMethods"] = {"artifacts": {}}
+        payload["dependencies"]["BadFingerprint"] = {
+            "artifacts": {},
+            "methods": [["m", {"digest": "d", "sequents": [["L", [["i", 1.5]]]]}]],
+        }
+        payload["dependencies"]["NotARecord"] = "junk"
+        store.path.write_text(json.dumps(payload))
+        assert set(store.load()) == set(sample_entries())
+        assert store.last_dependencies == {"Good": sample_record()}
+
+    def test_dependencies_that_are_not_an_object_load_as_empty(self, tmp_path):
+        store = PersistentCacheStore(tmp_path, "k")
+        store.save(sample_entries(), dependencies={"Good": sample_record()})
+        payload = json.loads(store.path.read_text())
+        payload["dependencies"] = ["not", "an", "object"]
+        store.path.write_text(json.dumps(payload))
+        assert set(store.load()) == set(sample_entries())
+        assert store.last_dependencies == {}
+
+    def test_cold_start_drops_the_dependency_index(self, tmp_path):
+        store = PersistentCacheStore(tmp_path, "k")
+        store.save(sample_entries(), dependencies={"Good": sample_record()})
+        other = PersistentCacheStore(tmp_path, "another-portfolio")
+        assert other.load() == {}
+        assert other.last_load_status == "cold:portfolio-mismatch"
+        assert other.last_dependencies == {}
 
 
 class TestInvalidation:
@@ -349,14 +461,13 @@ class TestConcurrentWriters:
         }
 
 
-def _legacy_encoding(store, entries, profiles=None, dependencies=None) -> str:
+def _legacy_encoding(store, entries, dependencies=None) -> str:
     """What a save wrote before saves stopped re-reading the file: the same
     payload streamed through ``json.dump``."""
     payload = {
         "format": CACHE_FORMAT_VERSION,
         "fingerprint_version": FINGERPRINT_VERSION,
         "portfolio": store.portfolio_key,
-        "profiles": profiles or {},
         "dependencies": dependencies or {},
         "entries": [
             [
@@ -365,8 +476,6 @@ def _legacy_encoding(store, entries, profiles=None, dependencies=None) -> str:
                     "proved": verdict.proved,
                     "refuted": verdict.refuted,
                     "prover": verdict.winning_prover,
-                    "wall": round(verdict.wall, 6),
-                    "cpu": round(verdict.cpu, 6),
                 },
             ]
             for key, verdict in entries.items()
@@ -426,17 +535,16 @@ class TestMergeWithoutReread:
     def test_unchanged_saves_write_the_legacy_bytes(self, tmp_path):
         store = PersistentCacheStore(tmp_path, "k")
         entries = sample_entries()
-        profiles = {"Good": {"wall": 1.0, "cpu": 0.9, "sequents": 3}}
         record = {
             "artifacts": {"state": "d0"},
             "methods": [["m", {"digest": "d1", "sequents": [["L", [["i", 1]]]]}]],
         }
         dependencies = {"Good": record}
-        store.save(entries, profiles=profiles, dependencies=dependencies)
+        store.save(entries, dependencies=dependencies)
         first = store.path.read_bytes()
-        store.save(entries, profiles=profiles, dependencies=dependencies)
+        store.save(entries, dependencies=dependencies)
         assert store.path.read_bytes() == first
-        expected = _legacy_encoding(store, entries, profiles, dependencies)
+        expected = _legacy_encoding(store, entries, dependencies)
         assert first == expected.encode("utf-8")
 
     def test_new_keys_are_still_checked(self, tmp_path):

@@ -2,12 +2,12 @@
 
 Three layers:
 
-* :meth:`VerifierDaemon.handle` directly, for the op's semantics (cost
-  model, schedule plan, cache provenance) without socket plumbing;
+* :meth:`VerifierDaemon.handle` directly, for the op's semantics
+  (schedule plan, cache provenance) without socket plumbing;
 * a live unix-socket daemon whose engine dispatches to a real worker
   session (``serve_session`` on an in-process thread through a real
   registry + handshake), for the acceptance criterion: ``metrics``
-  against a live daemon returns per-worker latency and per-class costs;
+  against a live daemon returns per-worker latency and the run's plan;
 * ``jahob-py metrics --connect`` end to end, printing
   :func:`~repro.verifier.report.format_metrics`.
 """
@@ -20,7 +20,6 @@ import time
 import pytest
 
 from repro.verifier.cli import main
-from repro.verifier.costmodel import HINT_MEASURED, HINT_STATIC
 from repro.verifier.daemon import (
     PROTOCOL_VERSION,
     DaemonClient,
@@ -76,7 +75,7 @@ class TestHandle:
         response = daemon.handle({"op": "metrics"})
         assert response["ok"]
         assert response["protocol"] == PROTOCOL_VERSION
-        assert response["cost_model"]["classes"] == {}
+        assert "cost_model" not in response
         assert response["schedule"] is None
         assert response["workers"] == []
         assert response["persistent_cache"]["status"] == "cold:missing"
@@ -88,23 +87,25 @@ class TestHandle:
         )["ok"]
         response = daemon.handle({"op": "metrics"})
         assert response["ok"]
-        # Per-class measured costs from the live observations.
-        classes = response["cost_model"]["classes"]
-        assert set(classes) == {"Array List", "Cursor List"}
-        assert all(entry["wall"] > 0 for entry in classes.values())
-        assert response["cost_model"]["sequent_timings"] > 0
         # Cache-hit provenance counters.
         counters = response["counters"]
         assert counters["proof_cache_hits_memory"] > 0
         assert counters["proof_cache_misses"] > 0
-        # The schedule plan of the suite run, with hint sources: Array
-        # List was measured by the preceding verify, Cursor List was not.
+        # The plan of the suite run, in plan order: Array List was
+        # answered from the cache the preceding verify filled, Cursor List
+        # was dispatched.
         schedule = response["schedule"]
         assert schedule["jobs"] == 1
-        by_name = {entry["class"]: entry for entry in schedule["classes"]}
-        assert by_name["Array List"]["source"] == HINT_MEASURED
-        assert by_name["Cursor List"]["source"] == HINT_STATIC
-        assert schedule["order"]
+        assert [entry["class"] for entry in schedule["classes"]] == [
+            "Array List",
+            "Cursor List",
+        ]
+        array_list, cursor_list = schedule["classes"]
+        assert array_list["dispatched"] == 0
+        assert array_list["cache_hits"] == array_list["sequents"] > 0
+        assert cursor_list["dispatched"] > 0
+        fields = {"class", "sequents", "dispatched", "cache_hits", "duplicates"}
+        assert all(set(entry) == fields for entry in schedule["classes"])
 
     def test_metrics_is_not_engine_gated(self, daemon):
         # A busy engine must not block metrics: nowait metrics succeeds
@@ -146,7 +147,7 @@ class TestLiveDaemonWithRemoteWorker:
         instance.close()
         worker.join(timeout=5.0)
 
-    def test_metrics_returns_per_worker_latency_and_class_costs(self, served):
+    def test_metrics_returns_per_worker_latency_and_plan(self, served):
         """The acceptance criterion, over a real socket with a real
         worker session carrying the prover phase."""
         instance, client = served
@@ -155,10 +156,12 @@ class TestLiveDaemonWithRemoteWorker:
 
         response = client.request({"op": "metrics"})
         assert response["ok"] and response["protocol"] == PROTOCOL_VERSION
-        # Per-class measured cost data...
-        classes = response["cost_model"]["classes"]
-        assert classes["Array List"]["wall"] > 0
-        assert classes["Array List"]["sequents"] > 0
+        # The run's plan...
+        schedule = response["schedule"]
+        assert schedule["backend"] == "remote"
+        [entry] = schedule["classes"]
+        assert entry["class"] == "Array List"
+        assert entry["dispatched"] > 0
         # ...and per-worker latency data from the remote dispatch.
         [worker_entry] = response["workers"]
         assert worker_entry["origin"] == "registry"
@@ -175,7 +178,7 @@ class TestLiveDaemonWithRemoteWorker:
         out = capsys.readouterr().out
         assert exit_code == 0
         assert f"Daemon metrics (protocol {PROTOCOL_VERSION})" in out
-        assert "Measured class costs" in out
+        assert "Last run's plan" in out
         assert "Array List" in out
         assert "Remote workers" in out
         assert "registry" in out

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.provers.cache import task_fingerprint
+from repro.provers.cache import PersistentCacheStore, task_fingerprint
 from repro.provers.dispatch import default_portfolio
 from repro.suite import structure_by_name
 from repro.suite.common import StructureBuilder
@@ -128,33 +128,48 @@ def test_dependency_record_is_tenant_free():
     assert all(fingerprint[0] != ("tenant", "alice") for fingerprint in fingerprints)
 
 
-def test_strip_proofs_run_does_not_overwrite_dependency_record():
-    engine = make_engine()
-    engine.verify_class(build_counter())
-    record = engine.dependency_index.get("Counter")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_strip_proofs_run_does_not_overwrite_dependency_record(jobs, tmp_path):
+    """The stripped class keeps the real one's name; its sequents must not
+    replace the real class's record, in memory or in the store, nor dirty
+    the dependency index."""
+    engine = make_engine(jobs=jobs, cache_dir=tmp_path)
+    array_list = structure_by_name("Array List")
+    real = engine.verify_class(array_list)
+    record = engine.dependency_index.get("Array List")
     assert record is not None
-    engine.verify_class(build_counter(), strip_proofs=True)
+    mutations = engine.dependency_index.mutations
+    without = engine.verify_class(array_list, strip_proofs=True)
+    assert without.sequents_total != real.sequents_total
     # The ablation run must not poison the real program's record.
-    assert engine.dependency_index.get("Counter") == record
+    assert engine.dependency_index.get("Array List") == record
+    assert engine.dependency_index.mutations == mutations
     # Nor may a plan that opts out of recording, whatever it contains.
     plan = plan_suite(engine, [build_counter(EDITED_ENSURES)], record=False)
-    execute_suite(engine, plan, jobs=1)
-    assert engine.dependency_index.get("Counter") == record
+    execute_suite(engine, plan, jobs=jobs)
+    assert engine.dependency_index.get("Counter") is None
+    assert engine.dependency_index.mutations == mutations
+    engine.close()
+    store = PersistentCacheStore(tmp_path, engine.persistent_store.portfolio_key)
+    store.load()
+    assert set(store.last_dependencies) == {"Array List"}
+    assert store.last_dependencies["Array List"] == record
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_strip_proofs_run_does_not_overwrite_cost_profile(jobs):
-    """The stripped class keeps the real one's name; its sequents must not
-    replace the real class's profile or dirty the cost model."""
-    engine = make_engine(jobs=jobs)
-    array_list = structure_by_name("Array List")
-    engine.verify_class(array_list)
-    profile = engine.cost_model.profiles_snapshot()["Array List"]
-    mutations = engine.cost_model.mutations
-    without = engine.verify_class(array_list, strip_proofs=True)
-    assert without.sequents_total != profile["sequents"]
-    assert engine.cost_model.profiles_snapshot()["Array List"] == profile
-    assert engine.cost_model.mutations == mutations
+def test_dependency_record_only_changes_still_flush(tmp_path):
+    """Regression: dependency records land *after* the run's last verdict
+    checkpoint, so a flush gated only on proof-cache mutations could drop
+    a run's records (e.g. when the dispatch count is an exact multiple of
+    the scheduler's checkpoint interval)."""
+    engine = make_engine(cache_dir=tmp_path)
+    engine.verify_class(build_counter())
+    assert engine.flush_persistent_cache() == 0  # nothing new since the run
+    engine.dependency_index.record("Phantom Class", {"artifacts": {}, "methods": []})
+    assert engine.flush_persistent_cache() > 0
+    assert engine.flush_persistent_cache() == 0  # and it re-arms
+    engine.persistent_store.load()
+    assert "Phantom Class" in engine.persistent_store.last_dependencies
+    engine.close()
 
 
 # -- edit accounting -------------------------------------------------------------

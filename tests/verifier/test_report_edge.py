@@ -15,7 +15,7 @@ from repro.suite import structure_by_name
 from repro.verifier.daemon import VerifierDaemon
 from repro.verifier.engine import ClassReport, MethodReport, VerificationEngine
 from repro.verifier.parallel import RunRecord, WorkerLoad
-from repro.verifier.report import format_run, format_verify
+from repro.verifier.report import format_metrics, format_run, format_verify
 from repro.verifier.scheduler import ClassScheduleStats
 
 
@@ -23,7 +23,6 @@ class TestFormatRun:
     def test_empty_run_renders(self):
         text = format_run(RunRecord(jobs=2))
         assert "Run plan (2 jobs" in text
-        assert "dispatch order" in text
         assert "sequents total      0" in text
         assert "dispatched          0" in text
 
@@ -63,10 +62,7 @@ class TestFormatRun:
 
     def test_empty_class_row_renders(self):
         stats = RunRecord(jobs=1)
-        stats.schedule_order = ["Empty Thing"]
-        stats.classes.append(
-            ClassScheduleStats(class_name="Empty Thing", cost_hint=0.5)
-        )
+        stats.classes.append(ClassScheduleStats(class_name="Empty Thing"))
         text = format_run(stats)
         assert "Empty Thing" in text
         # All-zero row: sequents, dispatched, cache, dup.
@@ -81,14 +77,8 @@ class TestFormatRun:
         stats = RunRecord(jobs=2)
         stats.sequents_total = 20
         stats.hits_memory = 20
-        stats.schedule_order = ["Warm Class"]
         stats.classes.append(
-            ClassScheduleStats(
-                class_name="Warm Class",
-                cost_hint=3.0,
-                sequents=20,
-                hits_memory=20,
-            )
+            ClassScheduleStats(class_name="Warm Class", sequents=20, hits_memory=20)
         )
         text = format_run(stats)
         assert "answered from cache 20 (memory 20, disk 0)" in text
@@ -119,14 +109,56 @@ class TestRunRecord:
         assert total.backend == "remote"
         assert total.sequents_total == 3
 
-    def test_merge_appends_classes_and_order(self):
+    def test_merge_appends_classes(self):
         total = RunRecord(jobs=1)
         for name in ("A", "B"):
-            run = RunRecord(jobs=1, schedule_order=[name])
-            run.classes.append(ClassScheduleStats(class_name=name, cost_hint=1.0))
+            run = RunRecord(jobs=1)
+            run.classes.append(ClassScheduleStats(class_name=name))
             total.merge(run)
-        assert total.schedule_order == ["A", "B"]
         assert [entry.class_name for entry in total.classes] == ["A", "B"]
+
+
+class TestFormatMetrics:
+    """Protocol 6 payloads with or without the former cost fields
+    (``cost_model``, a plan's ``order`` / ``cost`` / ``source``) render
+    alike: every field is read with a default."""
+
+    PLAN_ENTRY = {
+        "class": "Array List",
+        "sequents": 26,
+        "dispatched": 20,
+        "cache_hits": 6,
+        "duplicates": 0,
+    }
+
+    def test_current_payload(self):
+        payload = {
+            "protocol": 6,
+            "counters": {},
+            "workers": [],
+            "schedule": {"jobs": 1, "backend": "process", "classes": [self.PLAN_ENTRY]},
+        }
+        text = format_metrics(payload)
+        assert "Last run's plan (1 jobs, process backend)" in text
+        row = next(line for line in text.splitlines() if "Array List" in line)
+        assert row.split()[-4:] == ["26", "20", "6", "0"]
+
+    def test_payload_with_cost_model_fields(self):
+        payload = {
+            "protocol": 6,
+            "counters": {},
+            "workers": [],
+            "cost_model": {"classes": {"Array List": {"wall": 1.0}}},
+            "schedule": {
+                "jobs": 2,
+                "backend": "process",
+                "order": ["Array List"],
+                "classes": [dict(self.PLAN_ENTRY, cost=0.4, source="static")],
+            },
+        }
+        text = format_metrics(payload)
+        row = next(line for line in text.splitlines() if "Array List" in line)
+        assert row.split()[-4:] == ["26", "20", "6", "0"]
 
 
 class TestFormatVerify:

@@ -1,12 +1,13 @@
 """Differential harness: suite scheduling must equal the reference loop.
 
 The suite scheduler (:mod:`repro.verifier.scheduler`) plans the whole
-catalogue as one job graph and interleaves dispatch longest-class-first.
-None of that may be observable in the results: for every ``jobs`` value, a
-``verify_suite`` run must produce per-sequent verdicts, prover attribution,
-cache provenance and portfolio counters bit-identical to the
-``verify_method`` reference (a fresh engine dispatching every method of
-the same classes, in the same order, through ``portfolio.dispatch``).
+catalogue as one job graph and dispatches it in plan order.  None of that
+may be observable in the results: for every ``jobs`` value and either
+input order, a ``verify_suite`` run must produce per-sequent verdicts,
+prover attribution, cache provenance and portfolio counters bit-identical
+to the ``verify_method`` reference (a fresh engine dispatching every
+method of the same classes, in the same order, through
+``portfolio.dispatch``).  Dispatch order therefore cannot flip a verdict.
 
 Fast classes run in tier 1; the full catalogue at ``jobs in {1, 2, 4}`` is
 marked ``slow`` (run it with ``pytest -m slow``).
@@ -18,9 +19,8 @@ import pytest
 
 from repro.provers.dispatch import default_portfolio
 from repro.suite import all_structures
-from repro.suite.catalog import CLASS_COST_HINTS, DEFAULT_COST_HINT, cost_hint
 from repro.verifier.engine import VerificationEngine
-from repro.verifier.scheduler import plan_dispatch_order
+from repro.verifier.scheduler import execute_suite, plan_suite
 
 from test_parallel_differential import (
     FAST_CLASSES,
@@ -57,9 +57,21 @@ def assert_suite_differential(classes, jobs: int, use_cache: bool = True) -> Non
     assert sum(cls.dispatched for cls in stats.classes) == stats.dispatched
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_fast_classes_suite_differential(jobs):
-    assert_suite_differential(structures(FAST_CLASSES), jobs=jobs)
+@pytest.mark.parametrize(
+    ("jobs", "reverse"),
+    [
+        pytest.param(1, False, id="1"),
+        pytest.param(2, False, id="2"),
+        pytest.param(4, False, id="4"),
+        pytest.param(1, True, id="1-reversed"),
+        pytest.param(2, True, id="2-reversed"),
+    ],
+)
+def test_fast_classes_suite_differential(jobs, reverse):
+    classes = structures(FAST_CLASSES)
+    if reverse:
+        classes.reverse()
+    assert_suite_differential(classes, jobs=jobs)
 
 
 def test_fast_classes_suite_differential_cache_off():
@@ -88,32 +100,36 @@ def test_suite_equals_per_class_parallel():
     assert statistics_trace(per_class) == statistics_trace(suite)
 
 
-def test_dispatch_order_is_longest_class_first():
-    classes = all_structures()
-    order = plan_dispatch_order(classes)
-    hints = [cost_hint(classes[index].name) for index in order]
-    assert hints == sorted(hints, reverse=True)
-    # The catalogue stragglers lead the schedule.
-    names = [classes[index].name for index in order]
-    assert names[0] == "Priority Queue"
-    assert set(names[:3]) == {"Priority Queue", "Hash Table", "Binary Tree"}
+def test_shard_dispatches_in_plan_order(monkeypatch):
+    """At ``jobs=1`` the provers see the shard's tasks exactly in plan
+    (catalogue/method/sequent) order."""
+    engine = make_engine(jobs=1, use_cache=True)
+    plan = plan_suite(engine, structures(FAST_CLASSES), jobs=1)
+    assert plan.shard
+    assert [slot.shard_index for slot in plan.shard] == list(range(len(plan.shard)))
+    planned = [slot for _, slots in plan.planned for slot in slots]
+    assert [slot for slot in planned if slot.shard_index is not None] == plan.shard
+    dispatched = []
+    run_provers = engine.portfolio.run_provers
 
+    def recording(task):
+        dispatched.append(task)
+        return run_provers(task)
 
-def test_cost_hints_cover_catalogue():
-    for cls in all_structures():
-        assert cls.name in CLASS_COST_HINTS
-        assert cost_hint(cls.name) == CLASS_COST_HINTS[cls.name]
-    assert cost_hint("No Such Structure") == DEFAULT_COST_HINT
+    monkeypatch.setattr(engine.portfolio, "run_provers", recording)
+    execute_suite(engine, plan, jobs=1)
+    assert len(dispatched) == len(plan.shard)
+    assert all(task is slot.task for task, slot in zip(dispatched, plan.shard))
 
 
 def test_suite_report_order_is_input_order():
-    classes = structures(FAST_CLASSES)
+    classes = structures(FAST_CLASSES)[::-1]  # not catalogue order
     engine = make_engine(jobs=2, use_cache=True)
     reports = engine.verify_suite(classes)
     assert [report.class_name for report in reports] == [cls.name for cls in classes]
-    # The schedule order differs from the input order (cost-sorted), yet
-    # the reports come back in input order.
-    assert engine.last_run.schedule_order != [cls.name for cls in classes]
+    assert [entry.class_name for entry in engine.last_run.classes] == [
+        cls.name for cls in classes
+    ]
 
 
 def test_suite_warm_second_run_dispatches_nothing():
@@ -173,6 +189,36 @@ def test_suite_second_engine_serves_from_disk(tmp_path):
     stats = second.last_run
     assert stats.dispatched == 0
     assert stats.hits_disk == stats.sequents_total
+
+
+def test_warm_store_differential_parity(tmp_path):
+    """Verdicts and attribution from a warm store equal a fresh sequential
+    engine's (provenance aside: warm answers are disk hits)."""
+    classes = structures(FAST_CLASSES[:3])
+
+    def engine_with_store():
+        return VerificationEngine(
+            default_portfolio().scaled(TIMEOUT_SCALE), jobs=2, cache_dir=tmp_path
+        )
+
+    first = engine_with_store()
+    first.verify_suite(classes)
+    first.close()
+
+    sequential = make_engine(jobs=1, use_cache=True)
+    seq_reports = [sequential.verify_class(cls) for cls in classes]
+
+    warm = engine_with_store()
+    warm_reports = warm.verify_suite(classes)
+    for seq_report, warm_report in zip(seq_reports, warm_reports):
+        seq = sequent_trace(seq_report)
+        wrm = sequent_trace(warm_report)
+        # label/proved/refuted/prover must be identical; cached/origin
+        # legitimately differ (the warm engine answers from disk).
+        assert [entry[:6] for entry in seq] == [entry[:6] for entry in wrm]
+        assert all(entry[6] for entry in wrm)  # everything cached
+        assert {entry[7] for entry in wrm} == {"disk"}
+    warm.close()
 
 
 @pytest.mark.slow
