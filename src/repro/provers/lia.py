@@ -1,4 +1,4 @@
-"""Linear integer arithmetic: linearisation and a Fourier-Motzkin solver.
+"""Linear integer arithmetic: linearisation and a simplex solver.
 
 This component is the arithmetic theory of the SMT-lite prover and the
 backend of the BAPA-style set-cardinality reasoner.  Integer-sorted terms
@@ -6,8 +6,9 @@ that are not themselves arithmetic (variables, ``select`` applications,
 ``card`` applications, uninterpreted function applications) are treated as
 *atoms*, i.e. opaque integer unknowns.
 
-Satisfiability checking works over the rationals via Fourier-Motzkin
-elimination with exact :class:`fractions.Fraction` arithmetic.  Because a
+Satisfiability is checked over the rationals by the general-form simplex
+of Dutertre and de Moura ("A Fast Linear-Arithmetic Solver for DPLL(T)",
+CAV 2006), in exact :class:`fractions.Fraction` arithmetic.  Because a
 rationally infeasible system is certainly integer-infeasible, reporting
 ``infeasible`` is sound for refutation-based proving; integer-feasible-only
 gaps merely make the prover incomplete (never unsound).  Strict integer
@@ -15,15 +16,22 @@ inequalities are tightened (``a < b`` becomes ``a + 1 <= b``) before the
 rational check, which recovers most of the integer reasoning the benchmark
 verification conditions need.
 
-Constraints may carry ``tags`` (a frozenset of opaque tags).  Every
-elimination row carries the union of the tags of the constraints it was
-combined from, so an infeasible constant row names its origin set -- the
-support of a Farkas combination -- and an implied equality names the
-constraints that entail it.
+A constraint over one atom is a bound on that atom; any other constraint
+is a bound on a slack variable that stands for its linear form, normalised
+so the first coefficient is 1 (``x - y <= 0`` and ``y - x <= 3`` bound
+the same slack).  Constraints may carry ``tags`` (a frozenset of opaque
+tags), and each bound keeps the tags of the tightest constraint that set
+it.  An infeasible tableau row names the bound it violates and the bounds
+that block every variable that could repair it: the support of a Farkas
+combination.  After a feasible check the solver keeps its model, and
+:meth:`LinearSolver.implied_equalities` only probes the pairs of terms
+whose values in it lie less than 1 apart.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -83,10 +91,6 @@ class LinearExpr:
     @property
     def is_constant(self) -> bool:
         return not self.coeffs
-
-    @property
-    def atoms(self) -> tuple[Term, ...]:
-        return tuple(atom for atom, _ in self.coeffs)
 
     def coefficient(self, atom: Term) -> Fraction:
         for a, c in self.coeffs:
@@ -151,27 +155,44 @@ class LinearConstraint:
 
 
 class LinearSolver:
-    """Conjunction of linear constraints with Fourier-Motzkin feasibility.
+    """Conjunction of linear constraints, checked by a simplex tableau.
 
-    ``deadline`` is an optional :class:`Budget` polled during elimination:
-    Fourier-Motzkin can square the row count per round, and the constraint
-    cap alone does not bound the *time* a round spends combining very wide
-    rows.  When the deadline expires mid-elimination the solver raises
-    :class:`~repro.provers.result.BudgetExpired`, which the prover wrapper
-    converts into a TIMEOUT outcome -- so provers actually honour their
-    per-sequent timeout instead of overshooting it by orders of magnitude.
+    Constraints are asserted into the tableau on the next query, so a
+    solver that gains constraints between queries resumes from the last
+    feasible assignment.  Bland's rule -- the smallest variable index,
+    in order of first occurrence, both for the variable that leaves and
+    for the one that enters the basis -- guarantees termination and makes
+    every explanation a function of the constraints and their order.
+
+    ``deadline`` is an optional :class:`Budget` polled every
+    ``_PIVOTS_PER_POLL`` pivots.  When it expires mid-check the solver
+    raises :class:`~repro.provers.result.BudgetExpired`, which the prover
+    wrapper converts into a TIMEOUT outcome.
     """
 
-    def __init__(
-        self, max_constraints: int = 4000, deadline: Budget | None = None
-    ) -> None:
+    def __init__(self, deadline: Budget | None = None) -> None:
         self.constraints: list[LinearConstraint] = []
-        self.max_constraints = max_constraints
         self.deadline = deadline
+        self._asserted = 0  # constraints already in the tableau
+        self._conflict: frozenset | None = None
+        self._index: dict = {}  # atom or normalised form -> variable
+        self._value: list[Fraction] = []
+        # Per variable: None or ``(bound, tags)``.
+        self._lower: list[tuple[Fraction, frozenset] | None] = []
+        self._upper: list[tuple[Fraction, frozenset] | None] = []
+        # Basic variable -> its row over the non-basic variables.
+        self._rows: dict[int, dict[int, Fraction]] = {}
 
     def copy(self) -> "LinearSolver":
-        clone = LinearSolver(self.max_constraints, self.deadline)
+        clone = LinearSolver(self.deadline)
         clone.constraints = list(self.constraints)
+        clone._asserted = self._asserted
+        clone._conflict = self._conflict
+        clone._index = dict(self._index)
+        clone._value = list(self._value)
+        clone._lower = list(self._lower)
+        clone._upper = list(self._upper)
+        clone._rows = {basic: dict(row) for basic, row in self._rows.items()}
         return clone
 
     # -- constraint entry -------------------------------------------------------
@@ -206,20 +227,18 @@ class LinearSolver:
     # -- feasibility ------------------------------------------------------------
 
     def is_infeasible(self) -> bool:
-        """True when the constraint set is infeasible over the rationals.
-
-        Returns False both when feasible and when the elimination exceeds the
-        constraint budget (the sound direction for a refutation prover).
-        """
+        """True when the constraint set is infeasible over the rationals."""
         return self.explain_infeasible() is not None
 
     def explain_infeasible(self) -> frozenset | None:
-        """The tags of the constraints combined into an infeasible constant
-        row, or None when :meth:`is_infeasible` would say False."""
-        try:
-            return self._check_infeasible()
-        except _BudgetExceeded:
-            return None
+        """The tags of the bounds behind an infeasible row, or None when
+        the constraints are feasible."""
+        while self._conflict is None and self._asserted < len(self.constraints):
+            self._assert(self.constraints[self._asserted])
+            self._asserted += 1
+        if self._conflict is None:
+            self._conflict = self._check()
+        return self._conflict
 
     def entails_le(self, expr: LinearExpr) -> bool:
         """True when the constraints entail ``expr <= 0`` (over integers).
@@ -227,25 +246,31 @@ class LinearSolver:
         The one-sided boolean query of this class's public API; the theory
         checker needs the tags and goes through :meth:`entails_eq`.
         """
-        return self._entailment(expr) is not None
+        return self._entailment(expr)[0] is not None
 
-    def _entailment(self, expr: LinearExpr) -> frozenset | None:
-        """The tags behind ``expr <= 0``, or None when it is not entailed."""
+    def _entailment(self, expr: LinearExpr) -> tuple[frozenset | None, "LinearSolver"]:
+        """The tags behind ``expr <= 0`` (None when it is not entailed),
+        and the probe solver, which holds a countermodel in that case."""
+        self.explain_infeasible()
         probe = self.copy()
         # Negation over integers: expr >= 1, i.e. 1 - expr <= 0.
         probe.add_le(LinearExpr.of_constant(1).sub(expr), _PROBE_TAGS)
         tags = probe.explain_infeasible()
-        return None if tags is None else tags - _PROBE_TAGS
+        return (None if tags is None else tags - _PROBE_TAGS), probe
 
     def entails_eq(self, left: Term, right: Term) -> frozenset | None:
         """The tags behind ``left = right``, or None when the constraints do
         not entail it."""
-        difference = _difference(left, right)
-        below = self._entailment(difference)
+        return self._entails_difference(_difference(left, right))[0]
+
+    def _entails_difference(
+        self, difference: LinearExpr
+    ) -> tuple[frozenset | None, "LinearSolver"]:
+        below, probe = self._entailment(difference)
         if below is None:
-            return None
-        above = self._entailment(difference.scale(-1))
-        return None if above is None else below | above
+            return None, probe
+        above, probe = self._entailment(difference.scale(-1))
+        return (None if above is None else below | above), probe
 
     def implied_equalities(
         self, atoms: list[Term]
@@ -254,101 +279,190 @@ class LinearSolver:
         with the tags behind it.
 
         Used for the Nelson-Oppen style exchange with congruence closure.
-        The quadratic pairwise check is capped to keep the cost bounded.
+        ``left - right = 0`` is entailed when the probes refute both
+        ``left - right >= 1`` and ``left - right <= -1``, so in every model
+        of an entailed pair the two values lie less than 1 apart.  A pair
+        whose values lie further apart in the current model, or in the
+        countermodel of an earlier failed probe, is skipped unprobed.
         """
+        conflict = self.explain_infeasible()
+        if conflict is not None:
+            return [(l, r, conflict) for l, r in itertools.combinations(atoms, 2)]
+        forms = [linearize(atom) for atom in atoms]
+        models = [self._evaluate(forms)]
         pairs: list[tuple[Term, Term, frozenset]] = []
-        limit = 6
-        atoms = atoms[:limit]
-        for i, left in enumerate(atoms):
-            for right in atoms[i + 1:]:
-                tags = self.entails_eq(left, right)
-                if tags is not None:
-                    pairs.append((left, right, tags))
+        for i, j in itertools.combinations(range(len(atoms)), 2):
+            if any(abs(model[i] - model[j]) >= 1 for model in models):
+                continue
+            tags, probe = self._entails_difference(forms[i].sub(forms[j]))
+            if tags is None:
+                models.append(probe._evaluate(forms))
+            else:
+                pairs.append((atoms[i], atoms[j], tags))
         return pairs
 
-    # -- Fourier-Motzkin ---------------------------------------------------------
+    def _evaluate(self, forms: list[LinearExpr]) -> list[Fraction]:
+        """Each form's value in the current model, where atoms no
+        constraint mentions are free and take 0."""
+        values = []
+        for form in forms:
+            value = form.constant
+            for atom, coeff in form.coeffs:
+                var = self._index.get(atom)
+                if var is not None:
+                    value += coeff * self._value[var]
+            values.append(value)
+        return values
 
-    def _normalised(self) -> list[tuple[LinearExpr, frozenset]]:
-        """Expand equalities into inequality pairs; returns ``expr <= 0`` rows
-        with their tags."""
-        rows: list[tuple[LinearExpr, frozenset]] = []
-        for constraint in self.constraints:
-            rows.append((constraint.expr, constraint.tags))
-            if constraint.is_equality:
-                rows.append((constraint.expr.scale(-1), constraint.tags))
-        return rows
+    # -- simplex ----------------------------------------------------------------
 
-    def _check_infeasible(self) -> frozenset | None:
-        rows = self._normalised()
-        # Iteratively eliminate atoms.
+    def _variable(self, key) -> int:
+        var = self._index.get(key)
+        if var is None:
+            var = self._index[key] = len(self._value)
+            self._value.append(_ZERO)
+            self._lower.append(None)
+            self._upper.append(None)
+        return var
+
+    def _assert(self, constraint: LinearConstraint) -> None:
+        expr, tags = constraint.expr, constraint.tags
+        if expr.is_constant:
+            if expr.constant > 0 or (constraint.is_equality and expr.constant):
+                self._conflict = tags
+            return
+        lead = expr.coeffs[0][1]
+        if len(expr.coeffs) == 1:
+            var = self._variable(expr.coeffs[0][0])
+        elif lead == 1:
+            var = self._slack(expr.coeffs)
+        else:
+            var = self._slack(tuple((atom, c / lead) for atom, c in expr.coeffs))
+        # ``lead * var + constant <= 0`` bounds ``var`` by ``-constant / lead``.
+        bound = -expr.constant / lead
+        if constraint.is_equality or lead > 0:
+            self._bound(var, bound, tags, upper=True)
+        if self._conflict is None and (constraint.is_equality or lead < 0):
+            self._bound(var, bound, tags, upper=False)
+
+    def _slack(self, form: tuple[tuple[Term, Fraction], ...]) -> int:
+        """The variable standing for ``form``, given a tableau row when new."""
+        if form in self._index:
+            return self._index[form]
+        row: dict[int, Fraction] = {}
+        value = _ZERO
+        for atom, coeff in form:
+            var = self._variable(atom)
+            value += coeff * self._value[var]
+            for other, c in (self._rows.get(var) or {var: _ONE}).items():
+                total = row.get(other, 0) + coeff * c
+                if total:
+                    row[other] = total
+                else:
+                    row.pop(other, None)
+        slack = self._variable(form)
+        self._value[slack] = value
+        self._rows[slack] = row
+        return slack
+
+    def _bound(self, var: int, bound: Fraction, tags: frozenset, upper: bool) -> None:
+        """Tighten one side of ``var``'s bounds to ``bound``; a looser bound
+        is dropped, a crossing one is a conflict."""
+        # ``beyond(a, b)``: ``a`` lies past ``b`` on this side.
+        if upper:
+            same, other, beyond = self._upper, self._lower, operator.gt
+        else:
+            same, other, beyond = self._lower, self._upper, operator.lt
+        current = same[var]
+        if current is not None and not beyond(current[0], bound):
+            return
+        opposite = other[var]
+        if opposite is not None and beyond(opposite[0], bound):
+            self._conflict = tags | opposite[1]
+            return
+        same[var] = (bound, tags)
+        if var not in self._rows and beyond(self._value[var], bound):
+            self._update(var, bound)
+
+    def _update(self, var: int, value: Fraction) -> None:
+        """Move non-basic ``var`` to ``value``, keeping every row satisfied."""
+        delta = value - self._value[var]
+        for basic, row in self._rows.items():
+            coeff = row.get(var)
+            if coeff is not None:
+                self._value[basic] += coeff * delta
+        self._value[var] = value
+
+    def _check(self) -> frozenset | None:
+        """Repair the assignment until every bound holds (None) or a row
+        cannot be repaired (the tags of its blocking bounds)."""
+        pivots = 0
         while True:
-            if self.deadline is not None:
-                self.deadline.check()
-            # Constant rows decide immediately.
-            pending: list[tuple[LinearExpr, frozenset]] = []
-            for row in rows:
-                expr, tags = row
-                if expr.is_constant:
-                    if expr.constant.numerator > 0:
-                        return tags
-                else:
-                    pending.append(row)
-            rows = pending
-            if not rows:
+            leaving = None
+            for basic in self._rows:
+                if leaving is not None and basic > leaving:
+                    continue
+                value = self._value[basic]
+                lower, upper = self._lower[basic], self._upper[basic]
+                if (lower is not None and value < lower[0]) or (
+                    upper is not None and value > upper[0]
+                ):
+                    leaving = basic
+            if leaving is None:
                 return None
-            atom = self._pick_atom(rows)
-            rows = self._eliminate(rows, atom)
-            if len(rows) > self.max_constraints:
-                raise _BudgetExceeded()
+            row = self._rows[leaving]
+            lower = self._lower[leaving]
+            increase = lower is not None and self._value[leaving] < lower[0]
+            target = lower if increase else self._upper[leaving]
+            # Raising the row needs a variable with a positive coefficient
+            # below its upper bound, or a negative one above its lower
+            # bound (mirrored for lowering it); the others are blocked.
+            blocked = []
+            entering = None
+            for var, coeff in row.items():
+                up = (coeff > 0) == increase
+                bound = self._upper[var] if up else self._lower[var]
+                if bound is not None and self._value[var] == bound[0]:
+                    blocked.append(bound[1])
+                elif entering is None or var < entering:
+                    entering = var
+            if entering is None:
+                return target[1].union(*blocked)
+            self._pivot(leaving, entering, target[0])
+            pivots += 1
+            if self.deadline is not None and not pivots % _PIVOTS_PER_POLL:
+                self.deadline.check()
 
-    @staticmethod
-    def _pick_atom(rows: list[tuple[LinearExpr, frozenset]]) -> Term:
-        occurrences: dict[Term, tuple[int, int]] = {}
-        for row, _ in rows:
-            for atom, coeff in row.coeffs:
-                pos, neg = occurrences.get(atom, (0, 0))
-                if coeff.numerator > 0:
-                    pos += 1
+    def _pivot(self, leaving: int, entering: int, value: Fraction) -> None:
+        """Set basic ``leaving`` to ``value`` by moving ``entering``, then
+        swap the two in the basis."""
+        row = self._rows.pop(leaving)
+        coeff = row.pop(entering)
+        theta = (value - self._value[leaving]) / coeff
+        self._value[leaving] = value
+        self._value[entering] += theta
+        # entering = (leaving - rest of row) / coeff
+        solved = {var: -c / coeff for var, c in row.items()}
+        solved[leaving] = 1 / coeff
+        for basic, other in self._rows.items():
+            factor = other.pop(entering, None)
+            if factor is None:
+                continue
+            self._value[basic] += factor * theta
+            for var, c in solved.items():
+                total = other.get(var, 0) + factor * c
+                if total:
+                    other[var] = total
                 else:
-                    neg += 1
-                occurrences[atom] = (pos, neg)
-        return min(occurrences, key=lambda a: occurrences[a][0] * occurrences[a][1])
-
-    def _eliminate(
-        self, rows: list[tuple[LinearExpr, frozenset]], atom: Term
-    ) -> list[tuple[LinearExpr, frozenset]]:
-        upper: list[tuple[LinearExpr, frozenset]] = []  # coeff > 0 (atom <= ...)
-        lower: list[tuple[LinearExpr, frozenset]] = []  # coeff < 0 (atom >= ...)
-        rest: list[tuple[LinearExpr, frozenset]] = []
-        for row in rows:
-            expr, tags = row
-            coeff = expr.coefficient(atom)
-            # Signs via the numerator: a Fraction comparison costs far more.
-            if coeff.numerator > 0:
-                upper.append((expr.scale(Fraction(1) / coeff), tags))
-            elif coeff.numerator < 0:
-                lower.append((expr.scale(Fraction(1) / -coeff), tags))
-            else:
-                rest.append(row)
-        ticks = 0
-        for up, up_tags in upper:
-            for low, low_tags in lower:
-                ticks += 1
-                if self.deadline is not None and not ticks & 0xFF:
-                    self.deadline.check()
-                coeffs = up._as_dict()
-                for a, c in low.coeffs:
-                    coeffs[a] = coeffs.get(a, 0) + c
-                # ``atom`` cancels by construction.
-                del coeffs[atom]
-                combined = LinearExpr._from_dict(coeffs, up.constant + low.constant)
-                rest.append((combined, up_tags | low_tags))
-        return rest
+                    del other[var]
+        self._rows[entering] = solved
 
 
-class _BudgetExceeded(Exception):
-    pass
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
+#: Pivots between two polls of the deadline.
+_PIVOTS_PER_POLL = 16
 
 #: Tags the negated goal of an entailment probe, so the probe row can be
 #: dropped from the explanation.

@@ -17,7 +17,7 @@ singleton) becomes a dimension; each of the 2^n Venn regions gets a
 non-negative integer size variable; every atom becomes a linear constraint
 over region sums.  The conjunction is unsatisfiable if the resulting linear
 system is infeasible; we check the rational relaxation (sound for
-refutation) with the same Fourier-Motzkin core used by the SMT-lite prover.
+refutation) with the same simplex used by the SMT-lite prover.
 
 Formulas outside the fragment make the prover answer UNKNOWN; the dispatcher
 then falls back to the other reasoning systems, mirroring how Jahob applies
@@ -82,6 +82,8 @@ class SetCardinalityProver(Prover):
     """Venn-region / cardinality decision procedure (BAPA-lite)."""
 
     name = "sets"
+    #: 2: Venn-region systems are checked by simplex, without a row cap.
+    revision = 2
 
     def attempt(self, task: ProofTask, budget: Budget) -> ProverResult:
         # Split the negated goal and the assumptions into conjuncts and
@@ -134,7 +136,7 @@ class SetCardinalityProver(Prover):
                 reason=f"{universe.total_dims} dimensions (limit {_MAX_DIMENSIONS})",
             )
         budget.check()
-        solver = LinearSolver(max_constraints=20000, deadline=budget)
+        solver = LinearSolver(deadline=budget)
         regions = list(itertools.product([0, 1], repeat=universe.total_dims))
         region_vars = {
             region: Var("region_" + "".join(map(str, region)), INT)

@@ -39,7 +39,8 @@ class SmtProver(Prover):
 
     name = "smt"
     #: 2: theory conflicts are explained cores, not deletion-minimised ones.
-    revision = 2
+    #: 3: simplex arithmetic and an uncapped equality exchange.
+    revision = 3
 
     def __init__(
         self,

@@ -4,12 +4,13 @@ The :class:`TheoryChecker` decides (soundly, incompletely) whether a
 conjunction of ground literals is consistent with the combined theory of
 
 * equality with uninterpreted functions (congruence closure),
-* linear integer arithmetic (Fourier-Motzkin),
+* linear integer arithmetic (simplex, :mod:`repro.provers.lia`),
 
-exchanging equalities between the two solvers in a lightweight Nelson-Oppen
-loop.  It is used as the theory backend of the lazy SMT-lite prover: the SAT
-core proposes a boolean model, the checker either accepts it or returns a
-conflicting subset of literals that is turned into a blocking clause.
+exchanging equalities between the two solvers in a Nelson-Oppen loop that
+runs until neither solver has a new equality for the other.  It is used as
+the theory backend of the lazy SMT-lite prover: the SAT core proposes a
+boolean model, the checker either accepts it or returns a conflicting
+subset of literals that is turned into a blocking clause.
 
 Both solvers explain their conflicts: every literal is asserted with its
 index as tag, an equality exchanged between the solvers carries the tags the
@@ -47,9 +48,6 @@ _FALSE = BoolLit(False)
 
 class TheoryChecker:
     """Consistency checking for conjunctions of ground theory literals."""
-
-    def __init__(self, exchange_rounds: int = 3) -> None:
-        self.exchange_rounds = exchange_rounds
 
     # -- public API -------------------------------------------------------------
 
@@ -134,11 +132,14 @@ class TheoryChecker:
             return core
 
         # Nelson-Oppen style equality exchange; every exchanged equality
-        # carries the tags the sending solver derived it from.
+        # carries the tags the sending solver derived it from.  Each round
+        # either adds a new pair of integer terms to LIA or merges two EUF
+        # classes, so the loop ends.
         known_pairs: set[tuple[Term, Term]] = set()
         int_term_list = sorted(int_terms, key=repr)
         shared_list = sorted(shared_atoms, key=repr)
-        for _ in range(self.exchange_rounds):
+        changed = True
+        while changed:
             if budget is not None:
                 budget.check()
             changed = False
@@ -154,24 +155,19 @@ class TheoryChecker:
             if core is not None:
                 return core
             # LIA -> EUF (restricted to atoms that occur under uninterpreted
-            # symbols, where new congruences can actually fire).  This
-            # direction costs one entailment check per pair, so it is only
-            # attempted for small shared-variable sets and when there are
-            # arithmetic facts to draw from.  The literals that made the two
-            # atoms shared join the explanation, so the core still passes
-            # this restriction when it is checked on its own.
-            if arithmetic.constraints and len(shared_list) <= 4:
-                for left, right, tags in arithmetic.implied_equalities(shared_list):
-                    if closure.are_equal(left, right):
-                        continue
-                    tags = tags | shared_atoms[left] | shared_atoms[right]
-                    closure.assert_equal(left, right, tags)
-                    changed = True
+            # symbols, where new congruences can actually fire).  The
+            # literals that made the two atoms shared join the explanation,
+            # so the core still passes this restriction when it is checked
+            # on its own.
+            for left, right, tags in arithmetic.implied_equalities(shared_list):
+                if closure.are_equal(left, right):
+                    continue
+                tags = tags | shared_atoms[left] | shared_atoms[right]
+                closure.assert_equal(left, right, tags)
+                changed = True
             conflict = closure.check()
             if conflict is not None:
                 return conflict.explanation
-            if not changed:
-                break
         return None
 
     @staticmethod
@@ -190,7 +186,9 @@ class TheoryChecker:
 @lru_cache(maxsize=65536)
 def _int_positions(term: Term) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
     """The non-literal integer subterms of ``term`` and the integer
-    arguments of its select / uninterpreted applications, in pre-order."""
+    arguments of its select / uninterpreted applications (literals
+    included: ``heap[i]`` and ``heap[0]`` are congruent once ``i = 0``),
+    in pre-order."""
     ints: list[Term] = []
     shared: list[Term] = []
     for sub in subterms(term):
@@ -202,6 +200,6 @@ def _int_positions(term: Term) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
             # congruences.
             if sub.op == "select" or not sub.is_interpreted:
                 for arg in sub.args:
-                    if arg.sort == INT and not isinstance(arg, IntLit):
+                    if arg.sort == INT:
                         shared.append(arg)
     return tuple(ints), tuple(shared)

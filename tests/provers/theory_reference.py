@@ -1,20 +1,22 @@
-"""Reference oracle for the theory checker: the from-scratch consistency
-procedure that ``TheoryChecker`` ran (once per literal, to shrink cores)
-before its solvers explained their conflicts.
+"""Reference oracle for the theory checker: the combined EUF + LIA
+procedure without tags, over plain Fourier-Motzkin.
 
-It runs the same decision procedure -- same rows in the same order, same
-exchange rounds -- without tags, so ``TheoryChecker().check(literals) is
-None`` must hold exactly when :func:`reference_consistent` returns True.
+``reference_consistent`` runs the checker's combination loop -- same
+literal translation, same shared positions, equalities exchanged until
+neither solver has a new one, every pair of shared atoms probed -- but
+decides arithmetic with :class:`PlainLinearSolver`, the Fourier-Motzkin
+elimination ``repro.provers.lia`` used before its simplex, and probes
+every pair instead of only the pairs that agree in a model.  So
+``TheoryChecker().check(literals) is None`` must hold exactly when
+:func:`reference_consistent` returns True, as long as no elimination
+exceeds the row cap.
 
-The arithmetic side is :class:`PlainLinearSolver`, the plain
-Fourier-Motzkin formulation the solver had before its rows carried tags:
-every scaling and every combination re-normalises through
-``LinearExpr._from_dict``.  ``repro.provers.lia`` skips those
-re-normalisations where they cannot change a row; keeping the plain
-version here means the oracle does not move with those shortcuts, and
-``test_explanations.py`` compares the two row by row.  The congruence
-closure is the production one: its proof forest is bookkeeping beside the
-union-find, whose merges are unchanged.
+:class:`PlainLinearSolver` re-normalises every scaling and combination
+through ``LinearExpr._from_dict``, so it does not move with the solver's
+shortcuts.  ``test_simplex.py`` holds ``LinearSolver`` to it system by
+system: the same verdicts, and explanations the reference refutes.  The
+congruence closure is the production one: its proof forest is
+bookkeeping beside the union-find, whose merges are unchanged.
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ _TRUE = BoolLit(True)
 _FALSE = BoolLit(False)
 
 
-def reference_consistent(
-    literals: list[Literal], budget: Budget | None = None, exchange_rounds: int = 3
-) -> bool:
+def reference_consistent(literals: list[Literal], budget: Budget | None = None) -> bool:
     """True when the combined EUF + LIA procedure finds ``literals``
     consistent."""
     if budget is not None:
@@ -91,7 +91,8 @@ def reference_consistent(
     known_pairs: set[tuple[Term, Term]] = set()
     int_term_list = sorted(int_terms, key=repr)
     shared_list = sorted(shared_atoms, key=repr)
-    for _ in range(exchange_rounds):
+    changed = True
+    while changed:
         if budget is not None:
             budget.check()
         changed = False
@@ -104,16 +105,13 @@ def reference_consistent(
             changed = True
         if arithmetic.is_infeasible():
             return False
-        if arithmetic.constraints and len(shared_list) <= 4:
-            for left, right in arithmetic.implied_equalities(shared_list):
-                if closure.are_equal(left, right):
-                    continue
-                closure.assert_equal(left, right)
-                changed = True
+        for left, right in arithmetic.implied_equalities(shared_list):
+            if closure.are_equal(left, right):
+                continue
+            closure.assert_equal(left, right)
+            changed = True
         if closure.check() is not None:
             return False
-        if not changed:
-            break
     return True
 
 
@@ -124,7 +122,7 @@ def _collect(term: Term, int_terms: set[Term], shared_atoms: set[Term]) -> None:
         if isinstance(sub, App):
             if sub.op == "select" or not sub.is_interpreted:
                 for arg in sub.args:
-                    if arg.sort == INT and not isinstance(arg, IntLit):
+                    if arg.sort == INT:
                         shared_atoms.add(arg)
 
 
@@ -223,29 +221,36 @@ class PlainLinearSolver:
         clone.constraints = list(self.constraints)
         return clone
 
+    def add_le(self, expr: LinearExpr) -> None:
+        self.constraints.append((expr, False))
+
+    def add_eq(self, expr: LinearExpr) -> None:
+        self.constraints.append((expr, True))
+
     def add_le_terms(self, left: Term, right: Term) -> None:
-        self.constraints.append(
-            (plain_sub(plain_linearize(left), plain_linearize(right)), False)
-        )
+        self.add_le(plain_sub(plain_linearize(left), plain_linearize(right)))
 
     def add_lt_terms(self, left: Term, right: Term) -> None:
         difference = plain_sub(plain_linearize(left), plain_linearize(right))
-        self.constraints.append((difference.add(LinearExpr.of_constant(1)), False))
+        self.add_le(difference.add(LinearExpr.of_constant(1)))
 
     def add_eq_terms(self, left: Term, right: Term) -> None:
-        self.constraints.append(
-            (plain_sub(plain_linearize(left), plain_linearize(right)), True)
-        )
+        self.add_eq(plain_sub(plain_linearize(left), plain_linearize(right)))
 
-    def is_infeasible(self) -> bool:
+    def decide(self) -> bool | None:
+        """True when infeasible, False when feasible, None when the
+        elimination exceeds the row cap."""
         try:
             return self._check_infeasible()
         except _BudgetExceeded:
-            return False
+            return None
+
+    def is_infeasible(self) -> bool:
+        return self.decide() is True
 
     def entails_le(self, expr: LinearExpr) -> bool:
         probe = self.copy()
-        probe.constraints.append((plain_sub(LinearExpr.of_constant(1), expr), False))
+        probe.add_le(plain_sub(LinearExpr.of_constant(1), expr))
         return probe.is_infeasible()
 
     def entails_eq(self, left: Term, right: Term) -> bool:
@@ -255,7 +260,6 @@ class PlainLinearSolver:
         )
 
     def implied_equalities(self, atoms: list[Term]) -> list[tuple[Term, Term]]:
-        atoms = atoms[:6]
         return [
             (left, right)
             for i, left in enumerate(atoms)

@@ -20,10 +20,10 @@ from repro.verifier import VerificationEngine, class_statistics
 #: silently loses a proof fails.
 PROVED_FLOORS = {
     "Hash Table": (41, 50),
-    "Priority Queue": (35, 37),
+    "Priority Queue": (36, 37),
     "Binary Tree": (46, 48),
 }
-CATALOGUE_PROVED_FLOOR = 275
+CATALOGUE_PROVED_FLOOR = 276
 CATALOGUE_SEQUENTS = 288
 
 
