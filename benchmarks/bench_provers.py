@@ -3,17 +3,16 @@
 These measure the individual reasoning systems of the portfolio on
 representative sequent families drawn from the data-structure proofs:
 ground arithmetic + equality (SMT-lite), quantified heap facts with
-function updates (SMT-lite with instantiation), cardinality reasoning
-(the BAPA-style set reasoner) and unification-based quantified reasoning
-(the resolution prover).  They are the reproduction's counterpart of the
-per-prover behaviour the paper describes qualitatively in Section 6.
+function updates (SMT-lite with instantiation) and cardinality reasoning
+(the BAPA-style set reasoner).  They are the reproduction's counterpart of
+the per-prover behaviour the paper describes qualitatively in Section 6.
 """
 
 from __future__ import annotations
 
-from repro.logic import BOOL, INT, OBJ, fun_of, map_of, set_of
+from repro.logic import INT, OBJ, map_of, set_of
 from repro.logic.parser import parse_formula
-from repro.provers import FolProver, ProofTask, SetCardinalityProver, SmtProver
+from repro.provers import ProofTask, SetCardinalityProver, SmtProver
 
 _ENV = {
     "x": INT,
@@ -33,16 +32,15 @@ _ENV = {
     "S": set_of(OBJ),
     "T": set_of(OBJ),
 }
-_FUNCS = {"p": fun_of([OBJ], BOOL), "q": fun_of([OBJ], BOOL)}
 
 
 def _task(assumptions, goal):
     return ProofTask(
         tuple(
-            (f"h{i}", parse_formula(text, _ENV, _FUNCS))
+            (f"h{i}", parse_formula(text, _ENV))
             for i, text in enumerate(assumptions)
         ),
-        parse_formula(goal, _ENV, _FUNCS),
+        parse_formula(goal, _ENV),
     )
 
 
@@ -64,10 +62,6 @@ _SETS_CARD = _task(
     ],
     "card (nodes Un {n}) = old_csize + 1",
 )
-_FOL_CHAIN = _task(
-    ["ALL x : obj. p(x) --> q(x)", "p(a)"],
-    "q(a)",
-)
 
 
 def test_smt_ground_arithmetic_equality(benchmark):
@@ -85,10 +79,4 @@ def test_smt_quantified_array_facts(benchmark):
 def test_sets_cardinality_reasoning(benchmark):
     prover = SetCardinalityProver()
     result = benchmark(lambda: prover.prove(_SETS_CARD, timeout=10.0))
-    assert result.is_proved
-
-
-def test_fol_quantified_chain(benchmark):
-    prover = FolProver()
-    result = benchmark(lambda: prover.prove(_FOL_CHAIN, timeout=10.0))
     assert result.is_proved

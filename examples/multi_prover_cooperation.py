@@ -7,8 +7,6 @@ example shows the same effect with the reproduction's portfolio on the
 Linked List: cardinality obligations are discharged by the BAPA-style set
 reasoner while the quantified structural obligations go to the SMT-lite
 prover -- and restricting the portfolio to a single prover loses sequents.
-The resolution prover is not in the default portfolio (it proves nothing
-the other two leave open), so its line opts in with ``fol_timeout``.
 
 Run with:  python examples/multi_prover_cooperation.py [TIMEOUT_SCALE]
 """
@@ -40,8 +38,6 @@ def main(timeout_scale: float = 1.0) -> None:
     run("full portfolio", full)
     run("SMT-lite only", full.only("smt"))
     run("set reasoner only", full.only("sets"))
-    with_fol = default_portfolio(fol_timeout=2.0).scaled(timeout_scale)
-    run("first-order prover only", with_fol.only("fol"))
 
 
 if __name__ == "__main__":

@@ -13,9 +13,8 @@ imperative object-oriented language:
 * :mod:`repro.vcgen`    -- verification-condition generation, splitting and
   assumption-base control;
 * :mod:`repro.provers`  -- the integrated reasoning portfolio (SAT, EUF,
-  linear integer arithmetic, quantifier instantiation, a first-order
-  saturation prover, a set-with-cardinality reasoner, a finite model finder)
-  and the multi-prover dispatcher;
+  linear integer arithmetic, quantifier instantiation, a
+  set-with-cardinality reasoner) and the multi-prover dispatcher;
 * :mod:`repro.frontend` -- the mini-Java surface language with `/*: ... */`
   specification comments and its lowering to guarded commands;
 * :mod:`repro.verifier` -- the end-to-end verification engine, reporting and

@@ -1,18 +1,16 @@
-"""Clausal form: literals, clauses and CNF conversion.
+"""Literals: signed atoms.
 
-Clauses are the common currency of the refutation provers: the SAT core,
-the first-order saturation prover and the ground SMT-lite prover all consume
-the representation defined here.
+The SMT-lite prover reads a SAT model back as theory literals and the
+theory checker explains its conflicts as cores of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import builder as b
-from .terms import App, BoolLit, Term
+from .terms import Term
 
-__all__ = ["Literal", "Clause", "cnf_clauses", "negate_literal", "formula_of_clause"]
+__all__ = ["Literal"]
 
 
 @dataclass(frozen=True)
@@ -22,96 +20,6 @@ class Literal:
     atom: Term
     positive: bool = True
 
-    def negated(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
-    def to_formula(self) -> Term:
-        return self.atom if self.positive else b.Not(self.atom)
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         sign = "" if self.positive else "~"
         return f"{sign}{self.atom}"
-
-
-Clause = frozenset[Literal]
-
-
-def negate_literal(literal: Literal) -> Literal:
-    """Return the complementary literal."""
-    return literal.negated()
-
-
-def formula_of_clause(clause: Clause) -> Term:
-    """The disjunction denoted by a clause."""
-    return b.Or(*[lit.to_formula() for lit in clause])
-
-
-def literal_of(formula: Term) -> Literal:
-    """View a formula as a literal (an atom or a negated atom)."""
-    if isinstance(formula, App) and formula.op == "not":
-        return Literal(formula.args[0], positive=False)
-    return Literal(formula, positive=True)
-
-
-class ClauseBudgetExceeded(RuntimeError):
-    """Raised when naive CNF distribution exceeds the configured budget."""
-
-
-def cnf_clauses(formula: Term, max_clauses: int = 20000) -> list[Clause]:
-    """Convert an NNF (quantifier-free or matrix) formula to CNF clauses.
-
-    Uses distribution, which preserves logical equivalence (no fresh
-    variables), with a budget guard; the ground SMT pipeline uses the
-    Tseitin transformation in :mod:`repro.provers.sat` instead when formulas
-    are large.
-    """
-    clauses = _cnf(formula, max_clauses)
-    # Remove tautologies and duplicate clauses.
-    result: list[Clause] = []
-    seen: set[Clause] = set()
-    for clause in clauses:
-        if _is_tautology(clause):
-            continue
-        if clause in seen:
-            continue
-        seen.add(clause)
-        result.append(clause)
-    return result
-
-
-def _is_tautology(clause: Clause) -> bool:
-    atoms_pos = {lit.atom for lit in clause if lit.positive}
-    atoms_neg = {lit.atom for lit in clause if not lit.positive}
-    if atoms_pos & atoms_neg:
-        return True
-    return any(
-        isinstance(lit.atom, BoolLit) and lit.atom.value == lit.positive
-        for lit in clause
-    )
-
-
-def _cnf(formula: Term, budget: int) -> list[Clause]:
-    if isinstance(formula, BoolLit):
-        if formula.value:
-            return []
-        return [frozenset()]
-    if isinstance(formula, App) and formula.op == "and":
-        clauses: list[Clause] = []
-        for arg in formula.args:
-            clauses.extend(_cnf(arg, budget))
-            if len(clauses) > budget:
-                raise ClauseBudgetExceeded(f"CNF exceeded {budget} clauses")
-        return clauses
-    if isinstance(formula, App) and formula.op == "or":
-        branches = [_cnf(arg, budget) for arg in formula.args]
-        product: list[Clause] = [frozenset()]
-        for branch in branches:
-            new_product: list[Clause] = []
-            for left in product:
-                for right in branch:
-                    new_product.append(left | right)
-                    if len(new_product) > budget:
-                        raise ClauseBudgetExceeded(f"CNF exceeded {budget} clauses")
-            product = new_product
-        return product
-    return [frozenset({literal_of(formula)})]

@@ -14,9 +14,7 @@ value:
 
 The evaluator is the semantic reference point of the whole reproduction: the
 test suite uses it as an oracle (simplification, normal forms, substitution
-and the provers are all checked against it on random small interpretations),
-and the finite model finder uses it to search for counter-models of invalid
-sequents.
+and the provers are all checked against it on random small interpretations).
 """
 
 from __future__ import annotations
@@ -327,8 +325,7 @@ def all_interpretations(
     int_range: tuple[int, int] = (-1, 2),
 ) -> Iterable[Interpretation]:
     """Enumerate interpretations assigning all combinations of values to
-    ``free`` variables (used by the brute-force validity oracle in tests and
-    by the model finder)."""
+    ``free`` variables (used by the brute-force validity oracle in tests)."""
     free = list(free)
     base = Interpretation(objects=objects, int_range=int_range)
     spaces = []

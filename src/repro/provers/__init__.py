@@ -2,9 +2,7 @@
 
 from .cache import CachedVerdict, ProofCache, task_fingerprint, term_fingerprint
 from .dispatch import DispatchResult, PortfolioEntry, ProverPortfolio, default_portfolio
-from .fol import FolProver
 from .interface import Prover
-from .model_finder import FiniteModelFinder
 from .result import Budget, Outcome, ProofTask, ProverResult
 from .setsolver import SetCardinalityProver
 from .smt import SmtProver
@@ -13,8 +11,6 @@ __all__ = [
     "Budget",
     "CachedVerdict",
     "DispatchResult",
-    "FiniteModelFinder",
-    "FolProver",
     "Outcome",
     "PortfolioEntry",
     "ProofCache",

@@ -8,10 +8,7 @@ portfolio of this package:
 
 * ``smt``          -- the lazy SMT-lite prover (stand-in for CVC3 / Z3),
 * ``sets``         -- the BAPA-style set-with-cardinality reasoner
-  (stand-in for the MONA / BAPA decision procedures),
-* ``fol``          -- the resolution prover (stand-in for SPASS / E);
-  opt-in, see :func:`default_portfolio`,
-* ``model-finder`` -- a counter-model search used only to report refutations.
+  (stand-in for the MONA / BAPA decision procedures).
 
 The dispatcher also implements the paper's *assumption base control*: when a
 proof obligation carries a ``from`` clause (a set of named assumptions), only
@@ -31,9 +28,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cache import CachedVerdict, ProofCache
-from .fol import FolProver
 from .interface import Prover
-from .model_finder import FiniteModelFinder
 from .result import (
     Outcome,
     PortfolioStatistics,
@@ -60,8 +55,6 @@ __all__ = [
 PROVER_FACTORIES: dict[str, type[Prover]] = {
     SmtProver.name: SmtProver,
     SetCardinalityProver.name: SetCardinalityProver,
-    FolProver.name: FolProver,
-    FiniteModelFinder.name: FiniteModelFinder,
 }
 
 
@@ -102,7 +95,6 @@ class PortfolioEntry:
 
     prover: Prover
     timeout: float
-    enabled: bool = True
 
 
 class ProverPortfolio:
@@ -132,7 +124,7 @@ class ProverPortfolio:
         """
         self._check_names(names)
         kept = [
-            PortfolioEntry(e.prover, e.timeout, e.enabled)
+            PortfolioEntry(e.prover, e.timeout)
             for e in self.entries
             if e.prover.name in names
         ]
@@ -147,7 +139,7 @@ class ProverPortfolio:
         """
         self._check_names(names)
         kept = [
-            PortfolioEntry(e.prover, e.timeout, e.enabled)
+            PortfolioEntry(e.prover, e.timeout)
             for e in self.entries
             if e.prover.name not in names
         ]
@@ -167,7 +159,7 @@ class ProverPortfolio:
         """A copy with all per-prover timeouts scaled by ``factor``."""
         return ProverPortfolio(
             [
-                PortfolioEntry(e.prover, e.timeout * factor, e.enabled)
+                PortfolioEntry(e.prover, e.timeout * factor)
                 for e in self.entries
             ],
             ProofCache() if self.proof_cache is not None else None,
@@ -175,7 +167,7 @@ class ProverPortfolio:
 
     @property
     def prover_names(self) -> list[str]:
-        return [entry.prover.name for entry in self.entries if entry.enabled]
+        return [entry.prover.name for entry in self.entries]
 
     # -- dispatching -------------------------------------------------------------
 
@@ -238,8 +230,6 @@ class ProverPortfolio:
         """Phase 2: run the portfolio on a cache miss (no accounting)."""
         result = DispatchResult(task=task, proved=False)
         for entry in self.entries:
-            if not entry.enabled:
-                continue
             prover_result = entry.prover.prove(task, timeout=entry.timeout)
             result.attempts.append(prover_result)
             if prover_result.outcome is Outcome.PROVED:
@@ -271,30 +261,21 @@ class ProverPortfolio:
 def default_portfolio(
     smt_timeout: float = 4.0,
     sets_timeout: float = 1.5,
-    fol_timeout: float = 0.0,
-    model_finder_timeout: float = 0.0,
     with_cache: bool = True,
 ) -> ProverPortfolio:
     """The standard portfolio used by the verification engine: ``smt``,
     then ``sets``.
 
-    ``fol`` and the model finder are off by default (timeout 0); a positive
-    timeout appends either.  ``fol`` proves none of the catalogue's or the
-    generated corpus's sequents that ``smt`` and ``sets`` leave open, so by
-    default it would only spend its budget timing out; the model finder's
-    refutations are a diagnostic aid, not part of verification.
     ``with_cache`` attaches a sequent-level :class:`ProofCache` (pass False
     for cold-cache measurements).
     """
-    entries = [
-        PortfolioEntry(SmtProver(), smt_timeout),
-        PortfolioEntry(SetCardinalityProver(), sets_timeout),
-    ]
-    if fol_timeout > 0:
-        entries.append(PortfolioEntry(FolProver(), fol_timeout))
-    if model_finder_timeout > 0:
-        entries.append(PortfolioEntry(FiniteModelFinder(), model_finder_timeout))
-    return ProverPortfolio(entries, ProofCache() if with_cache else None)
+    return ProverPortfolio(
+        [
+            PortfolioEntry(SmtProver(), smt_timeout),
+            PortfolioEntry(SetCardinalityProver(), sets_timeout),
+        ],
+        ProofCache() if with_cache else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -316,8 +297,6 @@ class PortfolioSpec:
         a worker process)."""
         entries = []
         for entry in portfolio.entries:
-            if not entry.enabled:
-                continue
             name = entry.prover.name
             if name not in PROVER_FACTORIES:
                 raise ValueError(
@@ -328,7 +307,14 @@ class PortfolioSpec:
         return cls(tuple(entries))
 
     def build(self, proof_cache: ProofCache | None = None) -> ProverPortfolio:
-        """Construct a fresh portfolio matching this spec."""
+        """Construct a fresh portfolio matching this spec; raises
+        ``ValueError`` naming any prover outside :data:`PROVER_FACTORIES`."""
+        unknown = [name for name, _ in self.entries if name not in PROVER_FACTORIES]
+        if unknown:
+            raise ValueError(
+                f"unknown prover {', '.join(map(repr, unknown))} "
+                f"(known: {', '.join(PROVER_FACTORIES)})"
+            )
         return ProverPortfolio(
             [
                 PortfolioEntry(PROVER_FACTORIES[name](), timeout)

@@ -34,7 +34,7 @@ from ..logic import builder as b
 from ..logic.nnf import to_nnf
 from ..logic.sorts import INT, SetSort, Sort
 from ..logic.subst import substitute
-from ..logic.terms import App, BoolLit, Const, IntLit, Term, Var, subterms
+from ..logic.terms import App, BoolLit, Const, IntLit, Term, Var, free_vars, subterms
 from .interface import Prover
 from .lia import LinearExpr, LinearSolver, linearize
 from .result import Budget, Outcome, ProofTask, ProverResult
@@ -197,8 +197,6 @@ class SetCardinalityProver(Prover):
 def _collect_definitions(conjuncts: list[Term]) -> dict[Var, Term]:
     """Definitional equalities ``v = t`` among the conjuncts, fully resolved
     (chains like ``nodes_1 = v_1`` and ``v_1 = nodes Un {n}`` collapse)."""
-    from ..logic.terms import free_vars
-
     definitions: dict[Var, Term] = {}
     for conjunct in conjuncts:
         if not (isinstance(conjunct, App) and conjunct.op == "eq"):
@@ -224,9 +222,7 @@ def _collect_definitions(conjuncts: list[Term]) -> dict[Var, Term]:
         if not changed:
             break
     # Drop any residual self-referential entries.
-    from ..logic.terms import free_vars as _fv
-
-    return {v: t for v, t in definitions.items() if v not in _fv(t)}
+    return {v: t for v, t in definitions.items() if v not in free_vars(t)}
 
 
 def _is_definition(conjunct: Term, definitions: dict[Var, Term]) -> bool:

@@ -42,17 +42,10 @@ class SmtProver(Prover):
     #: 3: simplex arithmetic and an uncapped equality exchange.
     revision = 3
 
-    def __init__(
-        self,
-        instantiation_rounds: int = 3,
-        max_candidates_per_var: int = 8,
-        max_theory_iterations: int = 400,
-        max_sat_conflicts: int = 20000,
-    ) -> None:
-        self.instantiation_rounds = instantiation_rounds
-        self.max_candidates_per_var = max_candidates_per_var
-        self.max_theory_iterations = max_theory_iterations
-        self.max_sat_conflicts = max_sat_conflicts
+    instantiation_rounds = 3
+    max_candidates_per_var = 8
+    max_theory_iterations = 400
+    max_sat_conflicts = 20000
 
     # -- main entry point --------------------------------------------------------
 
@@ -177,12 +170,6 @@ class _GroundEncoder:
                         self.tseitin.encode_or([cond, other]),
                     ]
                 )
-            if op == "eq" and formula.args[0].sort == INT:
-                # Keep the equality atom itself but it is helpful to also know
-                # its arithmetic negation splits; the theory checker handles
-                # positive/negative equalities, and negative int equalities
-                # are additionally split for arithmetic completeness.
-                return self._atom_literal(formula)
         return self._atom_literal(formula)
 
     def _atom_literal(self, atom: Term) -> int:
@@ -225,11 +212,9 @@ class _GroundEncoder:
         for literal in core:
             var = self.tseitin.atom_var(_canonical_atom(literal.atom))
             clause.append(-var if literal.positive else var)
-        if not clause:
-            # An unconditionally inconsistent theory state: the formula is
-            # unsatisfiable outright.
-            clause = []
-        self.tseitin.add_clause(clause or [ -self._true_var ])
+        # An empty core is an unconditionally inconsistent theory state: the
+        # formula is unsatisfiable outright.
+        self.tseitin.add_clause(clause or [-self._true_var])
 
 
 def _canonical_atom(atom: Term) -> Term:

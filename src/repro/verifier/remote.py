@@ -33,6 +33,7 @@ Session protocol (coordinator's view, after the wire handshake)::
     -> {"op": "batch", "tasks": [[index, <b64 pickle>], ...]}   (repeated)
     <- {"op": "result", "index": ..., "wall": ..., "payload": <b64>}
     <- {"op": "error", "index": ..., "error": "..."}            (prover crash)
+    <- {"op": "error", "index": null, "error": "..."}           (bad init spec)
     -> {"op": "bye"}
 """
 

@@ -58,9 +58,9 @@ def serve_session(channel: LineChannel) -> int:
     """Serve one coordinator session on an authenticated channel.
 
     Returns the number of tasks answered.  Exits cleanly on ``bye`` or
-    EOF; a prover crash on one task is reported back as an ``error``
-    message (the coordinator decides whether to abort the run) and the
-    session continues with the next task.
+    EOF; a prover crash on one task, or an ``init`` whose spec cannot be
+    built, is reported back as an ``error`` message (the coordinator
+    decides whether to abort the run) and the session continues.
     """
     channel.send(_hello())
     portfolio: ProverPortfolio | None = None
@@ -79,14 +79,28 @@ def serve_session(channel: LineChannel) -> int:
             channel.send({"op": "pong", "pid": os.getpid()})
             continue
         if op == "init":
-            spec = PortfolioSpec(
-                tuple(
-                    (str(name), float(timeout))
-                    for name, timeout in message.get("spec", [])
+            # A spec this worker cannot build (an unknown prover, a bad
+            # timeout) is answered, not fatal: the portfolio stays unset,
+            # so later batches get "batch before init", and the
+            # coordinator's error path aborts its run.
+            portfolio = None
+            try:
+                spec = PortfolioSpec(
+                    tuple(
+                        (str(name), float(timeout))
+                        for name, timeout in message.get("spec", [])
+                    )
                 )
-            )
-            # The pure prover phase only: no cache, no shared statistics.
-            portfolio = spec.build(proof_cache=None)
+                # The pure prover phase only: no cache, no shared statistics.
+                portfolio = spec.build(proof_cache=None)
+            except (TypeError, ValueError) as exc:
+                channel.send(
+                    {
+                        "op": "error",
+                        "index": None,
+                        "error": f"bad init: {type(exc).__name__}: {exc}",
+                    }
+                )
             continue
         if op == "batch":
             if portfolio is None:

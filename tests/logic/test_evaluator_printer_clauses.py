@@ -1,4 +1,4 @@
-"""Additional coverage: evaluator data values, printers, clause utilities."""
+"""Additional coverage: evaluator data values and printers."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.logic import (
     Int,
     IntVar,
     Lambda,
-    Le,
     Lt,
     Member,
     ObjVar,
@@ -25,7 +24,6 @@ from repro.logic import (
     map_of,
     set_of,
 )
-from repro.logic.clauses import Literal, cnf_clauses, formula_of_clause, literal_of
 from repro.logic.evaluator import (
     EvaluationError,
     FiniteMap,
@@ -117,20 +115,3 @@ class TestPrinter:
         env = {"S": set_of(INT), "T": set_of(INT)}
         rendered = to_unicode(parse_formula("S subseteq T & card S <= 3", env))
         assert "⊆" in rendered and "≤" in rendered
-
-
-class TestClauses:
-    def test_literal_negation(self):
-        literal = literal_of(b.Not(Lt(x, y)))
-        assert not literal.positive
-        assert literal.negated().positive
-
-    def test_tautology_removed(self):
-        clauses = cnf_clauses(b.Or(Lt(x, y), b.Not(Lt(x, y))))
-        assert clauses == []
-
-    def test_formula_of_clause(self):
-        clause = frozenset({Literal(Lt(x, y)), Literal(Le(y, x), False)})
-        formula = formula_of_clause(clause)
-        interp = Interpretation(variables={"x": 0, "y": 1})
-        assert holds(formula, interp)

@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.logic import INT, OBJ, map_of, set_of, tuple_of
-from repro.logic.clauses import cnf_clauses, formula_of_clause
 from repro.logic.evaluator import Interpretation, all_interpretations, holds
 from repro.logic.nnf import eliminate_sugar, prenex, skolemize, to_nnf
 from repro.logic.parser import parse_formula
@@ -96,16 +95,6 @@ def test_nnf_preserves_semantics(formula, x_val, y_val, p_val):
     interp = Interpretation(variables={"x": x_val, "y": y_val, "p": p_val})
     assert holds(to_nnf(formula), interp) == holds(formula, interp)
     assert holds(to_nnf(b.Not(formula)), interp) != holds(formula, interp)
-
-
-@given(formula=_random_small_formulas(), x_val=st.integers(-2, 2),
-       y_val=st.integers(-2, 2), p_val=st.integers(-2, 2))
-@settings(max_examples=60, deadline=None)
-def test_cnf_preserves_semantics(formula, x_val, y_val, p_val):
-    interp = Interpretation(variables={"x": x_val, "y": y_val, "p": p_val})
-    clauses = cnf_clauses(to_nnf(formula))
-    value = all(holds(formula_of_clause(c), interp) for c in clauses)
-    assert value == holds(formula, interp)
 
 
 class TestSkolemization:

@@ -347,6 +347,18 @@ class TestInvalidation:
         monkeypatch.setattr(SmtProver, "revision", SmtProver.revision + 1)
         assert spec.cache_key != before
 
+    def test_default_key_is_unchanged_and_existing_stores_load_warm(self, tmp_path):
+        # The default line-up's key is the one stores already on disk were
+        # written under; changing it would cold-start every one of them.
+        default = default_portfolio()
+        assert PortfolioSpec.from_portfolio(default).cache_key == "smt@3:4;sets@2:1.5"
+        key = PortfolioSpec.from_portfolio(default.scaled(0.4)).cache_key
+        assert key == "smt@3:1.6;sets@2:0.6"
+        PersistentCacheStore(tmp_path, "smt@3:1.6;sets@2:0.6").save(sample_entries())
+        store = PersistentCacheStore(tmp_path, key)
+        assert set(store.load()) == set(sample_entries())
+        assert store.last_load_status == f"warm:{len(sample_entries())}"
+
     def test_store_under_pre_revision_key_is_discarded(self, tmp_path):
         # Stores written before prover revisions joined the key carry the
         # bare ``name:timeout`` line-up; their verdicts (negative ones

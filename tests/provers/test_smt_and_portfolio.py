@@ -7,19 +7,28 @@ with instantiation, comprehension-defined specification variables, and
 existentially quantified goals resolved by a witness in the assumption base.
 """
 
+import inspect
+import json
+
 import pytest
 
 from repro.logic import BOOL, INT, OBJ, fun_of, map_of, set_of, tuple_of
 from repro.logic.parser import parse_formula
 from repro.provers import (
-    FiniteModelFinder,
-    FolProver,
+    CachedVerdict,
     Outcome,
+    PortfolioEntry,
+    ProofCache,
     ProofTask,
+    Prover,
+    ProverPortfolio,
+    ProverResult,
     SetCardinalityProver,
     SmtProver,
     default_portfolio,
 )
+from repro.provers.cache import PersistentCacheStore
+from repro.provers.dispatch import PROVER_FACTORIES, PortfolioSpec
 
 ENV = {
     "x": INT, "y": INT, "z": INT, "i": INT, "j": INT, "size": INT, "csize": INT,
@@ -152,35 +161,19 @@ class TestSetCardinalityProver:
         assert result.outcome is Outcome.UNKNOWN
 
 
-class TestFolProver:
-    def test_modus_ponens_chain(self):
-        result = FolProver().prove(
-            task(
-                ["ALL v : obj. p(v) --> q(v)", "ALL v : obj. q(v) --> r(v)", "p(a)"],
-                "r(a)",
-            ),
-            timeout=10.0,
-        )
-        assert result.is_proved
+class StubProver(Prover):
+    """A test-only prover: answers every sequent with ``outcome`` (a
+    refutation carries a fixed countermodel) and counts its calls."""
 
-    def test_existential_goal(self):
-        result = FolProver().prove(task(["p(a)"], "EX v : obj. p(v)"), timeout=10.0)
-        assert result.is_proved
+    def __init__(self, name: str, outcome: Outcome) -> None:
+        self.name = name
+        self.outcome = outcome
+        self.calls = 0
 
-    def test_does_not_prove_invalid(self):
-        result = FolProver().prove(task(["p(a)"], "q(a)"), timeout=5.0)
-        assert not result.is_proved
-
-
-class TestModelFinder:
-    def test_refutes_invalid_sequent(self):
-        result = FiniteModelFinder().prove(task(["x <= y"], "y <= x"), timeout=5.0)
-        assert result.outcome is Outcome.REFUTED
-        assert result.countermodel is not None
-
-    def test_declines_uninterpreted_symbols(self):
-        result = FiniteModelFinder().prove(task(["p(a)"], "q(a)"), timeout=5.0)
-        assert result.outcome is Outcome.UNKNOWN
+    def attempt(self, task, budget):
+        self.calls += 1
+        countermodel = {"x": 1, "y": 0} if self.outcome is Outcome.REFUTED else None
+        return ProverResult(self.outcome, reason="stub", countermodel=countermodel)
 
 
 class TestPortfolio:
@@ -208,11 +201,75 @@ class TestPortfolio:
         assert portfolio.statistics.sequents_attempted == 1
         assert portfolio.statistics.sequents_proved == 1
 
-    def test_default_line_up_leaves_fol_opt_in(self):
+    def test_default_line_up_is_every_registered_prover(self):
+        assert set(PROVER_FACTORIES) == {"smt", "sets"}
         assert default_portfolio().prover_names == ["smt", "sets"]
-        opted_in = default_portfolio(fol_timeout=2.0, model_finder_timeout=1.0)
-        assert opted_in.prover_names == ["smt", "sets", "fol", "model-finder"]
-        assert opted_in.only("fol").prover_names == ["fol"]
+
+    def test_default_portfolio_takes_only_timeouts_and_the_cache_switch(self):
+        params = inspect.signature(default_portfolio).parameters
+        assert list(params) == ["smt_timeout", "sets_timeout", "with_cache"]
+        uncached = default_portfolio(
+            smt_timeout=2.0, sets_timeout=0.5, with_cache=False
+        )
+        assert uncached.proof_cache is None
+        assert [(e.prover.name, e.timeout) for e in uncached.entries] == [
+            ("smt", 2.0),
+            ("sets", 0.5),
+        ]
+
+    def test_smt_limits_are_fixed_class_constants(self):
+        assert not inspect.signature(SmtProver).parameters
+        with pytest.raises(TypeError):
+            SmtProver(instantiation_rounds=5)
+        smt = SmtProver()
+        assert (
+            smt.instantiation_rounds,
+            smt.max_candidates_per_var,
+            smt.max_theory_iterations,
+            smt.max_sat_conflicts,
+        ) == (3, 8, 400, 20000)
+
+    def test_spec_rebuilds_the_default_and_rejects_a_custom_prover(self):
+        spec = PortfolioSpec.from_portfolio(default_portfolio())
+        assert spec.entries == (("smt", 4.0), ("sets", 1.5))
+        rebuilt = spec.build()
+        assert rebuilt.prover_names == ["smt", "sets"]
+        assert PortfolioSpec.from_portfolio(rebuilt) == spec
+        # A prover object outside PROVER_FACTORIES cannot be rebuilt in a
+        # worker process, so it has no spec.
+        stub = StubProver("stub", Outcome.PROVED)
+        custom = ProverPortfolio([PortfolioEntry(stub, 1.0)])
+        with pytest.raises(ValueError, match="'stub'"):
+            PortfolioSpec.from_portfolio(custom)
+
+    def test_refutation_stops_dispatch_and_is_cached(self, tmp_path):
+        refuter = StubProver("refuter", Outcome.REFUTED)
+        later = StubProver("later", Outcome.PROVED)
+        portfolio = ProverPortfolio(
+            [PortfolioEntry(refuter, 1.0), PortfolioEntry(later, 1.0)], ProofCache()
+        )
+        sequent = task(["x <= y"], "y <= x")
+        result = portfolio.dispatch(sequent)
+        assert result.refuted and not result.proved
+        assert result.winning_prover == "refuter"
+        assert [attempt.prover for attempt in result.attempts] == ["refuter"]
+        assert result.attempts[0].countermodel == {"x": 1, "y": 0}
+        assert later.calls == 0
+        # The verdict is cached: a repeat is answered without any prover.
+        repeat = portfolio.dispatch(sequent)
+        assert repeat.cached and repeat.refuted
+        assert repeat.winning_prover == "refuter"
+        assert refuter.calls == 1
+        # ...and survives a persistent store round trip.
+        key = "refuter:1;later:1"
+        store = PersistentCacheStore(tmp_path, key)
+        store.save(portfolio.proof_cache.snapshot())
+        entries = json.loads(store.path.read_text())["entries"]
+        assert [verdict for _, verdict in entries] == [
+            {"proved": False, "refuted": True, "prover": "refuter"}
+        ]
+        (loaded,) = PersistentCacheStore(tmp_path, key).load().values()
+        assert loaded == CachedVerdict(False, True, "refuter", "disk")
 
     def test_only_and_without_reject_unknown_provers(self):
         portfolio = default_portfolio()

@@ -157,7 +157,7 @@ def test_tier1_runs_traced_edit_serve_and_uploads_its_record():
 
 def test_tier1_runs_traced_table1_cold_and_uploads_its_record():
     """Every commit records the prover layers of a cold Table 1 run (smt
-    SAT / theory / quantifier time, fol and sets timeouts)."""
+    SAT / theory / quantifier time, sets timeouts)."""
     jobs = load_workflow()["jobs"]
     runs = all_run_lines(jobs["tier1"])
     assert (

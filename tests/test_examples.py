@@ -10,6 +10,7 @@ of what they demonstrate.
 
 import ast
 import pathlib
+import re
 import sys
 
 import pytest
@@ -49,20 +50,23 @@ def test_soundness_example_checks_every_construct(_examples_on_path, capsys):
 
 
 def test_cooperation_example_runs_every_portfolio(_examples_on_path, capsys):
-    """Each line names a non-empty line-up; fol, outside the default
-    portfolio, is opted in for its own line and really runs."""
+    """Each line names a non-empty line-up, and the full portfolio proves
+    strictly more than either prover alone -- the example's point."""
     import multi_prover_cooperation
 
     multi_prover_cooperation.main(timeout_scale=0.1)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 3
+    proved = []
     for line in lines:
         portfolio, rest = line.split("portfolio: ", 1)[1].split(", attempts: ")
         attempts = ast.literal_eval(rest.split(", provers used")[0])
         assert portfolio and attempts, line
+        proved.append(int(re.search(r"(\d+)/\d+ sequents", line).group(1)))
     assert "portfolio: smt, sets," in lines[0]
-    assert lines[-1].startswith("first-order prover only")
-    assert "portfolio: fol," in lines[-1] and attempts["fol"] > 0
+    assert lines[1].startswith("SMT-lite only") and "portfolio: smt," in lines[1]
+    assert lines[2].startswith("set reasoner only") and "portfolio: sets," in lines[2]
+    assert proved[0] > proved[1] and proved[0] > proved[2], lines
 
 
 def test_example_scripts_exist_and_are_documented():
