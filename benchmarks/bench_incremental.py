@@ -11,15 +11,24 @@ conjunct), and compare a full verification of the edited class on a
 
 Runnable as a script in **smoke mode** -- ``python
 benchmarks/bench_incremental.py --smoke --json out.json`` -- which writes
-a small JSON record (cold vs warm wall time, the clean/dirty/dispatched
-accounting watch mode reports, and the speedup).  The CI tier-1 job runs
-exactly this and uploads the JSON next to the bench-smoke artifact, so
-the single-edit latency trajectory is recorded per commit.  The smoke
-gate requires the speedup to stay >= 10x.
+a small JSON record (cold vs warm wall time, a front-end-only pass over
+the edited class, the clean/dirty/dispatched accounting watch mode
+reports, and the speedup).  The CI tier-1 job runs exactly this and
+uploads the JSON next to the bench-smoke artifact, so the single-edit
+latency trajectory is recorded per commit.
+
+The smoke gate holds the warm edit cycle (best of three) to a multiple
+of the front-end-only pass (best of five: every sequent and task of the
+edited class generated, nothing dispatched, no cache), not to the cold
+run: cold time is prover time, and it shrinks whenever the provers get
+faster, which says nothing about whether the warm path still re-proves
+only what the edit invalidated.  A warm path that re-proves every
+sequent lands far above the multiple.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -30,9 +39,14 @@ from repro.suite.common import StructureBuilder
 from repro.verifier.engine import VerificationEngine
 from repro.verifier.incremental import edit_accounting
 
-#: The smoke gate: a one-method edit must re-verify at least this much
-#: faster than a cold full run of the same class.
-MIN_SPEEDUP = 10.0
+#: The smoke gate: the warm edit cycle (best of ``WARM_RUNS``) must take
+#: at most this multiple of a front-end-only pass over the edited class
+#: (best of ``FRONT_END_RUNS``).  On a 2-vCPU VM the ratio reads 2.9-3.0x
+#: idle (2.2-2.8x under a concurrent test run); a warm engine whose proof
+#: cache is dropped, so that it re-proves all 10 sequents, reads 15-18x.
+MAX_FRONT_END_RATIO = 8.0
+WARM_RUNS = 3
+FRONT_END_RUNS = 5
 
 BASE_ENSURES = "value = 0"
 EDITED_ENSURES = "value = 0 & 0 in history"
@@ -75,6 +89,18 @@ def fresh_engine(jobs: int = 1) -> VerificationEngine:
     )
 
 
+def front_end_seconds(cls) -> float:
+    """Wall time of a front-end-only pass over ``cls``: every sequent and
+    proof task generated, nothing dispatched, no cache."""
+    gc.collect()
+    start = time.monotonic()
+    engine = VerificationEngine(use_proof_cache=False)
+    for method in cls.methods:
+        for sequent in engine.method_sequents(cls, method):
+            engine.task_for(sequent)
+    return time.monotonic() - start
+
+
 def warm_reverify(engine: VerificationEngine, cls):
     """Watch mode's cycle: ``verify_class`` plus its edit accounting."""
     previous = engine.dependency_index.get(cls.name)
@@ -95,10 +121,12 @@ def run_edit_cycle(jobs: int = 1):
     warm.verify_class(build_counter())
     edited = build_counter(EDITED_ENSURES)
 
+    gc.collect()
     start = time.monotonic()
     cold_report = fresh_engine(jobs).verify_class(edited)
     cold_wall = time.monotonic() - start
 
+    gc.collect()
     start = time.monotonic()
     warm_report, stats = warm_reverify(warm, edited)
     warm_wall = time.monotonic() - start
@@ -140,9 +168,17 @@ def test_edit_speedup(jobs, benchmark):
 
 
 def run_smoke(jobs: int = 1) -> dict:
-    """One edit cycle, summarized as a JSON-ready dict (the CI artifact)."""
-    cold, warm, stats, cold_report, warm_report = run_edit_cycle(jobs)
-    speedup = cold / warm if warm > 0 else float("inf")
+    """``WARM_RUNS`` edit cycles and ``FRONT_END_RUNS`` front-end passes,
+    summarized as a JSON-ready dict (the CI artifact).  Times are the best
+    of their runs; the accounting is the last cycle's, and ``verified``
+    holds only when every cycle verified."""
+    cycles = [run_edit_cycle(jobs) for _ in range(WARM_RUNS)]
+    cold = min(cycle[0] for cycle in cycles)
+    warm = min(cycle[1] for cycle in cycles)
+    _, _, stats, cold_report, warm_report = cycles[-1]
+    front_end = min(
+        front_end_seconds(build_counter(EDITED_ENSURES)) for _ in range(FRONT_END_RUNS)
+    )
     return {
         "mode": "smoke",
         "jobs": jobs,
@@ -155,7 +191,7 @@ def run_smoke(jobs: int = 1) -> dict:
             "wall_seconds": round(cold, 4),
             "sequents_total": cold_report.sequents_total,
             "sequents_proved": cold_report.sequents_proved,
-            "verified": cold_report.verified,
+            "verified": all(cycle[3].verified for cycle in cycles),
         },
         "warm": {
             "wall_seconds": round(warm, 4),
@@ -164,10 +200,12 @@ def run_smoke(jobs: int = 1) -> dict:
             "sequents_dirty": stats["sequents_dirty"],
             "dispatched": stats["dispatched"],
             "dirty_labels": stats["dirty_labels"],
-            "verified": warm_report.verified,
+            "verified": all(cycle[4].verified for cycle in cycles),
         },
-        "speedup": round(speedup, 2),
-        "min_speedup": MIN_SPEEDUP,
+        "front_end": {"wall_seconds": round(front_end, 4)},
+        "front_end_ratio": round(warm / front_end, 2),
+        "max_front_end_ratio": MAX_FRONT_END_RATIO,
+        "speedup": round(cold / warm if warm > 0 else float("inf"), 2),
     }
 
 
@@ -175,8 +213,8 @@ def main(argv=None) -> int:
     """Script entry: ``--smoke`` (required) plus ``--json PATH``.
 
     Exit status gates the CI step: non-zero when a verdict regressed, the
-    edit re-proved more than its one invalidated sequent, or the
-    single-edit re-verify latency fell below the 10x speedup floor.
+    edit re-proved more than its one invalidated sequent, or the warm
+    edit cycle took more than ``MAX_FRONT_END_RATIO`` front-end passes.
     """
     import argparse
     import json
@@ -207,7 +245,7 @@ def main(argv=None) -> int:
         return 1
     if record["warm"]["dispatched"] != 1:
         return 1
-    if record["speedup"] < MIN_SPEEDUP:
+    if record["front_end_ratio"] > MAX_FRONT_END_RATIO:
         return 1
     return 0
 

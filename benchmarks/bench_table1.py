@@ -33,11 +33,7 @@ from repro.verifier.report import (
     format_table1,
     table1_rows,
 )
-from repro.verifier.stats import (
-    PerformanceCounters,
-    class_statistics,
-    performance_counters,
-)
+from repro.verifier.stats import class_statistics
 
 _ROWS: list[Table1Row] = []
 _PORTFOLIO_TOTALS = PortfolioStatistics()
@@ -93,14 +89,13 @@ def test_table1_row(structure, benchmark):
 
     report = benchmark.pedantic(verify, rounds=1, iterations=1)
     _PORTFOLIO_TOTALS.merge(engine.portfolio.statistics)
-    counters = performance_counters(engine.portfolio)
-    benchmark.extra_info["proof_cache_hits"] = counters.proof_cache_hits
-    benchmark.extra_info["proof_cache_misses"] = counters.proof_cache_misses
-    benchmark.extra_info["terms_allocated"] = (
-        counters.terms_allocated - terms_before.allocated
-    )
+    statistics = engine.portfolio.statistics
+    terms = term_stats()
+    benchmark.extra_info["proof_cache_hits"] = statistics.cache_hits
+    benchmark.extra_info["proof_cache_misses"] = statistics.cache_misses
+    benchmark.extra_info["terms_allocated"] = terms.allocated - terms_before.allocated
     benchmark.extra_info["terms_interned"] = (
-        counters.terms_interned - terms_before.interned_hits
+        terms.interned_hits - terms_before.interned_hits
     )
     stats = class_statistics(structure)
     _ROWS.append(
@@ -197,7 +192,6 @@ def run_smoke(jobs: int = 2, structure_names=SMOKE_STRUCTURES) -> dict:
         jobs=jobs, structures=chosen, suite_schedule=True
     )
     wall = _time.monotonic() - start
-    counters = performance_counters(engine.portfolio)
     return {
         "mode": "smoke",
         "jobs": jobs,
@@ -220,7 +214,7 @@ def run_smoke(jobs: int = 2, structure_names=SMOKE_STRUCTURES) -> dict:
             "hits_disk": stats.hits_disk,
             "duplicates_folded": stats.duplicates_folded,
         },
-        "counters": counters.as_dict(),
+        "counters": engine.portfolio.statistics.as_dict(),
         "classes": [
             {
                 "name": report.class_name,
@@ -270,26 +264,13 @@ def main(argv=None) -> int:
 def test_table1_print():
     """Print the assembled Table 1 (runs after the per-structure rows)."""
     if not _ROWS:
-        rows = table1_rows(all_structures(), engine=None)
+        rows = table1_rows(all_structures())
     else:
         rows = _ROWS
     print("\n\nTable 1 -- construct counts and verification times\n")
     print(format_table1(rows))
     print()
-    terms = performance_counters()
-    print(
-        format_performance(
-            PerformanceCounters(
-                terms_allocated=terms.terms_allocated,
-                terms_interned=terms.terms_interned,
-                proof_cache_hits=_PORTFOLIO_TOTALS.cache_hits,
-                proof_cache_misses=_PORTFOLIO_TOTALS.cache_misses,
-                proof_cache_hits_disk=_PORTFOLIO_TOTALS.cache_hits_disk,
-                sequents_attempted=_PORTFOLIO_TOTALS.sequents_attempted,
-                sequents_proved=_PORTFOLIO_TOTALS.sequents_proved,
-            )
-        )
-    )
+    print(format_performance(_PORTFOLIO_TOTALS))
     assert len(rows) == len(all_structures())
 
 

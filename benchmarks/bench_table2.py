@@ -15,7 +15,6 @@ from conftest import make_engine
 from repro.suite import all_structures
 from repro.provers.result import PortfolioStatistics
 from repro.verifier.report import Table2Row, format_performance, format_table2
-from repro.verifier.stats import PerformanceCounters, performance_counters
 
 _ROWS: list[Table2Row] = []
 _PORTFOLIO_TOTALS = PortfolioStatistics()
@@ -35,9 +34,9 @@ def test_table2_row(structure, benchmark):
 
     without, with_proofs = benchmark.pedantic(verify_both, rounds=1, iterations=1)
     _PORTFOLIO_TOTALS.merge(engine.portfolio.statistics)
-    counters = performance_counters(engine.portfolio)
-    benchmark.extra_info["proof_cache_hits"] = counters.proof_cache_hits
-    benchmark.extra_info["proof_cache_misses"] = counters.proof_cache_misses
+    statistics = engine.portfolio.statistics
+    benchmark.extra_info["proof_cache_hits"] = statistics.cache_hits
+    benchmark.extra_info["proof_cache_misses"] = statistics.cache_misses
     _ROWS.append(
         Table2Row(
             class_name=structure.name,
@@ -61,17 +60,5 @@ def test_table2_print():
     print("\n\nTable 2 -- effect of proof language constructs\n")
     print(format_table2(_ROWS))
     print()
-    terms = performance_counters()
-    print(
-        format_performance(
-            PerformanceCounters(
-                terms_allocated=terms.terms_allocated,
-                terms_interned=terms.terms_interned,
-                proof_cache_hits=_PORTFOLIO_TOTALS.cache_hits,
-                proof_cache_misses=_PORTFOLIO_TOTALS.cache_misses,
-                sequents_attempted=_PORTFOLIO_TOTALS.sequents_attempted,
-                sequents_proved=_PORTFOLIO_TOTALS.sequents_proved,
-            )
-        )
-    )
+    print(format_performance(_PORTFOLIO_TOTALS))
     assert len(_ROWS) <= len(all_structures())

@@ -294,10 +294,6 @@ class ClassModel:
     def ghost_vars(self) -> tuple[StateVar, ...]:
         return tuple(v for v in self.state if v.kind == "ghost")
 
-    @property
-    def concrete_vars(self) -> tuple[StateVar, ...]:
-        return tuple(v for v in self.state if v.kind == "concrete")
-
 
 # ---------------------------------------------------------------------------
 # Statistics helpers (Table 1 columns)

@@ -191,15 +191,3 @@ INT_OBJ_PAIR = tuple_of(INT, OBJ)
 INT_OBJ_REL = set_of(INT_OBJ_PAIR)
 OBJ_OBJ_PAIR = tuple_of(OBJ, OBJ)
 OBJ_OBJ_REL = set_of(OBJ_OBJ_PAIR)
-
-
-def unify(expected: Sort, actual: Sort, context: str = "") -> Sort:
-    """Check that ``actual`` is compatible with ``expected``.
-
-    The sort system is simple enough that compatibility is plain equality;
-    the helper exists to produce consistent error messages.
-    """
-    if expected != actual:
-        where = f" in {context}" if context else ""
-        raise SortError(f"expected sort {expected}, got {actual}{where}")
-    return actual

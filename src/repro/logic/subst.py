@@ -193,15 +193,6 @@ def substitute_by_name(term: Term, mapping: Mapping[str, Term]) -> Term:
     return substitute(term, by_var)
 
 
-def rename_free(term: Term, renaming: Mapping[str, str]) -> Term:
-    """Rename free variables (preserving sorts)."""
-    by_var: dict[Var, Term] = {}
-    for var in free_vars(term):
-        if var.name in renaming:
-            by_var[var] = Var(renaming[var.name], var.sort)
-    return substitute(term, by_var)
-
-
 def instantiate_binder(binder: Binder, args: tuple[Term, ...] | list[Term]) -> Term:
     """Replace a binder's parameters by ``args`` in its body (beta reduction)."""
     if len(args) != len(binder.params):

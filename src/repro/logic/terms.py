@@ -164,18 +164,6 @@ def reset_term_stats() -> None:
     _STATS.reset()
 
 
-def pool_sizes() -> dict[str, int]:
-    """Current number of live entries per interning pool."""
-    return {
-        "var": len(_VAR_POOL),
-        "const": len(_CONST_POOL),
-        "int": len(_INT_POOL),
-        "bool": len(_BOOL_POOL),
-        "app": len(_APP_POOL),
-        "binder": len(_BINDER_POOL),
-    }
-
-
 def clear_term_pools() -> None:
     """Drop every pool entry (terms alive elsewhere stay valid; equality
     falls back to the structural comparison for nodes created before the
@@ -628,11 +616,6 @@ def function_symbols(term: Term) -> frozenset[str]:
     raise TypeError(f"unknown term type {type(term)!r}")
 
 
-def is_closed(term: Term) -> bool:
-    """True when the term has no free variables."""
-    return not term._free_names
-
-
 def subterms(term: Term):
     """Yield every subterm of ``term`` (including ``term`` itself), pre-order."""
     stack = [term]
@@ -670,8 +653,3 @@ def contains_quantifier(term: Term) -> bool:
     return any(
         isinstance(t, Binder) and t.kind in (FORALL, EXISTS) for t in subterms(term)
     )
-
-
-def contains_binder(term: Term) -> bool:
-    """True when ``term`` contains any binder (including lambdas)."""
-    return any(isinstance(t, Binder) for t in subterms(term))

@@ -253,13 +253,6 @@ class CongruenceClosure:
 
     # -- class inspection -----------------------------------------------------------
 
-    def equivalence_classes(self) -> list[list[Term]]:
-        """Return the current equivalence classes (lists of terms)."""
-        classes: dict[int, list[Term]] = {}
-        for term, node in self._ids.items():
-            classes.setdefault(self.find(node), []).append(term)
-        return list(classes.values())
-
     def implied_equalities(self, terms: list[Term]) -> list[tuple[Term, Term]]:
         """Pairs among ``terms`` the closure has identified as equal."""
         by_class: dict[int, list[Term]] = {}

@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..logic.terms import Term
+from ..logic.terms import Term, term_stats
 
 
 class Outcome(Enum):
@@ -143,6 +143,28 @@ class PortfolioStatistics:
     def cache_hit_rate(self) -> float:
         lookups = self.cache_lookups
         return self.cache_hits / lookups if lookups else 0.0
+
+    def as_dict(self) -> dict:
+        """A JSON-ready snapshot of the counters and their rates, with the
+        process-global term-kernel counters alongside.
+
+        The daemon's ``stats`` and ``metrics`` ops ship exactly this as
+        ``counters`` (:mod:`repro.verifier.daemon`), so it must stay
+        limited to plain ``str``/``int``/``float`` values.
+        """
+        terms = term_stats()
+        return {
+            "terms_allocated": terms.allocated,
+            "terms_interned": terms.interned_hits,
+            "intern_hit_rate": terms.hit_rate,
+            "proof_cache_hits": self.cache_hits,
+            "proof_cache_hits_memory": self.cache_hits_memory,
+            "proof_cache_hits_disk": self.cache_hits_disk,
+            "proof_cache_misses": self.cache_misses,
+            "proof_cache_hit_rate": self.cache_hit_rate,
+            "sequents_attempted": self.sequents_attempted,
+            "sequents_proved": self.sequents_proved,
+        }
 
     def record(self, prover: str, result: ProverResult) -> None:
         stats = self.per_prover.setdefault(prover, ProverStatistics())

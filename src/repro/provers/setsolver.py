@@ -267,14 +267,6 @@ def _flatten_literal(formula: Term) -> list[tuple[Term, bool]]:
     raise _OutsideFragment(f"unsupported connective {formula}")
 
 
-def _is_set_expression(term: Term) -> bool:
-    if isinstance(term, (Var, Const)) and isinstance(term.sort, SetSort):
-        return True
-    if isinstance(term, App) and term.op in ("union", "inter", "setminus", "setenum"):
-        return True
-    return False
-
-
 def _scan_dimensions(atom: Term, universe: _Universe) -> None:
     if isinstance(atom, App) and atom.op == "member":
         element, the_set = atom.args

@@ -36,10 +36,6 @@ class Sequent:
 
     # -- inspection ---------------------------------------------------------------
 
-    @property
-    def assumption_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.assumptions)
-
     def with_assumption(self, name: str, formula: Term) -> "Sequent":
         """A copy with one more assumption prepended (earlier program point)."""
         return Sequent(

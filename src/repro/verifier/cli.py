@@ -80,7 +80,7 @@ DEFAULT_SOCKET = ".jahob.sock"
 def _print_perf(engine: VerificationEngine, run: RunRecord) -> None:
     """The ``--perf`` block: counters, the command's run record (every
     verification call of the command, folded) and the store status."""
-    print(format_performance(portfolio=engine.portfolio))
+    print(format_performance(engine.portfolio.statistics))
     print(format_run(run))
     if engine.persistent_store is not None:
         print(

@@ -37,7 +37,7 @@ Supported ``"op"`` values:
               (:mod:`repro.verifier.scheduler`); full catalogue when
               ``names`` is omitted
 ``table1``    suite-scheduled full catalogue, rendered as Table 1
-``stats``     engine counters (:meth:`PerformanceCounters.as_dict`)
+``stats``     engine counters (:meth:`PortfolioStatistics.as_dict`)
 ``metrics``   scheduling observability: per-worker answer-latency
               histograms, cache-hit provenance, watch-mode latency and
               the last run's plan
@@ -114,7 +114,7 @@ from .report import (
     format_verify_file,
     table1_rows,
 )
-from .stats import LatencyHistogram, performance_counters
+from .stats import LatencyHistogram
 from .wire import (
     HandshakeError,
     LineChannel,
@@ -841,32 +841,31 @@ class VerifierDaemon:
         # (unverified classes are visible in the table itself).
         return {"output": format_table1(rows), "exit": 0}
 
-    def _op_stats(self, request: dict) -> dict:
-        counters = performance_counters(self.engine.portfolio)
-        response = {
-            "counters": counters.as_dict(),
-            "cache_entries": (
-                len(self.engine.portfolio.proof_cache)
-                if self.engine.portfolio.proof_cache is not None
-                else 0
-            ),
-            "pool_warm": self.engine.pool_warm,
-        }
-        if self.engine.persistent_store is not None:
-            response["persistent_cache"] = {
-                "path": str(self.engine.persistent_store.path),
-                "status": self.engine.persistent_store.last_load_status,
+    def _engine_counters(self) -> dict:
+        """The fields ``stats`` and ``metrics`` share: the portfolio's
+        ``counters`` and, with a store attached, ``persistent_cache``."""
+        engine = self.engine
+        fields = {"counters": engine.portfolio.statistics.as_dict()}
+        if engine.persistent_store is not None:
+            fields["persistent_cache"] = {
+                "path": str(engine.persistent_store.path),
+                "status": engine.persistent_store.last_load_status,
             }
+        return fields
+
+    def _op_stats(self, request: dict) -> dict:
+        response = self._engine_counters()
+        cache = self.engine.portfolio.proof_cache
+        response["cache_entries"] = len(cache) if cache is not None else 0
+        response["pool_warm"] = self.engine.pool_warm
         if self.engine.uses_remote_workers:
-            pool = self.engine._pool
             response["remote_workers"] = {
                 "configured": list(self.engine.remote_workers),
                 "registry": (
                     self.registry.address if self.registry is not None else None
                 ),
                 "connected": [
-                    worker.label
-                    for worker in getattr(pool, "_workers", ())
+                    metrics["worker"] for metrics in self.engine.worker_metrics()
                 ],
             }
         return response
@@ -877,10 +876,9 @@ class VerifierDaemon:
         any ``verify_class`` or ``verify_suite`` call) are all readable
         while the engine proves."""
         engine = self.engine
-        counters = performance_counters(engine.portfolio)
         response = {
             "protocol": PROTOCOL_VERSION,
-            "counters": counters.as_dict(),
+            **self._engine_counters(),
             "workers": engine.worker_metrics(),
             "admission": self.admission.snapshot(),
             "watch": {
@@ -891,26 +889,21 @@ class VerifierDaemon:
             },
             "schedule": None,
         }
-        stats = engine.last_run
-        if stats is not None:
+        run = engine.last_run
+        if run is not None:
             response["schedule"] = {
-                "jobs": stats.jobs,
-                "backend": stats.backend,
+                "jobs": run.jobs,
+                "backend": run.backend,
                 "classes": [
                     {
-                        "class": cls.class_name,
-                        "sequents": cls.sequents,
-                        "dispatched": cls.dispatched,
-                        "cache_hits": cls.hits_memory + cls.hits_disk,
-                        "duplicates": cls.duplicates_folded,
+                        "class": row.class_name,
+                        "sequents": row.sequents,
+                        "dispatched": row.dispatched,
+                        "cache_hits": row.hits_memory + row.hits_disk,
+                        "duplicates": row.duplicates_folded,
                     }
-                    for cls in stats.classes
+                    for row in run.classes
                 ],
-            }
-        if engine.persistent_store is not None:
-            response["persistent_cache"] = {
-                "path": str(engine.persistent_store.path),
-                "status": engine.persistent_store.last_load_status,
             }
         return response
 

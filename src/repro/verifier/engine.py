@@ -309,19 +309,13 @@ class VerificationEngine:
             report.outcomes.append(SequentOutcome(sequent, dispatch))
         return report
 
-    def verify_class(
-        self,
-        cls: ClassModel,
-        strip_proofs: bool = False,
-        parallel: int | None = None,
-    ) -> ClassReport:
+    def verify_class(self, cls: ClassModel, strip_proofs: bool = False) -> ClassReport:
         """Verify every method of ``cls``: a one-class :meth:`verify_suite`.
 
         With ``strip_proofs`` the integrated proof language constructs are
         removed first (the Table 2 ablation); such a run records no
         dependency record, because the stripped class keeps the real
-        one's name.  ``parallel`` overrides the engine's ``jobs`` setting
-        for this call.
+        one's name.
 
         The portfolio's sequent-level proof cache stays warm across the
         whole run: the near-duplicate split sequents of one method, the
@@ -330,20 +324,18 @@ class VerificationEngine:
         dispatched to the provers only once.
         """
         target = strip_proofs_from_class(cls) if strip_proofs else cls
-        (report,) = self._run([target], parallel, record=not strip_proofs)
+        (report,) = self._run([target], record=not strip_proofs)
         return report
 
     def verify_suite(
-        self,
-        classes: list[ClassModel] | None = None,
-        jobs: int | None = None,
-    ) -> list["ClassReport"]:
+        self, classes: list[ClassModel] | None = None
+    ) -> list[ClassReport]:
         """Verify several classes as one scheduled job graph.
 
         Plans the whole suite up front and dispatches every class's
         cache-missing sequents, in plan order, across one worker pool
         (:mod:`repro.verifier.scheduler`).  ``classes`` defaults to the
-        full benchmark catalogue; ``jobs`` overrides the engine setting.
+        full benchmark catalogue.
         Returns one :class:`ClassReport` per class, in input order, with
         verdicts, attribution and counters identical to running
         :meth:`verify_method` over each class's methods in that order.
@@ -352,15 +344,14 @@ class VerificationEngine:
             from ..suite.catalog import all_structures
 
             classes = all_structures()
-        return self._run(classes, jobs, record=True)
+        return self._run(classes, record=True)
 
-    def _run(self, classes: list[ClassModel], jobs: int | None, record: bool):
+    def _run(self, classes: list[ClassModel], record: bool) -> list[ClassReport]:
         """Plan, execute, keep the run record in :attr:`last_run`, flush."""
         from .scheduler import execute_suite, plan_suite
 
-        jobs = self.jobs if jobs is None else max(1, int(jobs))
-        plan = plan_suite(self, classes, jobs, record=record)
-        reports, self.last_run = execute_suite(self, plan, jobs)
+        plan = plan_suite(self, classes, record=record)
+        reports, self.last_run = execute_suite(self, plan)
         self.flush_persistent_cache()
         return reports
 

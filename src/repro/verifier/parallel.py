@@ -91,12 +91,13 @@ class WorkerLoad:
 class RunRecord:
     """What one ``verify_class`` or ``verify_suite`` run did.
 
-    Every sequent of the run is exactly one of: ``dispatched`` to the
-    provers, answered from the cache (``hits_memory`` / ``hits_disk``),
-    or folded onto an identical pending sequent (``duplicates_folded``).
     ``classes`` holds one
-    :class:`~repro.verifier.scheduler.ClassScheduleStats` per planned
-    class, in plan order.
+    :class:`~repro.verifier.scheduler.ClassScheduleStats` row per planned
+    class, in plan order, built from the class's executed slots: every
+    sequent is exactly one of ``dispatched`` to the provers, answered
+    from the cache (``hits_memory`` / ``hits_disk``), or folded onto an
+    identical pending sequent (``duplicates_folded``).  The run totals
+    are sums over the rows.
     ``backend`` names the worker backend that ran the shard:
     ``"process"`` for the in-process pool (and the ``jobs <= 1``
     in-parent path), ``"remote"`` for distributed workers.
@@ -104,20 +105,38 @@ class RunRecord:
 
     jobs: int
     backend: str = "process"
-    sequents_total: int = 0
-    dispatched: int = 0
-    hits_disk: int = 0
-    hits_memory: int = 0
-    duplicates_folded: int = 0
     wall_time: float = 0.0
     workers: list[WorkerLoad] = field(default_factory=list)
     classes: list = field(default_factory=list)
+
+    def _total(self, column: str) -> int:
+        return sum(getattr(row, column) for row in self.classes)
+
+    @property
+    def sequents_total(self) -> int:
+        return self._total("sequents")
+
+    @property
+    def dispatched(self) -> int:
+        return self._total("dispatched")
+
+    @property
+    def hits_memory(self) -> int:
+        return self._total("hits_memory")
+
+    @property
+    def hits_disk(self) -> int:
+        return self._total("hits_disk")
+
+    @property
+    def duplicates_folded(self) -> int:
+        return self._total("duplicates_folded")
 
     @property
     def prover_time(self) -> float:
         return sum(load.prover_time for load in self.workers)
 
-    def fold_worker(self, pid: int, tasks: int, prover_time: float) -> None:
+    def fold_worker(self, pid: int | str, tasks: int, prover_time: float) -> None:
         """Accumulate one worker's load (matching by pid)."""
         for load in self.workers:
             if load.pid == pid:
@@ -130,11 +149,6 @@ class RunRecord:
         """Fold a later run in (a command that verifies several times)."""
         if other.backend != "process":
             self.backend = other.backend
-        self.sequents_total += other.sequents_total
-        self.dispatched += other.dispatched
-        self.hits_disk += other.hits_disk
-        self.hits_memory += other.hits_memory
-        self.duplicates_folded += other.duplicates_folded
         self.wall_time += other.wall_time
         for load in other.workers:
             self.fold_worker(load.pid, load.tasks, load.prover_time)
@@ -167,9 +181,15 @@ def _init_worker(spec: PortfolioSpec) -> None:
 
 
 def _dispatch_in_worker(item: tuple[int, ProofTask]):
+    return _dispatch(_WORKER_PORTFOLIO, item)
+
+
+def _dispatch(portfolio: ProverPortfolio, item: tuple[int, ProofTask]):
+    """Run the provers on one shard item; the ``(index, pid, wall, result)``
+    tuple every backend yields."""
     index, task = item
     start = time.monotonic()
-    result = _WORKER_PORTFOLIO.run_provers(task)
+    result = portfolio.run_provers(task)
     return index, os.getpid(), time.monotonic() - start, result
 
 
@@ -295,7 +315,6 @@ def plan_class(
     target: ClassModel,
     shard: list[_Slot],
     pending_by_key: dict[tuple, int],
-    stats: RunRecord,
 ) -> list[_Slot]:
     """Phase 1 (parent): plan one class's sequents against the cache.
 
@@ -308,9 +327,7 @@ def plan_class(
     repeated across classes is still proved only once, exactly as a
     reference loop's warm cache would).
 
-    Returns the class's slots in method/sequent order; ``stats`` accumulates
-    hit/duplicate counts (``stats.dispatched`` is left to the caller, which
-    knows when the shard is complete).
+    Returns the class's slots in method/sequent order.
     """
     portfolio = engine.portfolio
     slots: list[_Slot] = []
@@ -322,10 +339,6 @@ def plan_class(
             slot.key = key
             if hit is not None:
                 slot.result = hit
-                if hit.cache_origin == "disk":
-                    stats.hits_disk += 1
-                else:
-                    stats.hits_memory += 1
                 continue
             if key is not None and key in pending_by_key:
                 # A duplicate of a sequent already queued this run: the
@@ -333,31 +346,26 @@ def plan_class(
                 slot.duplicate_of = pending_by_key[key]
                 portfolio.statistics.cache_misses -= 1  # counted by consult_cache
                 portfolio.statistics.cache_hits += 1
-                stats.duplicates_folded += 1
                 continue
             slot.shard_index = len(shard)
             shard.append(slot)
             if key is not None:
                 pending_by_key[key] = slot.shard_index
-    stats.sequents_total += len(slots)
     return slots
 
 
 def run_shard(
-    engine,
-    shard: list[_Slot],
-    jobs: int,
-    stats: RunRecord,
-    on_result=None,
+    engine, shard: list[_Slot], run: RunRecord, on_result
 ) -> list[DispatchResult]:
     """Phase 2: run the provers on the unique misses, in shard order.
 
     The returned list is indexed by shard position, so the merge stays
     deterministic whatever order the verdicts arrive in.  With
-    ``jobs <= 1`` (and no remote workers configured on the engine) the
-    provers run in-process on the parent's portfolio (no pool), as the
-    reference loop would.  An engine with remote workers always dispatches
-    through its :class:`WorkerBackend`.
+    ``engine.jobs <= 1`` (and no remote workers configured on the engine)
+    the provers run in-process on the parent's portfolio (no pool), as
+    the reference loop would; otherwise the shard goes through the
+    engine's :class:`WorkerBackend`.  ``run`` accumulates the backend,
+    per-worker loads and dispatch wall time.
 
     ``on_result(slot, result)`` is called in the parent as each verdict
     arrives (completion order, not merge order); the suite scheduler uses
@@ -368,35 +376,30 @@ def run_shard(
     start = time.monotonic()
     if shard:
         indexed = [(slot.shard_index, slot.task) for slot in shard]
-        if jobs <= 1 and not engine.uses_remote_workers:
-            pid = os.getpid()
-            for index, task in indexed:
-                task_start = time.monotonic()
-                result = engine.portfolio.run_provers(task)
-                result.wall = time.monotonic() - task_start
-                results[index] = result
-                stats.fold_worker(pid, 1, result.wall)
-                if on_result is not None:
-                    on_result(shard[index], result)
-        else:
+        pool = None
+        if engine.jobs > 1 or engine.uses_remote_workers:
             spec = PortfolioSpec.from_portfolio(engine.portfolio)
-            pool = engine.acquire_pool(spec, jobs, shard_size=len(shard))
-            stats.backend = pool.backend_name
-            try:
-                for index, pid, wall, result in pool.run(indexed):
-                    result.wall = wall
-                    results[index] = result
-                    stats.fold_worker(pid, 1, wall)
-                    if on_result is not None:
-                        on_result(shard[index], result)
-            except BaseException:
-                # A dead executor (e.g. an OOM-killed worker raising
-                # BrokenProcessPool) must not survive as a warm pool.
+            pool = engine.acquire_pool(spec, engine.jobs, shard_size=len(shard))
+            run.backend = pool.backend_name
+            answers = pool.run(indexed)
+        else:
+            answers = (_dispatch(engine.portfolio, item) for item in indexed)
+        try:
+            for index, pid, wall, result in answers:
+                result.wall = wall
+                results[index] = result
+                run.fold_worker(pid, 1, wall)
+                on_result(shard[index], result)
+        except BaseException:
+            # A dead executor (e.g. an OOM-killed worker raising
+            # BrokenProcessPool) must not survive as a warm pool.
+            if pool is not None:
                 engine.release_pool(pool, broken=True)
-                raise
+            raise
+        if pool is not None:
             engine.release_pool(pool)
-        stats.workers.sort(key=lambda load: str(load.pid))
-    stats.wall_time += time.monotonic() - start
+        run.workers.sort(key=lambda load: str(load.pid))
+    run.wall_time += time.monotonic() - start
     return results
 
 
@@ -404,22 +407,18 @@ def resolve_shard(
     portfolio: ProverPortfolio,
     shard: list[_Slot],
     results: list[DispatchResult],
-    store: bool = True,
 ) -> None:
     """Phase 3a: replay worker verdicts into the parent, in shard order.
 
-    Statistics and cache contents end up bit-identical to a plain
-    dispatch loop over the same tasks.  Pass ``store=False`` when every
-    verdict was already stored as it arrived (the suite scheduler's
-    checkpoint callback), so each verdict is stored exactly once either
-    way.
+    Statistics end up bit-identical to a plain dispatch loop over the
+    same tasks.  The verdicts themselves were already stored as they
+    arrived (the suite scheduler's checkpoint callback), so this only
+    does the accounting.
     """
     for slot in shard:
         result = results[slot.shard_index]
         slot.result = result
         portfolio.record_outcome(result)
-        if store:
-            portfolio.store_verdict(slot.key, result)
 
 
 def resolve_duplicates(

@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..frontend.ast import ClassModel
+from ..provers.result import PortfolioStatistics
 from .engine import ClassReport, VerificationEngine
-from .stats import (
-    TABLE1_CONSTRUCT_ORDER,
-    PerformanceCounters,
-    class_statistics,
-    performance_counters,
-)
+from .stats import TABLE1_CONSTRUCT_ORDER, class_statistics
 
 __all__ = [
     "Table1Row",
@@ -131,34 +127,23 @@ TABLE2_HEADER = [
 
 
 def table1_rows(
-    classes: list[ClassModel],
-    engine: VerificationEngine | None = None,
-    reports: list[ClassReport] | None = None,
+    classes: list[ClassModel], reports: list[ClassReport] | None = None
 ) -> list[Table1Row]:
     """Compute Table 1: construct counts plus (optionally) verification time.
 
-    When ``engine`` is None the timing column is 0 and the ``verified`` flag
-    is left True; passing an engine runs full verification class by class.
-    Alternatively, pass precomputed ``reports`` (e.g. from a suite-scheduled
-    :meth:`~repro.verifier.engine.VerificationEngine.verify_suite` run) to
-    fill the timing/verified columns without re-verifying.
+    Pass the ``reports`` of a verification run (e.g. a suite-scheduled
+    :meth:`~repro.verifier.engine.VerificationEngine.verify_suite`) to
+    fill the timing/verified columns; without them the timing column is
+    0 and the ``verified`` flag is left True.
     """
-    by_name = (
-        {report.class_name: report for report in reports}
-        if reports is not None
-        else None
-    )
+    by_name = {report.class_name: report for report in reports or ()}
     rows: list[Table1Row] = []
     for cls in classes:
         stats = class_statistics(cls)
         elapsed = 0.0
         verified = True
-        if by_name is not None:
+        if reports is not None:
             report = by_name[cls.name]
-            elapsed = report.elapsed
-            verified = report.verified
-        elif engine is not None:
-            report = engine.verify_class(cls)
             elapsed = report.elapsed
             verified = report.verified
         rows.append(
@@ -237,28 +222,23 @@ def format_table1(rows: list[Table1Row]) -> str:
     return format_table(TABLE1_HEADER, [row.cells() for row in rows])
 
 
-def format_performance(
-    counters: PerformanceCounters | None = None, portfolio=None
-) -> str:
-    """Render the cache / allocation counters of a run as aligned text.
-
-    Pass either precollected :class:`PerformanceCounters` or the portfolio
-    to collect them from.
-    """
-    if counters is None:
-        counters = performance_counters(portfolio)
+def format_performance(statistics: PortfolioStatistics) -> str:
+    """Render a portfolio's cache counters, with the term-kernel
+    allocation counters, as aligned text (from
+    :meth:`~repro.provers.result.PortfolioStatistics.as_dict`)."""
+    counters = statistics.as_dict()
     lines = [
         "Performance counters",
-        f"  terms allocated     {counters.terms_allocated}",
-        f"  terms interned      {counters.terms_interned} "
-        f"(hit rate {counters.intern_hit_rate:.1%})",
-        f"  proof cache hits    {counters.proof_cache_hits} "
-        f"(memory {counters.proof_cache_hits_memory}, "
-        f"disk {counters.proof_cache_hits_disk})",
-        f"  proof cache misses  {counters.proof_cache_misses} "
-        f"(hit rate {counters.proof_cache_hit_rate:.1%})",
-        f"  sequents attempted  {counters.sequents_attempted}",
-        f"  sequents proved     {counters.sequents_proved}",
+        f"  terms allocated     {counters['terms_allocated']}",
+        f"  terms interned      {counters['terms_interned']} "
+        f"(hit rate {counters['intern_hit_rate']:.1%})",
+        f"  proof cache hits    {counters['proof_cache_hits']} "
+        f"(memory {counters['proof_cache_hits_memory']}, "
+        f"disk {counters['proof_cache_hits_disk']})",
+        f"  proof cache misses  {counters['proof_cache_misses']} "
+        f"(hit rate {counters['proof_cache_hit_rate']:.1%})",
+        f"  sequents attempted  {counters['sequents_attempted']}",
+        f"  sequents proved     {counters['sequents_proved']}",
     ]
     return "\n".join(lines)
 

@@ -19,8 +19,8 @@ many-class one; both are :func:`plan_suite` followed by
 3. the merge replays verdicts in deterministic shard order, lets the
    engine record each class's dependency record (unless the plan is a
    strip-proofs ablation), and assembles one
-   :class:`~repro.verifier.engine.ClassReport` per class, in the input
-   order.
+   :class:`~repro.verifier.engine.ClassReport` and one run record row
+   (:class:`ClassScheduleStats`) per class, in the input order.
 
 Dispatch order plays no part in the results: they are merged by shard
 index, and per-sequent timeouts are per-process CPU budgets
@@ -59,7 +59,7 @@ _CHECKPOINT_EVERY = 32
 
 @dataclass
 class ClassScheduleStats:
-    """One class's share of a suite-scheduled run."""
+    """One class's row of a :class:`~repro.verifier.parallel.RunRecord`."""
 
     class_name: str
     sequents: int = 0
@@ -67,6 +67,23 @@ class ClassScheduleStats:
     hits_memory: int = 0
     hits_disk: int = 0
     duplicates_folded: int = 0
+
+    @classmethod
+    def from_slots(cls, class_name: str, slots: list[_Slot]) -> "ClassScheduleStats":
+        """Count what happened to each of a class's slots: dispatched
+        (it has a shard index), folded onto a pending duplicate, or else
+        answered from the memory or disk cache."""
+        row = cls(class_name, sequents=len(slots))
+        for slot in slots:
+            if slot.shard_index is not None:
+                row.dispatched += 1
+            elif slot.duplicate_of is not None:
+                row.duplicates_folded += 1
+            elif slot.result.cache_origin == "disk":
+                row.hits_disk += 1
+            else:
+                row.hits_memory += 1
+        return row
 
 
 @dataclass
@@ -81,16 +98,13 @@ class SuitePlan:
 
     planned: list[tuple[ClassModel, list[_Slot]]] = field(default_factory=list)
     shard: list[_Slot] = field(default_factory=list)
-    stats: RunRecord = None
     #: Whether execution records each class's dependency record.  False
     #: for strip-proofs ablations: the stripped class keeps the real one's
     #: name, and its sequents must not overwrite the real program's record.
     record: bool = True
 
 
-def plan_suite(
-    engine, classes: list[ClassModel], jobs: int = 1, record: bool = True
-) -> SuitePlan:
+def plan_suite(engine, classes: list[ClassModel], record: bool = True) -> SuitePlan:
     """Phase 1: plan every class against the (shared) cache, in catalogue
     order -- this is the deterministic cache-authority order.
 
@@ -99,46 +113,29 @@ def plan_suite(
     occurrences resolve as the memory cache hits the reference loop
     would see.  ``record`` becomes :attr:`SuitePlan.record`.
     """
-    stats = RunRecord(jobs=jobs)
     shard: list[_Slot] = []
     pending_by_key: dict[tuple, int] = {}
-    planned: list[tuple[ClassModel, list[_Slot]]] = []
-    for cls in classes:
-        shard_start = len(shard)
-        before = (stats.hits_memory, stats.hits_disk, stats.duplicates_folded)
-        slots = plan_class(engine, cls, shard, pending_by_key, stats)
-        planned.append((cls, slots))
-        stats.classes.append(
-            ClassScheduleStats(
-                class_name=cls.name,
-                sequents=len(slots),
-                dispatched=len(shard) - shard_start,
-                hits_memory=stats.hits_memory - before[0],
-                hits_disk=stats.hits_disk - before[1],
-                duplicates_folded=stats.duplicates_folded - before[2],
-            )
-        )
-    stats.dispatched = len(shard)
-    return SuitePlan(planned=planned, shard=shard, stats=stats, record=record)
+    planned = [
+        (cls, plan_class(engine, cls, shard, pending_by_key)) for cls in classes
+    ]
+    return SuitePlan(planned=planned, shard=shard, record=record)
 
 
-def execute_suite(engine, plan: SuitePlan, jobs: int):
+def execute_suite(engine, plan: SuitePlan):
     """Phases 2--3: dispatch a plan's shard and assemble the reports.
 
     Returns ``(reports, RunRecord)`` with one
     :class:`~repro.verifier.engine.ClassReport` per class, in input order.
     """
     portfolio = engine.portfolio
-    planned = plan.planned
     shard = plan.shard
-    stats = plan.stats
-    stats.jobs = jobs
+    run = RunRecord(jobs=engine.jobs)
 
     # Phase 2: dispatch the whole suite's misses in plan order, and
     # checkpoint verdicts to the persistent store as they arrive so an
     # interrupted multi-minute run keeps what it already proved.  Storing
     # early cannot change any decision: every cache consult already
-    # happened in phase 1, and the merge re-stores idempotently.
+    # happened in phase 1.
     arrivals = 0
 
     def checkpoint(slot, result):
@@ -148,17 +145,19 @@ def execute_suite(engine, plan: SuitePlan, jobs: int):
         if arrivals % _CHECKPOINT_EVERY == 0:
             engine.flush_persistent_cache()
 
-    results = run_shard(engine, shard, jobs, stats, on_result=checkpoint)
+    results = run_shard(engine, shard, run, checkpoint)
 
     # Phase 3: deterministic merge -- replay verdicts in shard order, then
-    # resolve each class's folded duplicates and build its report in the
-    # original input order.  The checkpoint callback already stored every
-    # dispatched verdict, so the replay only does the accounting.
-    resolve_shard(portfolio, shard, results, store=False)
+    # resolve each class's folded duplicates and build its report and run
+    # record row in the original input order.  The checkpoint callback
+    # already stored every dispatched verdict, so the replay only does
+    # the accounting.
+    resolve_shard(portfolio, shard, results)
     reports = []
-    for cls, slots in planned:
+    for cls, slots in plan.planned:
         resolve_duplicates(portfolio, slots, results)
         if plan.record:
             engine.record_class_run(cls, slots)
+        run.classes.append(ClassScheduleStats.from_slots(cls.name, slots))
         reports.append(build_class_report(cls, slots))
-    return reports, stats
+    return reports, run

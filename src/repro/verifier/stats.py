@@ -19,15 +19,12 @@ from ..frontend.ast import (
     count_proof_constructs,
     count_statements,
 )
-from ..logic.terms import term_stats
 from ..proofs.constructs import PROOF_CONSTRUCT_NAMES
 
 __all__ = [
     "ClassStatistics",
     "class_statistics",
     "TABLE1_CONSTRUCT_ORDER",
-    "PerformanceCounters",
-    "performance_counters",
     "LATENCY_BUCKETS",
     "LatencyHistogram",
 ]
@@ -158,86 +155,6 @@ def _count_loops(statements: tuple[Stmt, ...]) -> int:
             count += 1
         count += _count_loops(statement.substatements())
     return count
-
-
-@dataclass
-class PerformanceCounters:
-    """Cache and allocation counters for one verification run.
-
-    * ``terms_allocated`` / ``terms_interned``: fresh term-kernel nodes
-      versus hash-consing pool hits (a pool hit means the structurally equal
-      node already existed and was shared instead of rebuilt);
-    * ``proof_cache_hits`` / ``proof_cache_misses``: sequents answered from
-      the portfolio's sequent-level result cache versus dispatched to the
-      provers; ``proof_cache_hits_disk`` is the subset answered by verdicts
-      loaded from a persistent cross-run store (the rest are "memory" hits
-      produced during this process);
-    * ``sequents_attempted`` / ``sequents_proved``: dispatcher totals.
-    """
-
-    terms_allocated: int = 0
-    terms_interned: int = 0
-    proof_cache_hits: int = 0
-    proof_cache_misses: int = 0
-    proof_cache_hits_disk: int = 0
-    sequents_attempted: int = 0
-    sequents_proved: int = 0
-
-    @property
-    def proof_cache_hits_memory(self) -> int:
-        return self.proof_cache_hits - self.proof_cache_hits_disk
-
-    @property
-    def intern_hit_rate(self) -> float:
-        total = self.terms_allocated + self.terms_interned
-        return self.terms_interned / total if total else 0.0
-
-    @property
-    def proof_cache_hit_rate(self) -> float:
-        total = self.proof_cache_hits + self.proof_cache_misses
-        return self.proof_cache_hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        """A JSON-ready snapshot of every counter (plus the derived rates).
-
-        The verification daemon's ``stats`` op ships exactly this over the
-        wire (:mod:`repro.verifier.daemon`), so it must stay limited to
-        plain ``str``/``int``/``float`` values.
-        """
-        return {
-            "terms_allocated": self.terms_allocated,
-            "terms_interned": self.terms_interned,
-            "intern_hit_rate": self.intern_hit_rate,
-            "proof_cache_hits": self.proof_cache_hits,
-            "proof_cache_hits_memory": self.proof_cache_hits_memory,
-            "proof_cache_hits_disk": self.proof_cache_hits_disk,
-            "proof_cache_misses": self.proof_cache_misses,
-            "proof_cache_hit_rate": self.proof_cache_hit_rate,
-            "sequents_attempted": self.sequents_attempted,
-            "sequents_proved": self.sequents_proved,
-        }
-
-
-def performance_counters(portfolio=None) -> PerformanceCounters:
-    """Collect the performance counters of a run.
-
-    ``portfolio`` is a :class:`~repro.provers.dispatch.ProverPortfolio` (or
-    anything with a ``statistics`` attribute); term-kernel counters are
-    process-global and always included.
-    """
-    stats = term_stats()
-    counters = PerformanceCounters(
-        terms_allocated=stats.allocated,
-        terms_interned=stats.interned_hits,
-    )
-    if portfolio is not None:
-        portfolio_stats = portfolio.statistics
-        counters.proof_cache_hits = portfolio_stats.cache_hits
-        counters.proof_cache_misses = portfolio_stats.cache_misses
-        counters.proof_cache_hits_disk = portfolio_stats.cache_hits_disk
-        counters.sequents_attempted = portfolio_stats.sequents_attempted
-        counters.sequents_proved = portfolio_stats.sequents_proved
-    return counters
 
 
 def class_statistics(cls: ClassModel) -> ClassStatistics:

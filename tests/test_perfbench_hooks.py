@@ -88,7 +88,7 @@ def test_one_dependency_record_span_per_recorded_class(tracing):
         engine = VerificationEngine(default_portfolio().scaled(0.4), jobs=1)
         engine.verify_class(toggle)
         after_class = tracer.calls("verifier.incremental.record")
-        engine.verify_suite([toggle], jobs=1)
+        engine.verify_suite([toggle])
         after_suite = tracer.calls("verifier.incremental.record")
         engine.verify_class(toggle, strip_proofs=True)
         after_strip = tracer.calls("verifier.incremental.record")

@@ -29,6 +29,8 @@ from repro.verifier.daemon import (
 from repro.verifier.wire import LineChannel, connect_address, handshake_connect
 from repro.verifier.worker import serve_session
 
+from test_stats import COUNTER_KEYS
+
 TIMEOUT_SCALE = 0.4
 SECRET = b"daemon-metrics-test-secret"
 
@@ -107,6 +109,20 @@ class TestHandle:
         fields = {"class", "sequents", "dispatched", "cache_hits", "duplicates"}
         assert all(set(entry) == fields for entry in schedule["classes"])
 
+    def test_stats_and_metrics_ship_the_portfolio_counters(self, daemon):
+        """One counter object behind both ops: after a verify, ``stats``
+        and ``metrics`` carry the same ``counters`` dict, which is the
+        portfolio statistics' ``as_dict`` with exactly ten keys."""
+        assert daemon.handle({"op": "verify", "name": "Array List"})["ok"]
+        stats = daemon.handle({"op": "stats"})
+        metrics = daemon.handle({"op": "metrics"})
+        assert stats["ok"] and metrics["ok"]
+        assert stats["counters"] == metrics["counters"]
+        assert stats["counters"] == daemon.engine.portfolio.statistics.as_dict()
+        assert set(stats["counters"]) == COUNTER_KEYS
+        assert stats["counters"]["sequents_attempted"] > 0
+        assert stats["persistent_cache"] == metrics["persistent_cache"]
+
     def test_metrics_is_not_engine_gated(self, daemon):
         # A busy engine must not block metrics: nowait metrics succeeds
         # while the engine lock is held.
@@ -170,6 +186,16 @@ class TestLiveDaemonWithRemoteWorker:
         assert sum(count for _, count in worker_entry["latency"]["buckets"]) == (
             worker_entry["latency"]["count"]
         )
+
+    def test_stats_lists_the_connected_workers(self, served):
+        instance, client = served
+        assert client.request({"op": "verify", "name": "Array List"})["ok"]
+        stats = client.request({"op": "stats"})
+        metrics = client.request({"op": "metrics"})
+        remote = stats["remote_workers"]
+        assert remote["registry"] == instance.registry.address
+        assert remote["connected"] == [entry["worker"] for entry in metrics["workers"]]
+        assert len(remote["connected"]) == 1
 
     def test_cli_metrics_connect_prints_the_report(self, served, capsys):
         instance, client = served

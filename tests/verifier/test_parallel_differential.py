@@ -198,14 +198,6 @@ def test_elapsed_is_prover_cpu_of_dispatched_sequents(jobs):
     assert engine.verify_class(cls).elapsed == 0  # all warm cache hits
 
 
-def test_parallel_override_per_call():
-    engine = make_engine(jobs=1, use_cache=True)
-    (cls,) = structures(("Array List",))
-    engine.verify_class(cls, parallel=2)
-    assert engine.last_run is not None
-    assert engine.last_run.jobs == 2
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("jobs", [1, 2, 4])
 def test_full_catalog_differential_cache_on(jobs):

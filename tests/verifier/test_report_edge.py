@@ -28,17 +28,16 @@ class TestFormatRun:
 
     def test_all_cache_hit_run_has_no_workers(self):
         stats = RunRecord(jobs=4)
-        stats.sequents_total = 40
-        stats.hits_memory = 30
-        stats.hits_disk = 10
+        stats.classes.append(
+            ClassScheduleStats("Warm", sequents=40, hits_memory=30, hits_disk=10)
+        )
         text = format_run(stats)
         assert "answered from cache 40 (memory 30, disk 10)" in text
         assert "worker " not in text  # nothing was dispatched
 
     def test_remote_worker_labels_render(self):
         stats = RunRecord(jobs=2, backend="remote")
-        stats.sequents_total = 12
-        stats.dispatched = 12
+        stats.classes.append(ClassScheduleStats("Remote", sequents=12, dispatched=12))
         stats.fold_worker("host-a/101", 8, 1.5)
         stats.fold_worker("host-b/202", 4, 0.5)
         text = format_run(stats)
@@ -50,8 +49,7 @@ class TestFormatRun:
         # A remote run where one worker died mid-run: its partial load is
         # still attributed, the survivor carries the requeued rest.
         stats = RunRecord(jobs=2, backend="remote")
-        stats.sequents_total = 10
-        stats.dispatched = 10
+        stats.classes.append(ClassScheduleStats("Remote", sequents=10, dispatched=10))
         stats.fold_worker("dead-host/1", 2, 0.3)
         stats.fold_worker("live-host/2", 8, 2.1)
         text = format_run(stats)
@@ -75,8 +73,6 @@ class TestFormatRun:
 
     def test_all_cache_hit_class(self):
         stats = RunRecord(jobs=2)
-        stats.sequents_total = 20
-        stats.hits_memory = 20
         stats.classes.append(
             ClassScheduleStats(class_name="Warm Class", sequents=20, hits_memory=20)
         )
@@ -104,10 +100,10 @@ class TestRunRecord:
     def test_merge_keeps_remote_backend(self):
         total = RunRecord(jobs=2)
         run = RunRecord(jobs=2, backend="remote")
-        run.sequents_total = 3
+        run.classes.append(ClassScheduleStats("A", sequents=3, dispatched=3))
         total.merge(run)
         assert total.backend == "remote"
-        assert total.sequents_total == 3
+        assert total.sequents_total == total.dispatched == 3
 
     def test_merge_appends_classes(self):
         total = RunRecord(jobs=1)

@@ -104,7 +104,7 @@ def test_shard_dispatches_in_plan_order(monkeypatch):
     """At ``jobs=1`` the provers see the shard's tasks exactly in plan
     (catalogue/method/sequent) order."""
     engine = make_engine(jobs=1, use_cache=True)
-    plan = plan_suite(engine, structures(FAST_CLASSES), jobs=1)
+    plan = plan_suite(engine, structures(FAST_CLASSES))
     assert plan.shard
     assert [slot.shard_index for slot in plan.shard] == list(range(len(plan.shard)))
     planned = [slot for _, slots in plan.planned for slot in slots]
@@ -117,7 +117,7 @@ def test_shard_dispatches_in_plan_order(monkeypatch):
         return run_provers(task)
 
     monkeypatch.setattr(engine.portfolio, "run_provers", recording)
-    execute_suite(engine, plan, jobs=1)
+    execute_suite(engine, plan)
     assert len(dispatched) == len(plan.shard)
     assert all(task is slot.task for task, slot in zip(dispatched, plan.shard))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.provers.dispatch import default_portfolio
 from repro.verifier import scheduler
 from repro.verifier.engine import VerificationEngine
-from repro.verifier.scheduler import execute_suite, plan_suite
+from repro.verifier.scheduler import ClassScheduleStats, execute_suite, plan_suite
 
 from test_parallel_differential import (
     FAST_CLASSES,
@@ -24,32 +24,57 @@ from test_parallel_differential import (
 def test_planning_proves_nothing_and_accounts_every_sequent():
     engine = make_engine(jobs=1, use_cache=True)
     classes = structures(FAST_CLASSES[:2])
-    plan = plan_suite(engine, classes, jobs=1)
+    plan = plan_suite(engine, classes)
     # Planning does the cache accounting but runs no prover.
     assert engine.portfolio.statistics.per_prover == {}
     assert engine.portfolio.statistics.sequents_proved == 0
     assert [cls.name for cls, _ in plan.planned] == [cls.name for cls in classes]
-    assert [entry.class_name for entry in plan.stats.classes] == [
-        cls.name for cls in classes
-    ]
-    for entry, (_, slots) in zip(plan.stats.classes, plan.planned):
-        assert entry.sequents == len(slots)
-        assert (
-            entry.dispatched
-            + entry.hits_memory
-            + entry.hits_disk
-            + entry.duplicates_folded
-            == entry.sequents
-        )
-    assert plan.stats.dispatched == len(plan.shard)
     assert plan.record
+    planned_rows = [
+        ClassScheduleStats.from_slots(cls.name, slots) for cls, slots in plan.planned
+    ]
+    for row, (_, slots) in zip(planned_rows, plan.planned):
+        assert row.sequents == len(slots)
+        assert (
+            row.dispatched + row.hits_memory + row.hits_disk + row.duplicates_folded
+            == row.sequents
+        )
+    assert sum(row.dispatched for row in planned_rows) == len(plan.shard)
+    # Execution builds the run record's rows from the same slots, after
+    # the merge; dispatching them does not move a sequent between columns.
+    _, run = execute_suite(engine, plan)
+    assert run.classes == planned_rows
+    assert run.dispatched == len(plan.shard)
+    assert run.sequents_total == sum(len(slots) for _, slots in plan.planned)
+
+
+def test_rows_classify_hits_and_folded_duplicates(tmp_path):
+    classes = structures(FAST_CLASSES[:1])
+    cold = VerificationEngine(
+        default_portfolio().scaled(TIMEOUT_SCALE), jobs=1, cache_dir=tmp_path
+    )
+    cold.verify_suite(classes + classes)
+    first, repeat = cold.last_run.classes
+    assert first.dispatched > 0 and first.hits_disk == 0
+    # The repeated class resolves entirely in memory.
+    assert repeat.dispatched == repeat.hits_disk == 0
+    assert repeat.hits_memory + repeat.duplicates_folded == repeat.sequents
+    cold.close()
+    with VerificationEngine(
+        default_portfolio().scaled(TIMEOUT_SCALE), jobs=1, cache_dir=tmp_path
+    ) as warm:
+        warm.verify_suite(classes)
+        (row,) = warm.last_run.classes
+    assert row.hits_disk == row.sequents == first.sequents
+    assert warm.last_run.hits_disk == row.sequents
+    assert warm.last_run.dispatched == warm.last_run.hits_memory == 0
 
 
 def test_empty_suite_plans_and_executes_to_nothing():
     engine = make_engine(jobs=2, use_cache=True)
-    plan = plan_suite(engine, [], jobs=2)
+    plan = plan_suite(engine, [])
     assert plan.planned == [] and plan.shard == []
-    reports, stats = execute_suite(engine, plan, jobs=2)
+    reports, stats = execute_suite(engine, plan)
     assert reports == []
     assert stats.jobs == 2
     assert stats.dispatched == stats.sequents_total == 0
@@ -57,9 +82,9 @@ def test_empty_suite_plans_and_executes_to_nothing():
 
 def test_unrecorded_plan_leaves_the_dependency_index_alone():
     engine = make_engine(jobs=1, use_cache=True)
-    plan = plan_suite(engine, structures(FAST_CLASSES[:1]), jobs=1, record=False)
+    plan = plan_suite(engine, structures(FAST_CLASSES[:1]), record=False)
     assert not plan.record
-    execute_suite(engine, plan, jobs=1)
+    execute_suite(engine, plan)
     assert len(engine.dependency_index) == 0
     assert engine.dependency_index.mutations == 0
 
@@ -74,9 +99,9 @@ def test_execution_checkpoints_every_interval(monkeypatch, tmp_path):
     monkeypatch.setattr(
         engine, "flush_persistent_cache", lambda: flushes.append(flush())
     )
-    plan = plan_suite(engine, structures(FAST_CLASSES[:1]), jobs=1)
+    plan = plan_suite(engine, structures(FAST_CLASSES[:1]))
     assert len(plan.shard) >= 2
-    execute_suite(engine, plan, jobs=1)
+    execute_suite(engine, plan)
     assert len(flushes) == len(plan.shard) // 2
     # Each checkpoint wrote the verdicts that had arrived so far.
     assert all(saved > 0 for saved in flushes)

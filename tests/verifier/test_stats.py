@@ -1,19 +1,29 @@
 """Unit tests for the latency histogram behind the daemon's ``metrics`` op
-and the performance counters behind its ``stats`` op."""
+and the portfolio counters behind its ``stats`` and ``metrics`` ops."""
 
 from __future__ import annotations
 
 import json
-from types import SimpleNamespace
 
 import pytest
 
-from repro.verifier.stats import (
-    LATENCY_BUCKETS,
-    LatencyHistogram,
-    PerformanceCounters,
-    performance_counters,
-)
+from repro.logic.terms import term_stats
+from repro.provers.result import PortfolioStatistics
+from repro.verifier.stats import LATENCY_BUCKETS, LatencyHistogram
+
+#: The ``counters`` keys the daemon's ``stats`` and ``metrics`` ops ship.
+COUNTER_KEYS = {
+    "terms_allocated",
+    "terms_interned",
+    "intern_hit_rate",
+    "proof_cache_hits",
+    "proof_cache_hits_memory",
+    "proof_cache_hits_disk",
+    "proof_cache_misses",
+    "proof_cache_hit_rate",
+    "sequents_attempted",
+    "sequents_proved",
+}
 
 
 class TestLatencyHistogram:
@@ -94,62 +104,48 @@ class TestLatencyHistogram:
         assert payload["mean"] == round(0.123456789, 6)
 
 
-class TestPerformanceCounters:
+class TestPortfolioCounters:
     def test_rates_are_zero_without_traffic(self):
-        counters = PerformanceCounters()
-        assert counters.intern_hit_rate == 0.0
-        assert counters.proof_cache_hit_rate == 0.0
-        assert counters.proof_cache_hits_memory == 0
+        statistics = PortfolioStatistics()
+        assert statistics.cache_hit_rate == 0.0
+        assert statistics.cache_hits_memory == 0
+        payload = statistics.as_dict()
+        assert payload["proof_cache_hit_rate"] == 0.0
+        assert payload["sequents_attempted"] == payload["sequents_proved"] == 0
 
     def test_derived_counters(self):
-        counters = PerformanceCounters(
-            terms_allocated=30,
-            terms_interned=10,
-            proof_cache_hits=6,
-            proof_cache_misses=2,
-            proof_cache_hits_disk=4,
+        statistics = PortfolioStatistics(
+            cache_hits=6, cache_misses=2, cache_hits_disk=4
         )
-        assert counters.intern_hit_rate == pytest.approx(0.25)
-        assert counters.proof_cache_hit_rate == pytest.approx(0.75)
-        assert counters.proof_cache_hits_memory == 2
+        assert statistics.cache_hit_rate == pytest.approx(0.75)
+        assert statistics.cache_hits_memory == 2
+        assert statistics.cache_lookups == 8
 
     def test_as_dict_carries_every_counter_and_rate(self):
-        counters = PerformanceCounters(proof_cache_hits=3, proof_cache_misses=1)
-        payload = counters.as_dict()
-        assert json.loads(json.dumps(payload)) == payload
-        for name in (
-            "terms_allocated",
-            "terms_interned",
-            "proof_cache_hits",
-            "proof_cache_hits_disk",
-            "proof_cache_misses",
-            "sequents_attempted",
-            "sequents_proved",
-        ):
-            assert payload[name] == getattr(counters, name)
-        assert payload["proof_cache_hits_memory"] == 3
-        assert payload["proof_cache_hit_rate"] == pytest.approx(0.75)
-
-    def test_collection_without_a_portfolio_has_term_counters_only(self):
-        counters = performance_counters()
-        assert counters.terms_allocated >= 0
-        assert counters.proof_cache_hits == counters.proof_cache_misses == 0
-        assert counters.sequents_attempted == 0
-
-    def test_collection_copies_portfolio_statistics(self):
-        portfolio = SimpleNamespace(
-            statistics=SimpleNamespace(
-                cache_hits=7,
-                cache_misses=3,
-                cache_hits_disk=5,
-                sequents_attempted=10,
-                sequents_proved=9,
-            )
+        statistics = PortfolioStatistics(
+            sequents_attempted=10,
+            sequents_proved=9,
+            cache_hits=7,
+            cache_misses=3,
+            cache_hits_disk=5,
         )
-        counters = performance_counters(portfolio)
-        assert counters.proof_cache_hits == 7
-        assert counters.proof_cache_misses == 3
-        assert counters.proof_cache_hits_disk == 5
-        assert counters.proof_cache_hits_memory == 2
-        assert counters.sequents_attempted == 10
-        assert counters.sequents_proved == 9
+        payload = statistics.as_dict()
+        assert set(payload) == COUNTER_KEYS
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["proof_cache_hits"] == 7
+        assert payload["proof_cache_misses"] == 3
+        assert payload["proof_cache_hits_disk"] == 5
+        assert payload["proof_cache_hits_memory"] == 2
+        assert payload["proof_cache_hit_rate"] == pytest.approx(0.7)
+        assert payload["sequents_attempted"] == 10
+        assert payload["sequents_proved"] == 9
+
+    def test_term_counters_come_from_the_kernel(self):
+        before = term_stats()
+        payload = PortfolioStatistics().as_dict()
+        after = term_stats()
+        assert before.allocated <= payload["terms_allocated"] <= after.allocated
+        assert before.interned_hits <= payload["terms_interned"] <= after.interned_hits
+        total = payload["terms_allocated"] + payload["terms_interned"]
+        expected = payload["terms_interned"] / total if total else 0.0
+        assert payload["intern_hit_rate"] == pytest.approx(expected)
