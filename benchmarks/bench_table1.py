@@ -207,7 +207,6 @@ def run_smoke(jobs: int = 2, structure_names=SMOKE_STRUCTURES) -> dict:
             for cls in stats.classes
         ],
         "dispatch": {
-            "backend": stats.backend,
             "sequents_total": stats.sequents_total,
             "dispatched": stats.dispatched,
             "hits_memory": stats.hits_memory,

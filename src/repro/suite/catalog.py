@@ -58,7 +58,7 @@ def _catalogue() -> dict[str, ClassModel]:
 #: in registration order.  They resolve through :func:`structure_by_name`
 #: exactly like the paper catalogue -- which is what makes a generated
 #: class first-class for the scheduler, the caches, the daemon's
-#: ``verify`` op and the remote worker pools -- but they are deliberately
+#: ``verify`` op and the worker pool -- but they are deliberately
 #: *not* part of :func:`all_structures`: Table 1 is the paper's table,
 #: and a registered class must never punch holes in it.
 _REGISTERED: dict[str, ClassModel] = {}

@@ -8,7 +8,7 @@ generator*: :func:`generate_class` builds a well-formed
 the pipeline is reproducible from a printed seed -- and
 :func:`register_corpus` registers the result with
 :mod:`repro.suite.catalog`, after which the suite scheduler, proof cache
-and remote worker pools all treat it exactly like a paper class.
+and worker pool all treat it exactly like a paper class.
 
 The differential oracle harness over generated programs lives in
 ``tests/gensuite``; the shrinking entry point it uses on a failure is
@@ -102,7 +102,7 @@ def register_corpus(classes, replace: bool = False) -> list[ClassModel]:
     """Register every class with the catalogue and return them.
 
     After this, ``structure_by_name`` resolves them, so the CLI, the
-    daemon's ``verify`` op, the suite scheduler and remote pools see the
+    daemon's ``verify`` op, the suite scheduler and the worker pool see the
     generated classes as first-class catalogue members.
     """
     for cls in classes:

@@ -30,23 +30,18 @@ Subcommands::
                                   and a verdict check (self-hosts a
                                   daemon unless --address is given)
     jahob-py metrics              scheduling metrics of a running daemon:
-                                  per-worker latency histograms, cache
-                                  provenance and the last run's plan
+                                  cache provenance, admission, watch
+                                  latency and the last run's plan
                                   (requires --connect)
     jahob-py shutdown             stop a daemon (requires --connect)
-    jahob-py worker               run a remote prover worker (--listen to
-                                  await coordinators, --connect to register
-                                  with one)
 
 With ``--connect ADDR`` (a unix-socket path or ``HOST:PORT``) the ``list``
 / ``verify`` / ``table1`` commands are served by a running daemon
 (``jahob-py serve``) instead of a cold local engine; the printed output is
 identical.  ``--client NAME`` attaches the client identity the daemon
 uses for rate limiting and tenant cache namespacing, and ``--priority
-batch`` yields the admission queue to interactive requests.  ``--workers
-HOST:PORT,...`` makes a local run (or a daemon) dispatch its prover phase
-to listening ``jahob-py worker`` processes; all TCP endpoints
-authenticate with the shared secret from ``--secret-file`` or
+batch`` yields the admission queue to interactive requests.  All TCP
+endpoints authenticate with the shared secret from ``--secret-file`` or
 ``JAHOB_SECRET``.
 """
 
@@ -139,19 +134,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "on this unix socket or HOST:PORT instead of a cold local engine",
     )
     parser.add_argument(
-        "--workers",
-        default=None,
-        metavar="LIST",
-        help="comma-separated HOST:PORT addresses of listening 'jahob-py "
-        "worker' processes; prover dispatch is distributed across them "
-        "(verdicts identical to a local run)",
-    )
-    parser.add_argument(
         "--secret-file",
         default=None,
         metavar="PATH",
         help="file holding the shared secret that authenticates TCP "
-        "daemon/worker connections (JAHOB_SECRET works too)",
+        "connections of --connect, serve and loadgen (JAHOB_SECRET works "
+        "too); local runs never read it",
     )
     parser.add_argument(
         "--client",
@@ -251,13 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="token-bucket burst capacity (default: max(1, rate))",
     )
     serve.add_argument(
-        "--worker-listen",
-        default=None,
-        metavar="HOST:PORT",
-        help="also accept 'jahob-py worker --connect' registrations on "
-        "this TCP address and dispatch proving to them",
-    )
-    serve.add_argument(
         "--secret-file",
         dest="secret_file",
         # SUPPRESS, not None: argparse copies the sub-namespace over the
@@ -269,9 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers.add_parser(
         "metrics",
-        help="print a running daemon's scheduling metrics: per-worker "
-        "latency, cache provenance and the last run's plan (requires "
-        "--connect)",
+        help="print a running daemon's scheduling metrics: cache "
+        "provenance, admission, watch latency and the last run's plan "
+        "(requires --connect)",
     )
     subparsers.add_parser(
         "shutdown",
@@ -346,37 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="same as the global --secret-file, accepted after 'loadgen' too",
     )
-    worker = subparsers.add_parser(
-        "worker",
-        help="run a remote prover worker for a coordinator to dispatch to",
-    )
-    worker.add_argument(
-        "--listen",
-        default=None,
-        metavar="HOST:PORT",
-        help="listen for coordinators on this TCP address (':0' picks a "
-        "free port, printed on stdout)",
-    )
-    worker.add_argument(
-        "--connect",
-        dest="worker_connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="register with the coordinator (daemon --worker-listen) at "
-        "this TCP address",
-    )
-    worker.add_argument(
-        "--once",
-        action="store_true",
-        help="with --listen: exit after serving one coordinator session",
-    )
-    worker.add_argument(
-        "--secret-file",
-        dest="secret_file",
-        default=argparse.SUPPRESS,  # see the serve copy
-        metavar="PATH",
-        help="same as the global --secret-file, accepted after 'worker' too",
-    )
     return parser
 
 
@@ -391,7 +341,6 @@ _ENGINE_FLAGS = (
     ("--cache-dir", "cache_dir"),
     ("--no-persist", "no_persist"),
     ("--perf", "perf"),
-    ("--workers", "workers"),
 )
 
 
@@ -603,8 +552,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             use_proof_cache=not args.no_cache,
             timeout_scale=args.timeout_scale,
             secret=secret,
-            workers=args.workers,
-            worker_listen=args.worker_listen,
             queue_limit=args.queue_limit,
             rate_limit=args.rate_limit,
             burst=args.burst,
@@ -613,24 +560,16 @@ def _run_serve(args: argparse.Namespace) -> int:
     except DaemonError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    from .remote import RemoteWorkerError
-
     try:
         # Pool first, then listener, for the fd-inheritance reasons
-        # documented on VerifierDaemon.serve_forever.  warm_pool raises
-        # RemoteWorkerError for unreachable --workers addresses.
+        # documented on VerifierDaemon.serve_forever.
         daemon.engine.warm_pool()
         daemon.bind()
-    except (DaemonError, RemoteWorkerError) as exc:
+    except DaemonError as exc:
         print(str(exc), file=sys.stderr)
         daemon.close()
         return 2
     previous = signal.signal(signal.SIGTERM, lambda *_: daemon.stop())
-    if daemon.registry is not None:
-        print(
-            f"jahob-py daemon accepting workers on {daemon.registry.address}",
-            flush=True,
-        )
     if daemon.http_door is not None:
         print(
             f"jahob-py daemon serving HTTP on {daemon.http_door.address}",
@@ -706,20 +645,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     from ..suite.catalog import all_structures, structure_by_name
 
-    if args.command == "worker":
-        from .worker import run_worker
-
-        try:
-            secret = _load_secret_arg(args)
-        except OSError as exc:
-            print(f"cannot read --secret-file: {exc}", file=sys.stderr)
-            return 2
-        return run_worker(
-            connect=args.worker_connect,
-            listen=args.listen,
-            secret=secret,
-            once=args.once,
-        )
     if args.command == "loadgen":
         return _run_loadgen(args)
     if args.command == "serve":
@@ -747,20 +672,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.command} requires --connect SOCKET", file=sys.stderr)
         return 2
 
-    try:
-        secret = _load_secret_arg(args)
-    except OSError as exc:
-        print(f"cannot read --secret-file: {exc}", file=sys.stderr)
-        return 2
-    if args.workers and not secret:
-        # Fail before any proving starts, like serve does, instead of a
-        # RemoteWorkerError traceback mid-run.
-        print(
-            "--workers requires a shared secret "
-            "(--secret-file or JAHOB_SECRET)",
-            file=sys.stderr,
-        )
-        return 2
     portfolio = default_portfolio(with_cache=not args.no_cache)
     portfolio = portfolio.scaled(args.timeout_scale)
     engine = VerificationEngine(
@@ -769,8 +680,6 @@ def main(argv: list[str] | None = None) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         persist=not args.no_persist,
-        workers=args.workers,
-        worker_secret=secret,
     )
 
     if args.command == "list":

@@ -38,9 +38,9 @@ Supported ``"op"`` values:
               ``names`` is omitted
 ``table1``    suite-scheduled full catalogue, rendered as Table 1
 ``stats``     engine counters (:meth:`PortfolioStatistics.as_dict`)
-``metrics``   scheduling observability: per-worker answer-latency
-              histograms, cache-hit provenance, watch-mode latency and
-              the last run's plan
+``metrics``   scheduling observability: cache-hit provenance, the
+              admission queue, watch-mode latency and the last run's
+              plan
 ``watch``     ``{"path": ..., "interval": ..?, "max_events": ..?}`` --
               subscribe to a program file: the daemon polls its content,
               re-verifies it on every change (the warm proof cache
@@ -137,8 +137,10 @@ __all__ = ["PROTOCOL_VERSION", "DaemonError", "VerifierDaemon", "DaemonClient"]
 #: ``retry_after`` rejections, priority lanes, per-client rate limits and
 #: tenant cache namespaces) and added the HTTP front door; version 6 added
 #: the streaming ``watch`` op (re-verification of a subscribed file on every
-#: change, many response events on one connection -- socket transports only).
-PROTOCOL_VERSION = 6
+#: change, many response events on one connection -- socket transports only);
+#: version 7 dropped the remote-worker fields (``metrics.workers``,
+#: ``metrics.schedule.backend``, ``stats.remote_workers``).
+PROTOCOL_VERSION = 7
 
 #: Hard cap on one request line; a unix-socket peer is trusted, but a
 #: corrupt client must not make the daemon buffer without bound.
@@ -199,20 +201,16 @@ class VerifierDaemon:
 
     Either pass a ready :class:`VerificationEngine` or let the daemon build
     one from ``jobs`` / ``cache_dir`` / ``persist`` / ``use_proof_cache`` /
-    ``timeout_scale`` / ``workers`` (the same knobs the CLI exposes).  The
-    engine is always put into ``keep_pool_warm`` mode: the worker pool --
-    in-process or remote -- survives between requests, which is the whole
-    point of the daemon.  :meth:`serve_forever` warms that pool before
-    accepting the first connection, so no request pays pool start-up or
-    leaks its connection fd into a forked worker.
+    ``timeout_scale`` (the same knobs the CLI exposes).  The engine is
+    always put into ``keep_pool_warm`` mode: the worker pool survives
+    between requests, which is the whole point of the daemon.
+    :meth:`serve_forever` warms that pool before accepting the first
+    connection, so no request pays pool start-up or leaks its connection
+    fd into a forked worker.
 
     ``address`` may be a unix-socket path or a ``HOST:PORT`` TCP address;
     TCP requires ``secret`` (every client connection runs the
-    :mod:`repro.verifier.wire` handshake first).  ``workers`` dials
-    listening ``jahob-py worker`` processes; ``worker_listen`` opens a
-    :class:`~repro.verifier.remote.WorkerRegistry` on a second TCP port so
-    workers can register themselves (``jahob-py worker --connect``) --
-    both make the daemon dispatch its prover phase remotely.
+    :mod:`repro.verifier.wire` handshake first).
     """
 
     def __init__(
@@ -226,8 +224,6 @@ class VerifierDaemon:
         use_proof_cache: bool = True,
         timeout_scale: float = 1.0,
         secret: bytes | None = None,
-        workers: list[str] | str | None = None,
-        worker_listen: str | None = None,
         queue_limit: int = 16,
         rate_limit: float | None = None,
         burst: float | None = None,
@@ -242,23 +238,6 @@ class VerifierDaemon:
                 "serving on TCP requires a shared secret "
                 "(--secret-file or JAHOB_SECRET)"
             )
-        if workers and not secret:
-            # Same preflight the TCP listener gets: fail at construction,
-            # not deep inside the first dispatching request.
-            raise DaemonError(
-                "--workers requires a shared secret "
-                "(--secret-file or JAHOB_SECRET)"
-            )
-        self.registry = None
-        if worker_listen is not None:
-            from .remote import WorkerRegistry
-
-            if not secret:
-                raise DaemonError(
-                    "a worker registry requires a shared secret "
-                    "(--secret-file or JAHOB_SECRET)"
-                )
-            self.registry = WorkerRegistry(worker_listen, secret)
         if engine is None:
             portfolio = default_portfolio(with_cache=use_proof_cache)
             if timeout_scale != 1.0:
@@ -269,9 +248,6 @@ class VerifierDaemon:
                 jobs=jobs,
                 cache_dir=cache_dir,
                 persist=persist,
-                workers=workers,
-                worker_secret=secret,
-                worker_registry=self.registry,
             )
         engine.keep_pool_warm = True
         self.engine = engine
@@ -396,8 +372,7 @@ class VerifierDaemon:
             # listener's fd (orphans after a crash keep the address alive
             # and block stale-socket takeover), workers forked mid-request
             # would inherit the accepted connection fd, and the first
-            # request would pay pool start-up.  (Remote backends merely
-            # dial out here; nothing is forked.)
+            # request would pay pool start-up.
             self.engine.warm_pool()
             self.bind()
             if self.http_door is not None:
@@ -471,8 +446,6 @@ class VerifierDaemon:
             self._server = None
         if self.http_door is not None:
             self.http_door.close()
-        if self.registry is not None:
-            self.registry.close()
         # Never tear the engine down under a still-running engine op: if
         # a request thread outlived the bounded join in serve_forever,
         # waiting on the slot here is what keeps the flush-on-shutdown
@@ -858,28 +831,17 @@ class VerifierDaemon:
         cache = self.engine.portfolio.proof_cache
         response["cache_entries"] = len(cache) if cache is not None else 0
         response["pool_warm"] = self.engine.pool_warm
-        if self.engine.uses_remote_workers:
-            response["remote_workers"] = {
-                "configured": list(self.engine.remote_workers),
-                "registry": (
-                    self.registry.address if self.registry is not None else None
-                ),
-                "connected": [
-                    metrics["worker"] for metrics in self.engine.worker_metrics()
-                ],
-            }
         return response
 
     def _op_metrics(self, request: dict) -> dict:
         """Scheduling observability, answered lock-free (like ``stats``):
-        latency histograms, cache provenance and the last run's plan (of
-        any ``verify_class`` or ``verify_suite`` call) are all readable
-        while the engine proves."""
+        cache provenance, the admission queue, watch latency and the last
+        run's plan (of any ``verify_class`` or ``verify_suite`` call) are
+        all readable while the engine proves."""
         engine = self.engine
         response = {
             "protocol": PROTOCOL_VERSION,
             **self._engine_counters(),
-            "workers": engine.worker_metrics(),
             "admission": self.admission.snapshot(),
             "watch": {
                 "subscriptions": self.watch_subscriptions,
@@ -893,7 +855,6 @@ class VerifierDaemon:
         if run is not None:
             response["schedule"] = {
                 "jobs": run.jobs,
-                "backend": run.backend,
                 "classes": [
                     {
                         "class": row.class_name,

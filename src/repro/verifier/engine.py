@@ -167,16 +167,6 @@ class VerificationEngine:
     pool down afterwards, as before.  Engines are context managers:
     leaving the ``with`` block calls :meth:`close`, which flushes the
     persistent cache and shuts any warm pool down.
-
-    ``workers`` switches the dispatch backend from the in-process pool to
-    **distributed workers** (:mod:`repro.verifier.remote`): a list (or
-    comma-separated string) of ``HOST:PORT`` addresses of listening
-    ``jahob-py worker`` processes, authenticated with ``worker_secret``.
-    ``worker_registry`` additionally (or instead) supplies workers that
-    registered with a coordinator-side
-    :class:`~repro.verifier.remote.WorkerRegistry`.  The parent keeps all
-    cache authority either way, so verdicts stay bit-identical to
-    local runs.
     """
 
     def __init__(
@@ -190,9 +180,6 @@ class VerificationEngine:
         cache_dir: str | Path | None = None,
         persist: bool = True,
         keep_pool_warm: bool = False,
-        workers: list[str] | tuple[str, ...] | str | None = None,
-        worker_secret: bytes | None = None,
-        worker_registry=None,
     ) -> None:
         if portfolio is None:
             portfolio = default_portfolio(with_cache=use_proof_cache)
@@ -210,20 +197,7 @@ class VerificationEngine:
         # Class name -> (the version last verified, {id(method): (method,
         # sequents)}); see :meth:`method_sequents`.
         self._sequents: dict[str, tuple[ClassModel, dict[int, tuple]]] = {}
-        if isinstance(workers, str):
-            workers = [piece.strip() for piece in workers.split(",") if piece.strip()]
-        self.remote_workers: tuple[str, ...] = tuple(workers) if workers else ()
-        self.worker_secret = worker_secret
-        self.worker_registry = worker_registry
-        jobs = max(1, int(jobs))
-        if self.uses_remote_workers:
-            # The effective parallelism of a remote engine is its worker
-            # count; ``jobs`` survives only as the statistics label.
-            jobs = max(
-                jobs,
-                len(self.remote_workers) + (1 if worker_registry is not None else 0),
-            )
-        self.jobs = jobs
+        self.jobs = max(1, int(jobs))
         self.persist = persist
         self.keep_pool_warm = keep_pool_warm
         self.persistent_store: PersistentCacheStore | None = None
@@ -362,60 +336,32 @@ class VerificationEngine:
 
     # -- worker-pool management -----------------------------------------------------
 
-    @property
-    def uses_remote_workers(self) -> bool:
-        """Whether dispatch goes to distributed workers instead of an
-        in-process pool."""
-        return bool(self.remote_workers) or self.worker_registry is not None
+    def acquire_pool(self, spec, jobs: int, shard_size: int | None = None):
+        """A :class:`~repro.verifier.parallel.ProverPool` for one run.
 
-    def _new_pool(self, spec, jobs: int, shard_size: int | None):
-        """Build a fresh :class:`~repro.verifier.parallel.WorkerBackend`
-        for ``spec``: remote when workers are configured, the in-process
-        pool otherwise."""
-        if self.uses_remote_workers:
-            from .remote import RemoteWorkerPool
-
-            return RemoteWorkerPool(
-                spec,
-                self.remote_workers,
-                registry=self.worker_registry,
-                secret=self.worker_secret,
-            )
+        With ``keep_pool_warm`` the engine caches the pool and hands the
+        same (possibly already started) instance back for every matching
+        run; otherwise a fresh per-run pool is returned, sized down to
+        ``shard_size`` so small shards don't fork idle workers.  Pass the
+        pool to :meth:`release_pool` when the run is done.
+        """
         from .parallel import ProverPool
 
-        if shard_size is not None:
-            jobs = min(jobs, shard_size)
-        return ProverPool(spec, jobs)
-
-    def acquire_pool(self, spec, jobs: int, shard_size: int | None = None):
-        """A :class:`~repro.verifier.parallel.WorkerBackend` for one run.
-
-        With ``keep_pool_warm`` the engine caches the backend and hands
-        the same (possibly already started) instance back for every
-        matching run; otherwise a fresh per-run backend is returned --
-        in-process pools sized down to ``shard_size`` so small shards
-        don't fork idle workers.  Pass the backend to
-        :meth:`release_pool` when the run is done.
-        """
         if self.keep_pool_warm:
             if self._pool is not None and not self._pool.matches(spec, jobs):
                 self._pool.close()
                 self._pool = None
             if self._pool is None:
-                self._pool = self._new_pool(spec, jobs, None)
+                self._pool = ProverPool(spec, jobs)
             return self._pool
-        return self._new_pool(spec, jobs, shard_size)
+        if shard_size is not None:
+            jobs = min(jobs, shard_size)
+        return ProverPool(spec, jobs)
 
     @property
     def pool_warm(self) -> bool:
         """Whether a warm worker pool is currently forked."""
         return self._pool is not None and self._pool.started
-
-    def worker_metrics(self) -> list[dict]:
-        """Per-worker latency metrics of the current warm pool (empty for
-        in-process pools, whose workers answer through a local pipe)."""
-        metrics = getattr(self._pool, "worker_metrics", None)
-        return metrics() if metrics is not None else []
 
     def warm_pool(self) -> None:
         """Fork the warm worker pool up front.
@@ -426,7 +372,7 @@ class VerificationEngine:
         start-up.  No-op for ``jobs=1`` local engines or without
         ``keep_pool_warm``.
         """
-        if self.jobs <= 1 and not self.uses_remote_workers:
+        if self.jobs <= 1:
             return
         if not self.keep_pool_warm or self.pool_warm:
             return

@@ -99,7 +99,7 @@ ROUTES = (
         "/v1/metrics",
         "metrics",
         False,
-        "scheduling, admission and worker observability",
+        "cache provenance, admission, watch and run-plan observability",
     ),
 )
 

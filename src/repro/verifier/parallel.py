@@ -62,7 +62,6 @@ from ..vcgen.sequent import Sequent
 __all__ = [
     "RunRecord",
     "WorkerLoad",
-    "WorkerBackend",
     "ProverPool",
     "plan_class",
     "run_shard",
@@ -76,13 +75,12 @@ __all__ = [
 class WorkerLoad:
     """Per-worker accounting of one parallel run.
 
-    ``pid`` is the worker's identity: the OS pid for in-process pool
-    workers, a ``host/pid`` label for remote workers
-    (:mod:`repro.verifier.remote`) -- the per-worker provenance in
-    ``--perf`` output either way.
+    ``pid`` is the worker's identity: the OS pid of the pool worker (the
+    parent's own for the in-parent ``jobs <= 1`` path) -- the per-worker
+    provenance in ``--perf`` output.
     """
 
-    pid: int | str
+    pid: int
     tasks: int = 0
     prover_time: float = 0.0
 
@@ -98,13 +96,9 @@ class RunRecord:
     from the cache (``hits_memory`` / ``hits_disk``), or folded onto an
     identical pending sequent (``duplicates_folded``).  The run totals
     are sums over the rows.
-    ``backend`` names the worker backend that ran the shard:
-    ``"process"`` for the in-process pool (and the ``jobs <= 1``
-    in-parent path), ``"remote"`` for distributed workers.
     """
 
     jobs: int
-    backend: str = "process"
     wall_time: float = 0.0
     workers: list[WorkerLoad] = field(default_factory=list)
     classes: list = field(default_factory=list)
@@ -136,7 +130,7 @@ class RunRecord:
     def prover_time(self) -> float:
         return sum(load.prover_time for load in self.workers)
 
-    def fold_worker(self, pid: int | str, tasks: int, prover_time: float) -> None:
+    def fold_worker(self, pid: int, tasks: int, prover_time: float) -> None:
         """Accumulate one worker's load (matching by pid)."""
         for load in self.workers:
             if load.pid == pid:
@@ -147,8 +141,6 @@ class RunRecord:
 
     def merge(self, other: "RunRecord") -> None:
         """Fold a later run in (a command that verifies several times)."""
-        if other.backend != "process":
-            self.backend = other.backend
         self.wall_time += other.wall_time
         for load in other.workers:
             self.fold_worker(load.pid, load.tasks, load.prover_time)
@@ -186,55 +178,14 @@ def _dispatch_in_worker(item: tuple[int, ProofTask]):
 
 def _dispatch(portfolio: ProverPortfolio, item: tuple[int, ProofTask]):
     """Run the provers on one shard item; the ``(index, pid, wall, result)``
-    tuple every backend yields."""
+    tuple :func:`run_shard` consumes, in a pool worker or in the parent."""
     index, task = item
     start = time.monotonic()
     result = portfolio.run_provers(task)
     return index, os.getpid(), time.monotonic() - start, result
 
 
-class WorkerBackend:
-    """The surface a shard-dispatch backend exposes to the engine.
-
-    Two implementations exist: :class:`ProverPool` (an in-process
-    ``ProcessPoolExecutor``) and
-    :class:`~repro.verifier.remote.RemoteWorkerPool` (distributed workers
-    over TCP).  :func:`run_shard`, the engine's pool management
-    (``acquire_pool`` / ``release_pool`` / ``warm_pool``) and the daemon
-    drive both through exactly this interface, so backends differ only in
-    where the pure prover phase executes -- never in verdicts, which the
-    differential harnesses assert for both.
-    """
-
-    #: Human-readable backend name, recorded in ``RunRecord.backend``.
-    backend_name = "process"
-
-    def matches(self, spec: PortfolioSpec, jobs: int) -> bool:
-        """Whether this (possibly warm) backend can serve a run with
-        ``spec`` and ``jobs``."""
-        raise NotImplementedError
-
-    @property
-    def started(self) -> bool:
-        """Whether worker processes/connections exist yet."""
-        raise NotImplementedError
-
-    def warm_up(self) -> None:
-        """Start every worker now instead of on first dispatch."""
-        raise NotImplementedError
-
-    def run(self, items: list[tuple[int, ProofTask]]):
-        """Dispatch ``(shard_index, task)`` pairs; yield ``(shard_index,
-        worker_identity, prover_wall_seconds, DispatchResult)`` tuples in
-        completion order."""
-        raise NotImplementedError
-
-    def close(self, cancel_futures: bool = False) -> None:
-        """Release every worker; ``cancel_futures`` drops queued work."""
-        raise NotImplementedError
-
-
-class ProverPool(WorkerBackend):
+class ProverPool:
     """A worker pool bound to one portfolio spec, reusable across runs.
 
     The underlying ``ProcessPoolExecutor`` is created lazily on the first
@@ -257,6 +208,7 @@ class ProverPool(WorkerBackend):
 
     @property
     def started(self) -> bool:
+        """Whether the worker processes are forked yet."""
         return self._executor is not None
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
@@ -361,11 +313,10 @@ def run_shard(
 
     The returned list is indexed by shard position, so the merge stays
     deterministic whatever order the verdicts arrive in.  With
-    ``engine.jobs <= 1`` (and no remote workers configured on the engine)
-    the provers run in-process on the parent's portfolio (no pool), as
-    the reference loop would; otherwise the shard goes through the
-    engine's :class:`WorkerBackend`.  ``run`` accumulates the backend,
-    per-worker loads and dispatch wall time.
+    ``engine.jobs <= 1`` the provers run in-process on the parent's
+    portfolio (no pool), as the reference loop would; otherwise the shard
+    goes through the engine's :class:`ProverPool`.  ``run`` accumulates
+    the per-worker loads and dispatch wall time.
 
     ``on_result(slot, result)`` is called in the parent as each verdict
     arrives (completion order, not merge order); the suite scheduler uses
@@ -377,10 +328,9 @@ def run_shard(
     if shard:
         indexed = [(slot.shard_index, slot.task) for slot in shard]
         pool = None
-        if engine.jobs > 1 or engine.uses_remote_workers:
+        if engine.jobs > 1:
             spec = PortfolioSpec.from_portfolio(engine.portfolio)
             pool = engine.acquire_pool(spec, engine.jobs, shard_size=len(shard))
-            run.backend = pool.backend_name
             answers = pool.run(indexed)
         else:
             answers = (_dispatch(engine.portfolio, item) for item in indexed)
@@ -398,7 +348,7 @@ def run_shard(
             raise
         if pool is not None:
             engine.release_pool(pool)
-        run.workers.sort(key=lambda load: str(load.pid))
+        run.workers.sort(key=lambda load: load.pid)
     run.wall_time += time.monotonic() - start
     return results
 

@@ -248,12 +248,10 @@ def format_run(stats) -> str:
 
     ``stats`` is a :class:`~repro.verifier.parallel.RunRecord`: pooled
     dispatch and cache-provenance counters, the per-class plan and one
-    line per worker (an OS pid for the in-process pool, a ``host/pid``
-    label for remote workers).
+    line per worker pid.
     """
-    backend = "" if stats.backend == "process" else f", {stats.backend} workers"
     lines = [
-        f"Run plan ({stats.jobs} jobs{backend})",
+        f"Run plan ({stats.jobs} jobs)",
         f"  sequents total      {stats.sequents_total}",
         f"  dispatched          {stats.dispatched}",
         f"  answered from cache {stats.hits_memory + stats.hits_disk} "
@@ -275,7 +273,7 @@ def format_run(stats) -> str:
     ]
     lines.extend("  " + line for line in format_table(header, rows).splitlines())
     lines += [
-        f"  worker {str(load.pid):<12} {load.tasks} sequents, "
+        f"  worker {load.pid:<12} {load.tasks} sequents, "
         f"{load.prover_time:.1f}s"
         for load in stats.workers
     ]
@@ -289,7 +287,7 @@ def format_metrics(payload: dict) -> str:
     payload is the JSON object
     :meth:`~repro.verifier.daemon.VerifierDaemon._op_metrics` builds, so
     the sections mirror its fields (cache provenance, the last run's
-    plan, per-worker latency).
+    plan, admission and watch subscriptions).
     """
     lines = [f"Daemon metrics (protocol {payload.get('protocol', '?')})"]
     counters = payload.get("counters") or {}
@@ -307,10 +305,7 @@ def format_metrics(payload: dict) -> str:
         )
     schedule = payload.get("schedule")
     if schedule:
-        lines.append(
-            f"Last run's plan ({schedule.get('jobs')} jobs, "
-            f"{schedule.get('backend')} backend)"
-        )
+        lines.append(f"Last run's plan ({schedule.get('jobs')} jobs)")
         header = ["class", "sequents", "dispatched", "cache", "dup"]
         rows = [
             [
@@ -352,27 +347,6 @@ def format_metrics(payload: dict) -> str:
             f"mean {latency.get('mean', 0.0):.3f}s, "
             f"max {latency.get('max', 0.0):.3f}s"
         )
-    workers = payload.get("workers") or []
-    lines.append("Remote workers")
-    if not workers:
-        lines.append("  (none connected)")
-    for worker in workers:
-        latency = worker.get("latency") or {}
-        ewma = worker.get("ewma_task_wall")
-        ewma_text = f"{ewma:.3f}s" if isinstance(ewma, (int, float)) else "n/a"
-        lines.append(
-            f"  {worker.get('worker', '?')} ({worker.get('origin', '?')}): "
-            f"task ewma {ewma_text}, {latency.get('count', 0)} answers, "
-            f"mean {latency.get('mean', 0.0):.3f}s, "
-            f"max {latency.get('max', 0.0):.3f}s"
-        )
-        bands = [
-            (f"<={bound}s" if bound != "inf" else "slower") + f": {count}"
-            for bound, count in latency.get("buckets", [])
-            if count
-        ]
-        if bands:
-            lines.append("    latency histogram " + ", ".join(bands))
     return "\n".join(lines)
 
 

@@ -70,17 +70,17 @@ class ClassStatistics:
         )
 
 
-#: Upper bucket bounds (seconds) for worker answer-latency histograms --
-#: log-spaced from "local process pool" to "prover near its timeout".
+#: Upper bucket bounds (seconds) for latency histograms -- log-spaced from
+#: "answered from a warm cache" to "prover near its timeout".
 LATENCY_BUCKETS = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 
 
 class LatencyHistogram:
     """A tiny fixed-bucket histogram of observed latencies (seconds).
 
-    The remote worker pool keeps one per connection (answer latency,
-    coordinator-side); the daemon's ``metrics`` op ships
-    :meth:`as_dict`.  Buckets are cumulative-free counts per band:
+    The daemon keeps one for its watch subscriptions' edit-to-verdict
+    latency (the ``metrics`` op ships :meth:`as_dict`) and the load
+    generator one per request op.  Buckets are cumulative-free counts per band:
     ``counts[i]`` is the number of samples in
     ``(LATENCY_BUCKETS[i-1], LATENCY_BUCKETS[i]]``, with one overflow
     band at the end.
@@ -112,7 +112,7 @@ class LatencyHistogram:
 
         Linear interpolation inside the winning band, which is as precise
         as a fixed-bucket histogram gets: exact enough for p50/p95/p99
-        load reports, and cheap enough to keep per-connection.  The
+        load reports, and cheap enough to keep per op.  The
         overflow band is clamped to the observed ``peak``.
         """
         if not self.count:

@@ -1,54 +1,44 @@
-"""Shared wire layer for the daemon and the distributed worker protocol.
+"""Shared wire layer of the daemon, its client and the HTTP front door.
 
-PR 3's daemon spoke newline-delimited JSON over a unix socket, one request
-per connection, with the framing buried in :mod:`repro.verifier.daemon`.
-Distributed workers (:mod:`repro.verifier.remote` /
-:mod:`repro.verifier.worker`) reuse the same framing but need three things
-the one-shot protocol did not:
+The daemon speaks newline-delimited JSON.  This module holds the pieces
+every transport shares:
 
-* **persistent connections** -- many messages per socket, so over-reads
-  past a newline must be buffered, not discarded (:class:`LineChannel`);
-* **TCP addresses** -- ``HOST:PORT`` next to unix-socket paths, parsed and
+* **framing** -- :class:`LineChannel` sends and receives one JSON object
+  per line and keeps bytes that arrive past a newline for the next
+  message, since a handshake (and a ``watch`` subscription) is many
+  messages on one socket;
+* **addresses** -- ``HOST:PORT`` next to unix-socket paths, parsed and
   dialed uniformly (:func:`parse_address`, :func:`connect_address`,
   :func:`create_listener`);
 * **authentication** -- anyone who can reach a TCP port could otherwise
-  feed the coordinator pickled payloads.  TCP peers therefore run a
-  mutual HMAC-SHA256 challenge-response handshake over a shared secret
-  before any payload crosses the wire (:func:`handshake_accept` /
-  :func:`handshake_connect`).  The secret itself never crosses the wire;
-  each side proves possession by answering the other's fresh nonce.
-  Unix-socket peers skip the handshake -- filesystem permissions are the
-  authentication there, exactly as before.
+  drive the daemon's engine and read its tenants' verdicts.  TCP peers
+  therefore run a mutual HMAC-SHA256 challenge-response handshake over a
+  shared secret (:func:`handshake_accept` / :func:`handshake_connect`)
+  before the daemon reads a request line.  The secret itself never
+  crosses the wire; each side proves possession by answering the other's
+  fresh nonce.  Unix-socket peers skip the handshake -- filesystem
+  permissions are the authentication there.
 
-Task and result payloads ride inside JSON messages as base64-encoded
-pickles (:func:`encode_payload` / :func:`decode_payload`): the objects are
-the same ones the in-process ``ProcessPoolExecutor`` backend already
-pickles, which is what keeps remote verdicts bit-identical.  Unpickling is
-only ever performed *after* a successful handshake, so the trust boundary
-is possession of the shared secret -- see the security note in
-``docs/architecture.md``.
+After the handshake TCP peers exchange only JSON requests and responses;
+nothing received from a socket is ever unpickled.  See the security note
+in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import hmac
 import json
 import os
-import pickle
 import socket
 from pathlib import Path
 
 __all__ = [
     "WIRE_VERSION",
     "MAX_LINE_BYTES",
-    "HANDSHAKE_TIMEOUT",
     "WireError",
     "HandshakeError",
     "parse_address",
-    "format_address",
-    "is_tcp_address",
     "create_listener",
     "connect_address",
     "load_secret",
@@ -57,27 +47,18 @@ __all__ = [
     "client_role",
     "parse_client_role",
     "LineChannel",
-    "encode_payload",
-    "decode_payload",
 ]
 
 #: Bumped on incompatible wire-level changes (framing or handshake).
 WIRE_VERSION = 1
 
-#: Hard cap on one protocol line.  Proof-task batches are the largest
-#: messages and stay far below this; a corrupt peer must not make either
-#: side buffer without bound.
+#: Hard cap on one protocol line.  Suite responses with per-sequent reports
+#: are the largest messages and stay far below this; a corrupt peer must
+#: not make either side buffer without bound.
 MAX_LINE_BYTES = 64 << 20
 
 #: Bytes of entropy in each handshake nonce.
 _NONCE_BYTES = 32
-
-#: Deadline for the handshake phase of an accepted connection.  A peer
-#: that connects and then goes silent must not wedge an accept loop (the
-#: registry and the listening worker serve one handshake at a time);
-#: after the handshake, sockets switch to blocking mode -- prover work
-#: has no protocol-level deadline.
-HANDSHAKE_TIMEOUT = 10.0
 
 
 class WireError(RuntimeError):
@@ -110,18 +91,6 @@ def parse_address(spec: str | Path) -> tuple[str, object]:
         except ValueError:
             pass
     return "unix", text
-
-
-def is_tcp_address(spec: str | Path) -> bool:
-    return parse_address(spec)[0] == "tcp"
-
-
-def format_address(spec: str | Path) -> str:
-    kind, target = parse_address(spec)
-    if kind == "tcp":
-        host, port = target
-        return f"{host}:{port}"
-    return str(target)
 
 
 def create_listener(spec: str | Path, backlog: int = 8) -> socket.socket:
@@ -183,11 +152,11 @@ def load_secret(
 class LineChannel:
     """Newline-delimited JSON messages over one stream socket.
 
-    Unlike the daemon's one-shot ``_read_line``, the channel keeps the
-    bytes that arrive after a newline and serves them as the next message
-    -- the worker protocol is many messages per connection.  ``recv``
-    returns ``None`` on a clean EOF between messages and raises
-    :class:`WireError` on EOF mid-message or an oversized line.
+    The channel keeps the bytes that arrive after a newline and serves
+    them as the next message -- a handshake or a ``watch`` stream is many
+    messages per connection.  ``recv`` returns ``None`` on a clean EOF
+    between messages and raises :class:`WireError` on EOF mid-message or
+    an oversized line.
     """
 
     def __init__(self, sock: socket.socket, limit: int = MAX_LINE_BYTES) -> None:
@@ -331,23 +300,3 @@ def parse_client_role(role: str) -> str | None:
     if role.startswith("client:"):
         return role[len("client:"):]
     return None
-
-
-# ---------------------------------------------------------------------------
-# Payloads
-# ---------------------------------------------------------------------------
-
-
-def encode_payload(obj) -> str:
-    """Pickle ``obj`` into a JSON-safe base64 string."""
-    return base64.b64encode(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)).decode("ascii")
-
-
-def decode_payload(text: str):
-    """Inverse of :func:`encode_payload`.
-
-    Only ever called on messages from a handshake-authenticated peer (or
-    a same-host unix-socket peer): unpickling untrusted bytes would be
-    arbitrary code execution.
-    """
-    return pickle.loads(base64.b64decode(text.encode("ascii")))

@@ -242,6 +242,10 @@ class TestPortfolio:
         with pytest.raises(ValueError, match="'stub'"):
             PortfolioSpec.from_portfolio(custom)
 
+    def test_build_names_the_unknown_prover(self):
+        with pytest.raises(ValueError, match="'spass'"):
+            PortfolioSpec((("smt", 1.0), ("spass", 0.8))).build()
+
     def test_refutation_stops_dispatch_and_is_cached(self, tmp_path):
         refuter = StubProver("refuter", Outcome.REFUTED)
         later = StubProver("later", Outcome.PROVED)

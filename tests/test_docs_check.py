@@ -9,7 +9,8 @@ Three guards against documentation drift:
   backgrounds a long-running command (the daemon of the HTTP
   quickstart) exactly like a shell would;
 * every CLI option and subcommand the argument parser actually defines
-  must be mentioned in the README's CLI reference;
+  must be mentioned in the README's CLI reference, and every option and
+  subcommand that reference's tables name must exist in the parser;
 * every relative markdown link in ``README.md`` and ``docs/*.md`` must
   point at an existing file.
 """
@@ -198,6 +199,54 @@ def test_readme_documents_every_cli_flag():
                         assert option in text, (
                             f"README does not document {name} {option}"
                         )
+
+
+def _parser_surface() -> tuple[set[str], set[str]]:
+    """Every option string (global or of any subcommand) and every
+    subcommand name the argument parser defines."""
+    from repro.verifier.cli import _build_parser
+
+    options: set[str] = set()
+    commands: set[str] = set()
+    for action in _build_parser()._actions:
+        options.update(action.option_strings)
+        if action.choices and not action.option_strings:
+            for name, subparser in action.choices.items():
+                commands.add(name)
+                for sub_action in subparser._actions:
+                    options.update(sub_action.option_strings)
+    return options, commands
+
+
+def cli_reference_rows() -> list[list[str]]:
+    """The cells of every table row in README's "CLI reference" section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## CLI reference\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_cli_reference_names_only_real_flags_and_commands():
+    """The reverse of the check above: a row for a deleted flag or
+    subcommand must go with it."""
+    options, commands = _parser_surface()
+    rows = cli_reference_rows()
+    assert rows, "README lost its CLI reference tables"
+    for cells in rows:
+        first = cells[0].strip("`").split()[0]
+        if first.startswith("--"):
+            assert first in options, f"README's CLI reference lists unknown {first}"
+        else:
+            assert first in commands, (
+                f"README's CLI reference lists unknown subcommand {first!r}"
+            )
+        for option in re.findall(r"(?<![\w-])--[a-z][a-z-]*", " ".join(cells)):
+            assert option in options, (
+                f"README's CLI reference mentions unknown {option} (row {first})"
+            )
 
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")

@@ -1,14 +1,13 @@
-"""The daemon's ``metrics`` op (protocol v3) and the CLI around it.
+"""The daemon's ``metrics`` op and the CLI around it.
 
 Three layers:
 
 * :meth:`VerifierDaemon.handle` directly, for the op's semantics
-  (schedule plan, cache provenance) without socket plumbing;
-* a live unix-socket daemon whose engine dispatches to a real worker
-  session (``serve_session`` on an in-process thread through a real
-  registry + handshake), for the acceptance criterion: ``metrics``
-  against a live daemon returns per-worker latency and the run's plan;
-* ``jahob-py metrics --connect`` end to end, printing
+  (schedule plan, cache provenance, the exact field set) without socket
+  plumbing;
+* a live unix-socket daemon whose engine dispatches to the local process
+  pool (``jobs=2``), queried over a real socket;
+* ``jahob-py metrics --connect`` end to end against that daemon, printing
   :func:`~repro.verifier.report.format_metrics`.
 """
 
@@ -26,39 +25,21 @@ from repro.verifier.daemon import (
     DaemonError,
     VerifierDaemon,
 )
-from repro.verifier.wire import LineChannel, connect_address, handshake_connect
-from repro.verifier.worker import serve_session
 
 from test_stats import COUNTER_KEYS
 
 TIMEOUT_SCALE = 0.4
-SECRET = b"daemon-metrics-test-secret"
 
 
 def test_protocol_version_is_current():
     # The metrics op arrived in protocol v3; verify_file bumped it to 4;
     # admission control (structured rejections, priority lanes, rate
     # limits, tenant namespaces) and the HTTP front door bumped it to 5;
-    # the streaming watch subscription bumped it to 6.  Ping reports
-    # whatever the current version is -- pin it here so any future op
-    # addition bumps the constant deliberately.
-    assert PROTOCOL_VERSION == 6
-
-
-class InThreadWorker(threading.Thread):
-    """A *real* worker session (``serve_session``) on a thread, registered
-    with a daemon's worker registry -- full protocol, no subprocess cost."""
-
-    def __init__(self, registry_address: str) -> None:
-        super().__init__(daemon=True, name="in-thread-worker")
-        sock = connect_address(registry_address, timeout=5.0)
-        self.channel = LineChannel(sock)
-        handshake_connect(self.channel, SECRET, role="worker")
-        sock.settimeout(None)
-        self.start()
-
-    def run(self) -> None:
-        serve_session(self.channel)
+    # the streaming watch subscription bumped it to 6; dropping the
+    # remote-worker fields bumped it to 7.  Ping reports whatever the
+    # current version is -- pin it here so any future op addition bumps
+    # the constant deliberately.
+    assert PROTOCOL_VERSION == 7
 
 
 class TestHandle:
@@ -77,9 +58,17 @@ class TestHandle:
         response = daemon.handle({"op": "metrics"})
         assert response["ok"]
         assert response["protocol"] == PROTOCOL_VERSION
-        assert "cost_model" not in response
+        assert set(response) == {
+            "ok",
+            "elapsed",
+            "protocol",
+            "counters",
+            "persistent_cache",
+            "admission",
+            "watch",
+            "schedule",
+        }
         assert response["schedule"] is None
-        assert response["workers"] == []
         assert response["persistent_cache"]["status"] == "cold:missing"
 
     def test_metrics_after_verify_and_suite(self, daemon):
@@ -134,15 +123,14 @@ class TestHandle:
             daemon._engine_lock.release()
 
 
-class TestLiveDaemonWithRemoteWorker:
+class TestLiveDaemon:
     @pytest.fixture()
     def served(self, tmp_path):
         instance = VerifierDaemon(
             tmp_path / "jahob.sock",
+            jobs=2,
             cache_dir=tmp_path / "cache",
             timeout_scale=TIMEOUT_SCALE,
-            secret=SECRET,
-            worker_listen="127.0.0.1:0",
         )
         thread = threading.Thread(target=instance.serve_forever, daemon=True)
         thread.start()
@@ -156,46 +144,10 @@ class TestLiveDaemonWithRemoteWorker:
                 if time.monotonic() > deadline:
                     raise
                 time.sleep(0.02)
-        worker = InThreadWorker(instance.registry.address)
         yield instance, client
         instance.stop()
         thread.join(timeout=10.0)
         instance.close()
-        worker.join(timeout=5.0)
-
-    def test_metrics_returns_per_worker_latency_and_plan(self, served):
-        """The acceptance criterion, over a real socket with a real
-        worker session carrying the prover phase."""
-        instance, client = served
-        verify = client.request({"op": "verify", "name": "Array List"})
-        assert verify["ok"] and verify["exit"] == 0
-
-        response = client.request({"op": "metrics"})
-        assert response["ok"] and response["protocol"] == PROTOCOL_VERSION
-        # The run's plan...
-        schedule = response["schedule"]
-        assert schedule["backend"] == "remote"
-        [entry] = schedule["classes"]
-        assert entry["class"] == "Array List"
-        assert entry["dispatched"] > 0
-        # ...and per-worker latency data from the remote dispatch.
-        [worker_entry] = response["workers"]
-        assert worker_entry["origin"] == "registry"
-        assert worker_entry["latency"]["count"] > 0
-        assert worker_entry["ewma_task_wall"] > 0
-        assert sum(count for _, count in worker_entry["latency"]["buckets"]) == (
-            worker_entry["latency"]["count"]
-        )
-
-    def test_stats_lists_the_connected_workers(self, served):
-        instance, client = served
-        assert client.request({"op": "verify", "name": "Array List"})["ok"]
-        stats = client.request({"op": "stats"})
-        metrics = client.request({"op": "metrics"})
-        remote = stats["remote_workers"]
-        assert remote["registry"] == instance.registry.address
-        assert remote["connected"] == [entry["worker"] for entry in metrics["workers"]]
-        assert len(remote["connected"]) == 1
 
     def test_cli_metrics_connect_prints_the_report(self, served, capsys):
         instance, client = served
@@ -204,10 +156,10 @@ class TestLiveDaemonWithRemoteWorker:
         out = capsys.readouterr().out
         assert exit_code == 0
         assert f"Daemon metrics (protocol {PROTOCOL_VERSION})" in out
-        assert "Last run's plan" in out
+        assert "Last run's plan (2 jobs)" in out
         assert "Array List" in out
-        assert "Remote workers" in out
-        assert "registry" in out
+        assert "Admission" in out
+        assert "Remote workers" not in out
 
 
 def test_cli_metrics_requires_connect(capsys):

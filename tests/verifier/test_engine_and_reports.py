@@ -1,5 +1,7 @@
 """The verification engine, reports and table generation."""
 
+import pytest
+
 from repro.suite.common import StructureBuilder
 from repro.verifier import (
     VerificationEngine,
@@ -95,3 +97,35 @@ class TestCli:
         assert main(["list"]) == 0
         output = capsys.readouterr().out
         assert "Linked List" in output and "Hash Table" in output
+
+    def test_cli_local_run_never_reads_the_secret(self, capsys, tmp_path):
+        # The shared secret authenticates TCP peers only; a local run has
+        # none, so an unreadable --secret-file must not stop it.
+        from repro.verifier.cli import main
+
+        missing = tmp_path / "no-such-secret"
+        assert main(["--secret-file", str(missing), "list"]) == 0
+        captured = capsys.readouterr()
+        assert "Linked List" in captured.out
+        assert "secret" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--connect", "{sock}", "--secret-file", "{missing}", "list"],
+            ["serve", "--socket", "{sock}", "--secret-file", "{missing}"],
+            ["loadgen", "--address", "127.0.0.1:1", "--secret-file", "{missing}"],
+        ],
+        ids=["connect", "serve", "loadgen"],
+    )
+    def test_cli_tcp_capable_commands_still_read_the_secret(
+        self, argv, capsys, tmp_path
+    ):
+        # The commands that can speak TCP load the secret before doing
+        # anything else, so an unreadable file is a usage error up front.
+        from repro.verifier.cli import main
+
+        paths = {"sock": tmp_path / "j.sock", "missing": tmp_path / "no-secret"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert "cannot read --secret-file" in capsys.readouterr().err
+        assert not paths["sock"].exists()

@@ -3,8 +3,7 @@
 ``format_run`` / ``format_verify`` were only exercised on happy-path runs;
 these tests pin down the degenerate shapes a serving system actually
 produces: empty classes, all-cache-hit runs that never start a worker,
-and worker-crash runs whose surviving workers carry requeued load (remote
-backend, string worker identities).
+and runs whose per-worker loads must add up to what was dispatched.
 """
 
 from __future__ import annotations
@@ -35,27 +34,17 @@ class TestFormatRun:
         assert "answered from cache 40 (memory 30, disk 10)" in text
         assert "worker " not in text  # nothing was dispatched
 
-    def test_remote_worker_labels_render(self):
-        stats = RunRecord(jobs=2, backend="remote")
-        stats.classes.append(ClassScheduleStats("Remote", sequents=12, dispatched=12))
-        stats.fold_worker("host-a/101", 8, 1.5)
-        stats.fold_worker("host-b/202", 4, 0.5)
+    def test_worker_pids_render_one_line_each(self):
+        # Uneven load across two pool workers: each pid gets its own
+        # line, and the per-worker loads add up to what was dispatched.
+        stats = RunRecord(jobs=2)
+        stats.classes.append(ClassScheduleStats("Pooled", sequents=10, dispatched=10))
+        stats.fold_worker(101, 2, 0.3)
+        stats.fold_worker(202, 8, 2.1)
         text = format_run(stats)
-        assert "remote" in text
-        assert "worker host-a/101" in text
-        assert "worker host-b/202" in text
-
-    def test_worker_crash_partial_results(self):
-        # A remote run where one worker died mid-run: its partial load is
-        # still attributed, the survivor carries the requeued rest.
-        stats = RunRecord(jobs=2, backend="remote")
-        stats.classes.append(ClassScheduleStats("Remote", sequents=10, dispatched=10))
-        stats.fold_worker("dead-host/1", 2, 0.3)
-        stats.fold_worker("live-host/2", 8, 2.1)
-        text = format_run(stats)
-        assert "worker dead-host/1" in text and "2 sequents" in text
-        assert "worker live-host/2" in text and "8 sequents" in text
-        # Accounting still closes even though a worker vanished.
+        assert text.splitlines()[0] == "Run plan (2 jobs)"
+        assert "worker 101          2 sequents, 0.3s" in text
+        assert "worker 202          8 sequents, 2.1s" in text
         assert sum(load.tasks for load in stats.workers) == stats.dispatched
 
     def test_empty_class_row_renders(self):
@@ -91,19 +80,23 @@ class TestRunRecord:
         stats = RunRecord(jobs=2)
         stats.fold_worker(1234, 1, 0.1)
         stats.fold_worker(1234, 2, 0.2)
-        stats.fold_worker("host/1234", 1, 0.1)  # a label is a new identity
-        assert [load.pid for load in stats.workers] == [1234, "host/1234"]
+        stats.fold_worker(5678, 1, 0.1)  # another pid is a new identity
+        assert [load.pid for load in stats.workers] == [1234, 5678]
         assert stats.workers[0].tasks == 3
         assert stats.workers[0].prover_time == pytest.approx(0.3)
         assert isinstance(stats.workers[0], WorkerLoad)
 
-    def test_merge_keeps_remote_backend(self):
+    def test_merge_folds_worker_loads_by_pid(self):
+        # Two runs on one warm pool: the same pid's loads accumulate.
         total = RunRecord(jobs=2)
-        run = RunRecord(jobs=2, backend="remote")
-        run.classes.append(ClassScheduleStats("A", sequents=3, dispatched=3))
-        total.merge(run)
-        assert total.backend == "remote"
-        assert total.sequents_total == total.dispatched == 3
+        for pid, tasks in ((7, 2), (7, 1), (8, 3)):
+            run = RunRecord(jobs=2)
+            run.classes.append(ClassScheduleStats("A", tasks, dispatched=tasks))
+            run.fold_worker(pid, tasks, 0.5)
+            total.merge(run)
+        assert [(load.pid, load.tasks) for load in total.workers] == [(7, 3), (8, 3)]
+        assert total.sequents_total == total.dispatched == 6
+        assert total.prover_time == pytest.approx(1.5)
 
     def test_merge_appends_classes(self):
         total = RunRecord(jobs=1)
@@ -115,8 +108,9 @@ class TestRunRecord:
 
 
 class TestFormatMetrics:
-    """Protocol 6 payloads with or without the former cost fields
-    (``cost_model``, a plan's ``order`` / ``cost`` / ``source``) render
+    """Protocol 7 payloads, and older ones with the former cost fields
+    (``cost_model``, a plan's ``order`` / ``cost`` / ``source``) or
+    remote-worker fields (``workers``, a plan's ``backend``), render
     alike: every field is read with a default."""
 
     PLAN_ENTRY = {
@@ -129,13 +123,12 @@ class TestFormatMetrics:
 
     def test_current_payload(self):
         payload = {
-            "protocol": 6,
+            "protocol": 7,
             "counters": {},
-            "workers": [],
-            "schedule": {"jobs": 1, "backend": "process", "classes": [self.PLAN_ENTRY]},
+            "schedule": {"jobs": 1, "classes": [self.PLAN_ENTRY]},
         }
         text = format_metrics(payload)
-        assert "Last run's plan (1 jobs, process backend)" in text
+        assert "Last run's plan (1 jobs)" in text
         row = next(line for line in text.splitlines() if "Array List" in line)
         assert row.split()[-4:] == ["26", "20", "6", "0"]
 
@@ -153,6 +146,8 @@ class TestFormatMetrics:
             },
         }
         text = format_metrics(payload)
+        assert "Last run's plan (2 jobs)" in text
+        assert "Remote workers" not in text
         row = next(line for line in text.splitlines() if "Array List" in line)
         assert row.split()[-4:] == ["26", "20", "6", "0"]
 

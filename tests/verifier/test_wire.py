@@ -11,12 +11,8 @@ from repro.verifier.wire import (
     HandshakeError,
     LineChannel,
     WireError,
-    decode_payload,
-    encode_payload,
-    format_address,
     handshake_accept,
     handshake_connect,
-    is_tcp_address,
     load_secret,
     parse_address,
 )
@@ -38,11 +34,6 @@ class TestAddresses:
         assert parse_address("/tmp/with:colon/x.sock")[0] == "unix"
         assert parse_address("relative/dir/jahob.sock")[0] == "unix"
         assert parse_address("host:notaport")[0] == "unix"
-
-    def test_is_tcp_and_format(self):
-        assert is_tcp_address("h:1") and not is_tcp_address("h.sock")
-        assert format_address("127.0.0.1:80") == "127.0.0.1:80"
-        assert format_address("x.sock") == "x.sock"
 
 
 class TestLineChannel:
@@ -154,11 +145,7 @@ class TestHandshake:
             assert secret.decode() not in message
 
 
-class TestPayloadsAndSecrets:
-    def test_payload_roundtrip(self):
-        blob = {"nested": [1, 2, ("a", "b")], "flag": True}
-        assert decode_payload(encode_payload(blob)) == blob
-
+class TestSecrets:
     def test_load_secret_file_beats_env(self, tmp_path, monkeypatch):
         path = tmp_path / "secret"
         path.write_text("  from-file\n")
