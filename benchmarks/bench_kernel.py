@@ -1,13 +1,15 @@
-"""Term-kernel microbenchmarks: interning, substitution, simplify, wlp.
+"""Term-kernel microbenchmarks: interning, substitution, simplify, wlp, VCs.
 
 These isolate the hot paths the hash-consed kernel accelerates: deep-term
 construction (pool hits versus fresh allocations), capture-avoiding
-substitution over wide/deep formulas, fixpoint simplification, and
+substitution over wide/deep formulas, fixpoint simplification,
 weakest-precondition generation over guarded commands with duplicated
-branches.  The workload builders are plain functions parameterised by depth
-so the tier-1 smoke test (``tests/test_bench_smoke.py``) can run the exact
-same code at tiny sizes; perf regressions then show up in the BENCH_*.json
-trajectory via the full-size runs here.
+branches, and sequent generation over branching commands with long
+assumption prefixes.  The workload builders are plain functions
+parameterised by depth so the tier-1 smoke test
+(``tests/test_bench_smoke.py``) can run the exact same code at tiny sizes;
+perf regressions then show up in the BENCH_*.json trajectory via the
+full-size runs here.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.logic.simplify import clear_simplify_memos, simplify
 from repro.logic.sorts import INT
 from repro.logic.subst import substitute
 from repro.logic.terms import Term, Var, dag_size
+from repro.vcgen import generate_sequents
 
 
 def build_deep_formula(depth: int) -> Term:
@@ -86,6 +89,36 @@ def workload_wlp(depth: int = 14) -> Term:
     return wlp(command, b.Le(b.Int(0), b.IntVar("y")))
 
 
+def build_vcgen_command(depth: int, length: int = 8) -> SSeq:
+    """``depth`` nested choices over straight-line blocks.
+
+    Each block assumes a guard, havocs ``x`` and asserts a bound on the new
+    ``x``, ``length`` times; a choice runs the rest either directly or
+    after one more assumption.  Every path is ``depth + 1`` blocks long, so
+    the sequents of a path share a long assumption prefix and many havocs
+    -- the shape loop and call encodings give the generator.
+    """
+    x, y = b.IntVar("x"), b.IntVar("y")
+    steps = []
+    for index in range(length):
+        steps += [
+            SAssume(b.Le(x, b.Plus(y, b.Int(index))), label=f"Guard{index}"),
+            SHavoc((x,)),
+            SAssert(b.Le(b.Int(index), x), label=f"Bound{index}"),
+        ]
+    block = SSeq(tuple(steps))
+    command: SSeq = block
+    for _ in range(depth):
+        other = SSeq((SAssume(b.Lt(y, x), label="Else"), command))
+        command = SSeq((block, SChoice(command, other)))
+    return command
+
+
+def workload_vcgen(depth: int = 7) -> int:
+    """Sequents of a branching command with asserts after havocs."""
+    return len(generate_sequents(build_vcgen_command(depth)))
+
+
 def test_kernel_interning(benchmark):
     size = benchmark(workload_interning)
     assert size > 0
@@ -104,3 +137,7 @@ def test_kernel_simplify(benchmark):
 def test_kernel_wlp(benchmark):
     result = benchmark(workload_wlp)
     assert result.is_formula
+
+
+def test_kernel_vcgen(benchmark):
+    assert benchmark(workload_vcgen) > 0

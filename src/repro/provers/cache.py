@@ -75,6 +75,7 @@ CACHE_FORMAT_VERSION = 4
 # interned node.
 _FP_MEMO_LIMIT = 1 << 17
 _FP_MEMO: dict[Term, object] = {}
+_HYPOTHESIS_MEMO: dict[Term, tuple[str, object]] = {}
 
 
 def term_fingerprint(term: Term) -> object:
@@ -146,8 +147,29 @@ def task_fingerprint(task: ProofTask) -> tuple:
     alpha-normalized formulas matter; they are deduplicated and sorted so
     that assumption order does not split cache entries.
     """
-    hypotheses = {_fingerprint(formula, {}, 0) for _, formula in task.assumptions}
-    return (tuple(sorted(hypotheses, key=repr)), _fingerprint(task.goal, {}, 0))
+    hypotheses = dict(_hypothesis_key(formula) for _, formula in task.assumptions)
+    return (
+        tuple(hypotheses[text] for text in sorted(hypotheses)),
+        _fingerprint(task.goal, {}, 0),
+    )
+
+
+def _hypothesis_key(term: Term) -> tuple[str, object]:
+    """``(repr(fingerprint), fingerprint)`` of an assumption formula.
+
+    The ``repr`` is the sort key of :func:`task_fingerprint` and, being
+    injective on fingerprints, its deduplication key too.  Both are
+    memoized per interned formula, whose hash is O(1); hashing or printing
+    the nested fingerprint tuple costs its whole size every time.
+    """
+    cached = _HYPOTHESIS_MEMO.get(term)
+    if cached is None:
+        fingerprint = _fingerprint(term, {}, 0)
+        cached = (repr(fingerprint), fingerprint)
+        if len(_HYPOTHESIS_MEMO) > _FP_MEMO_LIMIT:
+            _HYPOTHESIS_MEMO.clear()
+        _HYPOTHESIS_MEMO[term] = cached
+    return cached
 
 
 @dataclass(frozen=True)

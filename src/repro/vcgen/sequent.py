@@ -34,28 +34,6 @@ class Sequent:
         object.__setattr__(self, "from_hints", tuple(self.from_hints))
         object.__setattr__(self, "local_assumptions", tuple(self.local_assumptions))
 
-    # -- inspection ---------------------------------------------------------------
-
-    def with_assumption(self, name: str, formula: Term) -> "Sequent":
-        """A copy with one more assumption prepended (earlier program point)."""
-        return Sequent(
-            ((name, formula),) + self.assumptions,
-            self.goal,
-            self.label,
-            self.from_hints,
-            self.local_assumptions,
-        )
-
-    def map_formulas(self, transform) -> "Sequent":
-        """A copy with ``transform`` applied to every formula."""
-        return Sequent(
-            tuple((name, transform(f)) for name, f in self.assumptions),
-            transform(self.goal),
-            self.label,
-            self.from_hints,
-            tuple((name, transform(f)) for name, f in self.local_assumptions),
-        )
-
     # -- trivial discharge -----------------------------------------------------------
 
     def is_trivial(self) -> bool:

@@ -81,6 +81,31 @@ class TestFingerprints:
         two = ProofTask((("b", _lt("y", "z")), ("a", _lt("x", "y"))), goal)
         assert task_fingerprint(one) == task_fingerprint(two)
 
+    def test_task_key_is_the_repr_sorted_set_of_hypothesis_fingerprints(self):
+        def spelled_out(task):
+            hypotheses = {term_fingerprint(f) for _, f in task.assumptions}
+            return (tuple(sorted(hypotheses, key=repr)), term_fingerprint(task.goal))
+
+        k, j = b.IntVar("k"), b.IntVar("j")
+        # Alpha-equivalent and repeated hypotheses fold into one.
+        task = ProofTask(
+            (
+                ("a", b.ForAll([k], b.Le(k, b.IntVar("x")))),
+                ("b", _lt("y", "z")),
+                ("c", b.ForAll([j], b.Le(j, b.IntVar("x")))),
+                ("d", _lt("y", "z")),
+            ),
+            _lt("x", "z"),
+        )
+        assert len(task_fingerprint(task)[0]) == 2
+        tasks = [task]
+        engine = VerificationEngine()
+        for cls in all_structures():
+            for method in cls.methods:
+                sequents = engine.method_sequents(cls, method)
+                tasks += [engine.task_for(sequent) for sequent in sequents]
+        assert [task_fingerprint(t) for t in tasks] == [spelled_out(t) for t in tasks]
+
     def test_task_key_distinguishes_goals(self):
         assumptions = (("h", _lt("x", "y")),)
         assert task_fingerprint(

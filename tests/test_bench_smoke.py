@@ -55,6 +55,11 @@ def test_wlp_workload_smoke():
     assert bench_kernel.workload_wlp(depth=12).is_formula
 
 
+def test_vcgen_workload_smoke():
+    # A block emits its 8 bounds once per path through it: 8 * (2^3 - 1).
+    assert bench_kernel.workload_vcgen(depth=2) == 56
+
+
 def test_deep_formula_is_shared():
     first = bench_kernel.build_deep_formula(6)
     second = bench_kernel.build_deep_formula(6)

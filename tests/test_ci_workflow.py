@@ -176,6 +176,27 @@ def test_tier1_runs_traced_table1_cold_and_uploads_its_record():
     ), "tier1 must upload the perfbench table1-cold record"
 
 
+def test_tier1_runs_traced_corpus_cold_and_uploads_its_record():
+    """Every commit records the front-end layers of a cold generated
+    corpus (lowering, desugaring, VC generation, cache keys)."""
+    jobs = load_workflow()["jobs"]
+    runs = all_run_lines(jobs["tier1"])
+    assert (
+        "python3 perfbench/run.py --workload corpus-cold "
+        "--seed 1 --seconds 1 --trace 1"
+    ) in runs
+    uploads = [
+        step
+        for step in jobs["tier1"]["steps"]
+        if "upload-artifact" in step.get("uses", "")
+    ]
+    assert any(
+        step["with"]["path"] == ".perfbench/results/corpus-cold-seed1-trace1.json"
+        and step["with"]["name"] == "perfbench-corpus-cold-${{ github.sha }}"
+        for step in uploads
+    ), "tier1 must upload the perfbench corpus-cold record"
+
+
 def test_tier1_reports_src_line_delta_on_pull_requests():
     """A PR's job summary carries its ``src/`` line delta against the base
     commit, which the checkout must fetch enough history to reach."""

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gcl import SAssert, SAssume, SHavoc, schoice, sseq, sskip
 from repro.gcl.wlp import wlp
-from repro.logic import And, Eq, Int, IntVar, Le, Lt
+from repro.logic import FALSE, And, Eq, Int, IntVar, Le, Lt
 from repro.logic.evaluator import all_interpretations, holds
 from repro.logic.terms import free_vars
 from repro.vcgen import generate_sequents
@@ -23,22 +23,29 @@ _atoms = st.sampled_from(
 )
 
 
+_LEAVES = ("skip", "assume", "assert", "havoc")
+
+
 @st.composite
-def _commands(draw, depth=2):
+def _commands(draw, depth=2, atoms=_atoms, leaves=_LEAVES):
+    """Random simple commands over ``atoms``; the ``"dead"`` leaf, when
+    listed in ``leaves``, is ``assume false``."""
     if depth == 0:
-        kind = draw(st.sampled_from(["skip", "assume", "assert", "havoc"]))
+        kind = draw(st.sampled_from(leaves))
         if kind == "skip":
             return sskip()
         if kind == "assume":
-            return SAssume(draw(_atoms), "H")
+            return SAssume(draw(atoms), "H")
         if kind == "assert":
-            return SAssert(draw(_atoms), "G")
+            return SAssert(draw(atoms), "G")
+        if kind == "dead":
+            return SAssume(FALSE, "Dead")
         return SHavoc((draw(st.sampled_from([x, y, z])),))
     kind = draw(st.sampled_from(["seq", "choice", "leaf"]))
     if kind == "leaf":
-        return draw(_commands(depth=0))
-    left = draw(_commands(depth=depth - 1))
-    right = draw(_commands(depth=depth - 1))
+        return draw(_commands(depth=0, atoms=atoms, leaves=leaves))
+    left = draw(_commands(depth=depth - 1, atoms=atoms, leaves=leaves))
+    right = draw(_commands(depth=depth - 1, atoms=atoms, leaves=leaves))
     if kind == "seq":
         return sseq(left, right)
     return schoice(left, right)
