@@ -1,18 +1,21 @@
-"""Term-kernel microbenchmarks: interning, substitution, simplify, wlp, VCs.
+"""Kernel microbenchmarks: interning, substitution, simplify, wlp, VCs, saves.
 
 These isolate the hot paths the hash-consed kernel accelerates: deep-term
 construction (pool hits versus fresh allocations), capture-avoiding
 substitution over wide/deep formulas, fixpoint simplification,
 weakest-precondition generation over guarded commands with duplicated
 branches, and sequent generation over branching commands with long
-assumption prefixes.  The workload builders are plain functions
-parameterised by depth so the tier-1 smoke test
+assumption prefixes -- plus the proof-cache store's edit-sized
+merge-saves, which bound a served edit loop.  The workload builders are
+plain functions parameterised by size so the tier-1 smoke test
 (``tests/test_bench_smoke.py``) can run the exact same code at tiny sizes;
 perf regressions then show up in the BENCH_*.json trajectory via the
 full-size runs here.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 from repro.gcl.simple import SAssert, SAssume, SChoice, SHavoc, SSeq
 from repro.gcl.wlp import wlp
@@ -21,6 +24,7 @@ from repro.logic.simplify import clear_simplify_memos, simplify
 from repro.logic.sorts import INT
 from repro.logic.subst import substitute
 from repro.logic.terms import Term, Var, dag_size
+from repro.provers.cache import CachedVerdict, PersistentCacheStore
 from repro.vcgen import generate_sequents
 
 
@@ -119,6 +123,80 @@ def workload_vcgen(depth: int = 7) -> int:
     return len(generate_sequents(build_vcgen_command(depth)))
 
 
+def _store_fingerprint(index: int, hypotheses: int = 20) -> tuple:
+    """A sequent fingerprint shaped like a generated class's: a sorted
+    hypothesis tuple over a few fields, then the goal."""
+    return (
+        tuple(
+            ("a", "<=", "bool", (("v", f"f{(index + h) % 7}", "int"), ("i", h)))
+            for h in range(hypotheses)
+        ),
+        ("a", "=", "bool", (("v", "result", "int"), ("i", index))),
+    )
+
+
+def build_store_records(
+    classes: int = 50, methods: int = 10, sequents: int = 5
+) -> dict[str, dict]:
+    """Dependency records shaped like ``edit-serve``'s primed store: per
+    class the artifact digests, then per method a digest and its
+    ``[label, fingerprint]`` sequents (about 50 KB of JSON a class)."""
+    records = {}
+    for c in range(classes):
+        base = c * methods * sequents
+        records[f"Gen-{c}"] = {
+            "artifacts": {"state": f"s{c}", "invariants": f"i{c}", "policy": "p"},
+            "methods": [
+                [
+                    f"m{m}",
+                    {
+                        "digest": f"d{c}.{m}",
+                        "sequents": [
+                            [f"L{s}", _store_fingerprint(base + m * sequents + s)]
+                            for s in range(sequents)
+                        ],
+                    },
+                ]
+                for m in range(methods)
+            ],
+        }
+    return records
+
+
+def prepare_store_saves(directory: Path, classes: int = 50, entries: int = 230):
+    """Write a store of ``classes`` records and ``entries`` verdicts, then
+    load it the way a starting daemon does; returns the loaded store, its
+    entries and its dependency index."""
+    verdicts = {
+        _store_fingerprint(n): CachedVerdict(True, False, "smt") for n in range(entries)
+    }
+    PersistentCacheStore(directory, "bench").save(
+        verdicts, merge=False, dependencies=build_store_records(classes)
+    )
+    store = PersistentCacheStore(directory, "bench")
+    loaded = store.load()
+    return store, loaded, dict(store.last_dependencies)
+
+
+def workload_store_saves(state, saves: int = 8, on_save=None) -> int:
+    """Edit-sized merge-saves on a loaded store: each replaces one class's
+    record with a new object (its first method re-digested, as after an
+    edit of that method) and hands the store the whole snapshot, as the
+    engine's flush does.  ``on_save(store)`` runs after each save."""
+    store, entries, dependencies = state
+    names = list(dependencies)
+    for n in range(saves):
+        name = names[n % len(names)]
+        record = dependencies[name]
+        (method, body), *rest = record["methods"]
+        edited = [method, {**body, "digest": body["digest"] + "'"}]
+        dependencies[name] = {**record, "methods": [edited, *rest]}
+        store.save(entries, dependencies=dict(dependencies))
+        if on_save is not None:
+            on_save(store)
+    return saves
+
+
 def test_kernel_interning(benchmark):
     size = benchmark(workload_interning)
     assert size > 0
@@ -141,3 +219,10 @@ def test_kernel_wlp(benchmark):
 
 def test_kernel_vcgen(benchmark):
     assert benchmark(workload_vcgen) > 0
+
+
+def test_kernel_store_saves(benchmark, tmp_path):
+    def setup():
+        return (prepare_store_saves(tmp_path),), {}
+
+    assert benchmark.pedantic(workload_store_saves, setup=setup, rounds=5) == 8

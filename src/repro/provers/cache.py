@@ -77,6 +77,9 @@ _FP_MEMO_LIMIT = 1 << 17
 _FP_MEMO: dict[Term, object] = {}
 _HYPOTHESIS_MEMO: dict[Term, tuple[str, object]] = {}
 
+#: The store's compact JSON: no spaces after ``,`` and ``:``.
+_SEPARATORS = (",", ":")
+
 
 def term_fingerprint(term: Term) -> object:
     """A hashable alpha-invariant fingerprint of ``term``.
@@ -382,6 +385,12 @@ class PersistentCacheStore:
         #: Closes a read-only fd kept open on that file, so that its inode
         #: cannot be recycled for another file while it is remembered.
         self._known_fd: weakref.finalize | None = None
+        #: The encoded pieces of the file this store last wrote, reused by
+        #: the next save: ``(dependencies, entries)``, mapping each class
+        #: name to ``(record, '"name":{...}')`` and each key to
+        #: ``((proved, refuted, prover), '[key,{...}]')``.  Empty after a
+        #: read; dropped with :attr:`_known`.
+        self._fragments: tuple[dict, dict] = ({}, {})
 
     # -- reading -----------------------------------------------------------------
 
@@ -429,18 +438,25 @@ class PersistentCacheStore:
         return entries, dependencies, status
 
     def _remember(
-        self, fd: int, stat: os.stat_result, state: tuple[dict, dict]
+        self,
+        fd: int,
+        stat: os.stat_result,
+        state: tuple[dict, dict],
+        fragments: tuple[dict, dict] | None = None,
     ) -> None:
-        """Remember ``state`` as the contents of the file open on ``fd``."""
+        """Remember ``state`` as the contents of the file open on ``fd``,
+        and ``fragments`` as its encoding where this store wrote it."""
         self._forget()
         self._known = state
         self._known_stat = stat
         self._known_fd = weakref.finalize(self, os.close, fd)
+        self._fragments = fragments or ({}, {})
 
     def _forget(self) -> None:
         if self._known_fd is not None:
             self._known_fd()
         self._known = self._known_stat = self._known_fd = None
+        self._fragments = ({}, {})
 
     def _file_is_known(self) -> bool:
         """Whether the file is still the one last read or written here:
@@ -608,27 +624,7 @@ class PersistentCacheStore:
             excess = len(combined) - self.max_entries
             for key in list(combined)[:excess]:
                 del combined[key]
-        payload = {
-            "format": CACHE_FORMAT_VERSION,
-            "fingerprint_version": FINGERPRINT_VERSION,
-            "portfolio": self.portfolio_key,
-            "dependencies": combined_dependencies,
-            # The C encoder writes the tuple keys as nested arrays.
-            "entries": [
-                [
-                    key,
-                    {
-                        "proved": verdict.proved,
-                        "refuted": verdict.refuted,
-                        "prover": verdict.winning_prover,
-                    },
-                ]
-                for key, verdict in combined.items()
-            ],
-        }
-        # One-shot ``dumps`` runs the C encoder; ``json.dump`` to a file
-        # would stream through the pure-Python one, for the same bytes.
-        text = json.dumps(payload, separators=(",", ":"))
+        text, fragments = self._encode(combined, combined_dependencies)
         fd, temp_path = tempfile.mkstemp(
             prefix=self.path.name + ".", suffix=".tmp", dir=self.directory
         )
@@ -650,5 +646,56 @@ class PersistentCacheStore:
             except OSError:
                 pass
             raise
-        self._remember(known_fd, stat, (combined, combined_dependencies))
+        self._remember(known_fd, stat, (combined, combined_dependencies), fragments)
         return len(combined)
+
+    def _encode(
+        self, entries: dict[tuple, CachedVerdict], dependencies: dict[str, dict]
+    ) -> tuple[str, tuple[dict, dict]]:
+        """The file's text, and the fragments it was joined from.
+
+        The text is exactly ``json.dumps(payload, separators=(",", ":"))``
+        of the whole payload (the C encoder; fingerprint tuples become
+        arrays), but only what the previous save did not encode is encoded
+        here: a class record the same object as last time, or an entry
+        with the same verdict, reuses its remembered fragment.  Records
+        are never mutated in place, so an unchanged object is an unchanged
+        encoding.  Building new memos from the payload drops evicted keys
+        and replaced records.
+        """
+        old_dependencies, old_entries = self._fragments
+        new_dependencies: dict[str, tuple[dict, str]] = {}
+        for name, record in dependencies.items():
+            memo = old_dependencies.get(name)
+            if memo is None or memo[0] is not record:
+                # A one-item object without its braces: '"name":{...}'.
+                encoded = json.dumps({name: record}, separators=_SEPARATORS)
+                memo = (record, encoded[1:-1])
+            new_dependencies[name] = memo
+        new_entries: dict[tuple, tuple[tuple, str]] = {}
+        for key, verdict in entries.items():
+            value = (verdict.proved, verdict.refuted, verdict.winning_prover)
+            memo = old_entries.get(key)
+            if memo is None or memo[0] != value:
+                fields = {"proved": value[0], "refuted": value[1], "prover": value[2]}
+                memo = (value, json.dumps([key, fields], separators=_SEPARATORS))
+            new_entries[key] = memo
+        header = json.dumps(
+            {
+                "format": CACHE_FORMAT_VERSION,
+                "fingerprint_version": FINGERPRINT_VERSION,
+                "portfolio": self.portfolio_key,
+            },
+            separators=_SEPARATORS,
+        )
+        text = "".join(
+            (
+                header[:-1],
+                ',"dependencies":{',
+                ",".join(memo[1] for memo in new_dependencies.values()),
+                '},"entries":[',
+                ",".join(memo[1] for memo in new_entries.values()),
+                "]}",
+            )
+        )
+        return text, (new_dependencies, new_entries)

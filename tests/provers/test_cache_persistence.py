@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from repro.provers import cache as cache_module
 from repro.provers.cache import (
     CACHE_FORMAT_VERSION,
     FINGERPRINT_VERSION,
@@ -570,6 +571,123 @@ class TestMergeWithoutReread:
         # what the file held plus its own batch.
         store.save({(("i", 2),): CachedVerdict(True, False, "smt")})
         assert set(store.load()) == set(sample_entries()) | {(("i", 2),)}
+
+    def test_every_save_writes_the_one_dumps_bytes(self, tmp_path):
+        """Differential: whatever the previous save left to reuse, the file
+        is the one-``dumps`` encoding of what the store remembers."""
+        store = PersistentCacheStore(tmp_path, "k", max_entries=8)
+        other = PersistentCacheStore(tmp_path, "k", max_entries=8)
+        proved = CachedVerdict(True, False, "smt")
+
+        def check():
+            entries, dependencies = store._known
+            expected = _legacy_encoding(store, entries, dependencies)
+            assert store.path.read_bytes() == expected.encode("utf-8")
+            fresh = PersistentCacheStore(tmp_path, "k")
+            assert set(fresh.load()) == set(entries)
+            assert fresh.last_dependencies == dependencies
+            return entries
+
+        store.save(
+            {(("i", n),): CachedVerdict(False, False, "") for n in range(3)},
+            dependencies={"A": sample_record(), "B": sample_record((("i", 2),))},
+        )
+        check()
+        # A verdict flip (unproved -> proved) next to a new key.
+        store.save({(("i", 1),): proved, (("i", 3),): proved})
+        assert check()[(("i", 1),)].proved
+        # A record replaced by an equal new object, then by a different one.
+        store.save({}, dependencies={"A": sample_record()})
+        check()
+        store.save({}, dependencies={"A": sample_record((("i", 9),))})
+        check()
+        # Another store's save forces a re-read.
+        other.save({(("i", 4),): proved}, dependencies={"C": sample_record()})
+        store.save({(("i", 5),): proved})
+        assert {(("i", 4),), (("i", 5),)} <= set(check())
+        # An in-place edit of the file forces one too.
+        payload = json.loads(store.path.read_text())
+        payload["entries"].append(
+            [[["i", 6]], {"proved": True, "refuted": False, "prover": "sets"}]
+        )
+        store.path.write_text(json.dumps(payload))
+        store.save({(("i", 7),): proved})
+        assert (("i", 6),) in check()
+        # Eviction past max_entries drops the oldest entries.
+        store.save({(("i", n),): proved for n in range(10, 14)})
+        assert len(check()) == 8
+        # Tenant-prefixed keys, and a non-ASCII class name and key leaf.
+        store.save(
+            {(("tenant", "acme"), ("s", "Größe→")): proved},
+            dependencies={"Liste_Größe→": sample_record((("s", "ü"),))},
+        )
+        check()
+        assert "\\u00f6" in store.path.read_text()
+        # A replacing save keeps only its own batch.
+        store.save(
+            {(("i", 20),): proved}, merge=False, dependencies={"A": sample_record()}
+        )
+        assert set(check()) == {(("i", 20),)}
+        store.save({(("i", 21),): proved})
+        check()
+
+    def test_edit_sized_save_encodes_only_the_new_record(self, tmp_path, monkeypatch):
+        store = PersistentCacheStore(tmp_path, "k")
+        names = [f"Class{n}" for n in range(20)]
+        sequents = [[f"L{j}", (("i", j), ("s", "x" * 40))] for j in range(20)]
+        record = {
+            "artifacts": {"state": "d0", "invariants": "d1"},
+            "methods": [["m", {"digest": "d2", "sequents": sequents}]],
+        }
+        store.save(
+            {(("i", n),): CachedVerdict(True, False, "smt") for n in range(50)},
+            dependencies={name: record for name in names},
+        )
+        encoded = []
+        real_dumps = json.dumps
+
+        def counting_dumps(value, *args, **kwargs):
+            text = real_dumps(value, *args, **kwargs)
+            encoded.append((value, text))
+            return text
+
+        monkeypatch.setattr(cache_module.json, "dumps", counting_dumps)
+        # The first save after that one reuses its fragments; an edit
+        # replaces one class record with a new object.
+        edited = {**record, "artifacts": {"state": "d3", "invariants": "d1"}}
+        store.save({}, dependencies={"Class7": edited})
+        monkeypatch.undo()
+        size = store.path.stat().st_size
+        assert sum(len(text) for _, text in encoded) < size / 10
+        for value, _ in encoded:
+            if isinstance(value, dict):
+                assert set(value) & set(names) <= {"Class7"}
+        entries, dependencies = store._known
+        expected = _legacy_encoding(store, entries, dependencies)
+        assert store.path.read_bytes() == expected.encode("utf-8")
+
+    def test_failed_fsync_drops_the_fragments(self, tmp_path, monkeypatch):
+        store = PersistentCacheStore(tmp_path, "k")
+        store.save(sample_entries(), dependencies={"A": sample_record()})
+        before = store.path.read_bytes()
+        batch = {(("i", 1),): CachedVerdict(True, False, "smt")}
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "I/O error")
+
+        monkeypatch.setattr(cache_module.os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            store.save(batch, dependencies={"B": sample_record((("i", 2),))})
+        monkeypatch.undo()
+        assert store._known is None
+        assert store._fragments == ({}, {})
+        assert store.path.read_bytes() == before
+        store.save(batch)
+        entries, dependencies = store._known
+        assert set(entries) == set(sample_entries()) | set(batch)
+        assert set(dependencies) == {"A"}
+        expected = _legacy_encoding(store, entries, dependencies)
+        assert store.path.read_bytes() == expected.encode("utf-8")
 
 
 class TestEngineWiring:

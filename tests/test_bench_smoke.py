@@ -7,7 +7,9 @@ suite, not only by the benchmark trajectory.  The ``bench_table1`` suite
 runner is smoked the same way: a ``--jobs 2`` run over the
 quickly-verifying structures under a tight wall-clock budget, plus the
 persistent-cache acceptance check (a warm repeat run dispatches nothing
-and stays within a multiple of a front-end-only pass).
+and stays within a multiple of a front-end-only pass).  The store-save
+workload is smoked by counts: edit-sized saves encode a small share of
+the file.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.provers import cache as cache_module
 from repro.suite import all_structures
 from repro.verifier.engine import VerificationEngine
 
@@ -58,6 +61,32 @@ def test_wlp_workload_smoke():
 def test_vcgen_workload_smoke():
     # A block emits its 8 bounds once per path through it: 8 * (2^3 - 1).
     assert bench_kernel.workload_vcgen(depth=2) == 56
+
+
+def test_store_saves_workload_smoke(tmp_path, monkeypatch):
+    """After the first save following a load (which encodes everything),
+    each one-record edit save encodes under 5 % of the file."""
+    state = bench_kernel.prepare_store_saves(tmp_path, classes=20)
+    encoded = []
+    per_save = []
+    real_dumps = cache_module.json.dumps
+
+    def counting_dumps(value, *args, **kwargs):
+        text = real_dumps(value, *args, **kwargs)
+        encoded.append(len(text))
+        return text
+
+    def on_save(store):
+        per_save.append((sum(encoded), store.path.stat().st_size))
+        encoded.clear()
+
+    monkeypatch.setattr(cache_module.json, "dumps", counting_dumps)
+    assert bench_kernel.workload_store_saves(state, saves=8, on_save=on_save) == 8
+    assert len(per_save) == 8
+    first_chars, first_size = per_save[0]
+    assert first_chars >= first_size * 0.99
+    for chars, size in per_save[1:]:
+        assert chars < size * 0.05
 
 
 def test_deep_formula_is_shared():

@@ -11,13 +11,18 @@ everything else asserts verdicts and provenance, which are deterministic.
 from __future__ import annotations
 
 import gc
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.frontend.loader import load_class_models
+from repro.provers.cache import PersistentCacheStore
 from repro.provers.dispatch import default_portfolio
 from repro.suite.catalog import structure_by_name
+from repro.suite.generate import FAMILIES, generate_corpus, regression_source
 from repro.verifier.daemon import (
     PROTOCOL_VERSION,
     DaemonClient,
@@ -25,6 +30,12 @@ from repro.verifier.daemon import (
     VerifierDaemon,
 )
 from repro.verifier.engine import VerificationEngine
+
+_PROVER_TESTS = Path(__file__).resolve().parent.parent / "provers"
+if str(_PROVER_TESTS) not in sys.path:
+    sys.path.insert(0, str(_PROVER_TESTS))
+
+from test_cache_persistence import _legacy_encoding  # noqa: E402
 
 TIMEOUT_SCALE = 0.4
 
@@ -151,6 +162,64 @@ def test_warm_restart_serves_from_disk(tmp_path):
         assert {outcome["origin"] for outcome in outcomes} == {"disk"}
     finally:
         second.close()
+
+
+def test_verify_file_edits_keep_the_store_byte_identical(tmp_path):
+    """Edits served by a persisting daemon merge-save a primed store: the
+    file stays the one-``dumps`` encoding of what it holds, and every
+    verdict matches a store-less engine's."""
+    cache_dir = tmp_path / "cache"
+    seed, size = 11, 3
+    classes = generate_corpus(4, seed=seed, size=size)
+    primer = VerificationEngine(
+        default_portfolio().scaled(TIMEOUT_SCALE), cache_dir=cache_dir
+    )
+    for cls in classes:
+        primer.verify_class(cls)
+    primer.close()
+    families = tuple(FAMILIES)
+    reference = VerificationEngine(default_portfolio().scaled(TIMEOUT_SCALE))
+    instance = VerifierDaemon(
+        tmp_path / "jahob.sock",
+        jobs=1,
+        cache_dir=cache_dir,
+        timeout_scale=TIMEOUT_SCALE,
+    )
+    try:
+        for index, cls in enumerate(classes[:3]):
+            path = tmp_path / f"edit_{index}.py"
+            path.write_text(
+                regression_source(
+                    families[index % len(families)],
+                    seed + index,
+                    size,
+                    drop_methods=(cls.methods[0].name,),
+                )
+            )
+            response = instance.handle({"op": "verify_file", "path": str(path)})
+            assert response["ok"]
+            (payload,) = response["reports"]
+            assert payload["class"] == cls.name
+            outcomes = outcomes_of(payload)
+            assert {outcome["origin"] for outcome in outcomes} == {"disk"}
+            (model,) = load_class_models(path)
+            expected = reference.verify_class(model)
+            assert [(o["label"], o["proved"]) for o in outcomes] == [
+                (outcome.sequent.label, outcome.proved)
+                for method in expected.methods
+                for outcome in method.outcomes
+            ]
+        portfolio_key = instance.engine.persistent_store.portfolio_key
+    finally:
+        instance.close()
+    store = PersistentCacheStore(cache_dir, portfolio_key)
+    entries = store.load()
+    assert set(store.last_dependencies) == {cls.name for cls in classes}
+    for cls in classes[:3]:
+        methods = store.last_dependencies[cls.name]["methods"]
+        assert len(methods) == len(cls.methods) - 1
+    expected_text = _legacy_encoding(store, entries, store.last_dependencies)
+    assert store.path.read_text(encoding="utf-8") == expected_text
 
 
 def test_suite_op_runs_scheduler(daemon):
