@@ -1,4 +1,5 @@
-"""Kernel microbenchmarks: interning, substitution, simplify, wlp, VCs, saves.
+"""Kernel microbenchmarks: interning, substitution, simplify, wlp, VCs,
+saves, lazy SAT.
 
 These isolate the hot paths the hash-consed kernel accelerates: deep-term
 construction (pool hits versus fresh allocations), capture-avoiding
@@ -6,7 +7,8 @@ substitution over wide/deep formulas, fixpoint simplification,
 weakest-precondition generation over guarded commands with duplicated
 branches, and sequent generation over branching commands with long
 assumption prefixes -- plus the proof-cache store's edit-sized
-merge-saves, which bound a served edit loop.  The workload builders are
+merge-saves, which bound a served edit loop, and the SAT solver re-solving
+after each blocking clause, which is smt's lazy loop.  The workload builders are
 plain functions parameterised by size so the tier-1 smoke test
 (``tests/test_bench_smoke.py``) can run the exact same code at tiny sizes;
 perf regressions then show up in the BENCH_*.json trajectory via the
@@ -15,6 +17,7 @@ full-size runs here.
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 from repro.gcl.simple import SAssert, SAssume, SChoice, SHavoc, SSeq
@@ -25,6 +28,7 @@ from repro.logic.sorts import INT
 from repro.logic.subst import substitute
 from repro.logic.terms import Term, Var, dag_size
 from repro.provers.cache import CachedVerdict, PersistentCacheStore
+from repro.provers.sat import SatSolver
 from repro.vcgen import generate_sequents
 
 
@@ -197,6 +201,35 @@ def workload_store_saves(state, saves: int = 8, on_save=None) -> int:
     return saves
 
 
+def build_random_3sat(
+    num_vars: int, seed: int = 1, ratio: float = 4.26
+) -> list[list[int]]:
+    """A seeded random 3-SAT instance with ``ratio`` clauses per variable
+    (4.26 is the satisfiability threshold, where instances are hardest)."""
+    rng = random.Random(seed)
+    return [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)]
+        for _ in range(round(ratio * num_vars))
+    ]
+
+
+def workload_lazy_sat(num_vars: int = 60, seed: int = 1) -> int:
+    """Block each model of a random 3-SAT instance until it is UNSAT, as
+    smt blocks theory conflicts; returns the number of models blocked."""
+    solver = SatSolver()
+    solver.add_clauses(build_random_3sat(num_vars, seed))
+    models = 0
+    while (result := solver.solve()).satisfiable:
+        models += 1
+        solver.add_clause(
+            [
+                -var if result.model.get(var, False) else var
+                for var in range(1, num_vars + 1)
+            ]
+        )
+    return models
+
+
 def test_kernel_interning(benchmark):
     size = benchmark(workload_interning)
     assert size > 0
@@ -226,3 +259,7 @@ def test_kernel_store_saves(benchmark, tmp_path):
         return (prepare_store_saves(tmp_path),), {}
 
     assert benchmark.pedantic(workload_store_saves, setup=setup, rounds=5) == 8
+
+
+def test_kernel_lazy_sat(benchmark):
+    assert benchmark(workload_lazy_sat) > 0

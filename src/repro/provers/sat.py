@@ -8,7 +8,12 @@ conflict-driven clause learning loop:
 * first-UIP conflict analysis with clause learning,
 * non-chronological backjumping,
 * VSIDS-style activity-based decision heuristic with decay,
-* restarts on a Luby-like schedule.
+* geometric restarts (after 100 conflicts, then every 1.5x as many).
+
+The solver is incremental: clauses can be added between solves, and each
+solve resumes from the level-0 trail with the clauses learned before, so
+the lazy SMT loop keeps one solver per attempt.  A refuted clause set stays
+refuted.
 
 Variables are positive integers; literals are signed integers (DIMACS
 convention).  The solver is deliberately self-contained so it can be tested
@@ -33,19 +38,38 @@ class SatResult:
 
 
 class SatSolver:
-    """CDCL SAT solver over integer literals."""
+    """Incremental CDCL SAT solver over integer literals.
+
+    One object holds the clauses, the watches, the trail, the activities
+    and the learned clauses for its whole life.
+    """
 
     def __init__(self) -> None:
         self.clauses: list[list[int]] = []
         self.num_vars = 0
         self._seen_clauses: set[tuple[int, ...]] = set()
+        self.assign: list[int] = [0]  # 0 unassigned, 1 true, -1 false
+        self.level: list[int] = [0]
+        self.reason: list[list[int] | None] = [None]
+        self.activity: list[float] = [0.0]
+        self.trail: list[int] = []
+        self.trail_lim: list[int] = []
+        self.watches: dict[int, list[list[int]]] = {}
+        self._qhead = 0
+        self.var_inc = 1.0
+        #: Set once the clauses are refuted at level 0; no later clause can
+        #: make them satisfiable again.
+        self._unsat = False
 
     def add_clause(self, literals: list[int] | tuple[int, ...]) -> None:
         """Add a clause (a disjunction of non-zero integer literals).
 
         Duplicate clauses (same sorted literal set) are ignored, so repeated
         ``add_clauses`` calls with overlapping translations don't bloat the
-        watch lists.
+        watch lists.  The solver backjumps to level 0 and attaches the
+        clause at once, its non-false literals first: a clause with one
+        non-false literal is a level-0 unit, one with none refutes the
+        clause set for good.
         """
         clause = sorted(set(literals), key=abs)
         if any(-lit in clause for lit in clause):
@@ -53,58 +77,33 @@ class SatSolver:
         key = tuple(clause)
         if key in self._seen_clauses:
             return
-        for lit in clause:
-            if lit == 0:
-                raise ValueError("0 is not a valid literal")
-            self.num_vars = max(self.num_vars, abs(lit))
+        if 0 in clause:
+            raise ValueError("0 is not a valid literal")
         self._seen_clauses.add(key)
-        self.clauses.append(list(clause))
+        self.clauses.append(clause)
+        if clause:
+            self._grow(abs(clause[-1]))
+        self.backjump(0)
+        clause.sort(key=lambda lit: self.value(lit) == -1)
+        if not clause or self.value(clause[0]) == -1:
+            self._unsat = True
+        elif len(clause) == 1 or self.value(clause[1]) == -1:
+            self.enqueue(clause[0], None)
+        if len(clause) >= 2:
+            self.attach_clause(clause)
 
     def add_clauses(self, clauses) -> None:
         for clause in clauses:
             self.add_clause(clause)
 
-    # -- solving --------------------------------------------------------------
-
-    def solve(
-        self,
-        assumptions: list[int] | tuple[int, ...] = (),
-        max_conflicts: int | None = None,
-        should_stop=None,
-    ) -> SatResult:
-        """Solve the current clause set under optional assumptions.
-
-        ``should_stop`` is an optional callable polled periodically; when it
-        returns True the solver raises ``TimeoutError``.
-        """
-        state = _SolverState(self.num_vars, [list(c) for c in self.clauses])
-        for lit in assumptions:
-            state.num_vars = max(state.num_vars, abs(lit))
-        state.grow()
-        # Assumptions become unit clauses for this call.
-        for lit in assumptions:
-            state.clauses.append([lit])
-        return state.search(max_conflicts, should_stop)
-
-
-class _SolverState:
-    def __init__(self, num_vars: int, clauses: list[list[int]]) -> None:
-        self.num_vars = num_vars
-        self.clauses = clauses
-        self.learned: list[list[int]] = []
-
-    def grow(self) -> None:
-        n = self.num_vars + 1
-        self.assign: list[int] = [0] * n  # 0 unassigned, 1 true, -1 false
-        self.level: list[int] = [0] * n
-        self.reason: list[list[int] | None] = [None] * n
-        self.activity: list[float] = [0.0] * n
-        self.trail: list[int] = []
-        self.trail_lim: list[int] = []
-        self.watches: dict[int, list[list[int]]] = {}
-        self.var_inc = 1.0
-        self.conflicts = 0
-        self.decisions = 0
+    def _grow(self, num_vars: int) -> None:
+        extra = num_vars - self.num_vars
+        if extra > 0:
+            self.num_vars = num_vars
+            self.assign.extend([0] * extra)
+            self.level.extend([0] * extra)
+            self.reason.extend([None] * extra)
+            self.activity.extend([0.0] * extra)
 
     # -- basic operations ------------------------------------------------------
 
@@ -116,9 +115,8 @@ class _SolverState:
         self.watches.setdefault(lit, []).append(clause)
 
     def attach_clause(self, clause: list[int]) -> None:
-        if len(clause) >= 2:
-            self.watch(-clause[0], clause)
-            self.watch(-clause[1], clause)
+        self.watch(-clause[0], clause)
+        self.watch(-clause[1], clause)
 
     def enqueue(self, lit: int, reason: list[int] | None) -> bool:
         current = self.value(lit)
@@ -135,7 +133,7 @@ class _SolverState:
 
     def propagate(self) -> list[int] | None:
         """Unit propagation; returns a conflicting clause or None."""
-        index = getattr(self, "_qhead", 0)
+        index = self._qhead
         while index < len(self.trail):
             lit = self.trail[index]
             index += 1
@@ -214,7 +212,6 @@ class _SolverState:
             if counter == 0:
                 break
             clause = self.reason[var] or []
-            lit = lit  # the resolved literal
         learned[0] = -lit
         # Backjump level = max level among learned[1:]; move a literal of that
         # level into position 1 so the watched-literal invariant holds after
@@ -238,7 +235,7 @@ class _SolverState:
                 var = abs(lit)
                 self.assign[var] = 0
                 self.reason[var] = None
-        self._qhead = min(getattr(self, "_qhead", 0), len(self.trail))
+        self._qhead = min(self._qhead, len(self.trail))
 
     # -- decisions ---------------------------------------------------------------
 
@@ -255,17 +252,17 @@ class _SolverState:
 
     # -- main search ---------------------------------------------------------------
 
-    def search(self, max_conflicts: int | None, should_stop) -> SatResult:
-        self._qhead = 0
-        # Attach clauses; handle empty and unit clauses directly.
-        for clause in self.clauses:
-            if not clause:
-                return SatResult(False)
-            if len(clause) == 1:
-                if not self.enqueue(clause[0], None):
-                    return SatResult(False)
-            else:
-                self.attach_clause(clause)
+    def solve(self, max_conflicts: int | None = None, should_stop=None) -> SatResult:
+        """Solve the clauses added so far, resuming from the level-0 trail.
+
+        ``max_conflicts`` bounds this call's conflicts.  ``should_stop`` is
+        an optional callable polled periodically; when it returns True the
+        solver raises ``TimeoutError``.  Either way the solver stays usable.
+        """
+        conflicts = decisions = 0
+        if self._unsat:
+            return SatResult(False)
+        self.backjump(0)
         restart_limit = 100
         conflicts_since_restart = 0
         while True:
@@ -273,20 +270,18 @@ class _SolverState:
                 raise TimeoutError("SAT solver interrupted")
             conflict = self.propagate()
             if conflict is not None:
-                self.conflicts += 1
+                conflicts += 1
                 conflicts_since_restart += 1
-                if max_conflicts is not None and self.conflicts > max_conflicts:
-                    raise TimeoutError("SAT solver exceeded conflict budget")
                 if not self.trail_lim:
-                    return SatResult(
-                        False, conflicts=self.conflicts, decisions=self.decisions
-                    )
+                    self._unsat = True
+                    return SatResult(False, conflicts=conflicts, decisions=decisions)
+                if max_conflicts is not None and conflicts > max_conflicts:
+                    raise TimeoutError("SAT solver exceeded conflict budget")
                 learned, back_level = self.analyze(conflict)
                 self.backjump(back_level)
                 if len(learned) == 1:
                     self.enqueue(learned[0], None)
                 else:
-                    self.learned.append(learned)
                     self.attach_clause(learned)
                     self.enqueue(learned[0], learned)
                 self.decay()
@@ -302,10 +297,8 @@ class _SolverState:
                     for var in range(1, self.num_vars + 1)
                 }
                 self._verify_model(model)
-                return SatResult(
-                    True, model, conflicts=self.conflicts, decisions=self.decisions
-                )
-            self.decisions += 1
+                return SatResult(True, model, conflicts=conflicts, decisions=decisions)
+            decisions += 1
             self.trail_lim.append(len(self.trail))
             self.enqueue(lit, None)
 
@@ -329,7 +322,8 @@ class Tseitin:
 
     def __init__(self) -> None:
         self.solver = SatSolver()
-        self._atom_vars: dict[object, int] = {}
+        #: Atom -> SAT variable; read it, never mutate it.
+        self.atoms: dict[object, int] = {}
         self._next_var = 0
         self._cache: dict[object, int] = {}
 
@@ -338,13 +332,9 @@ class Tseitin:
         return self._next_var
 
     def atom_var(self, atom: object) -> int:
-        if atom not in self._atom_vars:
-            self._atom_vars[atom] = self.fresh_var()
-        return self._atom_vars[atom]
-
-    @property
-    def atoms(self) -> dict[object, int]:
-        return dict(self._atom_vars)
+        if atom not in self.atoms:
+            self.atoms[atom] = self.fresh_var()
+        return self.atoms[atom]
 
     def add_clause(self, literals) -> None:
         self.solver.add_clause(literals)

@@ -13,6 +13,8 @@ integrated reasoning setup.  The pipeline for a proof task is:
    adding blocking clauses for theory conflicts until the SAT solver reports
    unsatisfiability (task proved) or a theory-consistent model survives
    (unknown -- instantiation is incomplete, so this is not a refutation).
+   One incremental solver serves the whole loop: a blocking clause goes
+   straight into it, and the next solve keeps every clause learned so far.
 
 Integer disequalities are split into strict inequalities at encoding time so
 that the arithmetic solver can reason about them.

@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic import Int, IntVar, ObjVar, Select, Var, map_of
@@ -14,12 +15,30 @@ from repro.provers.sat import SatSolver, Tseitin
 # -- SAT ---------------------------------------------------------------------
 
 
-def _brute_force(clauses, nvars):
+def _models(clauses, nvars):
     for bits in itertools.product([False, True], repeat=nvars):
         model = {i + 1: bits[i] for i in range(nvars)}
-        if all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses):
-            return True
-    return False
+        if _satisfies(model, clauses):
+            yield model
+
+
+def _satisfies(model, clauses):
+    return all(any(model.get(abs(l), False) == (l > 0) for l in c) for c in clauses)
+
+
+def _brute_force(clauses, nvars):
+    return next(_models(clauses, nvars), None) is not None
+
+
+def _pigeonhole(solver):
+    """3 pigeons, 2 holes (unsatisfiable): variable p(i,h) = 2*i + h + 1."""
+    var = lambda i, h: 2 * i + h + 1  # noqa: E731
+    for i in range(3):
+        solver.add_clause([var(i, 0), var(i, 1)])
+    for h in range(2):
+        for i in range(3):
+            for j in range(i + 1, 3):
+                solver.add_clause([-var(i, h), -var(j, h)])
 
 
 class TestSatSolver:
@@ -46,49 +65,95 @@ class TestSatSolver:
         assert solver.solve().satisfiable
 
     def test_pigeonhole_unsat(self):
-        # 3 pigeons, 2 holes: variable p(i,h) = 2*i + h + 1.
         solver = SatSolver()
-        var = lambda i, h: 2 * i + h + 1  # noqa: E731
-        for i in range(3):
-            solver.add_clause([var(i, 0), var(i, 1)])
-        for h in range(2):
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    solver.add_clause([-var(i, h), -var(j, h)])
+        _pigeonhole(solver)
         assert not solver.solve().satisfiable
 
     def test_empty_clause_is_unsat(self):
         solver = SatSolver()
         solver.add_clause([1])
-        solver.clauses.append([])
+        solver.add_clause([])
         assert not solver.solve().satisfiable
 
     def test_assumptions(self):
+        """What used to be solve-time assumptions are clauses added between
+        solves."""
         solver = SatSolver()
         solver.add_clause([1, 2])
-        assert solver.solve(assumptions=[-1]).satisfiable
-        assert not solver.solve(assumptions=[-1, -2]).satisfiable
+        assert solver.solve().satisfiable
+        solver.add_clause([-1])
+        result = solver.solve()
+        assert result.satisfiable and result.model[2]
+        solver.add_clause([-2])
+        assert not solver.solve().satisfiable
+
+    def test_unsat_is_final(self):
+        """Once refuted, a solver answers UNSAT without searching again."""
+        solver = SatSolver()
+        _pigeonhole(solver)
+        first = solver.solve()
+        assert not first.satisfiable and first.decisions > 0
+        solver.add_clause([7, 8])
+        again = solver.solve()
+        assert not again.satisfiable
+        assert (again.conflicts, again.decisions) == (0, 0)
+
+    def test_solver_survives_its_conflict_budget(self):
+        solver = SatSolver()
+        _pigeonhole(solver)
+        with pytest.raises(TimeoutError):
+            solver.solve(max_conflicts=0)
+        assert not solver.solve().satisfiable
+        # A level-0 conflict is a refutation, not a spent budget.
+        solver = SatSolver()
+        solver.add_clauses([[-2, 3], [-2, -3], [1], [-1, 2]])
+        assert not solver.solve(max_conflicts=0).satisfiable
 
 
-@given(
-    clause_data=st.lists(
-        st.lists(
-            st.tuples(st.integers(1, 6), st.booleans()).map(
-                lambda p: p[0] if p[1] else -p[0]
-            ),
-            min_size=1,
-            max_size=4,
+_clauses = st.lists(
+    st.lists(
+        st.tuples(st.integers(1, 6), st.booleans()).map(
+            lambda p: p[0] if p[1] else -p[0]
         ),
         min_size=1,
-        max_size=24,
-    )
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=8,
 )
+
+
+@given(batches=st.lists(_clauses, min_size=1, max_size=4))
 @settings(max_examples=150, deadline=None)
-def test_sat_matches_brute_force(clause_data):
+def test_sat_matches_brute_force(batches):
+    """Solving after each batch of added clauses agrees with brute force on
+    every clause added so far, and every model satisfies all of them."""
     solver = SatSolver()
-    for clause in clause_data:
-        solver.add_clause(clause)
-    assert solver.solve().satisfiable == _brute_force(clause_data, 6)
+    added = []
+    for batch in batches:
+        solver.add_clauses(batch)
+        added.extend(batch)
+        result = solver.solve()
+        assert result.satisfiable == _brute_force(added, 6)
+        if result.satisfiable:
+            assert _satisfies(result.model, added)
+
+
+@given(clauses=_clauses)
+@settings(max_examples=100, deadline=None)
+def test_blocking_clauses_enumerate_every_model(clauses):
+    """The lazy SMT loop's pattern: block each model until UNSAT."""
+    solver = SatSolver()
+    solver.add_clauses(clauses)
+    nvars = solver.num_vars
+    found = set()
+    while (result := solver.solve()).satisfiable:
+        model = tuple(result.model[var] for var in range(1, nvars + 1))
+        assert model not in found
+        assert _satisfies(result.model, clauses)
+        found.add(model)
+        solver.add_clause([-v if value else v for v, value in enumerate(model, 1)])
+    assert len(found) == sum(1 for _ in _models(clauses, nvars))
 
 
 class TestTseitin:

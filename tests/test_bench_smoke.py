@@ -9,12 +9,14 @@ quickly-verifying structures under a tight wall-clock budget, plus the
 persistent-cache acceptance check (a warm repeat run dispatches nothing
 and stays within a multiple of a front-end-only pass).  The store-save
 workload is smoked by counts: edit-sized saves encode a small share of
-the file.
+the file; so is the lazy-SAT workload: it blocks exactly as many models
+as brute force counts.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -61,6 +63,16 @@ def test_wlp_workload_smoke():
 def test_vcgen_workload_smoke():
     # A block emits its 8 bounds once per path through it: 8 * (2^3 - 1).
     assert bench_kernel.workload_vcgen(depth=2) == 56
+
+
+def test_lazy_sat_workload_smoke():
+    for seed in (1, 2, 3):
+        clauses = bench_kernel.build_random_3sat(12, seed)
+        models = sum(
+            all(any(bits[abs(lit) - 1] == (lit > 0) for lit in c) for c in clauses)
+            for bits in itertools.product([False, True], repeat=12)
+        )
+        assert bench_kernel.workload_lazy_sat(12, seed) == models
 
 
 def test_store_saves_workload_smoke(tmp_path, monkeypatch):
