@@ -1,10 +1,16 @@
-"""Per-sequent golden of the catalogue: verdict, refutation and winner.
+"""Per-sequent golden of the catalogue: verdict, refutation, winner and
+every prover attempt.
 
 ``PROVED_FLOORS`` in ``test_structures.py`` only bounds proved counts per
 class; this golden pins every sequent's outcome, so a change that proves
 one sequent and loses another (or moves a win from smt to sets) fails.
 Each outcome is keyed by ``(class, method, position, label)`` because a
-label such as ``NullCheck`` can repeat within one method.
+label such as ``NullCheck`` can repeat within one method.  The last column
+lists each attempt's ``[prover, outcome, reason]``; smt's reason carries
+its theory-iteration, instantiation and conflict counts, so a change meant
+to speed smt up without changing its search must leave it as it is.  A
+sequent answered from the proof cache (a duplicate of an earlier one) has
+no attempts.
 
 A change that means to move verdicts regenerates the file and says why::
 
@@ -29,8 +35,8 @@ GOLDEN_SCALE = 0.4
 
 
 def catalogue_outcomes(scale: float) -> list[list]:
-    """``[class, method, position, label, proved, refuted, prover]`` for
-    every catalogue sequent, in catalogue order."""
+    """``[class, method, position, label, proved, refuted, prover,
+    attempts]`` for every catalogue sequent, in catalogue order."""
     engine = VerificationEngine(default_portfolio().scaled(scale))
     rows = []
     for report in engine.verify_suite():
@@ -45,6 +51,10 @@ def catalogue_outcomes(scale: float) -> list[list]:
                         outcome.proved,
                         outcome.dispatch.refuted,
                         outcome.prover,
+                        [
+                            [attempt.prover, attempt.outcome.value, attempt.reason]
+                            for attempt in outcome.dispatch.attempts
+                        ],
                     ]
                 )
     return rows
