@@ -1,5 +1,5 @@
 """Kernel microbenchmarks: interning, substitution, simplify, wlp, VCs,
-saves, lazy SAT.
+saves, lazy SAT, smt attempts.
 
 These isolate the hot paths the hash-consed kernel accelerates: deep-term
 construction (pool hits versus fresh allocations), capture-avoiding
@@ -7,8 +7,11 @@ substitution over wide/deep formulas, fixpoint simplification,
 weakest-precondition generation over guarded commands with duplicated
 branches, and sequent generation over branching commands with long
 assumption prefixes -- plus the proof-cache store's edit-sized
-merge-saves, which bound a served edit loop, and the SAT solver re-solving
-after each blocking clause, which is smt's lazy loop.  The workload builders are
+merge-saves, which bound a served edit loop, the SAT solver re-solving
+after each blocking clause, which is smt's lazy loop, and smt's attempts on
+one catalogue class, cold and warm.  ``clear_memos`` is the cold hook: it
+drops the process-wide memos (simplify's, and smt's instances, canonical
+atoms and theory-checker caches) that later calls would otherwise hit.  The workload builders are
 plain functions parameterised by size so the tier-1 smoke test
 (``tests/test_bench_smoke.py``) can run the exact same code at tiny sizes;
 perf regressions then show up in the BENCH_*.json trajectory via the
@@ -20,6 +23,8 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+import pytest
+
 from repro.gcl.simple import SAssert, SAssume, SChoice, SHavoc, SSeq
 from repro.gcl.wlp import wlp
 from repro.logic import builder as b
@@ -27,9 +32,28 @@ from repro.logic.simplify import clear_simplify_memos, simplify
 from repro.logic.sorts import INT
 from repro.logic.subst import substitute
 from repro.logic.terms import Term, Var, dag_size
+from repro.provers import lia, quant, smt, theory
 from repro.provers.cache import CachedVerdict, PersistentCacheStore
+from repro.provers.result import ProofTask
 from repro.provers.sat import SatSolver
+from repro.suite import all_structures
 from repro.vcgen import generate_sequents
+from repro.verifier.engine import VerificationEngine
+
+#: smt's per-attempt budget in the catalogue benchmarks: the default 4 s
+#: at ``conftest.TIMEOUT_SCALE`` 0.4.
+SMT_TIMEOUT = 1.6
+
+
+def clear_memos() -> None:
+    """The cold hook: drop simplify's memos and smt's cross-attempt memos
+    (ground instances, canonical atoms, and the theory checker's integer
+    positions and linear differences)."""
+    clear_simplify_memos()
+    quant._instance.cache_clear()
+    smt._canonical_atom.cache_clear()
+    theory._int_positions.cache_clear()
+    lia._difference.cache_clear()
 
 
 def build_deep_formula(depth: int) -> Term:
@@ -69,7 +93,7 @@ def workload_simplify(depth: int = 120, cold: bool = True) -> Term:
     """Fixpoint-simplify a deep formula (cold caches by default)."""
     formula = build_deep_formula(depth)
     if cold:
-        clear_simplify_memos()
+        clear_memos()
     return simplify(formula)
 
 
@@ -230,6 +254,28 @@ def workload_lazy_sat(num_vars: int = 60, seed: int = 1) -> int:
     return models
 
 
+def smt_tasks(class_name: str = "Priority Queue") -> list[ProofTask]:
+    """Every proof task of one catalogue class, as the engine hands them to
+    the provers (``from`` clauses and the relevance filter applied)."""
+    engine = VerificationEngine(use_proof_cache=False)
+    cls = next(cls for cls in all_structures() if cls.name == class_name)
+    return [
+        engine.task_for(sequent)
+        for method in cls.methods
+        for sequent in engine.method_sequents(cls, method)
+    ]
+
+
+def workload_smt_attempts(tasks: list[ProofTask], cold: bool = True) -> list:
+    """One smt attempt per task, after the cold hook unless ``cold`` is
+    False; returns each attempt's ``(outcome, reason)``."""
+    if cold:
+        clear_memos()
+    prover = smt.SmtProver()
+    results = [prover.prove(task, timeout=SMT_TIMEOUT) for task in tasks]
+    return [(result.outcome.value, result.reason) for result in results]
+
+
 def test_kernel_interning(benchmark):
     size = benchmark(workload_interning)
     assert size > 0
@@ -263,3 +309,10 @@ def test_kernel_store_saves(benchmark, tmp_path):
 
 def test_kernel_lazy_sat(benchmark):
     assert benchmark(workload_lazy_sat) > 0
+
+
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+def test_kernel_smt_attempt(benchmark, cold):
+    tasks = smt_tasks()
+    expected = workload_smt_attempts(tasks)
+    assert benchmark(workload_smt_attempts, tasks, cold) == expected

@@ -15,7 +15,10 @@ instantiation:
 * each :meth:`InstantiationEngine.saturate` call indexes its ground terms
   once, as formulas enter the ground set, so a round looks its candidates
   up instead of rescanning every formula for every variable (the term
-  indexes of E-matching engines, de Moura & Bjorner, CADE 2007).
+  indexes of E-matching engines, de Moura & Bjorner, CADE 2007),
+* an instance is built once per process: sequents of one class share their
+  axioms and most candidate tuples, so a bounded memo maps an axiom and a
+  tuple to the simplified instance across engines.
 
 The result is sound (instantiation only weakens a universally quantified
 assumption) and in practice sufficient once the developer has used the
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..logic.simplify import simplify
 from ..logic.sorts import BOOL, Sort
@@ -84,6 +88,14 @@ def collect_ground_terms(formulas: list[Term]) -> dict[Sort, list[Term]]:
             seen.add(sub)
             by_sort.setdefault(sub.sort, []).append(sub)
     return by_sort
+
+
+@lru_cache(maxsize=65536)
+def _instance(params: tuple[Var, ...], body: Term, combo: tuple[Term, ...]) -> Term:
+    """``body`` with ``params`` replaced by ``combo``, simplified.  A pure
+    function of hash-consed terms, so it stays correct across
+    :func:`~repro.logic.terms.clear_term_pools`, as simplify's memos do."""
+    return simplify(substitute(body, dict(zip(params, combo))))
 
 
 def _argument_positions(term: Term, var: Var) -> set[tuple[str, int]]:
@@ -261,8 +273,7 @@ class InstantiationEngine:
                 if combo in axiom.produced:
                     continue
                 axiom.produced.add(combo)
-                mapping = dict(zip(axiom.params, combo))
-                instance = simplify(substitute(axiom.body, mapping))
+                instance = _instance(axiom.params, axiom.body, combo)
                 self.total_instances += 1
                 produced_count += 1
                 if isinstance(instance, BoolLit) and instance.value:

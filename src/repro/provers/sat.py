@@ -10,6 +10,16 @@ conflict-driven clause learning loop:
 * VSIDS-style activity-based decision heuristic with decay,
 * geometric restarts (after 100 conflicts, then every 1.5x as many).
 
+Decisions come from an order heap, as in MiniSat (Een & Sorensson, "An
+Extensible SAT-solver", SAT 2003): the unassigned variable of highest
+activity, ties broken by the lowest variable index -- the variable a scan
+of every variable would pick.  The heap is lazy: a variable is pushed with
+its activity when it is created and whenever it is unassigned (only
+assigned variables are bumped), and an entry whose variable is assigned or
+whose activity has moved on is dropped when it reaches the top.  It is rebuilt from the unassigned
+variables when it outgrows ``_ORDER_SLACK`` entries per variable and when
+the activities are rescaled.
+
 The solver is incremental: clauses can be added between solves, and each
 solve resumes from the level-0 trail with the clauses learned before, so
 the lazy SMT loop keeps one solver per attempt.  A refuted clause set stays
@@ -23,8 +33,14 @@ exhaustively against a brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 __all__ = ["SatSolver", "SatResult", "Tseitin"]
+
+
+#: The order heap is rebuilt once it holds more than this many entries per
+#: variable, so stale entries never outnumber live ones by more than that.
+_ORDER_SLACK = 4
 
 
 @dataclass
@@ -52,6 +68,9 @@ class SatSolver:
         self.level: list[int] = [0]
         self.reason: list[list[int] | None] = [None]
         self.activity: list[float] = [0.0]
+        #: Lazy order heap of ``(-activity, var)``: every unassigned variable
+        #: has an entry holding its current activity.
+        self._order: list[tuple[float, int]] = []
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.watches: dict[int, list[list[int]]] = {}
@@ -67,27 +86,37 @@ class SatSolver:
         Duplicate clauses (same sorted literal set) are ignored, so repeated
         ``add_clauses`` calls with overlapping translations don't bloat the
         watch lists.  The solver backjumps to level 0 and attaches the
-        clause at once, its non-false literals first: a clause with one
-        non-false literal is a level-0 unit, one with none refutes the
-        clause set for good.
+        clause at once, its non-false literals first (each group in literal
+        order): a clause with one non-false literal is a level-0 unit, one
+        with none refutes the clause set for good.
         """
-        clause = sorted(set(literals), key=abs)
-        if any(-lit in clause for lit in clause):
-            return  # tautology
-        key = tuple(clause)
+        literal_set = set(literals)
+        if 0 in literal_set:
+            raise ValueError("0 is not a valid literal")
+        for lit in literal_set:
+            if -lit in literal_set:
+                return  # tautology
+        key = tuple(sorted(literal_set, key=abs))
         if key in self._seen_clauses:
             return
-        if 0 in clause:
-            raise ValueError("0 is not a valid literal")
         self._seen_clauses.add(key)
+        if key:
+            self._grow(abs(key[-1]))
+        if self.trail_lim:
+            self.backjump(0)
+        assign = self.assign
+        false = [
+            lit for lit in key if (assign[lit] if lit > 0 else -assign[-lit]) == -1
+        ]
+        if false:
+            clause = [lit for lit in key if lit not in false] + false
+        else:
+            clause = list(key)
         self.clauses.append(clause)
-        if clause:
-            self._grow(abs(clause[-1]))
-        self.backjump(0)
-        clause.sort(key=lambda lit: self.value(lit) == -1)
-        if not clause or self.value(clause[0]) == -1:
+        non_false = len(clause) - len(false)
+        if non_false == 0:
             self._unsat = True
-        elif len(clause) == 1 or self.value(clause[1]) == -1:
+        elif non_false == 1:
             self.enqueue(clause[0], None)
         if len(clause) >= 2:
             self.attach_clause(clause)
@@ -104,6 +133,8 @@ class SatSolver:
             self.level.extend([0] * extra)
             self.reason.extend([None] * extra)
             self.activity.extend([0.0] * extra)
+            for var in range(num_vars - extra + 1, num_vars + 1):
+                heappush(self._order, (-0.0, var))
 
     # -- basic operations ------------------------------------------------------
 
@@ -115,8 +146,13 @@ class SatSolver:
         self.watches.setdefault(lit, []).append(clause)
 
     def attach_clause(self, clause: list[int]) -> None:
-        self.watch(-clause[0], clause)
-        self.watch(-clause[1], clause)
+        watches = self.watches
+        for lit in (-clause[0], -clause[1]):
+            watching = watches.get(lit)
+            if watching is None:
+                watches[lit] = [clause]
+            else:
+                watching.append(clause)
 
     def enqueue(self, lit: int, reason: list[int] | None) -> bool:
         current = self.value(lit)
@@ -173,11 +209,16 @@ class SatSolver:
     # -- conflict analysis ------------------------------------------------------
 
     def bump(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
+        # Only assigned variables are bumped (every literal of a conflict or
+        # reason clause is false), so the order heap gets the new activity
+        # when backjump unassigns ``var``.
+        activity = self.activity
+        activity[var] += self.var_inc
+        if activity[var] > 1e100:
             for v in range(1, self.num_vars + 1):
-                self.activity[v] *= 1e-100
+                activity[v] *= 1e-100
             self.var_inc *= 1e-100
+            self._rebuild_order()
 
     def decay(self) -> None:
         self.var_inc /= 0.95
@@ -228,6 +269,7 @@ class SatSolver:
         return learned, back_level
 
     def backjump(self, level: int) -> None:
+        order, activity = self._order, self.activity
         while len(self.trail_lim) > level:
             limit = self.trail_lim.pop()
             while len(self.trail) > limit:
@@ -235,20 +277,31 @@ class SatSolver:
                 var = abs(lit)
                 self.assign[var] = 0
                 self.reason[var] = None
+                heappush(order, (-activity[var], var))
         self._qhead = min(self._qhead, len(self.trail))
+        if len(order) > _ORDER_SLACK * self.num_vars:
+            self._rebuild_order()
 
     # -- decisions ---------------------------------------------------------------
 
+    def _rebuild_order(self) -> None:
+        activity, assign = self.activity, self.assign
+        self._order = [
+            (-activity[var], var)
+            for var in range(1, self.num_vars + 1)
+            if assign[var] == 0
+        ]
+        heapify(self._order)
+
     def decide(self) -> int | None:
-        best_var = 0
-        best_activity = -1.0
-        for var in range(1, self.num_vars + 1):
-            if self.assign[var] == 0 and self.activity[var] > best_activity:
-                best_var = var
-                best_activity = self.activity[var]
-        if best_var == 0:
-            return None
-        return -best_var  # prefer negative phase (compact models)
+        """The negative literal of the unassigned variable of highest
+        activity, lowest index first among equals; None if none is left."""
+        order, activity, assign = self._order, self.activity, self.assign
+        while order:
+            negated, var = heappop(order)
+            if assign[var] == 0 and -negated == activity[var]:
+                return -var  # prefer negative phase (compact models)
+        return None
 
     # -- main search ---------------------------------------------------------------
 
@@ -296,16 +349,20 @@ class SatSolver:
                     var: self.assign[var] == 1
                     for var in range(1, self.num_vars + 1)
                 }
-                self._verify_model(model)
+                self._verify_model()
                 return SatResult(True, model, conflicts=conflicts, decisions=decisions)
             decisions += 1
             self.trail_lim.append(len(self.trail))
             self.enqueue(lit, None)
 
-    def _verify_model(self, model: dict[int, bool]) -> None:
-        """Safety net: every input clause must be satisfied by the model."""
+    def _verify_model(self) -> None:
+        """Safety net: the full assignment must satisfy every input clause."""
+        assign = self.assign
         for clause in self.clauses:
-            if not any(model.get(abs(lit), False) == (lit > 0) for lit in clause):
+            for lit in clause:
+                if (assign[lit] if lit > 0 else -assign[-lit]) == 1:
+                    break
+            else:
                 raise RuntimeError(
                     "internal SAT solver error: model does not satisfy clause "
                     f"{clause}"

@@ -22,6 +22,8 @@ that the arithmetic solver can reason about them.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..logic.clauses import Literal
 from ..logic.sorts import BOOL, INT
 from ..logic.terms import App, BoolLit, Term
@@ -219,8 +221,12 @@ class _GroundEncoder:
         self.tseitin.add_clause(clause or [-self._true_var])
 
 
+@lru_cache(maxsize=65536)
 def _canonical_atom(atom: Term) -> Term:
-    """Canonicalise symmetric atoms so ``a = b`` and ``b = a`` share a SAT var."""
+    """Canonicalise symmetric atoms so ``a = b`` and ``b = a`` share a SAT var.
+
+    Memoised across attempts: a pure function of a hash-consed term, it
+    stays correct across :func:`~repro.logic.terms.clear_term_pools`."""
     if isinstance(atom, App) and atom.op == "eq":
         left, right = atom.args
         if repr(right) < repr(left):

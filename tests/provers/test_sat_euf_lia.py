@@ -1,6 +1,7 @@
 """Tests for the low-level reasoning engines: SAT, congruence closure, LIA."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from repro.logic import Int, IntVar, ObjVar, Select, Var, map_of
 from repro.logic.sorts import OBJ
 from repro.provers.euf import CongruenceClosure
 from repro.provers.lia import LinearExpr, LinearSolver, linearize
-from repro.provers.sat import SatSolver, Tseitin
+from repro.provers.sat import _ORDER_SLACK, SatSolver, Tseitin
 
 
 # -- SAT ---------------------------------------------------------------------
@@ -98,6 +99,13 @@ class TestSatSolver:
         assert not again.satisfiable
         assert (again.conflicts, again.decisions) == (0, 0)
 
+    @pytest.mark.parametrize("clause", [[0], [1, 0], [0, 1, -1]])
+    def test_zero_literal_is_rejected(self, clause):
+        # 0 == -0, so a zero would otherwise pass for a tautology and the
+        # clause would be dropped without a word.
+        with pytest.raises(ValueError):
+            SatSolver().add_clause(clause)
+
     def test_solver_survives_its_conflict_budget(self):
         solver = SatSolver()
         _pigeonhole(solver)
@@ -154,6 +162,76 @@ def test_blocking_clauses_enumerate_every_model(clauses):
         found.add(model)
         solver.add_clause([-v if value else v for v, value in enumerate(model, 1)])
     assert len(found) == sum(1 for _ in _models(clauses, nvars))
+
+
+class _ScanCheckedSolver(SatSolver):
+    """A solver whose every decision is checked against a full scan."""
+
+    def decide(self):
+        expected = _reference_decision(self)
+        assert len(self._order) <= _ORDER_SLACK * self.num_vars
+        assert super().decide() == expected
+        return expected
+
+
+def _reference_decision(solver):
+    """The unassigned variable of highest activity, the lowest index among
+    equals, negated; None when every variable is assigned."""
+    best_var, best_activity = 0, -1.0
+    for var in range(1, solver.num_vars + 1):
+        if solver.assign[var] == 0 and solver.activity[var] > best_activity:
+            best_var, best_activity = var, solver.activity[var]
+    return -best_var if best_var else None
+
+
+def _random_clauses(rng, num_vars, count):
+    return [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)]
+        for _ in range(count)
+    ]
+
+
+def _drive_lazy_loop(seed, var_inc=1.0):
+    """Solve random CNFs near the 3-SAT threshold that grow between solves
+    (new variables included) and are blocked model by model, as smt's lazy
+    loop does; a refuted solver is replaced by a fresh one.  Returns the
+    number of decisions and whether the activities were ever rescaled."""
+    rng = random.Random(seed)
+    solver, decisions, rescaled = None, 0, False
+    for step in range(40):
+        if solver is None:
+            solver, num_vars = _ScanCheckedSolver(), 10
+            solver.var_inc = var_inc
+            solver.add_clauses(_random_clauses(rng, num_vars, 4 * num_vars))
+        elif step % 4 == 0:
+            num_vars += 5
+            solver.add_clauses(_random_clauses(rng, num_vars, 15))
+        result = solver.solve()
+        decisions += result.decisions
+        # The increment only grows, except when a rescale shrinks it.
+        rescaled |= solver.var_inc < var_inc
+        if result.satisfiable:
+            blocked = rng.sample(range(1, num_vars + 1), 6)
+            solver.add_clause([-v if result.model.get(v) else v for v in blocked])
+        else:
+            solver = None
+    return decisions, rescaled
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_decisions_match_a_full_scan(seed):
+    """The order heap decides exactly as a scan of every variable would."""
+    decisions, _ = _drive_lazy_loop(seed)
+    assert decisions > 100
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_decisions_match_a_full_scan_across_activity_rescales(seed):
+    """With a huge increment a variable's second bump passes 1e100 and every
+    activity is scaled down; the heap is rebuilt and still decides as the
+    scan."""
+    decisions, rescaled = _drive_lazy_loop(seed, var_inc=3e99)
+    assert rescaled and decisions > 100
 
 
 class TestTseitin:

@@ -10,7 +10,8 @@ persistent-cache acceptance check (a warm repeat run dispatches nothing
 and stays within a multiple of a front-end-only pass).  The store-save
 workload is smoked by counts: edit-sized saves encode a small share of
 the file; so is the lazy-SAT workload: it blocks exactly as many models
-as brute force counts.
+as brute force counts; and so are the smt attempts: a warm repeat answers
+as the cold run and builds no instance or canonical atom again.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import time
 from pathlib import Path
 
 from repro.provers import cache as cache_module
+from repro.provers import quant, smt
 from repro.suite import all_structures
 from repro.verifier.engine import VerificationEngine
 
@@ -73,6 +75,21 @@ def test_lazy_sat_workload_smoke():
             for bits in itertools.product([False, True], repeat=12)
         )
         assert bench_kernel.workload_lazy_sat(12, seed) == models
+
+
+def test_smt_attempt_workload_smoke():
+    memos = (quant._instance, smt._canonical_atom)
+    tasks = bench_kernel.smt_tasks("Linked List")
+    cold = bench_kernel.workload_smt_attempts(tasks)
+    built = [memo.cache_info() for memo in memos]
+    # The cold hook emptied the memos, and the class's sequents share
+    # instances: most lookups already hit within the cold run.
+    assert all(0 < info.misses == info.currsize < info.hits for info in built)
+    warm = bench_kernel.workload_smt_attempts(tasks, cold=False)
+    assert warm == cold
+    assert sum(outcome == "proved" for outcome, _ in cold) == 29
+    misses = [memo.cache_info().misses for memo in memos]
+    assert misses == [info.misses for info in built]
 
 
 def test_store_saves_workload_smoke(tmp_path, monkeypatch):
