@@ -8,11 +8,13 @@ weakest-precondition generation over guarded commands with duplicated
 branches, and sequent generation over branching commands with long
 assumption prefixes -- plus the proof-cache store's edit-sized
 merge-saves, which bound a served edit loop, the SAT solver re-solving
-after each blocking clause, which is smt's lazy loop, and smt's attempts on
-one catalogue class, cold and warm.  ``clear_memos`` is the cold hook: it
-drops the process-wide memos (simplify's, and smt's instances, canonical
-atoms and theory-checker caches) that later calls would otherwise hit.  The workload builders are
-plain functions parameterised by size so the tier-1 smoke test
+after each blocking clause, smt's attempts on one catalogue class, cold
+and warm, and cold smt attempts on the catalogue's theory-heavy sequents,
+where the search finds most of its theory conflicts.  ``clear_memos`` is
+the cold hook: it drops the process-wide memos (simplify's, and smt's
+instances, canonical atoms and theory-checker caches) that later calls
+would otherwise hit.  The workload builders are plain functions
+parameterised by size so the tier-1 smoke test
 (``tests/test_bench_smoke.py``) can run the exact same code at tiny sizes;
 perf regressions then show up in the BENCH_*.json trajectory via the
 full-size runs here.
@@ -266,6 +268,31 @@ def smt_tasks(class_name: str = "Priority Queue") -> list[ProofTask]:
     ]
 
 
+#: The catalogue's theory-heavy sequents: the three make most of the
+#: catalogue's theory conflicts, ``RootDominates_base`` proves only through
+#: the equality exchange, and ``RootDominates_step`` ends in a model that
+#: passes the final check.
+THEORY_SEQUENTS = (
+    ("insertLast", "ParentOrderRestored.1"),
+    ("insertLast", "ParentOrderRestored.2"),
+    ("insertLast", "ParentOrderRestored.3"),
+    ("findMax", "RootDominates_base"),
+    ("findMax", "RootDominates_step"),
+)
+
+
+def theory_tasks() -> list[ProofTask]:
+    """The proof tasks of Priority Queue's ``THEORY_SEQUENTS``, in order."""
+    engine = VerificationEngine(use_proof_cache=False)
+    cls = next(cls for cls in all_structures() if cls.name == "Priority Queue")
+    tasks = {
+        (method.name, sequent.label): engine.task_for(sequent)
+        for method in cls.methods
+        for sequent in engine.method_sequents(cls, method)
+    }
+    return [tasks[key] for key in THEORY_SEQUENTS]
+
+
 def workload_smt_attempts(tasks: list[ProofTask], cold: bool = True) -> list:
     """One smt attempt per task, after the cold hook unless ``cold`` is
     False; returns each attempt's ``(outcome, reason)``."""
@@ -316,3 +343,9 @@ def test_kernel_smt_attempt(benchmark, cold):
     tasks = smt_tasks()
     expected = workload_smt_attempts(tasks)
     assert benchmark(workload_smt_attempts, tasks, cold) == expected
+
+
+def test_kernel_smt_theory(benchmark):
+    tasks = theory_tasks()
+    expected = workload_smt_attempts(tasks)
+    assert benchmark(workload_smt_attempts, tasks) == expected

@@ -6,7 +6,7 @@ first prover that succeeds discharges the sequent and the others are never
 consulted.  This module reproduces that behaviour for the from-scratch
 portfolio of this package:
 
-* ``smt``          -- the lazy SMT-lite prover (stand-in for CVC3 / Z3),
+* ``smt``          -- the DPLL(T) SMT-lite prover (stand-in for CVC3 / Z3),
 * ``sets``         -- the BAPA-style set-with-cardinality reasoner
   (stand-in for the MONA / BAPA decision procedures).
 

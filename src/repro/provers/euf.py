@@ -14,6 +14,14 @@ equality, or the congruence of two application nodes.  :meth:`explain`
 walks the forest to the tags behind an entailed equality, so a conflict
 comes out of :meth:`CongruenceClosure.check` together with the asserted
 facts it rests on.
+
+The closure backtracks: every merge, signature entry and disequality is
+recorded on an undo trail, and :meth:`CongruenceClosure.backtrack`
+returns to a :meth:`CongruenceClosure.checkpoint`.  Union-find therefore
+does no path compression (union by rank keeps the trees shallow), and an
+undone merge only cuts its proof-forest edge: the forest's other edges may
+have been re-rooted since, but any orientation of a tree explains the same
+equalities.
 """
 
 from __future__ import annotations
@@ -23,6 +31,9 @@ from dataclasses import dataclass
 from ..logic.terms import App, Binder, BoolLit, Const, IntLit, Term, Var
 
 __all__ = ["CongruenceClosure", "EufConflict"]
+
+# Kinds of undo-trail entries.
+_MERGE, _SIGNATURE, _DISEQUALITY = range(3)
 
 
 @dataclass
@@ -51,6 +62,10 @@ class CongruenceClosure:
     checker uses literal indices); the proof forest keeps, per node, its
     forest parent and the reason of that edge: the frozenset of tags of an
     asserted equality, or a ``(node, node)`` pair of congruent applications.
+
+    Terms are interned before the first checkpoint that a later
+    :meth:`backtrack` returns to: a node stays when its merges are undone,
+    and its signature would then be stale.
     """
 
     def __init__(self) -> None:
@@ -66,6 +81,11 @@ class CongruenceClosure:
         self._pending: list[tuple[int, int, object]] = []
         self._proof_parent: list[int] = []
         self._proof_reason: list[object] = []
+        # Integer and boolean literal nodes, in interning order.
+        self._literal_nodes: list[tuple[Term, int]] = []
+        # Undo trail: ``(_MERGE, a, b, ra, rb, rank_grew, uses_len)``,
+        # ``(_SIGNATURE, signature)`` or ``(_DISEQUALITY,)``.
+        self._trail: list[tuple] = []
 
     # -- interning -------------------------------------------------------------
 
@@ -96,30 +116,33 @@ class CongruenceClosure:
         self._args.append(args)
         self._proof_parent.append(node)
         self._proof_reason.append(None)
+        if isinstance(term, (IntLit, BoolLit)):
+            self._literal_nodes.append((term, node))
         return node
 
     # -- union-find --------------------------------------------------------------
 
     def find(self, node: int) -> int:
-        root = node
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[node] != root:
-            self._parent[node], node = root, self._parent[node]
-        return root
+        parent = self._parent
+        while parent[node] != node:
+            node = parent[node]
+        return node
 
-    def _union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
+    def _union(self, ra: int, rb: int) -> tuple[int, int, bool, int]:
+        """Merge the classes of roots ``ra`` and ``rb``; returns the new
+        root, the other one, whether the root's rank grew and the length
+        of the root's use list before the merge."""
         if self._rank[ra] < self._rank[rb]:
             ra, rb = rb, ra
         self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
+        grew = self._rank[ra] == self._rank[rb]
+        if grew:
             self._rank[ra] += 1
         self._size[ra] += self._size[rb]
-        self._uses[ra].extend(self._uses[rb])
-        return ra
+        uses = self._uses[ra]
+        uses_len = len(uses)
+        uses.extend(self._uses[rb])
+        return ra, rb, grew, uses_len
 
     def _update_signature(self, node: int) -> None:
         args = self._args[node]
@@ -130,6 +153,7 @@ class CongruenceClosure:
         existing = self._signature.get(signature)
         if existing is None:
             self._signature[signature] = node
+            self._trail.append((_SIGNATURE, signature))
         elif self.find(existing) != self.find(node):
             self._pending.append((existing, node, (existing, node)))
 
@@ -148,6 +172,7 @@ class CongruenceClosure:
         """Assert ``left != right``, justified by ``tags``."""
         lid, rid = self.intern(left), self.intern(right)
         self._disequalities.append((lid, rid, left, right, tags))
+        self._trail.append((_DISEQUALITY,))
 
     def are_equal(self, left: Term, right: Term) -> bool:
         """True when the closure entails ``left = right``."""
@@ -165,18 +190,17 @@ class CongruenceClosure:
                 )
         # Distinct literals must not be merged.
         literal_classes: dict[int, tuple[Term, int]] = {}
-        for term, node in self._ids.items():
-            if isinstance(term, (IntLit, BoolLit)):
-                root = self.find(node)
-                other = literal_classes.get(root)
-                if other is not None and other[0] != term:
-                    return EufConflict(
-                        other[0],
-                        term,
-                        "distinct literals merged",
-                        self._explain(other[1], node),
-                    )
-                literal_classes[root] = (term, node)
+        for term, node in self._literal_nodes:
+            root = self.find(node)
+            other = literal_classes.get(root)
+            if other is not None and other[0] != term:
+                return EufConflict(
+                    other[0],
+                    term,
+                    "distinct literals merged",
+                    self._explain(other[1], node),
+                )
+            literal_classes[root] = (term, node)
         return None
 
     def explain(self, left: Term, right: Term) -> frozenset:
@@ -201,9 +225,38 @@ class CongruenceClosure:
             self._reroot(a)
             self._proof_parent[a] = b
             self._proof_reason[a] = reason
-            self._union(ra, rb)
+            self._trail.append((_MERGE, a, b, *self._union(ra, rb)))
             for user in users:
                 self._update_signature(user)
+
+    # -- backtracking -------------------------------------------------------------
+
+    def checkpoint(self) -> int:
+        """A mark that :meth:`backtrack` returns to."""
+        return len(self._trail)
+
+    def backtrack(self, mark: int) -> None:
+        """Undo every merge, signature entry and disequality recorded since
+        ``mark``, latest first."""
+        trail = self._trail
+        while len(trail) > mark:
+            entry = trail.pop()
+            kind = entry[0]
+            if kind == _SIGNATURE:
+                del self._signature[entry[1]]
+            elif kind == _DISEQUALITY:
+                self._disequalities.pop()
+            else:
+                _, a, b, ra, rb, grew, uses_len = entry
+                self._parent[rb] = rb
+                if grew:
+                    self._rank[ra] -= 1
+                self._size[ra] -= self._size[rb]
+                del self._uses[ra][uses_len:]
+                # Later merges may have re-rooted the tree, turning the edge.
+                child = a if self._proof_parent[a] == b else b
+                self._proof_parent[child] = child
+                self._proof_reason[child] = None
 
     # -- proof forest -------------------------------------------------------------
 

@@ -26,6 +26,14 @@ that block every variable that could repair it: the support of a Farkas
 combination.  After a feasible check the solver keeps its model, and
 :meth:`LinearSolver.implied_equalities` only probes the pairs of terms
 whose values in it lie less than 1 apart.
+
+The solver also follows a trail, as in the paper: :meth:`LinearSolver.bounds_of`
+gives a linear form its row once, :meth:`LinearSolver.add_constraint` with
+those bounds then only tightens bounds, and :meth:`LinearSolver.backtrack`
+restores the constraints and bounds a :meth:`LinearSolver.checkpoint` saw.
+Rows and the assignment stay: every row still holds, and looser bounds
+leave every non-basic variable within its own, so the next check resumes
+from there.
 """
 
 from __future__ import annotations
@@ -182,6 +190,13 @@ class LinearSolver:
         self._upper: list[tuple[Fraction, frozenset] | None] = []
         # Basic variable -> its row over the non-basic variables.
         self._rows: dict[int, dict[int, Fraction]] = {}
+        # The variables that may lie outside their bounds: a superset of the
+        # violated basic variables (non-basic ones never are).
+        self._dirty: set[int] = set()
+        # Bound undo trail: ``(bounds, var, previous)``, or None where a
+        # crossing bound set the conflict instead.
+        self._trail: list[tuple | None] = []
+        self._conflict_at = 0  # trail length when the conflict was found
 
     def copy(self) -> "LinearSolver":
         clone = LinearSolver(self.deadline)
@@ -193,6 +208,7 @@ class LinearSolver:
         clone._lower = list(self._lower)
         clone._upper = list(self._upper)
         clone._rows = {basic: dict(row) for basic, row in self._rows.items()}
+        clone._dirty = set(self._dirty)
         return clone
 
     # -- constraint entry -------------------------------------------------------
@@ -238,7 +254,68 @@ class LinearSolver:
             self._asserted += 1
         if self._conflict is None:
             self._conflict = self._check()
+            self._conflict_at = len(self._trail)
         return self._conflict
+
+    # -- trail ------------------------------------------------------------------
+
+    def checkpoint(self) -> tuple[int, int]:
+        """A mark that :meth:`backtrack` returns to."""
+        return len(self.constraints), len(self._trail)
+
+    def backtrack(self, mark: tuple[int, int]) -> None:
+        """Restore the constraints, the bounds and the conflict state of
+        ``mark``; rows, the basis and the assignment stay."""
+        count, position = mark
+        del self.constraints[count:]
+        self._asserted = min(self._asserted, count)
+        trail = self._trail
+        if self._conflict is not None and self._conflict_at > position:
+            self._conflict = None
+        while len(trail) > position:
+            entry = trail.pop()
+            if entry is not None:
+                bounds, var, previous = entry
+                bounds[var] = previous
+
+    def bounds_of(self, expr: LinearExpr, is_equality: bool = False) -> tuple:
+        """Compile ``expr <= 0`` (``expr = 0``) into ``(var, bound, upper,
+        lower)``: the bounds it puts on ``var``, the variable of ``expr``'s
+        linear form, which gets its row here when it is new.  A constant
+        ``expr`` compiles to ``(None, None, violated, False)``."""
+        if expr.is_constant:
+            violated = expr.constant > 0 or bool(is_equality and expr.constant)
+            return None, None, violated, False
+        lead = expr.coeffs[0][1]
+        if len(expr.coeffs) == 1:
+            var = self._variable(expr.coeffs[0][0])
+        elif lead == 1:
+            var = self._slack(expr.coeffs)
+        else:
+            var = self._slack(tuple((atom, c / lead) for atom, c in expr.coeffs))
+        # ``lead * var + constant <= 0`` bounds ``var`` by ``-constant / lead``.
+        bound = -expr.constant / lead
+        return var, bound, is_equality or lead > 0, is_equality or lead < 0
+
+    def add_constraint(self, constraint: LinearConstraint, compiled: tuple) -> None:
+        """Add ``constraint`` and assert it into the tableau at once, given
+        its :meth:`bounds_of`; behind a conflict (or pending constraints)
+        it waits for :meth:`explain_infeasible`, like any other."""
+        self.constraints.append(constraint)
+        if self._conflict is None and self._asserted == len(self.constraints) - 1:
+            self._asserted += 1
+            self._assert_bounds(compiled, constraint.tags)
+
+    def _assert_bounds(self, compiled: tuple, tags: frozenset) -> None:
+        var, bound, upper, lower = compiled
+        if var is None:
+            if upper:
+                self._cross(tags)
+            return
+        if upper:
+            self._bound(var, bound, tags, upper=True)
+        if lower and self._conflict is None:
+            self._bound(var, bound, tags, upper=False)
 
     def entails_le(self, expr: LinearExpr) -> bool:
         """True when the constraints entail ``expr <= 0`` (over integers).
@@ -326,24 +403,16 @@ class LinearSolver:
         return var
 
     def _assert(self, constraint: LinearConstraint) -> None:
-        expr, tags = constraint.expr, constraint.tags
-        if expr.is_constant:
-            if expr.constant > 0 or (constraint.is_equality and expr.constant):
-                self._conflict = tags
-            return
-        lead = expr.coeffs[0][1]
-        if len(expr.coeffs) == 1:
-            var = self._variable(expr.coeffs[0][0])
-        elif lead == 1:
-            var = self._slack(expr.coeffs)
-        else:
-            var = self._slack(tuple((atom, c / lead) for atom, c in expr.coeffs))
-        # ``lead * var + constant <= 0`` bounds ``var`` by ``-constant / lead``.
-        bound = -expr.constant / lead
-        if constraint.is_equality or lead > 0:
-            self._bound(var, bound, tags, upper=True)
-        if self._conflict is None and (constraint.is_equality or lead < 0):
-            self._bound(var, bound, tags, upper=False)
+        self._assert_bounds(
+            self.bounds_of(constraint.expr, constraint.is_equality), constraint.tags
+        )
+
+    def _cross(self, tags: frozenset) -> None:
+        """Record a conflict found while asserting, so that backtracking
+        past that assertion clears it."""
+        self._trail.append(None)
+        self._conflict = tags
+        self._conflict_at = len(self._trail)
 
     def _slack(self, form: tuple[tuple[Term, Fraction], ...]) -> int:
         """The variable standing for ``form``, given a tableau row when new."""
@@ -378,10 +447,13 @@ class LinearSolver:
             return
         opposite = other[var]
         if opposite is not None and beyond(opposite[0], bound):
-            self._conflict = tags | opposite[1]
+            self._cross(tags | opposite[1])
             return
+        self._trail.append((same, var, current))
         same[var] = (bound, tags)
-        if var not in self._rows and beyond(self._value[var], bound):
+        if var in self._rows:
+            self._dirty.add(var)
+        elif beyond(self._value[var], bound):
             self._update(var, bound)
 
     def _update(self, var: int, value: Fraction) -> None:
@@ -391,23 +463,28 @@ class LinearSolver:
             coeff = row.get(var)
             if coeff is not None:
                 self._value[basic] += coeff * delta
+                self._dirty.add(basic)
         self._value[var] = value
 
     def _check(self) -> frozenset | None:
         """Repair the assignment until every bound holds (None) or a row
         cannot be repaired (the tags of its blocking bounds)."""
         pivots = 0
+        dirty = self._dirty
         while True:
             leaving = None
-            for basic in self._rows:
-                if leaving is not None and basic > leaving:
-                    continue
+            settled = []
+            for basic in dirty:
                 value = self._value[basic]
                 lower, upper = self._lower[basic], self._upper[basic]
                 if (lower is not None and value < lower[0]) or (
                     upper is not None and value > upper[0]
                 ):
-                    leaving = basic
+                    if leaving is None or basic < leaving:
+                        leaving = basic
+                else:
+                    settled.append(basic)
+            dirty.difference_update(settled)
             if leaving is None:
                 return None
             row = self._rows[leaving]
@@ -444,11 +521,13 @@ class LinearSolver:
         # entering = (leaving - rest of row) / coeff
         solved = {var: -c / coeff for var, c in row.items()}
         solved[leaving] = 1 / coeff
+        self._dirty.add(entering)
         for basic, other in self._rows.items():
             factor = other.pop(entering, None)
             if factor is None:
                 continue
             self._value[basic] += factor * theta
+            self._dirty.add(basic)
             for var, c in solved.items():
                 total = other.get(var, 0) + factor * c
                 if total:

@@ -21,9 +21,21 @@ variables when it outgrows ``_ORDER_SLACK`` entries per variable and when
 the activities are rescaled.
 
 The solver is incremental: clauses can be added between solves, and each
-solve resumes from the level-0 trail with the clauses learned before, so
-the lazy SMT loop keeps one solver per attempt.  A refuted clause set stays
-refuted.
+solve resumes from the level-0 trail with the clauses learned before.  A
+refuted clause set stays refuted.
+
+``solve`` takes an optional theory hook, which makes the search DPLL(T)
+(Nieuwenhuis, Oliveras & Tinelli, "Solving SAT and SAT Modulo Theories",
+JACM 2006).  Each time unit propagation settles without a conflict, the
+hook's ``check(literals, level)`` gets the literals that are new on the
+trail (all of the current decision level) and answers None or a theory
+conflict clause, every literal of which is false.  When every variable is
+assigned, ``final_check()`` answers the same way for the whole assignment;
+None there ends the search with that model.  A conflict clause takes the
+way of a propagation conflict through ``analyze`` and the backjump, first
+dropping to the highest level among its literals.  ``backtrack(level)`` is
+called on every backjump, so the hook can undo what it was told above
+``level``.  A hook follows one solver from its first solve on.
 
 Variables are positive integers; literals are signed integers (DIMACS
 convention).  The solver is deliberately self-contained so it can be tested
@@ -79,6 +91,10 @@ class SatSolver:
         #: Set once the clauses are refuted at level 0; no later clause can
         #: make them satisfiable again.
         self._unsat = False
+        #: The theory hook of the last solve, and how much of the trail it
+        #: has been given.
+        self._theory = None
+        self._theory_head = 0
 
     def add_clause(self, literals: list[int] | tuple[int, ...]) -> None:
         """Add a clause (a disjunction of non-zero integer literals).
@@ -100,7 +116,7 @@ class SatSolver:
         if key in self._seen_clauses:
             return
         self._seen_clauses.add(key)
-        if key:
+        if key and abs(key[-1]) > self.num_vars:
             self._grow(abs(key[-1]))
         if self.trail_lim:
             self.backjump(0)
@@ -120,6 +136,33 @@ class SatSolver:
             self.enqueue(clause[0], None)
         if len(clause) >= 2:
             self.attach_clause(clause)
+
+    def add_definition(self, out: int, lit: int) -> None:
+        """Add the binary clause ``[out, lit]`` of a Tseitin definition:
+        ``out`` is a literal of the newest variable, which is never false
+        and is in no clause but its own definition's.
+
+        Such a clause is never a tautology, and only a repeated ``lit``
+        makes it a duplicate, so it skips most of :meth:`add_clause`; it
+        ends in the same clause list, watches and level-0 trail.
+        """
+        key = (lit, out)
+        seen = self._seen_clauses
+        if key in seen:
+            return
+        seen.add(key)
+        if abs(out) > self.num_vars:
+            self._grow(abs(out))
+        if self.trail_lim:
+            self.backjump(0)
+        assign = self.assign
+        if (assign[lit] if lit > 0 else -assign[-lit]) == -1:
+            clause = [out, lit]
+            self.enqueue(out, None)
+        else:
+            clause = [lit, out]
+        self.clauses.append(clause)
+        self.attach_clause(clause)
 
     def add_clauses(self, clauses) -> None:
         for clause in clauses:
@@ -279,6 +322,9 @@ class SatSolver:
                 self.reason[var] = None
                 heappush(order, (-activity[var], var))
         self._qhead = min(self._qhead, len(self.trail))
+        if self._theory is not None:
+            self._theory_head = min(self._theory_head, len(self.trail))
+            self._theory.backtrack(level)
         if len(order) > _ORDER_SLACK * self.num_vars:
             self._rebuild_order()
 
@@ -305,16 +351,24 @@ class SatSolver:
 
     # -- main search ---------------------------------------------------------------
 
-    def solve(self, max_conflicts: int | None = None, should_stop=None) -> SatResult:
+    def solve(
+        self, max_conflicts: int | None = None, should_stop=None, theory=None
+    ) -> SatResult:
         """Solve the clauses added so far, resuming from the level-0 trail.
 
-        ``max_conflicts`` bounds this call's conflicts.  ``should_stop`` is
-        an optional callable polled periodically; when it returns True the
-        solver raises ``TimeoutError``.  Either way the solver stays usable.
+        ``max_conflicts`` bounds this call's conflicts, theory conflicts
+        included.  ``should_stop`` is an optional callable polled
+        periodically; when it returns True the solver raises
+        ``TimeoutError``.  Either way the solver stays usable.  ``theory``
+        is the optional theory hook (see the module docstring); an
+        exception it raises ends the solve.
         """
         conflicts = decisions = 0
         if self._unsat:
             return SatResult(False)
+        if theory is not self._theory:
+            self._theory = theory
+            self._theory_head = 0
         self.backjump(0)
         restart_limit = 100
         conflicts_since_restart = 0
@@ -322,38 +376,62 @@ class SatSolver:
             if should_stop is not None and should_stop():
                 raise TimeoutError("SAT solver interrupted")
             conflict = self.propagate()
-            if conflict is not None:
-                conflicts += 1
-                conflicts_since_restart += 1
-                if not self.trail_lim:
-                    self._unsat = True
-                    return SatResult(False, conflicts=conflicts, decisions=decisions)
-                if max_conflicts is not None and conflicts > max_conflicts:
-                    raise TimeoutError("SAT solver exceeded conflict budget")
-                learned, back_level = self.analyze(conflict)
-                self.backjump(back_level)
-                if len(learned) == 1:
-                    self.enqueue(learned[0], None)
-                else:
-                    self.attach_clause(learned)
-                    self.enqueue(learned[0], learned)
-                self.decay()
-                if conflicts_since_restart >= restart_limit:
-                    conflicts_since_restart = 0
-                    restart_limit = int(restart_limit * 1.5)
-                    self.backjump(0)
-                continue
-            lit = self.decide()
-            if lit is None:
-                model = {
-                    var: self.assign[var] == 1
-                    for var in range(1, self.num_vars + 1)
-                }
-                self._verify_model()
-                return SatResult(True, model, conflicts=conflicts, decisions=decisions)
-            decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self.enqueue(lit, None)
+            if conflict is None and theory is not None:
+                head = self._theory_head
+                if head < len(self.trail):
+                    self._theory_head = len(self.trail)
+                    clause = theory.check(self.trail[head:], len(self.trail_lim))
+                    if clause is not None:
+                        conflict = self._theory_conflict(clause)
+            if conflict is None:
+                lit = self.decide()
+                if lit is not None:
+                    decisions += 1
+                    self.trail_lim.append(len(self.trail))
+                    self.enqueue(lit, None)
+                    continue
+                if theory is not None:
+                    clause = theory.final_check()
+                    if clause is not None:
+                        conflict = self._theory_conflict(clause)
+                if conflict is None:
+                    model = {
+                        var: self.assign[var] == 1
+                        for var in range(1, self.num_vars + 1)
+                    }
+                    self._verify_model()
+                    return SatResult(
+                        True, model, conflicts=conflicts, decisions=decisions
+                    )
+            conflicts += 1
+            conflicts_since_restart += 1
+            if not self.trail_lim:
+                self._unsat = True
+                return SatResult(False, conflicts=conflicts, decisions=decisions)
+            if max_conflicts is not None and conflicts > max_conflicts:
+                raise TimeoutError("SAT solver exceeded conflict budget")
+            learned, back_level = self.analyze(conflict)
+            self.backjump(back_level)
+            if len(learned) == 1:
+                self.enqueue(learned[0], None)
+            else:
+                self.attach_clause(learned)
+                self.enqueue(learned[0], learned)
+            self.decay()
+            if conflicts_since_restart >= restart_limit:
+                conflicts_since_restart = 0
+                restart_limit = int(restart_limit * 1.5)
+                self.backjump(0)
+
+    def _theory_conflict(self, clause: list[int]) -> list[int]:
+        """Backjump to the highest level among a theory conflict clause's
+        literals, so that ``analyze`` finds one of them at the current
+        level."""
+        level = self.level
+        top = max((level[abs(lit)] for lit in clause), default=0)
+        if top < len(self.trail_lim):
+            self.backjump(top)
+        return clause
 
     def _verify_model(self) -> None:
         """Safety net: the full assignment must satisfy every input clause."""
@@ -403,7 +481,7 @@ class Tseitin:
             return self._cache[key]
         out = self.fresh_var()
         for lit in lits:
-            self.add_clause([-out, lit])
+            self.solver.add_definition(-out, lit)
         self.add_clause([out] + [-lit for lit in lits])
         self._cache[key] = out
         return out
@@ -415,7 +493,7 @@ class Tseitin:
             return self._cache[key]
         out = self.fresh_var()
         for lit in lits:
-            self.add_clause([out, -lit])
+            self.solver.add_definition(out, -lit)
         self.add_clause([-out] + list(lits))
         self._cache[key] = out
         return out
@@ -423,5 +501,9 @@ class Tseitin:
     def assert_literal(self, lit: int) -> None:
         self.add_clause([lit])
 
-    def solve(self, should_stop=None, max_conflicts: int | None = None) -> SatResult:
-        return self.solver.solve(should_stop=should_stop, max_conflicts=max_conflicts)
+    def solve(
+        self, should_stop=None, max_conflicts: int | None = None, theory=None
+    ) -> SatResult:
+        return self.solver.solve(
+            should_stop=should_stop, max_conflicts=max_conflicts, theory=theory
+        )

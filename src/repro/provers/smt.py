@@ -1,4 +1,4 @@
-"""The SMT-lite prover: lazy SAT + theories + heuristic instantiation.
+"""The SMT-lite prover: DPLL(T) over EUF + LIA, heuristic instantiation.
 
 This prover plays the role of the SMT back-ends (CVC3, Z3) in Jahob's
 integrated reasoning setup.  The pipeline for a proof task is:
@@ -8,13 +8,17 @@ integrated reasoning setup.  The pipeline for a proof task is:
 2. the :class:`~repro.provers.quant.InstantiationEngine` produces ground
    instances of the axioms using positional triggers;
 3. the ground formulas are Tseitin-encoded over theory atoms;
-4. a lazy SMT loop runs the CDCL SAT solver and checks each proposed boolean
-   model against the combined EUF + linear-integer-arithmetic theory checker,
-   adding blocking clauses for theory conflicts until the SAT solver reports
-   unsatisfiability (task proved) or a theory-consistent model survives
-   (unknown -- instantiation is incomplete, so this is not a refutation).
-   One incremental solver serves the whole loop: a blocking clause goes
-   straight into it, and the next solve keeps every clause learned so far.
+4. one CDCL search runs with the theory on its trail (DPLL(T)).  The first
+   time unit propagation settles, every atom is registered once with the
+   attempt's :class:`~repro.provers.theory.TheoryChecker` (most attempts
+   are refuted by level-0 propagation and never get there); from then on,
+   each time it settles, the theory literals new on the trail are
+   asserted into the checker, whose cheap checks (congruence closure and
+   simplex) turn a conflict into a clause for the solver's conflict
+   analysis at once; a full assignment gets the final check with the
+   Nelson-Oppen equality exchange.  The search ends unsatisfiable (task
+   proved) or with a full assignment the final check accepts (unknown --
+   instantiation is incomplete, so this is not a refutation).
 
 Integer disequalities are split into strict inequalities at encoding time so
 that the arithmetic solver can reason about them.
@@ -39,7 +43,7 @@ __all__ = ["SmtProver"]
 
 
 class SmtProver(Prover):
-    """Lazy-combination SMT prover over EUF + LIA with quantifier heuristics."""
+    """DPLL(T) SMT prover over EUF + LIA with quantifier heuristics."""
 
     name = "smt"
     #: 2: theory conflicts are explained cores, not deletion-minimised ones.
@@ -81,39 +85,90 @@ class SmtProver(Prover):
             if budget.expired():
                 return ProverResult(Outcome.TIMEOUT, reason="encoding")
 
-        checker = TheoryChecker()
-        iterations = 0
-        core_sizes: list[int] = []
-        while True:
-            budget.check()
-            iterations += 1
-            if iterations > self.max_theory_iterations:
-                return ProverResult(Outcome.UNKNOWN, reason="theory iteration limit")
-            try:
-                sat_result = encoder.tseitin.solve(
-                    should_stop=budget.expired,
-                    max_conflicts=self.max_sat_conflicts,
-                )
-            except TimeoutError:
-                return ProverResult(Outcome.TIMEOUT, reason="sat budget")
-            if not sat_result.satisfiable:
-                return ProverResult(
-                    Outcome.PROVED,
-                    reason=f"unsat after {iterations} theory iterations, "
-                    f"{len(instances)} instantiations, "
-                    f"{_conflict_summary(core_sizes)}",
-                )
-            literals = encoder.model_literals(sat_result.model)
-            conflict = checker.check(literals, budget)
-            if conflict is None:
-                return ProverResult(
-                    Outcome.UNKNOWN,
-                    reason="theory-consistent boolean model "
-                    "(quantifier instantiation exhausted), "
-                    f"{_conflict_summary(core_sizes)}",
-                )
-            core_sizes.append(len(conflict.core))
-            encoder.block(conflict.core)
+        theory = _TrailTheory(encoder, budget, self.max_theory_iterations)
+        try:
+            sat_result = encoder.tseitin.solve(
+                should_stop=budget.expired,
+                max_conflicts=self.max_sat_conflicts,
+                theory=theory,
+            )
+        except TimeoutError:
+            return ProverResult(Outcome.TIMEOUT, reason="sat budget")
+        except _IterationLimit:
+            return ProverResult(Outcome.UNKNOWN, reason="theory iteration limit")
+        summary = _conflict_summary(theory.core_sizes)
+        if not sat_result.satisfiable:
+            return ProverResult(
+                Outcome.PROVED,
+                reason=f"unsat after {len(theory.core_sizes) + 1} theory "
+                f"iterations, {len(instances)} instantiations, {summary}",
+            )
+        return ProverResult(
+            Outcome.UNKNOWN,
+            reason="theory-consistent boolean model "
+            f"(quantifier instantiation exhausted), {summary}",
+        )
+
+
+class _IterationLimit(Exception):
+    """An attempt's theory conflicts outnumber ``max_theory_iterations``."""
+
+
+class _TrailTheory:
+    """The SAT solver's theory hook for one attempt.
+
+    On its first call it registers the encoder's atoms with a new
+    :class:`TheoryChecker`, in the order they were created.  It asserts
+    the theory literals the solver reports, opening a checker level for
+    each decision level that has some, and turns each theory conflict into
+    the clause of the negated core.  "Theory iterations" in the result
+    reason count these conflicts plus the final answer.
+    """
+
+    def __init__(self, encoder: "_GroundEncoder", budget: Budget, limit: int) -> None:
+        self.checker: TheoryChecker | None = None
+        self.literals = encoder.literals
+        self.atoms = encoder.tseitin.atoms
+        self.budget = budget
+        self.limit = limit
+        self.core_sizes: list[int] = []
+
+    def backtrack(self, level: int) -> None:
+        if self.checker is not None:
+            self.checker.backtrack(level)
+
+    def check(self, lits: list[int], level: int) -> list[int] | None:
+        literals = self.literals
+        asserted = [literals[abs(lit)][lit < 0] for lit in lits if abs(lit) in literals]
+        if not asserted:
+            return None
+        checker = self.checker
+        if checker is None:
+            checker = self.checker = TheoryChecker(self.budget)
+            for positive, _ in literals.values():
+                checker.register(positive.atom)
+        while checker.level < level:
+            checker.push()
+        for literal in asserted:
+            checker.assert_literal(literal)
+        return self._clause(checker.conflict())
+
+    def final_check(self) -> list[int] | None:
+        if self.checker is None:
+            return None  # no theory literal was ever assigned: no atoms
+        return self._clause(self.checker.check((), self.budget))
+
+    def _clause(self, conflict) -> list[int] | None:
+        if conflict is None:
+            return None
+        self.core_sizes.append(len(conflict.core))
+        if len(self.core_sizes) > self.limit:
+            raise _IterationLimit
+        atoms = self.atoms
+        return [
+            -atoms[literal.atom] if literal.positive else atoms[literal.atom]
+            for literal in conflict.core
+        ]
 
 
 def _conflict_summary(core_sizes: list[int]) -> str:
@@ -129,6 +184,8 @@ class _GroundEncoder:
 
     def __init__(self) -> None:
         self.tseitin = Tseitin()
+        #: SAT variable of an atom -> the atom's positive and negative literal.
+        self.literals: dict[int, tuple[Literal, Literal]] = {}
         # Reserve a variable that is always true, used for boolean literals.
         self._true_var = self.tseitin.fresh_var()
         self.tseitin.assert_literal(self._true_var)
@@ -176,9 +233,18 @@ class _GroundEncoder:
                 )
         return self._atom_literal(formula)
 
+    def _theory_var(self, atom: Term) -> int:
+        """The SAT variable of ``atom``'s canonical form."""
+        atom = _canonical_atom(atom)
+        var = self.tseitin.atoms.get(atom)
+        if var is None:
+            var = self.tseitin.atom_var(atom)
+            self.literals[var] = (Literal(atom, True), Literal(atom, False))
+        return var
+
     def _atom_literal(self, atom: Term) -> int:
         atom = _canonical_atom(atom)
-        lit = self.tseitin.atom_var(atom)
+        lit = self._theory_var(atom)
         if (
             isinstance(atom, App)
             and atom.op == "eq"
@@ -189,36 +255,13 @@ class _GroundEncoder:
             # the order atoms so the arithmetic solver sees disequalities.
             self._split_int_eq.add(atom)
             left, right = atom.args
-            lt_left = self.tseitin.atom_var(
-                _canonical_atom(App("lt", (left, right), BOOL))
-            )
-            lt_right = self.tseitin.atom_var(
-                _canonical_atom(App("lt", (right, left), BOOL))
-            )
+            lt_left = self._theory_var(App("lt", (left, right), BOOL))
+            lt_right = self._theory_var(App("lt", (right, left), BOOL))
             # eq -> ~lt_left, eq -> ~lt_right, (~lt_left & ~lt_right) -> eq
             self.tseitin.add_clause([-lit, -lt_left])
             self.tseitin.add_clause([-lit, -lt_right])
             self.tseitin.add_clause([lit, lt_left, lt_right])
         return lit
-
-    # -- model extraction / blocking ------------------------------------------------
-
-    def model_literals(self, model: dict[int, bool]) -> list[Literal]:
-        literals: list[Literal] = []
-        for atom, var in self.tseitin.atoms.items():
-            if var in model:
-                literals.append(Literal(atom, model[var]))
-        return literals
-
-    def block(self, core: list[Literal]) -> None:
-        """Add a blocking clause forbidding the conflicting literal set."""
-        clause = []
-        for literal in core:
-            var = self.tseitin.atom_var(_canonical_atom(literal.atom))
-            clause.append(-var if literal.positive else var)
-        # An empty core is an unconditionally inconsistent theory state: the
-        # formula is unsatisfiable outright.
-        self.tseitin.add_clause(clause or [-self._true_var])
 
 
 @lru_cache(maxsize=65536)

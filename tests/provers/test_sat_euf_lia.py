@@ -150,7 +150,7 @@ def test_sat_matches_brute_force(batches):
 @given(clauses=_clauses)
 @settings(max_examples=100, deadline=None)
 def test_blocking_clauses_enumerate_every_model(clauses):
-    """The lazy SMT loop's pattern: block each model until UNSAT."""
+    """Block each model until UNSAT, the pattern of a lazy SMT loop."""
     solver = SatSolver()
     solver.add_clauses(clauses)
     nvars = solver.num_vars
@@ -162,6 +162,100 @@ def test_blocking_clauses_enumerate_every_model(clauses):
         found.add(model)
         solver.add_clause([-v if value else v for v, value in enumerate(model, 1)])
     assert len(found) == sum(1 for _ in _models(clauses, nvars))
+
+
+class _AtMostOne:
+    """A toy theory hook: at most one variable of ``group`` is true, and,
+    when ``final`` is set, no full model makes ``final`` all true.
+
+    It keeps its own copy of what it was told and checks it against the
+    solver's trail on every call, so a missed ``backtrack`` shows."""
+
+    def __init__(self, solver, group, final=()):
+        self.solver, self.group, self.final = solver, set(group), list(final)
+        self.true: list[tuple[int, int]] = []  # (level, var)
+        self.calls = self.final_calls = 0
+
+    def backtrack(self, level):
+        self.true = [(at, var) for at, var in self.true if at <= level]
+
+    def check(self, lits, level):
+        self.calls += 1
+        for lit in lits:
+            assert self.solver.level[abs(lit)] == level
+            if lit in self.group:
+                self.true.append((level, lit))
+        on_trail = {v for v in self.group if self.solver.value(v) == 1}
+        assert {var for _, var in self.true} == on_trail
+        if len(self.true) >= 2:
+            return [-self.true[-1][1], -self.true[0][1]]
+        return None
+
+    def final_check(self):
+        self.final_calls += 1
+        solver = self.solver
+        assert all(solver.value(v) != 0 for v in range(1, solver.num_vars + 1))
+        if self.final and all(solver.value(lit) == 1 for lit in self.final):
+            return [-lit for lit in self.final]
+        return None
+
+    def clauses(self):
+        pairs = [[-a, -b] for a, b in itertools.combinations(sorted(self.group), 2)]
+        return pairs + ([[-lit for lit in self.final]] if self.final else [])
+
+
+@given(
+    clauses=_clauses,
+    group=st.sets(st.integers(1, 6), min_size=2, max_size=4),
+    final=st.lists(
+        st.integers(1, 6).flatmap(lambda v: st.sampled_from([v, -v])),
+        max_size=3,
+        unique_by=abs,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_theory_hook_matches_brute_force(clauses, group, final):
+    """A search with a theory hook answers as brute force over the clauses
+    plus the theory's own clauses, and its models satisfy both."""
+    solver = SatSolver()
+    solver.add_clauses(clauses)
+    solver._grow(6)  # the theory's variables exist even where no clause has them
+    theory = _AtMostOne(solver, group, final)
+    result = solver.solve(theory=theory)
+    everything = clauses + theory.clauses()
+    assert result.satisfiable == _brute_force(everything, 6)
+    if result.satisfiable:
+        assert _satisfies(result.model, everything)
+        assert theory.final_calls >= 1
+    # The hook stays attached: a clause added later backtracks it too.
+    solver.add_clause([1, 2, 3])
+    again = solver.solve(theory=theory)
+    assert again.satisfiable == _brute_force(everything + [[1, 2, 3]], 6)
+
+
+def test_theory_conflict_at_level_zero_refutes_for_good():
+    solver = SatSolver()
+    solver.add_clauses([[1], [2], [3, 4]])
+    theory = _AtMostOne(solver, {1, 2})
+    result = solver.solve(theory=theory)
+    assert not result.satisfiable and result.decisions == 0
+    assert theory.calls == 1 and theory.final_calls == 0
+    assert not solver.solve(theory=theory).satisfiable
+
+
+def test_final_conflict_below_the_current_level_backjumps_first():
+    """Decisions ``-1``, ``-3``, ``-5`` make 2, 4 and 6 true at levels 1 to
+    3; the final check then forbids 2 alone.  The solver drops to level 1,
+    where ``analyze`` finds the clause's literal, learns ``-2`` at level 0
+    and ends with a model the final check accepts."""
+    solver = SatSolver()
+    solver.add_clauses([[1, 2], [3, 4], [5, 6]])
+    theory = _AtMostOne(solver, set(), final=[2])
+    result = solver.solve(theory=theory)
+    assert result.satisfiable and result.conflicts == 1
+    assert not result.model[2] and result.model[1]
+    assert theory.final_calls == 2
+    assert solver.value(-2) == 1 and solver.level[2] == 0
 
 
 class _ScanCheckedSolver(SatSolver):

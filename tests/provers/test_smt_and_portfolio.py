@@ -29,6 +29,10 @@ from repro.provers import (
 )
 from repro.provers.cache import PersistentCacheStore
 from repro.provers.dispatch import PROVER_FACTORIES, PortfolioSpec
+from repro.provers.sat import SatResult, SatSolver, Tseitin
+from repro.provers.theory import TheoryChecker
+from repro.suite import all_structures
+from repro.verifier import VerificationEngine
 
 ENV = {
     "x": INT, "y": INT, "z": INT, "i": INT, "j": INT, "size": INT, "csize": INT,
@@ -114,6 +118,112 @@ class TestSmtProver:
     def test_never_proves_invalid_sequents(self, assumptions, goal):
         result = SmtProver().prove(task(assumptions, goal), timeout=10.0)
         assert not result.is_proved
+
+
+def pigeons(count):
+    """``count`` distinct integers in ``0 .. count - 2``: every refutation
+    takes many theory conflicts (745 for 6, 122 for 5)."""
+    env = {f"p{i}": INT for i in range(count)}
+    assumptions = [
+        (f"Range{i}", parse_formula(f"0 <= p{i} & p{i} <= {count - 2}", env))
+        for i in range(count)
+    ] + [
+        (f"Distinct{i}.{j}", parse_formula(f"~(p{i} = p{j})", env))
+        for i in range(count)
+        for j in range(i + 1, count)
+    ]
+    return ProofTask(tuple(assumptions), parse_formula("false", env), "pigeons")
+
+
+def catalogue_tasks(class_names=None):
+    engine = VerificationEngine(use_proof_cache=False)
+    return [
+        engine.task_for(sequent)
+        for cls in all_structures()
+        if class_names is None or cls.name in class_names
+        for method in cls.methods
+        for sequent in engine.method_sequents(cls, method)
+    ]
+
+
+class TestTheoryOnTheTrail:
+    """smt's one DPLL(T) search: its limits and budget."""
+
+    def test_theory_conflicts_are_capped(self):
+        result = SmtProver().prove(pigeons(6))
+        assert (result.outcome, result.reason) == (
+            Outcome.UNKNOWN,
+            "theory iteration limit",
+        )
+        under_the_cap = SmtProver().prove(pigeons(5))
+        assert under_the_cap.is_proved
+        assert "0 instantiations" in under_the_cap.reason
+
+    def test_budget_expiring_in_an_in_search_theory_check_is_a_timeout(
+        self, monkeypatch
+    ):
+        conflict = TheoryChecker.conflict
+        calls = []
+
+        def expiring(self):
+            calls.append(self)
+            self.arithmetic.deadline.seconds = 0.0
+            return conflict(self)
+
+        monkeypatch.setattr(TheoryChecker, "conflict", expiring)
+        result = SmtProver().prove(pigeons(5), timeout=60.0)
+        assert calls
+        assert result.outcome is Outcome.TIMEOUT
+
+    def test_budget_expiring_in_a_final_check_is_a_timeout(self, monkeypatch):
+        check = TheoryChecker.check
+        calls = []
+
+        def expiring(self, literals=(), budget=None):
+            calls.append(self)
+            budget.seconds = 0.0
+            return check(self, literals, budget)
+
+        monkeypatch.setattr(TheoryChecker, "check", expiring)
+        # A theory-consistent model reaches the final check.
+        result = SmtProver().prove(task(["x <= y"], "y <= x"), timeout=60.0)
+        assert calls
+        assert (result.outcome, result.reason) == (Outcome.TIMEOUT, "budget expired")
+
+
+def test_definitional_fast_path_matches_the_generic_path(monkeypatch):
+    """Every catalogue attempt's encoding ends in the same clauses, watch
+    lists, level-0 trail and dedup set whether Tseitin's definitional
+    clauses take ``add_definition`` or the generic ``add_clause``."""
+    snapshots = []
+
+    def snapshot(self, should_stop=None, max_conflicts=None, theory=None):
+        solver = self.solver
+        watches = {lit: [list(c) for c in w] for lit, w in solver.watches.items()}
+        snapshots.append(
+            (
+                [list(clause) for clause in solver.clauses],
+                watches,
+                list(solver.trail),
+                set(solver._seen_clauses),
+            )
+        )
+        return SatResult(False)
+
+    monkeypatch.setattr(Tseitin, "solve", snapshot)
+    tasks = catalogue_tasks()
+    prover = SmtProver()
+    for proof_task in tasks:
+        prover.prove(proof_task)
+    fast = list(snapshots)
+    snapshots.clear()
+    monkeypatch.setattr(
+        SatSolver, "add_definition", lambda self, out, lit: self.add_clause([out, lit])
+    )
+    for proof_task in tasks:
+        prover.prove(proof_task)
+    assert len(fast) > 250
+    assert snapshots == fast
 
 
 class TestSetCardinalityProver:

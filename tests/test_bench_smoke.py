@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import re
 import sys
 import time
 from pathlib import Path
@@ -90,6 +91,15 @@ def test_smt_attempt_workload_smoke():
     assert sum(outcome == "proved" for outcome, _ in cold) == 29
     misses = [memo.cache_info().misses for memo in memos]
     assert misses == [info.misses for info in built]
+
+
+def test_smt_theory_workload_smoke():
+    """The theory-heavy tasks exist and keep their outcomes: four proved,
+    one theory-consistent model, theory conflicts in every attempt."""
+    results = bench_kernel.workload_smt_attempts(bench_kernel.theory_tasks())
+    assert [outcome for outcome, _ in results] == ["proved"] * 4 + ["unknown"]
+    for _, reason in results:
+        assert int(re.search(r"(\d+) theory conflicts", reason).group(1)) > 0
 
 
 def test_store_saves_workload_smoke(tmp_path, monkeypatch):
