@@ -1,31 +1,20 @@
 """Admission control for the daemon's engine ops.
 
-Before this layer the daemon had exactly two behaviours under load: queue
-without bound on one engine lock, or -- with ``"nowait": true`` -- answer
-``busy`` immediately.  Neither survives hundreds of concurrent clients:
-unbounded queueing pins a thread (and a connection) per waiter with no
-backpressure signal, and ``nowait`` pushes the retry policy onto every
-client.
+The portfolio's caches and counters are single-writer, so one engine op
+runs at a time.  :class:`AdmissionController` is the one bounded queue in
+front of that slot.  Every engine-driving request passes through
+:meth:`~AdmissionController.admit` before it may touch the engine:
 
-:class:`AdmissionController` is the front door's traffic cop.  Every
-engine-driving request passes through :meth:`~AdmissionController.admit`
-before it may touch the engine:
-
-* **rate limiting** -- a per-client :class:`TokenBucket` keyed by the
-  authenticated client id (HMAC-verified on TCP/HTTP transports, caller
-  supplied on the trusted unix socket).  A client over its budget is
-  rejected with ``code="rate_limited"`` without consuming a queue slot.
-* **bounded FIFO queue with priority lanes** -- a busy engine queues the
+* **bounded queue with priority lanes** -- a busy engine queues the
   request in its lane (``interactive`` ahead of ``batch``, FIFO within a
   lane) up to ``queue_limit`` waiters; beyond that the request is
-  rejected with ``code="queue_full"``.
+  rejected with ``code="queue_full"``.  With ``nowait`` a busy engine is
+  answered at once with ``code="busy"``.
 * **structured rejections** -- every rejection carries the same shape,
-  ``{"ok": false, "busy": true, "code": ..., "retry_after": ...,
+  ``{"ok": false, "busy": true, "code": ..., "retry_after": 1.0,
   "error": ...}`` (:func:`rejection_response`), used verbatim by the
   socket protocol and mapped to ``429 Too Many Requests`` plus a
-  ``Retry-After`` header by the HTTP layer
-  (:mod:`repro.verifier.http`).  ``retry_after`` is an estimate from an
-  EWMA of recent engine-op service times.
+  ``Retry-After: 1`` header by the HTTP layer (:mod:`repro.verifier.http`).
 
 The controller wraps (it does not replace) a plain :class:`threading.Lock`
 guarding the engine: the winner of admission holds that lock until
@@ -38,14 +27,13 @@ from __future__ import annotations
 
 import contextlib
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 
 __all__ = [
     "PRIORITY_LANES",
     "REJECTION_CODES",
-    "TokenBucket",
+    "RETRY_AFTER",
     "AdmissionDecision",
     "AdmissionController",
     "rejection_response",
@@ -56,45 +44,16 @@ __all__ = [
 PRIORITY_LANES = ("interactive", "batch")
 
 #: Every ``code`` a rejection can carry, for the docs drift check and the
-#: HTTP status mapping (all three are answered 429 over HTTP).
-REJECTION_CODES = ("busy", "queue_full", "rate_limited")
+#: HTTP status mapping (both are answered 429 over HTTP).
+REJECTION_CODES = ("busy", "queue_full")
+
+#: The ``retry_after`` hint (seconds) every rejection carries.
+RETRY_AFTER = 1.0
 
 #: How often a queued waiter re-checks the engine lock.  Hand-off via the
 #: condition variable is the fast path; the poll is the safety net against
 #: direct lock users.
 _QUEUE_POLL = 0.05
-
-#: Fallback service-time estimate (seconds) before any engine op has been
-#: measured; only feeds ``retry_after`` hints, never admission itself.
-_DEFAULT_SERVICE_TIME = 1.0
-
-
-class TokenBucket:
-    """A classic token bucket: ``rate`` tokens/second, ``burst`` capacity.
-
-    ``take`` consumes one token and returns 0.0, or returns the time (in
-    seconds) until the next token becomes available without consuming
-    anything.  The clock is injectable so refill timing is testable
-    without sleeping.
-    """
-
-    def __init__(self, rate: float, burst: float, clock=time.monotonic) -> None:
-        if rate <= 0:
-            raise ValueError("token bucket rate must be positive")
-        self.rate = float(rate)
-        self.burst = max(1.0, float(burst))
-        self._clock = clock
-        self.tokens = self.burst
-        self._last = clock()
-
-    def take(self) -> float:
-        now = self._clock()
-        self.tokens = min(self.burst, self.tokens + (now - self._last) * self.rate)
-        self._last = now
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return 0.0
-        return (1.0 - self.tokens) / self.rate
 
 
 @dataclass(frozen=True)
@@ -103,80 +62,51 @@ class AdmissionDecision:
 
     ``admitted`` means the caller now holds the engine slot and must call
     :meth:`AdmissionController.release` when done.  Otherwise ``code`` is
-    one of :data:`REJECTION_CODES` and ``retry_after`` a best-effort hint
-    in seconds.
+    one of :data:`REJECTION_CODES`.
     """
 
     admitted: bool
     code: str | None = None
-    retry_after: float = 0.0
     message: str = ""
 
 
 def rejection_response(decision: AdmissionDecision) -> dict:
     """The one structured error shape both transports answer with.
 
-    ``busy`` stays ``True`` for every rejection flavour so pre-admission
-    clients (which only knew the busy bit) keep working; new clients
-    switch on ``code`` and honour ``retry_after``.
+    ``busy`` stays ``True`` for every rejection flavour so clients that
+    only know the busy bit keep working; others switch on ``code``.
     """
     return {
         "ok": False,
         "busy": True,
         "code": decision.code,
-        "retry_after": round(decision.retry_after, 3),
+        "retry_after": RETRY_AFTER,
         "error": decision.message,
     }
 
 
-class _Ticket:
-    __slots__ = ("lane",)
-
-    def __init__(self, lane: str) -> None:
-        self.lane = lane
-
-
 class AdmissionController:
-    """Bounded, prioritized, rate-limited admission to one engine slot.
+    """Bounded, prioritized admission to one engine slot.
 
     ``queue_limit`` bounds the number of *waiting* requests (the running
-    one is not counted).  ``rate`` / ``burst`` configure the per-client
-    token buckets (``rate=None`` disables rate limiting).  ``clock`` is
-    injectable for tests.
+    one is not counted).
     """
 
-    def __init__(
-        self,
-        queue_limit: int = 16,
-        rate: float | None = None,
-        burst: float | None = None,
-        clock=time.monotonic,
-    ) -> None:
+    def __init__(self, queue_limit: int = 16) -> None:
         self.queue_limit = max(0, int(queue_limit))
-        self.rate = rate
-        self.burst = float(burst) if burst is not None else None
-        self._clock = clock
         self.lock = threading.Lock()
         self._cond = threading.Condition()
-        self._lanes: dict[str, deque[_Ticket]] = {
+        self._lanes: dict[str, deque[object]] = {
             lane: deque() for lane in PRIORITY_LANES
         }
-        self._buckets: dict[str, TokenBucket] = {}
-        self._running_since: float | None = None
-        self._service_ewma: float | None = None
         self.admitted_total = 0
         self.rejected: dict[str, int] = {code: 0 for code in REJECTION_CODES}
         self.peak_depth = 0
 
-    # -- admission ---------------------------------------------------------------
-
     def admit(
-        self,
-        client: str = "",
-        priority: str = "interactive",
-        nowait: bool = False,
+        self, priority: str = "interactive", nowait: bool = False
     ) -> AdmissionDecision:
-        """Try to claim the engine slot for ``client`` at ``priority``.
+        """Try to claim the engine slot at ``priority``.
 
         Blocks while queued (unless ``nowait``); returns an admitted
         decision once the slot is held, or a rejection that never blocked.
@@ -184,72 +114,32 @@ class AdmissionController:
         validates user input; this method trusts it.
         """
         with self._cond:
-            wait = self._take_token(client)
-            if wait > 0.0:
-                self.rejected["rate_limited"] += 1
-                return AdmissionDecision(
-                    False,
-                    code="rate_limited",
-                    retry_after=wait,
-                    message=(
-                        f"client {client or 'anonymous'!r} exceeded its "
-                        f"request rate; retry in {wait:.2f}s"
-                    ),
-                )
             if not self._waiting() and self.lock.acquire(blocking=False):
-                return self._grant()
+                self.admitted_total += 1
+                return AdmissionDecision(True)
             if nowait:
-                estimate = self._remaining_estimate()
                 self.rejected["busy"] += 1
                 return AdmissionDecision(
                     False,
                     code="busy",
-                    retry_after=estimate,
-                    message=(
-                        "daemon busy: the engine is serving another request "
-                        f"(retry in ~{estimate:.2f}s, or drop 'nowait' to queue)"
-                    ),
+                    message="daemon busy: the engine is serving another "
+                    "request (drop 'nowait' to queue)",
                 )
             depth = self._waiting()
             if depth >= self.queue_limit:
-                estimate = (depth + 1) * self._service_estimate()
                 self.rejected["queue_full"] += 1
                 return AdmissionDecision(
                     False,
                     code="queue_full",
-                    retry_after=estimate,
-                    message=(
-                        f"daemon overloaded: admission queue is full "
-                        f"({depth} waiting); retry in ~{estimate:.2f}s"
-                    ),
+                    message=f"daemon overloaded: admission queue is full "
+                    f"({depth} waiting)",
                 )
-            ticket = _Ticket(priority)
-            self._lanes[priority].append(ticket)
-            self.peak_depth = max(self.peak_depth, self._waiting())
-            try:
-                while True:
-                    if self._head() is ticket and self.lock.acquire(blocking=False):
-                        self._lanes[priority].popleft()
-                        return self._grant()
-                    self._cond.wait(_QUEUE_POLL)
-            except BaseException:
-                # A waiter dying (interpreter shutdown, injected test
-                # failure) must not leave a ghost ticket at the head of
-                # its lane, wedging every later request.
-                self._lanes[priority].remove(ticket)
-                self._cond.notify_all()
-                raise
+            self._wait_for_slot(priority)
+            return AdmissionDecision(True)
 
     def release(self) -> None:
         """Give the engine slot back and wake the next waiter (if any)."""
         with self._cond:
-            if self._running_since is not None:
-                elapsed = self._clock() - self._running_since
-                self._running_since = None
-                if self._service_ewma is None:
-                    self._service_ewma = elapsed
-                else:
-                    self._service_ewma += 0.3 * (elapsed - self._service_ewma)
             self.lock.release()
             self._cond.notify_all()
 
@@ -257,29 +147,15 @@ class AdmissionController:
     def exclusive(self):
         """Internal blocking access to the engine slot (shutdown paths).
 
-        Queues like an interactive request but bypasses the queue bound
-        and rate limits -- teardown must never be load-shed.
+        Queues like an interactive request but bypasses the queue bound --
+        teardown must never be load-shed.
         """
         with self._cond:
-            ticket = _Ticket("interactive")
-            self._lanes["interactive"].append(ticket)
-            try:
-                while True:
-                    if self._head() is ticket and self.lock.acquire(blocking=False):
-                        self._lanes["interactive"].popleft()
-                        self._grant()
-                        break
-                    self._cond.wait(_QUEUE_POLL)
-            except BaseException:
-                self._lanes["interactive"].remove(ticket)
-                self._cond.notify_all()
-                raise
+            self._wait_for_slot("interactive")
         try:
             yield
         finally:
             self.release()
-
-    # -- observability ------------------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-ready admission state for the daemon's ``metrics`` op."""
@@ -293,54 +169,35 @@ class AdmissionController:
                 "admitted": self.admitted_total,
                 "rejected": dict(self.rejected),
                 "peak_depth": self.peak_depth,
-                "service_ewma": round(self._service_estimate(), 6),
-                "rate": self.rate,
-                "burst": self.burst,
-                "clients": {
-                    client: round(bucket.tokens, 3)
-                    for client, bucket in self._buckets.items()
-                },
             }
 
-    # -- internals ---------------------------------------------------------------
+    def _wait_for_slot(self, lane: str) -> None:
+        """Queue in ``lane`` and block until this waiter holds the lock.
 
-    def _take_token(self, client: str) -> float:
-        if self.rate is None:
-            return 0.0
-        bucket = self._buckets.get(client)
-        if bucket is None:
-            if len(self._buckets) > 4096:
-                # A client-id churn attack must not grow the table without
-                # bound; refilled-to-burst buckets lose nothing by eviction.
-                self._buckets.clear()
-            burst = self.burst if self.burst is not None else max(1.0, self.rate)
-            bucket = TokenBucket(self.rate, burst, clock=self._clock)
-            self._buckets[client] = bucket
-        return bucket.take()
+        The caller holds ``self._cond``.
+        """
+        ticket = object()
+        queue = self._lanes[lane]
+        queue.append(ticket)
+        self.peak_depth = max(self.peak_depth, self._waiting())
+        try:
+            while not (self._head() is ticket and self.lock.acquire(blocking=False)):
+                self._cond.wait(_QUEUE_POLL)
+        except BaseException:
+            # A waiter dying (interpreter shutdown, injected test failure)
+            # must not leave a ghost ticket at the head of its lane,
+            # wedging every later request.
+            queue.remove(ticket)
+            self._cond.notify_all()
+            raise
+        queue.popleft()
+        self.admitted_total += 1
 
     def _waiting(self) -> int:
         return sum(len(queue) for queue in self._lanes.values())
 
-    def _head(self) -> _Ticket | None:
+    def _head(self) -> object | None:
         for lane in PRIORITY_LANES:
             if self._lanes[lane]:
                 return self._lanes[lane][0]
         return None
-
-    def _grant(self) -> AdmissionDecision:
-        self._running_since = self._clock()
-        self.admitted_total += 1
-        return AdmissionDecision(True)
-
-    def _service_estimate(self) -> float:
-        return (
-            self._service_ewma
-            if self._service_ewma is not None
-            else _DEFAULT_SERVICE_TIME
-        )
-
-    def _remaining_estimate(self) -> float:
-        estimate = self._service_estimate()
-        if self._running_since is not None:
-            estimate -= self._clock() - self._running_since
-        return max(0.1, estimate)

@@ -22,13 +22,7 @@ Subcommands::
                                   unix socket (--socket) or TCP (--tcp),
                                   optionally with an HTTP/JSON front door
                                   (--http; see docs/service-api.md) and
-                                  admission tuning (--queue-limit,
-                                  --rate-limit, --burst)
-    jahob-py loadgen              storm a daemon's HTTP front door with
-                                  concurrent mixed-priority clients and
-                                  report latency percentiles, rejections
-                                  and a verdict check (self-hosts a
-                                  daemon unless --address is given)
+                                  an admission queue bound (--queue-limit)
     jahob-py metrics              scheduling metrics of a running daemon:
                                   cache provenance, admission, watch
                                   latency and the last run's plan
@@ -38,8 +32,8 @@ Subcommands::
 With ``--connect ADDR`` (a unix-socket path or ``HOST:PORT``) the ``list``
 / ``verify`` / ``table1`` commands are served by a running daemon
 (``jahob-py serve``) instead of a cold local engine; the printed output is
-identical.  ``--client NAME`` attaches the client identity the daemon
-uses for rate limiting and tenant cache namespacing, and ``--priority
+identical.  ``--client NAME`` attaches the client identity that keys the
+daemon's tenant cache namespace, and ``--priority
 batch`` yields the admission queue to interactive requests.  All TCP
 endpoints authenticate with the shared secret from ``--secret-file`` or
 ``JAHOB_SECRET``.
@@ -138,15 +132,15 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="file holding the shared secret that authenticates TCP "
-        "connections of --connect, serve and loadgen (JAHOB_SECRET works "
+        "connections of --connect and serve (JAHOB_SECRET works "
         "too); local runs never read it",
     )
     parser.add_argument(
         "--client",
         default="",
         metavar="NAME",
-        help="with --connect: the client identity the daemon uses for "
-        "rate limiting and its tenant proof-cache namespace (on TCP it "
+        help="with --connect: the client identity that keys the daemon's "
+        "tenant proof-cache namespace (on TCP it "
         "rides in the HMAC handshake and cannot be spoofed)",
     )
     parser.add_argument(
@@ -224,21 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "new ones are rejected with code 'queue_full' (default 16)",
     )
     serve.add_argument(
-        "--rate-limit",
-        type=float,
-        default=None,
-        metavar="R",
-        help="per-client token-bucket rate limit, requests/second "
-        "(default: no rate limiting)",
-    )
-    serve.add_argument(
-        "--burst",
-        type=float,
-        default=None,
-        metavar="B",
-        help="token-bucket burst capacity (default: max(1, rate))",
-    )
-    serve.add_argument(
         "--secret-file",
         dest="secret_file",
         # SUPPRESS, not None: argparse copies the sub-namespace over the
@@ -257,75 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser(
         "shutdown",
         help="flush the daemon's caches and stop it (requires --connect)",
-    )
-    loadgen = subparsers.add_parser(
-        "loadgen",
-        help="drive a daemon's HTTP front door with concurrent "
-        "mixed-priority clients and report latency percentiles, "
-        "admission rejections and a sequential-baseline verdict check",
-    )
-    loadgen.add_argument(
-        "--clients",
-        type=int,
-        default=50,
-        metavar="N",
-        help="concurrent client threads (default 50)",
-    )
-    loadgen.add_argument(
-        "--requests",
-        type=int,
-        default=4,
-        metavar="N",
-        help="requests per client (default 4)",
-    )
-    loadgen.add_argument(
-        "--tenants",
-        type=int,
-        default=2,
-        metavar="N",
-        help="distinct client identities / cache namespaces (default 2)",
-    )
-    loadgen.add_argument(
-        "--queue-limit",
-        type=int,
-        default=8,
-        metavar="N",
-        help="self-hosted daemon's admission queue bound (default 8, "
-        "deliberately small so queue-full rejections are exercised)",
-    )
-    loadgen.add_argument(
-        "--rate-limit",
-        type=float,
-        default=None,
-        metavar="R",
-        help="self-hosted daemon's per-client rate limit, requests/second",
-    )
-    loadgen.add_argument(
-        "--jobs",
-        type=int,
-        default=2,
-        metavar="N",
-        help="self-hosted daemon's worker processes (default 2)",
-    )
-    loadgen.add_argument(
-        "--address",
-        default=None,
-        metavar="HOST:PORT",
-        help="drive this live HTTP front door instead of self-hosting "
-        "(requires its shared secret)",
-    )
-    loadgen.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the JSON record here (the CI artifact shape)",
-    )
-    loadgen.add_argument(
-        "--secret-file",
-        dest="secret_file",
-        default=argparse.SUPPRESS,  # see the serve copy
-        metavar="PATH",
-        help="same as the global --secret-file, accepted after 'loadgen' too",
     )
     return parser
 
@@ -390,7 +300,9 @@ def _run_connected(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     except OSError as exc:
         print(f"cannot read --secret-file: {exc}", file=sys.stderr)
         return 2
-    client = DaemonClient(args.connect, secret=secret, client_id=args.client)
+    client = DaemonClient(
+        args.connect, secret=secret, client_id=args.client, startup_wait=5.0
+    )
     if args.command == "verify" and args.watch:
         if not _is_program_path(args.name):
             print(
@@ -553,8 +465,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             timeout_scale=args.timeout_scale,
             secret=secret,
             queue_limit=args.queue_limit,
-            rate_limit=args.rate_limit,
-            burst=args.burst,
             http=args.http,
         )
     except DaemonError as exc:
@@ -586,67 +496,11 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_loadgen(args: argparse.Namespace) -> int:
-    """Run the load harness, print the human report, optionally write JSON."""
-    import json
-
-    from .http import HttpApiError
-    from .loadgen import run_loadgen
-    from .report import format_loadgen
-
-    secret = None
-    if args.address is not None:
-        try:
-            secret = _load_secret_arg(args)
-        except OSError as exc:
-            print(f"cannot read --secret-file: {exc}", file=sys.stderr)
-            return 2
-        if not secret:
-            print(
-                "loadgen --address requires the front door's shared secret "
-                "(--secret-file or JAHOB_SECRET)",
-                file=sys.stderr,
-            )
-            return 2
-    try:
-        record = run_loadgen(
-            clients=args.clients,
-            requests_per_client=args.requests,
-            tenants=args.tenants,
-            queue_limit=args.queue_limit,
-            rate_limit=args.rate_limit,
-            jobs=args.jobs,
-            timeout_scale=args.timeout_scale,
-            address=args.address,
-            secret=secret,
-        )
-    except HttpApiError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.json:
-        from pathlib import Path
-
-        Path(args.json).write_text(
-            json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    print(format_loadgen(record))
-    requests = record["requests"]
-    healthy = (
-        requests["dropped_connections"] == 0
-        and requests["gave_up"] == 0
-        and requests["succeeded"] == requests["total"]
-        and not record["verdicts"]["mismatches"]
-    )
-    return 0 if healthy else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     from ..suite.catalog import all_structures, structure_by_name
 
-    if args.command == "loadgen":
-        return _run_loadgen(args)
     if args.command == "serve":
         if args.connect is not None:
             print(

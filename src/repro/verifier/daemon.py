@@ -61,17 +61,16 @@ engine (``verify`` / ``verify_file`` / ``suite`` / ``table1`` /
 ``shutdown``) pass **admission control**
 (:mod:`repro.verifier.admission`) before touching the engine -- the
 portfolio's caches and counters are deliberately single-writer, so one
-request runs at a time while the rest wait in a bounded FIFO queue with
+request runs at a time while the rest wait in one bounded queue with
 priority lanes (``"priority": "interactive"`` ahead of ``"batch"``).  A
-full queue, an over-rate client, or a busy engine under ``"nowait":
-true`` are all answered at once with the structured rejection shape
-``{"ok": false, "busy": true, "code": ..., "retry_after": ...}``.
+full queue, or a busy engine under ``"nowait": true``, is answered at
+once with the structured rejection shape
+``{"ok": false, "busy": true, "code": ..., "retry_after": 1.0}``.
 Clients carry an identity -- the ``client`` request field on the trusted
 unix socket, the HMAC-authenticated handshake role (``client:NAME``, see
-:func:`repro.verifier.wire.client_role`) on TCP -- which keys both the
-per-client token-bucket rate limit and the **per-tenant proof-cache
-namespace**: one tenant's cached verdicts can neither serve nor poison
-another's.
+:func:`repro.verifier.wire.client_role`) on TCP -- which keys the
+**per-tenant proof-cache namespace**: one tenant's cached verdicts can
+neither serve nor poison another's.
 
 The daemon can additionally serve the same ops over an **HTTP/1.1 JSON
 API** (``serve --http HOST:PORT``, :mod:`repro.verifier.http`); the route
@@ -139,8 +138,11 @@ __all__ = ["PROTOCOL_VERSION", "DaemonError", "VerifierDaemon", "DaemonClient"]
 #: the streaming ``watch`` op (re-verification of a subscribed file on every
 #: change, many response events on one connection -- socket transports only);
 #: version 7 dropped the remote-worker fields (``metrics.workers``,
-#: ``metrics.schedule.backend``, ``stats.remote_workers``).
-PROTOCOL_VERSION = 7
+#: ``metrics.schedule.backend``, ``stats.remote_workers``); version 8 dropped
+#: per-client rate limits and the service-time estimate from admission (one
+#: rejection code and four ``metrics.admission`` fields fewer;
+#: ``retry_after`` is always 1 second).
+PROTOCOL_VERSION = 8
 
 #: Hard cap on one request line; a unix-socket peer is trusted, but a
 #: corrupt client must not make the daemon buffer without bound.
@@ -225,8 +227,6 @@ class VerifierDaemon:
         timeout_scale: float = 1.0,
         secret: bytes | None = None,
         queue_limit: int = 16,
-        rate_limit: float | None = None,
-        burst: float | None = None,
         http: str | None = None,
     ) -> None:
         self.address_kind, _ = parse_address(address)
@@ -265,9 +265,7 @@ class VerifierDaemon:
         self.watch_latency = LatencyHistogram()
         self._server: socket.socket | None = None
         self._bound = False  # whether *we* own the socket file
-        self.admission = AdmissionController(
-            queue_limit=queue_limit, rate=rate_limit, burst=burst
-        )
+        self.admission = AdmissionController(queue_limit=queue_limit)
         # The raw engine lock stays reachable under its old name: tests and
         # internal code that serialize against the engine directly keep
         # working, and the admission queue's lock-polling tolerates them.
@@ -451,7 +449,7 @@ class VerifierDaemon:
         # waiting on the slot here is what keeps the flush-on-shutdown
         # guarantee (a flush racing a cache-mutating verify is not a
         # flush).  exclusive() queues behind admitted work but bypasses
-        # the queue bound and rate limits -- teardown is never load-shed.
+        # the queue bound -- teardown is never load-shed.
         with self.admission.exclusive():
             self.engine.close()
 
@@ -636,7 +634,7 @@ class VerifierDaemon:
         from .incremental import edit_accounting
 
         start = time.monotonic()
-        decision = self.admission.admit(client=client_id, priority=priority)
+        decision = self.admission.admit(priority=priority)
         if not decision.admitted:
             response = rejection_response(decision)
             response["event"] = "rejected"
@@ -694,8 +692,8 @@ class VerifierDaemon:
         op semantics without a live socket.  Engine-driving ops pass
         admission control first: a busy engine queues the request in its
         priority lane (``"priority"``, default ``interactive``) unless
-        ``"nowait": true``, and a full queue or over-rate client is
-        rejected immediately with the structured shape of
+        ``"nowait": true``, and a full queue is rejected immediately, both
+        with the structured shape of
         :func:`repro.verifier.admission.rejection_response`.
 
         ``client`` is the transport-authenticated client id (TCP handshake
@@ -718,9 +716,7 @@ class VerifierDaemon:
         admitted = False
         if op in _ENGINE_OPS:
             decision = self.admission.admit(
-                client=client_id,
-                priority=priority,
-                nowait=bool(request.get("nowait")),
+                priority=priority, nowait=bool(request.get("nowait"))
             )
             if not decision.admitted:
                 return rejection_response(decision)
@@ -886,7 +882,10 @@ class DaemonClient:
     One request per connection, mirroring the server.  ``connect_timeout``
     bounds the connect phase (and, for TCP, the handshake); a verification
     request may legitimately run for minutes, so reads wait indefinitely
-    once connected.  TCP addresses require the daemon's shared ``secret``.
+    once connected.  ``startup_wait`` (seconds) retries a refused or
+    not-yet-created endpoint, so a client started right after ``jahob-py
+    serve &`` reaches the daemon once it has bound.  TCP addresses require
+    the daemon's shared ``secret``.
     """
 
     def __init__(
@@ -895,12 +894,50 @@ class DaemonClient:
         connect_timeout: float = 5.0,
         secret: bytes | None = None,
         client_id: str = "",
+        startup_wait: float = 0.0,
     ) -> None:
         self.address = str(address)
         self.is_tcp = parse_address(address)[0] == "tcp"
         self.connect_timeout = connect_timeout
         self.secret = secret
         self.client_id = client_id
+        self.startup_wait = startup_wait
+
+    def _open(self) -> LineChannel:
+        """Connect (retrying for ``startup_wait``) and, on TCP, run the
+        handshake."""
+        if self.is_tcp and not self.secret:
+            raise DaemonError(
+                f"connecting to the TCP daemon at {self.address} requires "
+                "a shared secret (--secret-file or JAHOB_SECRET)"
+            )
+        deadline = time.monotonic() + self.startup_wait
+        while True:
+            try:
+                sock = connect_address(self.address, timeout=self.connect_timeout)
+                break
+            except OSError as exc:
+                starting = isinstance(
+                    exc, (ConnectionRefusedError, FileNotFoundError)
+                )
+                if not starting or time.monotonic() >= deadline:
+                    raise DaemonError(
+                        f"cannot connect to daemon at {self.address}: {exc}"
+                    ) from exc
+                time.sleep(0.05)
+        channel = LineChannel(sock)
+        if self.is_tcp:
+            try:
+                handshake_connect(
+                    channel, self.secret, role=client_role(self.client_id)
+                )
+            except (WireError, HandshakeError) as exc:
+                channel.close()
+                raise DaemonError(
+                    f"handshake with daemon at {self.address} failed: {exc}"
+                ) from exc
+        sock.settimeout(None)
+        return channel
 
     def request(self, payload: dict) -> dict:
         """Send one request object and return the parsed response object.
@@ -909,40 +946,17 @@ class DaemonClient:
         the HMAC covers it; on the unix socket it is added as the trusted
         ``client`` request field unless the payload already carries one.
         """
-        if self.is_tcp and not self.secret:
-            raise DaemonError(
-                f"connecting to the TCP daemon at {self.address} requires "
-                "a shared secret (--secret-file or JAHOB_SECRET)"
-            )
-        try:
-            sock = connect_address(self.address, timeout=self.connect_timeout)
-        except OSError as exc:
-            raise DaemonError(
-                f"cannot connect to daemon at {self.address}: {exc}"
-            ) from exc
         if not self.is_tcp and self.client_id:
             payload = {"client": self.client_id, **payload}
-        channel = LineChannel(sock)
+        channel = self._open()
         try:
-            if self.is_tcp:
-                try:
-                    handshake_connect(
-                        channel, self.secret, role=client_role(self.client_id)
-                    )
-                except (WireError, HandshakeError) as exc:
-                    raise DaemonError(
-                        f"handshake with daemon at {self.address} "
-                        f"failed: {exc}"
-                    ) from exc
-            sock.settimeout(None)
-            try:
-                channel.send(payload)
-                response = channel.recv()
-            except WireError as exc:
-                # E.g. the daemon shut down between our connect and send.
-                raise DaemonError(
-                    f"lost connection to daemon at {self.address}: {exc}"
-                ) from exc
+            channel.send(payload)
+            response = channel.recv()
+        except WireError as exc:
+            # E.g. the daemon shut down between our connect and send.
+            raise DaemonError(
+                f"lost connection to daemon at {self.address}: {exc}"
+            ) from exc
         finally:
             channel.close()
         if response is None:
@@ -958,33 +972,11 @@ class DaemonClient:
         generator (or just dropping it) hangs the connection up, which the
         daemon takes as an unsubscribe.
         """
-        if self.is_tcp and not self.secret:
-            raise DaemonError(
-                f"connecting to the TCP daemon at {self.address} requires "
-                "a shared secret (--secret-file or JAHOB_SECRET)"
-            )
-        try:
-            sock = connect_address(self.address, timeout=self.connect_timeout)
-        except OSError as exc:
-            raise DaemonError(
-                f"cannot connect to daemon at {self.address}: {exc}"
-            ) from exc
         payload = {**payload, "op": "watch"}
         if not self.is_tcp and self.client_id and "client" not in payload:
             payload = {"client": self.client_id, **payload}
-        channel = LineChannel(sock)
+        channel = self._open()
         try:
-            if self.is_tcp:
-                try:
-                    handshake_connect(
-                        channel, self.secret, role=client_role(self.client_id)
-                    )
-                except (WireError, HandshakeError) as exc:
-                    raise DaemonError(
-                        f"handshake with daemon at {self.address} "
-                        f"failed: {exc}"
-                    ) from exc
-            sock.settimeout(None)
             try:
                 channel.send(payload)
             except WireError as exc:

@@ -22,17 +22,18 @@ round trips: every request carries the caller's client id and an
 HMAC-SHA256 over ``client\\nmethod\\npath\\nbody`` with the shared secret
 (headers ``X-Jahob-Client`` / ``X-Jahob-Signature``).  A missing or wrong
 signature is answered ``401`` before the body is parsed as JSON.  The
-daemon trusts the authenticated id for rate limiting and tenant cache
-namespacing, exactly like a ``client:NAME`` handshake role.  Transport
+daemon trusts the authenticated id for tenant cache namespacing, exactly
+like a ``client:NAME`` handshake role.  Transport
 encryption is deliberately out of scope -- run a TLS-terminating reverse
 proxy in front (``docs/operations.md``).
 
 Status mapping: ``200`` for any handled op (including ``"ok": false``
 verification failures -- the HTTP layer reports transport success, the
-body reports verdicts), ``400`` malformed JSON body, ``401`` failed
-authentication, ``404`` unknown path, ``405`` known path with the wrong
-method, ``429`` admission rejections (``busy`` / ``queue_full`` /
-``rate_limited``) with a ``Retry-After`` header seconds hint.
+body reports verdicts), ``400`` malformed input (a ``Content-Length``
+that is not a non-negative integer, an oversized body, malformed JSON),
+``401`` failed authentication, ``404`` unknown path, ``405`` known path
+with the wrong method, ``429`` admission rejections (``busy`` /
+``queue_full``) with a ``Retry-After: 1`` header.
 """
 
 from __future__ import annotations
@@ -140,8 +141,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
-            # Retry-After is integer seconds; always at least 1 so eager
-            # clients cannot busy-spin on a sub-second hint.
+            # Retry-After is integer seconds, at least 1.
             self.send_header("Retry-After", str(max(1, math.ceil(retry_after))))
         self.end_headers()
         self.wfile.write(body)
@@ -164,9 +164,20 @@ class _Handler(BaseHTTPRequestHandler):
                 },
             )
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY_BYTES:
-            self._reply(400, {"ok": False, "error": "request body too large"})
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= _MAX_BODY_BYTES:
+            # The body stays unread, so its bytes cannot be told from a
+            # next request: answer, then hang up.
+            self.close_connection = True
+            error = (
+                "request body too large"
+                if length > 0
+                else "Content-Length must be a non-negative integer"
+            )
+            self._reply(400, {"ok": False, "error": error})
             return
         body = self.rfile.read(length) if length else b""
         client = self.headers.get("X-Jahob-Client", "")
@@ -200,7 +211,7 @@ class _Handler(BaseHTTPRequestHandler):
         request["op"] = route.op
         response = self.server.daemon.handle(request, client=client)
         if response.get("busy"):
-            self._reply(429, response, retry_after=response.get("retry_after", 1.0))
+            self._reply(429, response, retry_after=response["retry_after"])
             return
         self._reply(200, response)
 
@@ -277,7 +288,7 @@ class HttpApiError(RuntimeError):
 
 
 class HttpApiClient:
-    """A minimal signed client for the front door (loadgen, tests, CLI).
+    """A minimal signed client for the front door (tests, benchmarks).
 
     One request per call over a fresh connection -- matching the socket
     client's one-shot model keeps the two transports behaviourally

@@ -29,7 +29,6 @@ __all__ = [
     "format_verify",
     "format_verify_file",
     "format_metrics",
-    "format_loadgen",
     "format_watch_event",
 ]
 
@@ -333,7 +332,6 @@ def format_metrics(payload: dict) -> str:
         lines.append(
             "  queued now          "
             + ", ".join(f"{lane} {count}" for lane, count in sorted(queued.items()))
-            + f"; service ewma {admission.get('service_ewma', 0.0):.3f}s"
         )
     watch = payload.get("watch")
     if watch and watch.get("subscriptions"):
@@ -346,61 +344,6 @@ def format_metrics(payload: dict) -> str:
             f"  verify cycles       {watch.get('events', 0)}, "
             f"mean {latency.get('mean', 0.0):.3f}s, "
             f"max {latency.get('max', 0.0):.3f}s"
-        )
-    return "\n".join(lines)
-
-
-def format_loadgen(record: dict) -> str:
-    """Render one :func:`repro.verifier.loadgen.run_loadgen` record.
-
-    ``jahob-py loadgen`` and ``benchmarks/load_harness.py`` both print
-    exactly this; the JSON record itself is the CI artifact.
-    """
-    config = record.get("config") or {}
-    requests = record.get("requests") or {}
-    latency = record.get("latency") or {}
-    verdicts = record.get("verdicts") or {}
-    wall = record.get("wall_seconds") or {}
-    lines = [
-        f"Load run: {config.get('clients', '?')} clients x "
-        f"{config.get('requests_per_client', '?')} requests, "
-        f"{len(config.get('tenants', []))} tenants, "
-        f"queue limit {config.get('queue_limit', '?')}"
-        + (
-            f", rate limit {config.get('rate_limit')}/s"
-            if config.get("rate_limit")
-            else ""
-        ),
-        f"  wall                baseline {wall.get('baseline', 0.0):.2f}s, "
-        f"load {wall.get('load', 0.0):.2f}s",
-        f"  requests            {requests.get('succeeded', 0)}"
-        f"/{requests.get('total', 0)} ok, "
-        f"{requests.get('retries', 0)} retries, "
-        f"{requests.get('gave_up', 0)} gave up, "
-        f"{requests.get('dropped_connections', 0)} dropped connections",
-        "  rejections          "
-        + (
-            ", ".join(
-                f"{code} {count}"
-                for code, count in (record.get("rejections") or {}).items()
-            )
-            or "(none)"
-        ),
-        f"  latency             p50 {latency.get('p50', 0.0):.3f}s, "
-        f"p95 {latency.get('p95', 0.0):.3f}s, "
-        f"p99 {latency.get('p99', 0.0):.3f}s, "
-        f"max {latency.get('max', 0.0):.3f}s "
-        f"({latency.get('count', 0)} samples)",
-        f"  verdicts            {verdicts.get('checked', 0)} checked vs "
-        f"sequential baseline, "
-        f"{len(verdicts.get('mismatches', []))} mismatches",
-    ]
-    for op, hist in (record.get("latency_by_op") or {}).items():
-        lines.append(
-            f"    {op:<17} p50 {hist.get('p50', 0.0):.3f}s, "
-            f"p95 {hist.get('p95', 0.0):.3f}s, "
-            f"p99 {hist.get('p99', 0.0):.3f}s "
-            f"({hist.get('count', 0)} samples)"
         )
     return "\n".join(lines)
 

@@ -286,8 +286,8 @@ def client_role(client_id: str = "") -> str:
     """The handshake role a daemon client authenticates as.
 
     A bare ``"client"`` is the anonymous default; ``"client:alice"``
-    carries the client id the daemon uses for rate limiting and tenant
-    cache namespacing.  The whole role string is covered by the handshake
+    carries the client id that keys the daemon's tenant cache
+    namespace.  The whole role string is covered by the handshake
     MAC, so a TCP peer cannot claim an id without the shared secret.
     """
     return f"client:{client_id}" if client_id else "client"

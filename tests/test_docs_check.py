@@ -162,12 +162,13 @@ def test_readme_watch_quickstart_executes():
 
 
 def test_readme_http_quickstart_executes():
-    """The 'Serve it over HTTP' block: daemon in the background, loadgen
-    and --connect against it, shutdown at the end."""
+    """The 'Serve it over HTTP' block: daemon with an HTTP front door in
+    the background, --connect verifies and metrics against it, shutdown at
+    the end."""
     blocks = [
         block
         for block in quickstart_blocks()
-        if any("loadgen" in command for command in block)
+        if any("--http" in command for command in block)
     ]
     assert blocks, "README lost its HTTP quickstart block"
     (commands,) = blocks

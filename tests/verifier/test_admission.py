@@ -1,4 +1,4 @@
-"""Admission control: bounded queue, priority lanes, rate limits, tenancy.
+"""Admission control: bounded queue, priority lanes, tenancy.
 
 Exercises :mod:`repro.verifier.admission` directly (no sockets) plus the
 tenant-namespace mechanics of :class:`repro.provers.cache.ProofCache`.
@@ -25,7 +25,6 @@ from repro.verifier.admission import (
     PRIORITY_LANES,
     REJECTION_CODES,
     AdmissionController,
-    TokenBucket,
     rejection_response,
 )
 
@@ -44,7 +43,7 @@ def _eventually(predicate, timeout=_WAIT):
 class TestAdmit:
     def test_fast_path_and_release(self):
         controller = AdmissionController(queue_limit=4)
-        decision = controller.admit(client="a")
+        decision = controller.admit()
         assert decision.admitted
         assert controller.lock.locked()
         assert controller.snapshot()["busy"] is True
@@ -62,7 +61,7 @@ class TestAdmit:
         assert response["ok"] is False
         assert response["busy"] is True
         assert response["code"] == "busy"
-        assert response["retry_after"] > 0
+        assert response["retry_after"] == 1.0
         assert "busy" in response["error"]
         controller.release()
 
@@ -85,7 +84,7 @@ class TestAdmit:
         decision = controller.admit()
         assert not decision.admitted
         assert decision.code == "queue_full"
-        assert decision.retry_after > 0
+        assert rejection_response(decision)["retry_after"] == 1.0
         assert controller.snapshot()["rejected"]["queue_full"] == 1
         controller.release()
         assert granted.wait(_WAIT)
@@ -140,48 +139,74 @@ class TestAdmit:
         thread.join(_WAIT)
 
 
-class TestRateLimit:
-    def test_refill_timing_with_fake_clock(self):
-        clock = [0.0]
-        controller = AdmissionController(
-            queue_limit=4, rate=1.0, burst=2.0, clock=lambda: clock[0]
-        )
-        for _ in range(2):  # the burst allowance
-            decision = controller.admit(client="alice")
-            assert decision.admitted
-            controller.release()
-        decision = controller.admit(client="alice")
-        assert not decision.admitted
-        assert decision.code == "rate_limited"
-        assert decision.retry_after == 1.0  # (1 - 0 tokens) / 1 per second
-        # Other clients have their own buckets.
-        other = controller.admit(client="bob")
-        assert other.admitted
-        controller.release()
-        # Half a token refilled: still rejected, but sooner.
-        clock[0] = 0.5
-        decision = controller.admit(client="alice")
-        assert decision.code == "rate_limited"
-        assert abs(decision.retry_after - 0.5) < 1e-9
-        clock[0] = 1.0
-        assert controller.admit(client="alice").admitted
-        controller.release()
-        snapshot = controller.snapshot()
-        assert snapshot["rejected"]["rate_limited"] == 2
-        assert "alice" in snapshot["clients"]
+    def test_exclusive_bypasses_the_queue_bound(self):
+        # Teardown must never be load-shed: with no queue room at all,
+        # admit() is turned away but exclusive() waits its turn.
+        controller = AdmissionController(queue_limit=0)
+        assert controller.admit().admitted
+        assert controller.admit().code == "queue_full"
+        inside = threading.Event()
 
-    def test_token_bucket_caps_at_burst(self):
-        clock = [0.0]
-        bucket = TokenBucket(rate=10.0, burst=3.0, clock=lambda: clock[0])
-        clock[0] = 100.0  # a long idle period must not bank > burst tokens
-        for _ in range(3):
-            assert bucket.take() == 0.0
-        assert bucket.take() > 0.0
+        def teardown():
+            with controller.exclusive():
+                inside.set()
+
+        thread = threading.Thread(target=teardown, daemon=True)
+        thread.start()
+        assert _eventually(
+            lambda: controller.snapshot()["queued"]["interactive"] == 1
+        )
+        assert not inside.is_set()
+        controller.release()
+        assert inside.wait(_WAIT)
+        thread.join(_WAIT)
+        assert controller.snapshot()["busy"] is False
+
+    def test_dying_waiter_leaves_no_ghost_ticket(self):
+        controller = AdmissionController(queue_limit=4)
+        assert controller.admit().admitted
+        failures: list[BaseException] = []
+
+        def doomed():
+            try:
+                controller.admit()
+            except RuntimeError as exc:
+                failures.append(exc)
+
+        real_wait = controller._cond.wait
+
+        def failing_wait(timeout=None):
+            raise RuntimeError("injected waiter failure")
+
+        controller._cond.wait = failing_wait
+        try:
+            thread = threading.Thread(target=doomed, daemon=True)
+            thread.start()
+            thread.join(_WAIT)
+        finally:
+            controller._cond.wait = real_wait
+        assert len(failures) == 1
+        assert controller.snapshot()["queued"] == {"interactive": 0, "batch": 0}
+        controller.release()
+        # The dead waiter's ticket is gone, so the fast path is open.
+        assert controller.admit(nowait=True).admitted
+        controller.release()
+
+    def test_snapshot_fields(self):
+        snapshot = AdmissionController(queue_limit=3).snapshot()
+        assert snapshot == {
+            "queue_limit": 3,
+            "queued": {"interactive": 0, "batch": 0},
+            "busy": False,
+            "admitted": 0,
+            "rejected": {"busy": 0, "queue_full": 0},
+            "peak_depth": 0,
+        }
 
 
 class TestRejectionShape:
     def test_codes_are_the_documented_set(self):
-        assert set(REJECTION_CODES) == {"busy", "queue_full", "rate_limited"}
+        assert set(REJECTION_CODES) == {"busy", "queue_full"}
         assert PRIORITY_LANES == ("interactive", "batch")
 
 

@@ -36,10 +36,11 @@ def test_protocol_version_is_current():
     # admission control (structured rejections, priority lanes, rate
     # limits, tenant namespaces) and the HTTP front door bumped it to 5;
     # the streaming watch subscription bumped it to 6; dropping the
-    # remote-worker fields bumped it to 7.  Ping reports whatever the
-    # current version is -- pin it here so any future op addition bumps
-    # the constant deliberately.
-    assert PROTOCOL_VERSION == 7
+    # remote-worker fields bumped it to 7; dropping rate limits and the
+    # service-time estimate from admission bumped it to 8.  Ping reports
+    # whatever the current version is -- pin it here so any future op
+    # addition bumps the constant deliberately.
+    assert PROTOCOL_VERSION == 8
 
 
 class TestHandle:

@@ -114,9 +114,8 @@ class TestCli:
         [
             ["--connect", "{sock}", "--secret-file", "{missing}", "list"],
             ["serve", "--socket", "{sock}", "--secret-file", "{missing}"],
-            ["loadgen", "--address", "127.0.0.1:1", "--secret-file", "{missing}"],
         ],
-        ids=["connect", "serve", "loadgen"],
+        ids=["connect", "serve"],
     )
     def test_cli_tcp_capable_commands_still_read_the_secret(
         self, argv, capsys, tmp_path

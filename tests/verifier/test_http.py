@@ -6,13 +6,17 @@ exactly like an external caller would: authentication failures, routing
 errors, verify round-trips (bit-identical to a direct ``handle`` call),
 structured 429 rejections with a ``Retry-After`` header, and tenant
 identity flowing from the signed ``X-Jahob-Client`` header into the
-admission snapshot.
+admission snapshot.  A second, small daemon takes concurrent clients of
+two tenants through a two-slot admission queue.
 """
 
 from __future__ import annotations
 
+import json
 import re
+import socket
 import threading
+import time
 
 import pytest
 
@@ -50,8 +54,6 @@ def served(tmp_path_factory):
 
 def _wait_address(daemon: VerifierDaemon) -> str:
     # serve_forever binds on its thread; poll until :0 is resolved.
-    import time
-
     deadline = time.monotonic() + 5.0
     while time.monotonic() < deadline:
         door = daemon.http_door
@@ -88,8 +90,8 @@ class TestRoutingAndAuth:
 
     def test_tampered_client_id_breaks_the_signature(self, served):
         # The signature covers the client id: signing as one identity and
-        # claiming another must 401 (identity is what keys rate limits
-        # and tenant namespaces).
+        # claiming another must 401 (identity is what keys tenant
+        # namespaces).
         import http.client as hc
 
         daemon, client = served
@@ -139,6 +141,30 @@ class TestRoutingAndAuth:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+    def test_unusable_content_length_is_400(self, served, length):
+        # Over a raw socket: http.client would not send such a header.
+        _, client = served
+        request = (
+            "POST /v1/verify HTTP/1.1\r\n"
+            f"Host: {client.host}\r\n"
+            f"Content-Length: {length}\r\n"
+            "X-Jahob-Client: pytest\r\n\r\n"
+        ).encode("ascii")
+        data = b""
+        with socket.create_connection((client.host, client.port), timeout=5.0) as sock:
+            sock.sendall(request)
+            try:
+                while chunk := sock.recv(4096):
+                    data += chunk
+            except TimeoutError:
+                pass  # a server still reading the body never answers
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400"), data
+        response = json.loads(body)
+        assert response["ok"] is False
+        assert "Content-Length" in response["error"]
+
     def test_socket_only_ops_are_not_routed(self, served):
         _, client = served
         for path in ("/v1/table1", "/v1/shutdown"):
@@ -183,7 +209,6 @@ class TestVerifyOverHttp:
         admission = response["admission"]
         assert admission["queue_limit"] == 4
         assert admission["admitted"] >= 1
-        # The signed identity shows up as the rate-limit/tenant key.
         assert set(admission["queued"]) == {"interactive", "batch"}
 
 
@@ -252,3 +277,85 @@ class TestClientPlumbing:
     def test_rejects_non_tcp_addresses(self, tmp_path):
         with pytest.raises(HttpApiError):
             HttpApiClient(str(tmp_path / "door.sock"), SECRET)
+
+
+class TestConcurrentTenants:
+    """Eight clients of two tenants through a two-slot queue: every request
+    is answered (``queue_full`` 429s are retried), no connection drops, and
+    every verdict equals the tenant's sequential baseline."""
+
+    STRUCTURES = ("Array List", "Linked List")
+    TENANTS = ("tenant-0", "tenant-1")
+
+    def test_every_request_answered_with_baseline_verdicts(self, tmp_path):
+        daemon = VerifierDaemon(
+            tmp_path / "jahob.sock",
+            http="127.0.0.1:0",
+            persist=False,
+            timeout_scale=TIMEOUT_SCALE,
+            secret=SECRET,
+            queue_limit=2,
+        )
+        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+        thread.start()
+        try:
+            address = _wait_address(daemon)
+            HttpApiClient(address, SECRET).wait_ready()
+            baseline = {}
+            for tenant in self.TENANTS:
+                api = HttpApiClient(address, SECRET, client_id=tenant)
+                for name in self.STRUCTURES:
+                    status, response = api.request("POST", "/v1/verify", {"name": name})
+                    assert status == 200, response
+                    baseline[tenant, name] = response["exit"]
+
+            answers, dropped, retries = [], [], []
+
+            def client(index: int) -> None:
+                tenant = self.TENANTS[index % 2]
+                api = HttpApiClient(address, SECRET, client_id=tenant)
+                for step in range(3):
+                    name = self.STRUCTURES[(index + step) % 2]
+                    lane = ("interactive", "batch")[step % 2]
+                    body = {"name": name, "priority": lane}
+                    for _ in range(500):
+                        try:
+                            status, response = api.request("POST", "/v1/verify", body)
+                        except HttpApiError as exc:
+                            dropped.append(exc)
+                            return
+                        if status != 429:
+                            break
+                        assert response["code"] == "queue_full", response
+                        retries.append(index)
+                        time.sleep(0.02)
+                    answers.append((tenant, name, status, response.get("exit")))
+
+            # Hold the engine while the clients arrive: two of them queue,
+            # the other six are turned away and must retry.
+            assert daemon.admission.lock.acquire(timeout=5.0)
+            try:
+                clients = [
+                    threading.Thread(target=client, args=(i,), daemon=True)
+                    for i in range(8)
+                ]
+                for worker in clients:
+                    worker.start()
+                deadline = time.monotonic() + 10.0
+                while not retries and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            finally:
+                daemon.admission.lock.release()
+            for worker in clients:
+                worker.join(timeout=60.0)
+            assert not dropped
+            assert len(answers) == 24
+            for tenant, name, status, exit_code in answers:
+                assert status == 200
+                assert exit_code == baseline[tenant, name], (tenant, name)
+            admission = daemon.admission.snapshot()
+            assert admission["rejected"]["queue_full"] == len(retries) > 0
+            assert admission["peak_depth"] == 2
+        finally:
+            daemon.stop()
+            thread.join(timeout=10.0)

@@ -132,6 +132,28 @@ class TestFormatMetrics:
         row = next(line for line in text.splitlines() if "Array List" in line)
         assert row.split()[-4:] == ["26", "20", "6", "0"]
 
+    def test_admission_section(self):
+        payload = {
+            "protocol": 8,
+            "counters": {},
+            "admission": {
+                "queue_limit": 2,
+                "queued": {"interactive": 1, "batch": 0},
+                "busy": True,
+                "admitted": 28,
+                "rejected": {"busy": 0, "queue_full": 6},
+                "peak_depth": 2,
+            },
+        }
+        lines = format_metrics(payload).splitlines()
+        start = lines.index("Admission (queue limit 2, peak depth 2)")
+        assert lines[start + 1].split() == [
+            "admitted", "28,", "rejected", "busy", "0,", "queue_full", "6"
+        ]
+        assert lines[start + 2].split() == [
+            "queued", "now", "batch", "0,", "interactive", "1"
+        ]
+
     def test_payload_with_cost_model_fields(self):
         payload = {
             "protocol": 6,
