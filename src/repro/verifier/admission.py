@@ -134,6 +134,9 @@ class AdmissionController:
                     message=f"daemon overloaded: admission queue is full "
                     f"({depth} waiting)",
                 )
+            # Only requests count toward the peak: a teardown waiter in
+            # exclusive() is not load.
+            self.peak_depth = max(self.peak_depth, depth + 1)
             self._wait_for_slot(priority)
             return AdmissionDecision(True)
 
@@ -179,7 +182,6 @@ class AdmissionController:
         ticket = object()
         queue = self._lanes[lane]
         queue.append(ticket)
-        self.peak_depth = max(self.peak_depth, self._waiting())
         try:
             while not (self._head() is ticket and self.lock.acquire(blocking=False)):
                 self._cond.wait(_QUEUE_POLL)

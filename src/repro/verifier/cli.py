@@ -300,9 +300,7 @@ def _run_connected(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     except OSError as exc:
         print(f"cannot read --secret-file: {exc}", file=sys.stderr)
         return 2
-    client = DaemonClient(
-        args.connect, secret=secret, client_id=args.client, startup_wait=5.0
-    )
+    client = DaemonClient(args.connect, secret=secret, client_id=args.client)
     if args.command == "verify" and args.watch:
         if not _is_program_path(args.name):
             print(

@@ -882,10 +882,7 @@ class DaemonClient:
     One request per connection, mirroring the server.  ``connect_timeout``
     bounds the connect phase (and, for TCP, the handshake); a verification
     request may legitimately run for minutes, so reads wait indefinitely
-    once connected.  ``startup_wait`` (seconds) retries a refused or
-    not-yet-created endpoint, so a client started right after ``jahob-py
-    serve &`` reaches the daemon once it has bound.  TCP addresses require
-    the daemon's shared ``secret``.
+    once connected.  TCP addresses require the daemon's shared ``secret``.
     """
 
     def __init__(
@@ -894,37 +891,26 @@ class DaemonClient:
         connect_timeout: float = 5.0,
         secret: bytes | None = None,
         client_id: str = "",
-        startup_wait: float = 0.0,
     ) -> None:
         self.address = str(address)
         self.is_tcp = parse_address(address)[0] == "tcp"
         self.connect_timeout = connect_timeout
         self.secret = secret
         self.client_id = client_id
-        self.startup_wait = startup_wait
 
     def _open(self) -> LineChannel:
-        """Connect (retrying for ``startup_wait``) and, on TCP, run the
-        handshake."""
+        """Connect and, on TCP, run the handshake."""
         if self.is_tcp and not self.secret:
             raise DaemonError(
                 f"connecting to the TCP daemon at {self.address} requires "
                 "a shared secret (--secret-file or JAHOB_SECRET)"
             )
-        deadline = time.monotonic() + self.startup_wait
-        while True:
-            try:
-                sock = connect_address(self.address, timeout=self.connect_timeout)
-                break
-            except OSError as exc:
-                starting = isinstance(
-                    exc, (ConnectionRefusedError, FileNotFoundError)
-                )
-                if not starting or time.monotonic() >= deadline:
-                    raise DaemonError(
-                        f"cannot connect to daemon at {self.address}: {exc}"
-                    ) from exc
-                time.sleep(0.05)
+        try:
+            sock = connect_address(self.address, timeout=self.connect_timeout)
+        except OSError as exc:
+            raise DaemonError(
+                f"cannot connect to daemon at {self.address}: {exc}"
+            ) from exc
         channel = LineChannel(sock)
         if self.is_tcp:
             try:

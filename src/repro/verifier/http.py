@@ -42,12 +42,12 @@ import hashlib
 import hmac
 import http.client
 import json
-import math
 import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from .admission import RETRY_AFTER
 from .wire import WireError, parse_address
 
 __all__ = [
@@ -135,14 +135,15 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # the daemon's metrics op is the observability surface
 
-    def _reply(self, status: int, payload: dict, retry_after: float | None = None):
+    def _reply(self, status: int, payload: dict):
         body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            # Retry-After is integer seconds, at least 1.
-            self.send_header("Retry-After", str(max(1, math.ceil(retry_after))))
+        if status == 429:
+            # Only admission rejections answer 429; Retry-After is whole
+            # seconds.
+            self.send_header("Retry-After", str(int(RETRY_AFTER)))
         self.end_headers()
         self.wfile.write(body)
 
@@ -164,10 +165,11 @@ class _Handler(BaseHTTPRequestHandler):
                 },
             )
             return
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
+        # RFC 9110 allows 1*DIGIT only.  int() alone would also read "+5"
+        # or "1_0" (as 10), a length a reverse proxy in front may read
+        # differently -- the start of a request-smuggling bug.
+        raw = (self.headers.get("Content-Length") or "0").strip(" \t")
+        length = int(raw) if raw.isascii() and raw.isdigit() else -1
         if not 0 <= length <= _MAX_BODY_BYTES:
             # The body stays unread, so its bytes cannot be told from a
             # next request: answer, then hang up.
@@ -211,7 +213,7 @@ class _Handler(BaseHTTPRequestHandler):
         request["op"] = route.op
         response = self.server.daemon.handle(request, client=client)
         if response.get("busy"):
-            self._reply(429, response, retry_after=response["retry_after"])
+            self._reply(429, response)
             return
         self._reply(200, response)
 

@@ -7,7 +7,8 @@ Three guards against documentation drift:
   breaks this test, not a user's first contact with the repo).  Blocks
   may set ``VAR=value`` environment prefixes, and a trailing ``&``
   backgrounds a long-running command (the daemon of the HTTP
-  quickstart) exactly like a shell would;
+  quickstart) exactly like a shell would, the next command starting
+  once the daemon prints its ``listening on`` readiness line;
 * every CLI option and subcommand the argument parser actually defines
   must be mentioned in the README's CLI reference, and every option and
   subcommand that reference's tables name must exist in the parser;
@@ -19,9 +20,11 @@ from __future__ import annotations
 
 import os
 import re
+import select
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -87,10 +90,41 @@ def run_cli(command: str) -> subprocess.CompletedProcess:
     )
 
 
+def wait_until_listening(
+    command: str, process: subprocess.Popen, timeout: float = 60.0
+) -> None:
+    """Block until a backgrounded daemon prints ``listening on``.
+
+    ``docs/operations.md`` names that line as the readiness signal: the
+    daemon prints it after every listener has bound.  The raw descriptor
+    is read, so the pipe's text wrapper buffers nothing that
+    ``communicate`` would later miss.
+    """
+    deadline = time.monotonic() + timeout
+    fd = process.stdout.fileno()
+    seen = b""
+    while b"listening on" not in seen:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+            raise AssertionError(
+                f"backgrounded quickstart command never printed its "
+                f"'listening on' line: {command}"
+            )
+        chunk = os.read(fd, 4096)
+        if not chunk:
+            raise AssertionError(
+                f"backgrounded quickstart command exited before listening: "
+                f"{command}\nstdout: {seen.decode(errors='replace')}"
+            )
+        seen += chunk
+
+
 def run_block(commands: list[str]) -> None:
     """Execute one quickstart block, shell-style: ``&`` backgrounds.
 
-    Backgrounded processes must exit on their own by the end of the
+    A backgrounded command must print its ``listening on`` line before
+    the next command runs, as a script driving the daemon would wait
+    for it.  Backgrounded processes must exit on their own by the end of the
     block (the HTTP quickstart ends with a ``shutdown`` command); one
     still running afterwards means the documented sequence does not
     actually stop what it starts.
@@ -100,19 +134,16 @@ def run_block(commands: list[str]) -> None:
         for command in commands:
             if command.endswith("&"):
                 argv, env = _prepare(command.rstrip("&").strip())
-                background.append(
-                    (
-                        command,
-                        subprocess.Popen(
-                            argv,
-                            cwd=REPO_ROOT,
-                            env=env,
-                            stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE,
-                            text=True,
-                        ),
-                    )
+                process = subprocess.Popen(
+                    argv,
+                    cwd=REPO_ROOT,
+                    env=env,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
                 )
+                background.append((command, process))
+                wait_until_listening(command, process)
                 continue
             result = run_cli(command)
             assert result.returncode == 0, (

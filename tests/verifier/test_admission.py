@@ -162,6 +162,30 @@ class TestAdmit:
         thread.join(_WAIT)
         assert controller.snapshot()["busy"] is False
 
+    def test_peak_depth_counts_requests_not_teardown(self):
+        controller = AdmissionController(queue_limit=4)
+        assert controller.admit().admitted
+        queued = threading.Thread(target=controller.admit, daemon=True)
+        queued.start()
+        assert _eventually(lambda: controller.snapshot()["peak_depth"] == 1)
+
+        def teardown():
+            with controller.exclusive():
+                pass
+
+        closing = threading.Thread(target=teardown, daemon=True)
+        closing.start()
+        assert _eventually(
+            lambda: controller.snapshot()["queued"]["interactive"] == 2
+        )
+        assert controller.snapshot()["peak_depth"] == 1
+        controller.release()  # to the queued request
+        queued.join(_WAIT)
+        controller.release()  # its turn ends; teardown runs
+        closing.join(_WAIT)
+        assert controller.snapshot()["busy"] is False
+        assert controller.snapshot()["peak_depth"] == 1
+
     def test_dying_waiter_leaves_no_ghost_ticket(self):
         controller = AdmissionController(queue_limit=4)
         assert controller.admit().admitted

@@ -337,21 +337,6 @@ def test_connect_to_missing_socket_is_a_clear_error(tmp_path):
         client.ping()
 
 
-def test_startup_wait_reaches_a_daemon_that_binds_late(tmp_path):
-    instance = VerifierDaemon(
-        tmp_path / "late.sock", engine=VerificationEngine(persist=False)
-    )
-    client = DaemonClient(instance.socket_path, startup_wait=10.0)
-    starter = threading.Timer(0.3, instance.serve_forever)
-    starter.start()
-    try:
-        assert client.ping()["ok"]
-    finally:
-        instance.stop()
-        starter.join(timeout=10.0)
-        instance.close()
-
-
 def test_bind_refuses_live_socket_and_replaces_stale(tmp_path, daemon):
     live, _, _ = daemon
     conflict = VerifierDaemon(live.socket_path, engine=VerificationEngine())

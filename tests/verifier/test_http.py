@@ -141,7 +141,7 @@ class TestRoutingAndAuth:
         finally:
             connection.close()
 
-    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1", "+5", "1_0"])
     def test_unusable_content_length_is_400(self, served, length):
         # Over a raw socket: http.client would not send such a header.
         _, client = served
