@@ -7,7 +7,8 @@ substitution over wide/deep formulas, fixpoint simplification,
 weakest-precondition generation over guarded commands with duplicated
 branches, and sequent generation over branching commands with long
 assumption prefixes -- plus the proof-cache store's edit-sized
-merge-saves, which bound a served edit loop, the SAT solver re-solving
+merge-saves, which bound a served edit loop (the first save after a load
+on its own too), the SAT solver re-solving
 after each blocking clause, smt's attempts on one catalogue class, cold
 and warm, and cold smt attempts on the catalogue's theory-heavy sequents,
 where the search finds most of its theory conflicts.  ``clear_memos`` is
@@ -22,7 +23,9 @@ full-size runs here.
 
 from __future__ import annotations
 
+import itertools
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -196,7 +199,8 @@ def build_store_records(
 def prepare_store_saves(directory: Path, classes: int = 50, entries: int = 230):
     """Write a store of ``classes`` records and ``entries`` verdicts, then
     load it the way a starting daemon does; returns the loaded store, its
-    entries and its dependency index."""
+    entries and its dependency index.  The load keeps the text of every
+    record and entry, so no save after it re-encodes the whole file."""
     verdicts = {
         _store_fingerprint(n): CachedVerdict(True, False, "smt") for n in range(entries)
     }
@@ -212,7 +216,8 @@ def workload_store_saves(state, saves: int = 8, on_save=None) -> int:
     """Edit-sized merge-saves on a loaded store: each replaces one class's
     record with a new object (its first method re-digested, as after an
     edit of that method) and hands the store the whole snapshot, as the
-    engine's flush does.  ``on_save(store)`` runs after each save."""
+    engine's flush does.  Each save, the first included, encodes only the
+    replaced record.  ``on_save(store)`` runs after each save."""
     store, entries, dependencies = state
     names = list(dependencies)
     for n in range(saves):
@@ -332,6 +337,23 @@ def test_kernel_store_saves(benchmark, tmp_path):
         return (prepare_store_saves(tmp_path),), {}
 
     assert benchmark.pedantic(workload_store_saves, setup=setup, rounds=5) == 8
+
+
+def test_kernel_store_first_save(benchmark, tmp_path):
+    """The first edit save after a load: each round loads a fresh copy of
+    the store, as a starting daemon does, then makes one edit save."""
+    source = tmp_path / "source"
+    prepare_store_saves(source)
+    rounds = itertools.count()
+
+    def setup():
+        directory = tmp_path / f"round-{next(rounds)}"
+        shutil.copytree(source, directory)
+        store = PersistentCacheStore(directory, "bench")
+        entries = store.load()
+        return ((store, entries, dict(store.last_dependencies)),), {"saves": 1}
+
+    assert benchmark.pedantic(workload_store_saves, setup=setup, rounds=5) == 1
 
 
 def test_kernel_lazy_sat(benchmark):

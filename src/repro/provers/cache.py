@@ -79,6 +79,7 @@ _HYPOTHESIS_MEMO: dict[Term, tuple[str, object]] = {}
 
 #: The store's compact JSON: no spaces after ``,`` and ``:``.
 _SEPARATORS = (",", ":")
+_DECODER = json.JSONDecoder()
 
 
 def term_fingerprint(term: Term) -> object:
@@ -274,7 +275,7 @@ class ProofCache:
 # Fingerprints are stored as nested JSON arrays: they contain only
 # ``str`` / ``int`` / ``bool`` leaves (no ids, no process-dependent
 # hashes), so the encoding is lossless and stable across processes and
-# hash seeds, and ``json.loads`` parses a whole store at C speed -- which
+# hash seeds, and the C decoder parses a whole store quickly -- which
 # matters because a warm start parses everything before the first sequent
 # is answered.
 
@@ -317,6 +318,92 @@ def fingerprint_from_json(value, shared: dict | None = None):
     raise ValueError(f"invalid fingerprint element {value!r}")
 
 
+class _Decoded:
+    """What a read decodes from a store file, item by item.
+
+    Damaged entries and class records are skipped, keeping the rest.  An
+    item added with the ``text`` it was decoded from keeps that text as
+    its fragment for the next save (see :meth:`PersistentCacheStore._encode`).
+    """
+
+    def __init__(self) -> None:
+        self.entries: dict[tuple, CachedVerdict] = {}
+        self.dependencies: dict[str, dict] = {}
+        #: ``(dependencies, entries)`` fragments, as the store keeps them.
+        self.fragments: tuple[dict, dict] = ({}, {})
+        #: One tuple per distinct fingerprint subtree across the file.
+        self._shared: dict[tuple, tuple] = {}
+
+    def add_entry(self, pair, text: str | None = None) -> None:
+        try:
+            raw_key, verdict = pair
+            key = fingerprint_from_json(raw_key, self._shared)
+            if not isinstance(key, tuple):
+                raise ValueError("fingerprint must be a tuple")
+            value = (
+                bool(verdict["proved"]),
+                bool(verdict["refuted"]),
+                str(verdict["prover"]),
+            )
+        except (ValueError, KeyError, TypeError):
+            return
+        self.entries[key] = CachedVerdict(*value, origin="disk")
+        if text is not None:
+            self.fragments[1][key] = (value, text)
+
+    def add_record(self, name: str, record, text: str | None = None) -> None:
+        """Add one class's dependency record.
+
+        Only the JSON *shape* is checked (string artifact digests, a list
+        of per-method records each carrying ``[label, fingerprint]``
+        sequent pairs); semantic interpretation lives in
+        :class:`repro.verifier.incremental.DependencyIndex`.  Fingerprints
+        decode to tuples, as in memory, sharing subtrees with the entry
+        keys.
+        """
+        shared = self._shared
+        try:
+            artifacts = {
+                str(key): str(value) for key, value in record["artifacts"].items()
+            }
+            methods = []
+            for method_name, method_record in record["methods"]:
+                sequents = []
+                for label, fp in method_record["sequents"]:
+                    sequents.append([str(label), fingerprint_from_json(fp, shared)])
+                methods.append(
+                    [
+                        str(method_name),
+                        {
+                            "digest": str(method_record["digest"]),
+                            "sequents": sequents,
+                        },
+                    ]
+                )
+        except (ValueError, KeyError, TypeError, AttributeError):
+            return
+        decoded = {"artifacts": artifacts, "methods": methods}
+        self.dependencies[name] = decoded
+        if text is not None:
+            self.fragments[0][name] = (decoded, text)
+
+
+def _scan_items(raw: str, at: int, close: str, scan_item) -> int:
+    """Scan the items of a JSON object or array whose opening bracket ends
+    just before ``raw[at]``: ``scan_item(at)`` reads one item and returns
+    where it ends, and the items must be joined by bare commas up to the
+    ``close`` bracket.  Returns the index after that bracket."""
+    if raw[at] == close:
+        return at + 1
+    while True:
+        at = scan_item(at)
+        if raw[at] == close:
+            return at + 1
+        if raw[at] != ",":
+            raise ValueError("items are joined by bare commas")
+        at += 1
+
+
 class PersistentCacheStore:
     """Cross-run persistence for :class:`ProofCache` verdicts.
 
@@ -342,12 +429,16 @@ class PersistentCacheStore:
     the file always stays readable).
 
     The store remembers the decoded contents of the file it last loaded or
-    wrote, together with that file's identity.  While the file under the
-    lock is still that one, a merge-save unions into the remembered
-    contents instead of re-reading the file, so an edit-sized save costs
-    the encoding of one file, not a parse as well.  Records handed to
-    :meth:`save` and returned by :meth:`load` are shared with the
-    remembered contents and must not be mutated in place.
+    wrote, together with that file's identity and the text of each class
+    record and entry in it: the text a save encoded, or the slice a read
+    decoded from a file in the layout saves write.  While the file under
+    the lock is still that one, a merge-save unions into the remembered
+    contents instead of re-reading the file; either way it encodes only
+    the records and entries that are new or changed and reuses the rest's
+    text, so an edit-sized save encodes one record, the first save after
+    a load included.  Records handed to :meth:`save` and returned by
+    :meth:`load` are shared with the remembered contents and must not be
+    mutated in place.
     """
 
     FILENAME = "proof_cache.json"
@@ -385,11 +476,12 @@ class PersistentCacheStore:
         #: Closes a read-only fd kept open on that file, so that its inode
         #: cannot be recycled for another file while it is remembered.
         self._known_fd: weakref.finalize | None = None
-        #: The encoded pieces of the file this store last wrote, reused by
-        #: the next save: ``(dependencies, entries)``, mapping each class
-        #: name to ``(record, '"name":{...}')`` and each key to
-        #: ``((proved, refuted, prover), '[key,{...}]')``.  Empty after a
-        #: read; dropped with :attr:`_known`.
+        #: The text of the file this store last read or wrote, piece by
+        #: piece, reused by the next save: ``(dependencies, entries)``,
+        #: mapping each class name to ``(record, '"name":{...}')`` and each
+        #: key to ``((proved, refuted, prover), '[key,{...}]')``.  Empty
+        #: after reading a file in another layout; dropped with
+        #: :attr:`_known`.
         self._fragments: tuple[dict, dict] = ({}, {})
 
     # -- reading -----------------------------------------------------------------
@@ -430,11 +522,11 @@ class PersistentCacheStore:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            entries, dependencies, status = self._parse(raw)
+            entries, dependencies, status, fragments = self._parse(raw)
         finally:
             if collecting:
                 gc.enable()
-        self._remember(fd, stat, (entries, dict(dependencies)))
+        self._remember(fd, stat, (entries, dict(dependencies)), fragments)
         return entries, dependencies, status
 
     def _remember(
@@ -477,84 +569,100 @@ class PersistentCacheStore:
 
     def _parse(
         self, raw: str
-    ) -> tuple[dict[tuple, CachedVerdict], dict[str, dict], str]:
-        try:
-            payload = json.loads(raw)
-        except (json.JSONDecodeError, ValueError):
-            return {}, {}, "cold:corrupt"
-        if not isinstance(payload, dict):
-            return {}, {}, "cold:corrupt"
-        if payload.get("format") != CACHE_FORMAT_VERSION:
-            return {}, {}, "cold:format-mismatch"
-        if payload.get("fingerprint_version") != FINGERPRINT_VERSION:
-            return {}, {}, "cold:fingerprint-mismatch"
-        if payload.get("portfolio") != self.portfolio_key:
-            return {}, {}, "cold:portfolio-mismatch"
-        raw_entries = payload.get("entries")
-        if not isinstance(raw_entries, list):
-            return {}, {}, "cold:corrupt"
-        entries: dict[tuple, CachedVerdict] = {}
-        shared: dict[tuple, tuple] = {}
-        for pair in raw_entries:
-            try:
-                raw_key, verdict = pair
-                key = fingerprint_from_json(raw_key, shared)
-                if not isinstance(key, tuple):
-                    raise ValueError("fingerprint must be a tuple")
-                entries[key] = CachedVerdict(
-                    proved=bool(verdict["proved"]),
-                    refuted=bool(verdict["refuted"]),
-                    winning_prover=str(verdict["prover"]),
-                    origin="disk",
-                )
-            except (ValueError, KeyError, TypeError):
-                # Skip individually damaged entries; keep the rest.
-                continue
-        dependencies = self._parse_dependencies(payload.get("dependencies"), shared)
-        return entries, dependencies, f"warm:{len(entries)}"
+    ) -> tuple[dict[tuple, CachedVerdict], dict[str, dict], str, tuple[dict, dict]]:
+        """Decode the file's text into ``(entries, dependencies, status,
+        fragments)``.
 
-    @staticmethod
-    def _parse_dependencies(raw_dependencies, shared: dict) -> dict[str, dict]:
-        """Validate the per-class dependency-index section.
-
-        The store only checks the JSON *shape* (string artifact digests, a
-        list of per-method records each carrying ``[label, fingerprint]``
-        sequent pairs); semantic interpretation lives in
-        :class:`repro.verifier.incremental.DependencyIndex`.  Fingerprints
-        decode to tuples, as in memory, sharing the subtrees of the entry
-        keys decoded with ``shared``.  Damaged classes are skipped, like
-        damaged entries.
+        A file in the layout :meth:`_encode` writes is decoded member by
+        member, each keeping the text it was decoded from as its fragment
+        (see :meth:`_scan`).  Any other file is parsed whole and keeps no
+        fragments.
         """
-        if not isinstance(raw_dependencies, dict):
-            return {}
-        dependencies: dict[str, dict] = {}
-        for name, record in raw_dependencies.items():
+        decoded = self._scan(raw)
+        if decoded is None:
             try:
-                artifacts = {
-                    str(key): str(value)
-                    for key, value in record["artifacts"].items()
-                }
-                methods = []
-                for method_name, method_record in record["methods"]:
-                    sequents = []
-                    for label, fp in method_record["sequents"]:
-                        sequents.append([str(label), fingerprint_from_json(fp, shared)])
-                    methods.append(
-                        [
-                            str(method_name),
-                            {
-                                "digest": str(method_record["digest"]),
-                                "sequents": sequents,
-                            },
-                        ]
-                    )
-                dependencies[str(name)] = {
-                    "artifacts": artifacts,
-                    "methods": methods,
-                }
-            except (ValueError, KeyError, TypeError):
-                continue
-        return dependencies
+                payload = json.loads(raw)
+            except (json.JSONDecodeError, ValueError):
+                return {}, {}, "cold:corrupt", ({}, {})
+            if not isinstance(payload, dict):
+                return {}, {}, "cold:corrupt", ({}, {})
+            if payload.get("format") != CACHE_FORMAT_VERSION:
+                return {}, {}, "cold:format-mismatch", ({}, {})
+            if payload.get("fingerprint_version") != FINGERPRINT_VERSION:
+                return {}, {}, "cold:fingerprint-mismatch", ({}, {})
+            if payload.get("portfolio") != self.portfolio_key:
+                return {}, {}, "cold:portfolio-mismatch", ({}, {})
+            raw_entries = payload.get("entries")
+            if not isinstance(raw_entries, list):
+                return {}, {}, "cold:corrupt", ({}, {})
+            decoded = _Decoded()
+            for pair in raw_entries:
+                decoded.add_entry(pair)
+            raw_dependencies = payload.get("dependencies")
+            if isinstance(raw_dependencies, dict):
+                for name, record in raw_dependencies.items():
+                    decoded.add_record(name, record)
+        status = f"warm:{len(decoded.entries)}"
+        return decoded.entries, decoded.dependencies, status, decoded.fragments
+
+    def _header(self) -> str:
+        """The file's identity fields as :meth:`_encode` writes them, an
+        object without its closing brace."""
+        header = json.dumps(
+            {
+                "format": CACHE_FORMAT_VERSION,
+                "fingerprint_version": FINGERPRINT_VERSION,
+                "portfolio": self.portfolio_key,
+            },
+            separators=_SEPARATORS,
+        )
+        return header[:-1]
+
+    def _scan(self, raw: str) -> _Decoded | None:
+        """Decode a file in the layout :meth:`_encode` writes, or None.
+
+        The file must be this store's header, then the ``"name":{...}``
+        members of ``dependencies`` and the ``[key,{...}]`` elements of
+        ``entries`` joined by bare commas, each name once.  Each is decoded
+        as it is read, with the C decoder ``json.loads`` uses, so only one
+        item's parse is alive at a time, and keeps its text.  Anything
+        else -- another portfolio, whitespace, a repeated name, a
+        truncation -- returns None, and :meth:`_parse` decides the file as
+        a whole.
+        """
+        prefix = self._header() + ',"dependencies":{'
+        if not raw.startswith(prefix):
+            return None
+        decoded = _Decoded()
+        names: set[str] = set()
+        decode = _DECODER.raw_decode
+
+        def member(at: int) -> int:
+            if raw[at] != '"':
+                raise ValueError("a member is a quoted name")
+            name, colon = json.decoder.scanstring(raw, at + 1)
+            if raw[colon] != ":" or name in names:
+                raise ValueError("a name is followed by a colon, and is unique")
+            names.add(name)
+            record, end = decode(raw, colon + 1)
+            decoded.add_record(name, record, raw[at:end])
+            return end
+
+        def element(at: int) -> int:
+            pair, end = decode(raw, at)
+            decoded.add_entry(pair, raw[at:end])
+            return end
+
+        try:
+            at = _scan_items(raw, len(prefix), "}", member)
+            if not raw.startswith(',"entries":[', at):
+                return None
+            at = _scan_items(raw, at + len(',"entries":['), "]", element)
+        except (ValueError, IndexError):  # JSONDecodeError is a ValueError
+            return None
+        if at != len(raw) - 1 or raw[at] != "}":
+            return None
+        return decoded
 
     # -- writing -----------------------------------------------------------------
 
@@ -654,13 +762,16 @@ class PersistentCacheStore:
     ) -> tuple[str, tuple[dict, dict]]:
         """The file's text, and the fragments it was joined from.
 
-        The text is exactly ``json.dumps(payload, separators=(",", ":"))``
-        of the whole payload (the C encoder; fingerprint tuples become
-        arrays), but only what the previous save did not encode is encoded
-        here: a class record the same object as last time, or an entry
-        with the same verdict, reuses its remembered fragment.  Records
-        are never mutated in place, so an unchanged object is an unchanged
-        encoding.  Building new memos from the payload drops evicted keys
+        The text is ``json.dumps(payload, separators=(",", ":"))`` of the
+        whole payload (the C encoder; fingerprint tuples become arrays),
+        but only what no remembered fragment covers is encoded here: a
+        class record the same object as last time, or an entry with the
+        same verdict, reuses its fragment -- the text the last save encoded
+        or the last read decoded it from.  Records are never mutated in
+        place, so an unchanged object is an unchanged encoding.  (A record
+        read from a hand-edited file in the saves' layout keeps its own
+        spelling until it is replaced; that text decodes to the same
+        record.)  Building new memos from the payload drops evicted keys
         and replaced records.
         """
         old_dependencies, old_entries = self._fragments
@@ -680,17 +791,9 @@ class PersistentCacheStore:
                 fields = {"proved": value[0], "refuted": value[1], "prover": value[2]}
                 memo = (value, json.dumps([key, fields], separators=_SEPARATORS))
             new_entries[key] = memo
-        header = json.dumps(
-            {
-                "format": CACHE_FORMAT_VERSION,
-                "fingerprint_version": FINGERPRINT_VERSION,
-                "portfolio": self.portfolio_key,
-            },
-            separators=_SEPARATORS,
-        )
         text = "".join(
             (
-                header[:-1],
+                self._header(),
                 ',"dependencies":{',
                 ",".join(memo[1] for memo in new_dependencies.values()),
                 '},"entries":[',

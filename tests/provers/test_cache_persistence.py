@@ -690,6 +690,196 @@ class TestMergeWithoutReread:
         assert store.path.read_bytes() == expected.encode("utf-8")
 
 
+def _count_encodings(monkeypatch) -> list:
+    """Record every ``(value, text)`` the store's ``json.dumps`` encodes
+    until ``monkeypatch.undo()``."""
+    encoded = []
+    real_dumps = json.dumps
+
+    def counting_dumps(value, *args, **kwargs):
+        text = real_dumps(value, *args, **kwargs)
+        encoded.append((value, text))
+        return text
+
+    monkeypatch.setattr(cache_module.json, "dumps", counting_dumps)
+    return encoded
+
+
+def _assert_file_is_known(store):
+    """The file is the one-``dumps`` encoding of what ``store`` remembers,
+    and a fresh store loads exactly that back."""
+    entries, dependencies = store._known
+    expected = _legacy_encoding(store, entries, dependencies)
+    assert store.path.read_bytes() == expected.encode("utf-8")
+    _assert_loads_back_as_known(store)
+
+
+def _assert_loads_back_as_known(store):
+    entries, dependencies = store._known
+    fresh = PersistentCacheStore(store.directory, store.portfolio_key)
+    assert fresh.load() == {
+        key: dataclasses.replace(verdict, origin="disk")
+        for key, verdict in entries.items()
+    }
+    assert fresh.last_dependencies == dependencies
+
+
+class TestLoadKeepsText:
+    """A load keeps the text of every record and entry it decodes from a
+    file in the saves' layout, so no save after it re-encodes the file."""
+
+    NAMES = [f"Class{n}" for n in range(20)]
+
+    def _write_store(self, tmp_path):
+        sequents = [[f"L{j}", (("i", j), ("s", "x" * 40))] for j in range(20)]
+        record = {
+            "artifacts": {"state": "d0", "invariants": "d1"},
+            "methods": [["m", {"digest": "d2", "sequents": sequents}]],
+        }
+        PersistentCacheStore(tmp_path, "k").save(
+            {(("i", n),): CachedVerdict(True, False, "smt") for n in range(50)},
+            dependencies={name: record for name in self.NAMES},
+        )
+
+    @staticmethod
+    def _edit(store, name):
+        """Replace ``name``'s loaded record with an edited new object, as
+        the engine's flush hands it over."""
+        record = store.last_dependencies[name]
+        return {**record, "artifacts": {**record["artifacts"], "state": "d9"}}
+
+    def test_first_save_after_a_load_encodes_only_the_edit(
+        self, tmp_path, monkeypatch
+    ):
+        self._write_store(tmp_path)
+        store = PersistentCacheStore(tmp_path, "k")
+        entries = store.load()
+        edited = self._edit(store, "Class7")
+        encoded = _count_encodings(monkeypatch)
+        store.save(entries, dependencies={"Class7": edited})
+        monkeypatch.undo()
+        assert sum(len(text) for _, text in encoded) < store.path.stat().st_size / 10
+        for value, _ in encoded:
+            if isinstance(value, dict):
+                assert set(value) & set(self.NAMES) <= {"Class7"}
+            assert not isinstance(value, list)  # no entry was re-encoded
+        assert store._known[1]["Class7"] is edited
+        _assert_file_is_known(store)
+
+    def test_merge_save_after_a_reread_encodes_nothing_it_read(
+        self, tmp_path, monkeypatch
+    ):
+        self._write_store(tmp_path)
+        store = PersistentCacheStore(tmp_path, "k")
+        store.load()
+        other = PersistentCacheStore(tmp_path, "k")
+        other.load()
+        other.save(
+            {(("i", 100),): CachedVerdict(True, False, "sets")},
+            dependencies={"Class3": self._edit(other, "Class3")},
+        )
+        mine = {(("i", 101),): CachedVerdict(False, False, "")}
+        edited = self._edit(store, "Class7")
+        encoded = _count_encodings(monkeypatch)
+        store.save(mine, dependencies={"Class7": edited})
+        monkeypatch.undo()
+        names = set()
+        keys = []
+        for value, _ in encoded:
+            if isinstance(value, dict):
+                names |= set(value) & set(self.NAMES)
+            elif isinstance(value, list):
+                keys.append(value[0])
+        assert names == {"Class7"}
+        assert keys == [(("i", 101),)]
+        entries, dependencies = store._known
+        assert (("i", 100),) in entries
+        assert dependencies["Class3"]["artifacts"]["state"] == "d9"
+        _assert_file_is_known(store)
+
+    def test_damaged_items_do_not_come_back(self, tmp_path):
+        store = PersistentCacheStore(tmp_path, "k")
+        store.save(sample_entries(), dependencies={"Good": sample_record()})
+        payload = json.loads(store.path.read_text())
+        payload["dependencies"]["ListArtifacts"] = {"artifacts": [], "methods": []}
+        payload["dependencies"]["NotARecord"] = "junk"
+        payload["entries"].append([[["i", 9.5]], {"proved": True}])
+        payload["entries"].append("not even a pair")
+        store.path.write_text(json.dumps(payload, separators=(",", ":")))
+        assert set(store.load()) == set(sample_entries())
+        assert set(store.last_dependencies) == {"Good"}
+        assert set(store._fragments[0]) == {"Good"}
+        assert set(store._fragments[1]) == set(sample_entries())
+        store.save({(("i", 2),): CachedVerdict(True, False, "smt")})
+        text = store.path.read_text()
+        for damaged in ("ListArtifacts", "NotARecord", "9.5", "not even a pair"):
+            assert damaged not in text
+        _assert_file_is_known(store)
+
+    def test_file_in_another_layout_keeps_no_text(self, tmp_path):
+        store = PersistentCacheStore(tmp_path, "k")
+        store.save(sample_entries(), dependencies={"Good": sample_record()})
+        store.path.write_text(json.dumps(json.loads(store.path.read_text())))
+        assert set(store.load()) == set(sample_entries())
+        assert store._fragments == ({}, {})
+        store.save({(("i", 2),): CachedVerdict(True, False, "smt")})
+        _assert_file_is_known(store)
+
+    def test_odd_values_in_the_saves_layout_load_back_the_same(self, tmp_path):
+        store = PersistentCacheStore(tmp_path, "k")
+        store.save(
+            {(("s", "AB"),): CachedVerdict(True, False, "smt")},
+            dependencies={"Good": sample_record(), "Other": sample_record()},
+        )
+        text = store.path.read_text()
+        # Still the saves' layout, but one record spells a string with an
+        # escape and one entry has an integer for a boolean.
+        odd = text.replace('"digest":"d2"', '"digest":"d\\u0032"', 1).replace(
+            '[["s","AB"]],{"proved":true', '[["s","A\\u0042"]],{"proved":1', 1
+        )
+        assert odd.count("\\u00") == 2
+        store.path.write_text(odd)
+        loaded = store.load()
+        assert loaded == {(("s", "AB"),): CachedVerdict(True, False, "smt", "disk")}
+        assert store.last_dependencies == {
+            "Good": sample_record(),
+            "Other": sample_record(),
+        }
+        assert len(store._fragments[1]) == 1
+        store.save(
+            {(("i", 2),): CachedVerdict(True, False, "smt")},
+            dependencies={"Other": sample_record((("i", 3),))},
+        )
+        _assert_loads_back_as_known(store)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            ("]}", ",]}"),  # a trailing comma
+            ('},"entries"', '}"entries"'),  # a missing comma between sections
+            ("}],[", "}]["),  # ... and between entries
+            ("]}", "]} "),  # trailing whitespace
+        ],
+        ids=["trailing-comma", "missing-comma", "missing-entry-comma", "whitespace"],
+    )
+    def test_off_layout_text_is_decided_whole(self, tmp_path, damage):
+        store = PersistentCacheStore(tmp_path, "k")
+        store.save(sample_entries(), dependencies={"Good": sample_record()})
+        text = store.path.read_text()
+        old, new = damage
+        head, _, tail = text.rpartition(old)
+        damaged = head + new + tail
+        store.path.write_text(damaged)
+        try:
+            json.loads(damaged)
+        except ValueError:
+            assert store.load() == {}
+            assert store.last_load_status == "cold:corrupt"
+        else:
+            assert set(store.load()) == set(sample_entries())
+            assert store._fragments == ({}, {})
+
+
 class TestEngineWiring:
     @pytest.fixture(scope="class")
     def linked_list(self):

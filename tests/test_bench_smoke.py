@@ -103,8 +103,8 @@ def test_smt_theory_workload_smoke():
 
 
 def test_store_saves_workload_smoke(tmp_path, monkeypatch):
-    """After the first save following a load (which encodes everything),
-    each one-record edit save encodes under 5 % of the file."""
+    """Each one-record edit save encodes under 5 % of the file, the first
+    save after the load included: the load kept every record's text."""
     state = bench_kernel.prepare_store_saves(tmp_path, classes=20)
     encoded = []
     per_save = []
@@ -122,9 +122,7 @@ def test_store_saves_workload_smoke(tmp_path, monkeypatch):
     monkeypatch.setattr(cache_module.json, "dumps", counting_dumps)
     assert bench_kernel.workload_store_saves(state, saves=8, on_save=on_save) == 8
     assert len(per_save) == 8
-    first_chars, first_size = per_save[0]
-    assert first_chars >= first_size * 0.99
-    for chars, size in per_save[1:]:
+    for chars, size in per_save:
         assert chars < size * 0.05
 
 

@@ -11,11 +11,13 @@ tier 1 so the workflow cannot drift from the repo it tests:
   dispatch / label), and the fuzz job echoes its Hypothesis seed so a
   failure reproduces locally;
 * the benchmark smoke step and its artifact upload stay wired to a
-  script entry point that actually exists and stays runnable.
+  script entry point that actually exists and stays runnable, and every
+  benchmark script any job runs exists.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import yaml
@@ -131,6 +133,17 @@ def test_incremental_smoke_step_and_artifact():
         assert callable(bench_incremental.run_smoke)
     finally:
         sys.path.pop(0)
+
+
+def test_every_script_a_job_runs_exists():
+    """A deleted benchmark script takes its CI step with it."""
+    script = re.compile(r"\b(?:benchmarks|perfbench)/[\w/.-]+\.py\b")
+    named = set()
+    for job in load_workflow()["jobs"].values():
+        named |= set(script.findall(all_run_lines(job)))
+    assert "perfbench/run.py" in named
+    missing = sorted(path for path in named if not (REPO_ROOT / path).is_file())
+    assert not missing, f"CI runs scripts that do not exist: {missing}"
 
 
 def test_tier1_runs_traced_edit_serve_and_uploads_its_record():
