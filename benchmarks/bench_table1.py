@@ -26,7 +26,7 @@ from repro.provers.dispatch import default_portfolio
 from repro.suite import all_structures
 from repro.provers.result import PortfolioStatistics
 from repro.verifier.engine import VerificationEngine
-from repro.verifier.parallel import RunRecord
+from repro.verifier.pipeline import RunRecord
 from repro.verifier.report import (
     Table1Row,
     format_performance,

@@ -15,10 +15,9 @@ proof obligation carries a ``from`` clause (a set of named assumptions), only
 those assumptions are passed to the provers.
 
 Dispatch is split into three phases (cache consult / prover run /
-accounting+store) so the schedulers can distribute them: the per-class
-sharder (:mod:`repro.verifier.parallel`) and the suite-level scheduler
-(:mod:`repro.verifier.scheduler`) run phase 1 and 3 in the parent and
-phase 2 in worker processes rebuilt from :class:`PortfolioSpec`.  The
+accounting+store) so the engine's plan → execute pipeline
+(:mod:`repro.verifier.pipeline`) can run phases 1 and 3 in the parent
+and phase 2 in worker processes rebuilt from :class:`PortfolioSpec`.  The
 end-to-end picture lives in ``docs/architecture.md``.
 """
 
@@ -71,7 +70,7 @@ class DispatchResult:
     (:meth:`ProverPortfolio.run_provers`) for sequents that actually ran
     provers -- measured in whichever process ran them -- and 0.0 for
     cache hits.  It feeds the per-worker load of a run's
-    :class:`~repro.verifier.parallel.RunRecord`; ``elapsed`` stays the
+    :class:`~repro.verifier.pipeline.RunRecord`; ``elapsed`` stays the
     per-process CPU total the provers themselves reported.
     """
 
@@ -188,8 +187,8 @@ class ProverPortfolio:
         self.store_verdict(key, result)
         return result
 
-    # The three dispatch phases are exposed separately so the parallel
-    # scheduler (:mod:`repro.verifier.parallel`) can run the cache phase in
+    # The three dispatch phases are exposed separately so the pipeline
+    # (:mod:`repro.verifier.pipeline`) can run the cache phase in
     # the parent, the prover phase in worker processes, and the accounting /
     # store phase back in the parent -- with counters and verdicts identical
     # to a sequential :meth:`dispatch` loop over the same task order.

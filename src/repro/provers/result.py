@@ -68,7 +68,7 @@ class Budget:
     The budget measures **per-process CPU time**, not wall-clock time: the
     provers are pure compute, and a CPU budget makes timeouts independent
     of machine load -- in particular, the worker processes of a parallel
-    run (:mod:`repro.verifier.parallel`) contending for cores reach
+    run (:mod:`repro.verifier.pipeline`) contending for cores reach
     exactly the same timeout decisions the sequential run would, which is
     what keeps parallel verdicts and prover attribution bit-identical.
     """

@@ -2,7 +2,7 @@
 
 from .daemon import DaemonClient, DaemonError, VerifierDaemon
 from .engine import ClassReport, MethodReport, SequentOutcome, VerificationEngine
-from .parallel import ProverPool, RunRecord, WorkerLoad
+from .pipeline import ClassScheduleStats, ProverPool, RunRecord, WorkerLoad
 from .report import (
     Table1Row,
     Table2Row,
@@ -13,7 +13,6 @@ from .report import (
     table1_rows,
     table2_rows,
 )
-from .scheduler import ClassScheduleStats
 from .stats import ClassStatistics, class_statistics
 from .strip import strip_proofs_from_class, strip_proofs_from_method
 

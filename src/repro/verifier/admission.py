@@ -9,7 +9,9 @@ front of that slot.  Every engine-driving request passes through
   request in its lane (``interactive`` ahead of ``batch``, FIFO within a
   lane) up to ``queue_limit`` waiters; beyond that the request is
   rejected with ``code="queue_full"``.  With ``nowait`` a busy engine is
-  answered at once with ``code="busy"``.
+  answered at once with ``code="busy"``.  The batch lane cannot starve:
+  once its head has waited through :data:`BATCH_AGING` interactive
+  admissions, it goes next.
 * **structured rejections** -- every rejection carries the same shape,
   ``{"ok": false, "busy": true, "code": ..., "retry_after": 1.0,
   "error": ...}`` (:func:`rejection_response`), used verbatim by the
@@ -31,6 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 
 __all__ = [
+    "BATCH_AGING",
     "PRIORITY_LANES",
     "REJECTION_CODES",
     "RETRY_AFTER",
@@ -39,9 +42,14 @@ __all__ = [
     "rejection_response",
 ]
 
-#: The priority classes, highest first.  A lower lane's waiters are only
-#: served while every higher lane is empty.
+#: The priority classes, highest first.  A lower lane's waiters are
+#: served while every higher lane is empty, and the batch lane's head
+#: also once :data:`BATCH_AGING` interactive admissions passed it.
 PRIORITY_LANES = ("interactive", "batch")
+
+#: How many interactive admissions a waiting batch request lets pass
+#: before the batch lane's head goes next.
+BATCH_AGING = 4
 
 #: Every ``code`` a rejection can carry, for the docs drift check and the
 #: HTTP status mapping (both are answered 429 over HTTP).
@@ -100,6 +108,9 @@ class AdmissionController:
             lane: deque() for lane in PRIORITY_LANES
         }
         self.admitted_total = 0
+        #: Interactive admissions since the batch lane's head became its
+        #: head (queued into an empty lane, or the previous head admitted).
+        self._batch_passed_over = 0
         self.rejected: dict[str, int] = {code: 0 for code in REJECTION_CODES}
         self.peak_depth = 0
 
@@ -182,6 +193,8 @@ class AdmissionController:
         ticket = object()
         queue = self._lanes[lane]
         queue.append(ticket)
+        if lane == "batch" and len(queue) == 1:
+            self._batch_passed_over = 0
         try:
             while not (self._head() is ticket and self.lock.acquire(blocking=False)):
                 self._cond.wait(_QUEUE_POLL)
@@ -194,11 +207,18 @@ class AdmissionController:
             raise
         queue.popleft()
         self.admitted_total += 1
+        if lane != "interactive":
+            self._batch_passed_over = 0
+        elif self._lanes["batch"]:
+            self._batch_passed_over += 1
 
     def _waiting(self) -> int:
         return sum(len(queue) for queue in self._lanes.values())
 
     def _head(self) -> object | None:
+        batch = self._lanes["batch"]
+        if batch and self._batch_passed_over >= BATCH_AGING:
+            return batch[0]
         for lane in PRIORITY_LANES:
             if self._lanes[lane]:
                 return self._lanes[lane][0]

@@ -48,7 +48,7 @@ import sys
 
 from ..provers.dispatch import default_portfolio
 from .engine import VerificationEngine
-from .parallel import RunRecord
+from .pipeline import RunRecord
 from .report import (
     format_performance,
     format_run,
@@ -469,9 +469,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        # Pool first, then listener, for the fd-inheritance reasons
-        # documented on VerifierDaemon.serve_forever.
-        daemon.engine.warm_pool()
         daemon.bind()
     except DaemonError as exc:
         print(str(exc), file=sys.stderr)
@@ -497,7 +494,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    from ..suite.catalog import all_structures, structure_by_name
 
     if args.command == "serve":
         if args.connect is not None:
@@ -533,6 +529,15 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=args.cache_dir,
         persist=not args.no_persist,
     )
+    # Closing the engine flushes the verdicts that arrived since the last
+    # checkpoint, also when the run is interrupted, and shuts its pool down.
+    with engine:
+        return _run_local(args, engine)
+
+
+def _run_local(args: argparse.Namespace, engine: VerificationEngine) -> int:
+    """The commands served by a local engine (no ``--connect``)."""
+    from ..suite.catalog import all_structures, structure_by_name
 
     if args.command == "list":
         for cls in all_structures():

@@ -4,8 +4,8 @@ Every one-shot CLI invocation pays cold start: importing the package,
 building the catalogue, parsing the persistent cache, and -- for parallel
 runs -- forking a worker pool, all before the first sequent is answered.
 :class:`VerifierDaemon` amortizes that across requests: one long-lived
-:class:`~repro.verifier.engine.VerificationEngine` (with
-``keep_pool_warm=True``) holds the process pool, the in-memory
+:class:`~repro.verifier.engine.VerificationEngine` holds the process pool
+(an engine keeps its pool until it is closed), the in-memory
 :class:`~repro.provers.cache.ProofCache` and the persistent store open, so
 a repeat verification is answered from warm caches in milliseconds.
 
@@ -34,7 +34,7 @@ Supported ``"op"`` values:
               is exactly what a local ``jahob-py verify FILE`` prints,
               plus a ``reports`` list
 ``suite``     ``{"names": [...]?}`` -- suite-scheduled run
-              (:mod:`repro.verifier.scheduler`); full catalogue when
+              (:mod:`repro.verifier.pipeline`); full catalogue when
               ``names`` is omitted
 ``table1``    suite-scheduled full catalogue, rendered as Table 1
 ``stats``     engine counters (:meth:`PortfolioStatistics.as_dict`)
@@ -203,12 +203,11 @@ class VerifierDaemon:
 
     Either pass a ready :class:`VerificationEngine` or let the daemon build
     one from ``jobs`` / ``cache_dir`` / ``persist`` / ``use_proof_cache`` /
-    ``timeout_scale`` (the same knobs the CLI exposes).  The engine is
-    always put into ``keep_pool_warm`` mode: the worker pool survives
-    between requests, which is the whole point of the daemon.
-    :meth:`serve_forever` warms that pool before accepting the first
-    connection, so no request pays pool start-up or leaks its connection
-    fd into a forked worker.
+    ``timeout_scale`` (the same knobs the CLI exposes).  The engine's
+    worker pool survives between requests, which is the whole point of
+    the daemon.  :meth:`bind` forks that pool before it creates any
+    listening socket, so no worker inherits a listener or connection fd
+    and no request pays pool start-up.
 
     ``address`` may be a unix-socket path or a ``HOST:PORT`` TCP address;
     TCP requires ``secret`` (every client connection runs the
@@ -249,7 +248,6 @@ class VerifierDaemon:
                 cache_dir=cache_dir,
                 persist=persist,
             )
-        engine.keep_pool_warm = True
         self.engine = engine
         self.requests_served = 0
         self.started_at = time.monotonic()
@@ -289,7 +287,15 @@ class VerifierDaemon:
         return self._server is not None
 
     def bind(self) -> None:
-        """Create and bind the listening socket(s) (idempotent)."""
+        """Fork the worker pool, then create and bind the listening
+        socket(s) (idempotent).
+
+        Pool first: workers forked after bind would inherit the
+        listener's fd (orphans after a crash keep the address alive and
+        block stale-socket takeover), and workers forked mid-request would
+        inherit the accepted connection's.
+        """
+        self.engine.warm_pool()
         if self.http_door is not None:
             self.http_door.bind()
         if self._server is not None:
@@ -365,13 +371,6 @@ class VerifierDaemon:
         loop exits via an exception (e.g. ``KeyboardInterrupt``).
         """
         try:
-            # Fork the worker pool before the listening socket even
-            # exists: workers forked after bind would inherit the
-            # listener's fd (orphans after a crash keep the address alive
-            # and block stale-socket takeover), workers forked mid-request
-            # would inherit the accepted connection fd, and the first
-            # request would pay pool start-up.
-            self.engine.warm_pool()
             self.bind()
             if self.http_door is not None:
                 self.http_door.start()

@@ -9,7 +9,7 @@ For each method of a class model the engine
 4. offers every sequent to the prover portfolio with per-prover timeouts,
    honouring ``from``-clause assumption selection.
 
-Every run is planned, then executed (:mod:`repro.verifier.scheduler`);
+Every run is planned, then executed (:mod:`repro.verifier.pipeline`);
 :meth:`VerificationEngine.verify_method` is kept as the plain dispatch loop
 the differential tests compare against.  The per-method and per-class
 reports carry everything the paper's Tables 1 and 2 need: sequent counts,
@@ -20,6 +20,7 @@ sequent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from ..frontend.ast import ClassModel, Method
@@ -37,6 +38,7 @@ from ..vcgen.assumptions import relevance_filter
 from ..vcgen.sequent import Sequent
 from ..vcgen.vcgen import VcGenerator
 from .incremental import DependencyIndex, record_from_slots
+from .pipeline import ProverPool, execute_suite, plan_suite
 from .strip import strip_proofs_from_class
 
 __all__ = [
@@ -153,7 +155,7 @@ class VerificationEngine:
     """Drives lowering, VC generation and prover dispatch.
 
     ``jobs`` > 1 shards prover dispatch across that many worker processes
-    (:mod:`repro.verifier.parallel`); verdicts stay identical to
+    (:mod:`repro.verifier.pipeline`); verdicts stay identical to
     ``jobs=1``.  ``cache_dir`` attaches a persistent
     :class:`~repro.provers.cache.PersistentCacheStore` keyed by the
     portfolio configuration: verdicts are loaded at start-up and -- unless
@@ -161,12 +163,12 @@ class VerificationEngine:
     :meth:`verify_class`, so repeated runs of an unchanged suite are
     answered almost entirely from disk.
 
-    ``keep_pool_warm`` keeps the worker pool alive between verification
-    calls (the daemon, :mod:`repro.verifier.daemon`, sets it so repeat
-    requests skip pool start-up); without it each parallel run tears its
-    pool down afterwards, as before.  Engines are context managers:
-    leaving the ``with`` block calls :meth:`close`, which flushes the
-    persistent cache and shuts any warm pool down.
+    A ``jobs > 1`` engine owns one :class:`~repro.verifier.pipeline.ProverPool`:
+    it forks on the first pooled dispatch (or in :meth:`warm_pool`) and
+    serves every later run until :meth:`close`, unless a broken executor
+    is discarded first.  Engines are context managers: leaving the
+    ``with`` block calls :meth:`close`, which flushes the persistent cache
+    and shuts the pool down.
     """
 
     def __init__(
@@ -179,7 +181,6 @@ class VerificationEngine:
         jobs: int = 1,
         cache_dir: str | Path | None = None,
         persist: bool = True,
-        keep_pool_warm: bool = False,
     ) -> None:
         if portfolio is None:
             portfolio = default_portfolio(with_cache=use_proof_cache)
@@ -199,25 +200,31 @@ class VerificationEngine:
         self._sequents: dict[str, tuple[ClassModel, dict[int, tuple]]] = {}
         self.jobs = max(1, int(jobs))
         self.persist = persist
-        self.keep_pool_warm = keep_pool_warm
         self.persistent_store: PersistentCacheStore | None = None
-        #: :class:`~repro.verifier.parallel.RunRecord` of the most recent
+        #: :class:`~repro.verifier.pipeline.RunRecord` of the most recent
         #: :meth:`verify_class` or :meth:`verify_suite` call.
         self.last_run = None
-        self._pool = None
+        self._pool: ProverPool | None = None
         self._flushed_mutations = 0
         self._flushed_dependency_mutations = 0
         #: Per-class dependency records mapping source artifacts to the
         #: sequent fingerprints they produce (watch-mode edit accounting).
         self.dependency_index = DependencyIndex()
         if cache_dir is not None and self.portfolio.proof_cache is not None:
-            spec = PortfolioSpec.from_portfolio(self.portfolio)
-            self.persistent_store = PersistentCacheStore(cache_dir, spec.cache_key)
+            self.persistent_store = PersistentCacheStore(cache_dir, self.spec.cache_key)
             entries = self.persistent_store.load()
             self.portfolio.proof_cache.preload(entries)
             self.dependency_index = DependencyIndex(
                 self.persistent_store.last_dependencies
             )
+
+    @cached_property
+    def spec(self) -> PortfolioSpec:
+        """What the pool workers rebuild the portfolio from, and the
+        persistent store's key.  Built on first use: a portfolio with a
+        custom prover (one outside ``PROVER_FACTORIES``) has no spec, but
+        still runs at ``jobs=1`` without a store."""
+        return PortfolioSpec.from_portfolio(self.portfolio)
 
     # -- sequent generation ------------------------------------------------------
 
@@ -308,7 +315,7 @@ class VerificationEngine:
 
         Plans the whole suite up front and dispatches every class's
         cache-missing sequents, in plan order, across one worker pool
-        (:mod:`repro.verifier.scheduler`).  ``classes`` defaults to the
+        (:mod:`repro.verifier.pipeline`).  ``classes`` defaults to the
         full benchmark catalogue.
         Returns one :class:`ClassReport` per class, in input order, with
         verdicts, attribution and counters identical to running
@@ -322,8 +329,6 @@ class VerificationEngine:
 
     def _run(self, classes: list[ClassModel], record: bool) -> list[ClassReport]:
         """Plan, execute, keep the run record in :attr:`last_run`, flush."""
-        from .scheduler import execute_suite, plan_suite
-
         plan = plan_suite(self, classes, record=record)
         reports, self.last_run = execute_suite(self, plan)
         self.flush_persistent_cache()
@@ -336,64 +341,36 @@ class VerificationEngine:
 
     # -- worker-pool management -----------------------------------------------------
 
-    def acquire_pool(self, spec, jobs: int, shard_size: int | None = None):
-        """A :class:`~repro.verifier.parallel.ProverPool` for one run.
-
-        With ``keep_pool_warm`` the engine caches the pool and hands the
-        same (possibly already started) instance back for every matching
-        run; otherwise a fresh per-run pool is returned, sized down to
-        ``shard_size`` so small shards don't fork idle workers.  Pass the
-        pool to :meth:`release_pool` when the run is done.
-        """
-        from .parallel import ProverPool
-
-        if self.keep_pool_warm:
-            if self._pool is not None and not self._pool.matches(spec, jobs):
-                self._pool.close()
-                self._pool = None
-            if self._pool is None:
-                self._pool = ProverPool(spec, jobs)
-            return self._pool
-        if shard_size is not None:
-            jobs = min(jobs, shard_size)
-        return ProverPool(spec, jobs)
+    def acquire_pool(self) -> ProverPool:
+        """The engine's worker pool, created unforked on first use."""
+        if self._pool is None:
+            self._pool = ProverPool(self.spec, self.jobs)
+        return self._pool
 
     @property
     def pool_warm(self) -> bool:
-        """Whether a warm worker pool is currently forked."""
+        """Whether the worker pool is currently forked."""
         return self._pool is not None and self._pool.started
 
     def warm_pool(self) -> None:
-        """Fork the warm worker pool up front.
+        """Fork the worker pool now instead of on the first pooled dispatch.
 
-        The daemon calls this before it starts accepting connections, so
-        no worker is ever forked while a request (whose connection fd the
-        fork would inherit) is in flight, and no request pays pool
-        start-up.  No-op for ``jobs=1`` local engines or without
-        ``keep_pool_warm``.
+        The daemon calls this before it creates a listening socket, so no
+        worker inherits a listener or connection fd and no request pays
+        pool start-up.  No-op at ``jobs=1`` or when already forked.
         """
-        if self.jobs <= 1:
-            return
-        if not self.keep_pool_warm or self.pool_warm:
-            return
-        spec = PortfolioSpec.from_portfolio(self.portfolio)
-        self.acquire_pool(spec, self.jobs).warm_up()
+        if self.jobs > 1 and not self.pool_warm:
+            self.acquire_pool().warm_up()
 
-    def release_pool(self, pool, broken: bool = False) -> None:
-        """Close ``pool`` unless it is the engine's (healthy) warm pool.
-
-        ``broken`` forces the close even for the warm pool -- a dead
-        executor must be discarded so the next run forks a fresh one
-        instead of failing forever.
-        """
-        if pool is self._pool:
-            if not broken:
-                return
+    def discard_pool(self) -> None:
+        """Drop a broken pool, cancelling its queued work; the next pooled
+        dispatch forks a fresh one instead of failing forever."""
+        if self._pool is not None:
+            self._pool.close(cancel_futures=True)
             self._pool = None
-        pool.close(cancel_futures=broken)
 
     def close(self) -> None:
-        """Flush the persistent cache and shut down any warm worker pool."""
+        """Flush the persistent cache and shut the worker pool down."""
         self.flush_persistent_cache()
         if self._pool is not None:
             self._pool.close()

@@ -169,7 +169,7 @@ def table2_rows(
 ) -> list[tuple[Table2Row, ClassReport, ClassReport]]:
     """Compute Table 2 by verifying each structure with and without proofs.
 
-    ``run``, a :class:`~repro.verifier.parallel.RunRecord`, gets every
+    ``run``, a :class:`~repro.verifier.pipeline.RunRecord`, gets every
     verification call's record merged into it when given.
     """
     rows: list[tuple[Table2Row, ClassReport, ClassReport]] = []
@@ -245,7 +245,7 @@ def format_performance(statistics: PortfolioStatistics) -> str:
 def format_run(stats) -> str:
     """Render the run record of one or more verification calls.
 
-    ``stats`` is a :class:`~repro.verifier.parallel.RunRecord`: pooled
+    ``stats`` is a :class:`~repro.verifier.pipeline.RunRecord`: pooled
     dispatch and cache-provenance counters, the per-class plan and one
     line per worker pid.
     """

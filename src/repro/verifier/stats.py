@@ -79,8 +79,8 @@ class LatencyHistogram:
     """A tiny fixed-bucket histogram of observed latencies (seconds).
 
     The daemon keeps one for its watch subscriptions' edit-to-verdict
-    latency (the ``metrics`` op ships :meth:`as_dict`) and the load
-    generator one per request op.  Buckets are cumulative-free counts per band:
+    latency (the ``metrics`` op ships :meth:`as_dict`).  Buckets are
+    cumulative-free counts per band:
     ``counts[i]`` is the number of samples in
     ``(LATENCY_BUCKETS[i-1], LATENCY_BUCKETS[i]]``, with one overflow
     band at the end.

@@ -302,7 +302,7 @@ def test_no_dead_relative_links(path: Path):
 def test_docs_mention_current_entry_points():
     """The architecture/cache docs must track the modules they describe."""
     architecture = (DOCS / "architecture.md").read_text(encoding="utf-8")
-    for module in ("engine.py", "parallel.py", "scheduler.py", "daemon.py", "cli.py"):
+    for module in ("engine.py", "pipeline.py", "daemon.py", "cli.py"):
         assert module in architecture, f"architecture.md lost {module}"
     cache_format = (DOCS / "cache-format.md").read_text(encoding="utf-8")
     from repro.provers.cache import CACHE_FORMAT_VERSION, FINGERPRINT_VERSION

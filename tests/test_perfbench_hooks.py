@@ -25,6 +25,16 @@ from repro.verifier.engine import VerificationEngine
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
+def build_toggle():
+    s = StructureBuilder("Toggle")
+    s.concrete("on", "int")
+    s.invariant("Bit", "0 <= on & on <= 1")
+    m = s.method("flip", modifies="on", ensures="on = 1 - old on")
+    m.assign("on", "1 - on")
+    m.done()
+    return s.build()
+
+
 @pytest.fixture(scope="module")
 def tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
@@ -75,13 +85,7 @@ def test_one_dependency_record_span_per_recorded_class(tracing):
     through ``record_from_slots``: one span per class for a jobs=1
     ``verify_class`` and for a jobs=1 ``verify_suite``, none for a
     strip-proofs run (it must not overwrite the real class's record)."""
-    s = StructureBuilder("Toggle")
-    s.concrete("on", "int")
-    s.invariant("Bit", "0 <= on & on <= 1")
-    m = s.method("flip", modifies="on", ensures="on = 1 - old on")
-    m.assign("on", "1 - on")
-    m.done()
-    toggle = s.build()
+    toggle = build_toggle()
     tracer = tracing.Tracer()
     try:
         tracing.install_layer_wrappers(tracer)
@@ -97,3 +101,25 @@ def test_one_dependency_record_span_per_recorded_class(tracing):
     assert after_class == 1
     assert after_suite - after_class == 1
     assert after_strip == after_suite
+
+
+def test_cold_verify_class_goes_through_every_patched_layer(tracing):
+    """The per-layer metrics read these spans; a call that stopped going
+    through the name the tracer patches (e.g. ``engine.lower_method``)
+    would read 0 in a traced benchmark run instead of failing here."""
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_layer_wrappers(tracer)
+        engine = VerificationEngine(default_portfolio().scaled(0.4), jobs=1)
+        engine.verify_class(build_toggle())
+    finally:
+        tracer.uninstall()
+    layers = [
+        "frontend.lower",
+        "gcl.desugar",
+        "vcgen.generate",
+        "vcgen.assumptions",
+        "provers.cache.key",
+        "verifier.engine.verify_class",
+    ]
+    assert [layer for layer in layers if tracer.calls(layer) == 0] == []

@@ -22,6 +22,7 @@ from repro.provers.cache import (
 )
 from repro.provers.result import ProofTask
 from repro.verifier.admission import (
+    BATCH_AGING,
     PRIORITY_LANES,
     REJECTION_CODES,
     AdmissionController,
@@ -38,6 +39,21 @@ def _eventually(predicate, timeout=_WAIT):
             return True
         time.sleep(0.01)
     return predicate()
+
+
+def _queue_waiter(controller, lane, name, order, threads):
+    """Start a thread that queues in ``lane`` and appends ``name`` to
+    ``order`` once admitted; returns when the request is queued."""
+    queued = controller.snapshot()["queued"][lane]
+
+    def waiter():
+        controller.admit(priority=lane)
+        order.append(name)
+
+    thread = threading.Thread(target=waiter, daemon=True)
+    thread.start()
+    threads.append(thread)
+    assert _eventually(lambda: controller.snapshot()["queued"][lane] == queued + 1)
 
 
 class TestAdmit:
@@ -115,6 +131,55 @@ class TestAdmit:
         for thread in done:
             thread.join(_WAIT)
         assert order == ["interactive", "batch"]
+
+    def test_batch_request_ages_past_a_stream_of_interactive_ones(self):
+        controller = AdmissionController(queue_limit=16)
+        assert controller.admit().admitted
+        order: list[str] = []
+        threads: list[threading.Thread] = []
+        # The batch request queues first, then a stream that keeps the
+        # interactive lane busy: one new arrival per admission.  The slot is
+        # released one admission at a time, on behalf of whoever holds it.
+        _queue_waiter(controller, "batch", "batch", order, threads)
+        _queue_waiter(controller, "interactive", "i0", order, threads)
+        for step in range(BATCH_AGING + 4):
+            if step < BATCH_AGING + 2:
+                _queue_waiter(controller, "interactive", f"i{step + 1}", order, threads)
+            controller.release()
+            assert _eventually(lambda step=step: len(order) == step + 1)
+        controller.release()
+        for thread in threads:
+            thread.join(_WAIT)
+        interactive = [f"i{n}" for n in range(BATCH_AGING + 3)]
+        expected = interactive[:BATCH_AGING] + ["batch"] + interactive[BATCH_AGING:]
+        assert order == expected
+        assert controller.snapshot()["queued"] == {"interactive": 0, "batch": 0}
+
+    def test_each_batch_request_lets_the_same_number_pass(self):
+        # Aging restarts for the next batch head: after one batch
+        # admission, interactive requests go first again.
+        controller = AdmissionController(queue_limit=16)
+        assert controller.admit().admitted
+        order: list[str] = []
+        threads: list[threading.Thread] = []
+        interactive = [f"i{n}" for n in range(2 * BATCH_AGING + 1)]
+        for name in ["b0", "b1"]:
+            _queue_waiter(controller, "batch", name, order, threads)
+        for name in interactive:
+            _queue_waiter(controller, "interactive", name, order, threads)
+        for step in range(len(threads)):
+            controller.release()
+            assert _eventually(lambda step=step: len(order) == step + 1)
+        controller.release()
+        for thread in threads:
+            thread.join(_WAIT)
+        assert order == (
+            interactive[:BATCH_AGING]
+            + ["b0"]
+            + interactive[BATCH_AGING : 2 * BATCH_AGING]
+            + ["b1"]
+            + interactive[2 * BATCH_AGING :]
+        )
 
     def test_direct_lock_users_cannot_strand_the_queue(self):
         # Internal code (and older tests) grab the raw engine lock

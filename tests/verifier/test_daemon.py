@@ -11,6 +11,7 @@ everything else asserts verdicts and provenance, which are deterministic.
 from __future__ import annotations
 
 import gc
+import os
 import sys
 import threading
 import time
@@ -287,8 +288,8 @@ def test_parallel_daemon_serves_over_socket(tmp_path):
                 raise
             time.sleep(0.05)
     try:
-        # serve_forever forked the pool before accepting the first
-        # connection, so no request can leak its fd into a worker.
+        # bind() forked the pool before creating the listener, so no
+        # request can leak its fd into a worker.
         assert instance.engine.pool_warm
         cold = client.request({"op": "verify", "name": "Array List"})
         assert cold["ok"] and cold["report"]["verified"]
@@ -303,23 +304,41 @@ def test_parallel_daemon_serves_over_socket(tmp_path):
     assert not thread.is_alive()
 
 
+def test_bind_forks_the_pool_before_the_listener_exists(tmp_path):
+    """No worker of a jobs=2 daemon holds the listening socket: a worker
+    forked after bind would keep the address alive after a crash."""
+    instance = VerifierDaemon(
+        tmp_path / "fd.sock", jobs=2, persist=False, timeout_scale=TIMEOUT_SCALE
+    )
+    try:
+        instance.bind()
+        assert instance.engine.pool_warm
+        listener = "socket:[%d]" % os.fstat(instance._server.fileno()).st_ino
+        workers = list(instance.engine._pool._executor._processes)
+        assert len(workers) == 2
+        for pid in workers:
+            fds = Path(f"/proc/{pid}/fd")
+            held = {os.readlink(fd) for fd in fds.iterdir()}
+            assert listener not in held, f"worker {pid} holds the listener"
+    finally:
+        instance.close()
+
+
 def test_broken_warm_pool_is_discarded(monkeypatch):
     """A dead executor must not survive as the daemon's warm pool."""
     from concurrent.futures.process import BrokenProcessPool
 
     from repro.suite import structure_by_name
-    from repro.verifier import parallel
+    from repro.verifier import pipeline
 
-    engine = VerificationEngine(
-        default_portfolio().scaled(TIMEOUT_SCALE), jobs=2, keep_pool_warm=True
-    )
+    engine = VerificationEngine(default_portfolio().scaled(TIMEOUT_SCALE), jobs=2)
     cls = structure_by_name("Cursor List")
 
     def boom(self, items):
         raise BrokenProcessPool("worker died")
         yield  # unreachable; makes this a generator like the real run()
 
-    monkeypatch.setattr(parallel.ProverPool, "run", boom)
+    monkeypatch.setattr(pipeline.ProverPool, "run", boom)
     with pytest.raises(BrokenProcessPool):
         engine.verify_class(cls)
     assert engine._pool is None

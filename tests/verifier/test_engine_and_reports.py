@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.provers.dispatch import default_portfolio
 from repro.suite.common import StructureBuilder
 from repro.verifier import (
     VerificationEngine,
@@ -97,6 +98,36 @@ class TestCli:
         assert main(["list"]) == 0
         output = capsys.readouterr().out
         assert "Linked List" in output and "Hash Table" in output
+
+    def test_cli_interrupted_run_keeps_its_finished_verdicts(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # Verdicts reach the store at checkpoints and at the end of a run;
+        # an interrupt in between must still flush what already finished.
+        from repro.provers.dispatch import ProverPortfolio
+        from repro.verifier.cli import main
+
+        finished = []
+        run_provers = ProverPortfolio.run_provers
+
+        def interrupt_at_eleventh(portfolio, task):
+            if len(finished) == 10:
+                raise KeyboardInterrupt
+            result = run_provers(portfolio, task)
+            finished.append(result)
+            return result
+
+        monkeypatch.setattr(ProverPortfolio, "run_provers", interrupt_at_eleventh)
+        argv = ["--timeout-scale", "0.4", "--cache-dir", str(tmp_path)]
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + ["verify", "Array List"])
+        monkeypatch.undo()
+        capsys.readouterr()
+        engine = VerificationEngine(
+            default_portfolio().scaled(0.4), cache_dir=tmp_path, persist=False
+        )
+        assert engine.persistent_store.last_load_status.startswith("warm:")
+        assert len(engine.portfolio.proof_cache) == len(finished) == 10
 
     def test_cli_local_run_never_reads_the_secret(self, capsys, tmp_path):
         # The shared secret authenticates TCP peers only; a local run has

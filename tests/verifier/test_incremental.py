@@ -19,7 +19,7 @@ from repro.suite import structure_by_name
 from repro.suite.common import StructureBuilder
 from repro.verifier.engine import VerificationEngine
 from repro.verifier.incremental import edit_accounting
-from repro.verifier.scheduler import execute_suite, plan_suite
+from repro.verifier.pipeline import execute_suite, plan_suite
 
 TIMEOUT_SCALE = 0.4
 

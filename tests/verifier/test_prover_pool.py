@@ -4,19 +4,20 @@ Four layers, each below the differential harnesses
 (``test_parallel_differential.py``, ``test_scheduler_differential.py``),
 which only see whole verification runs:
 
-* :class:`~repro.verifier.parallel.ProverPool` itself -- lazy fork,
-  spec/jobs matching, warm-up, close and restart, and pool verdicts equal
-  to the parent's own portfolio;
+* :class:`~repro.verifier.pipeline.ProverPool` itself -- lazy fork,
+  warm-up, close and restart, and pool verdicts equal to the parent's own
+  portfolio;
 * the worker side -- the cacheless portfolio each worker builds from the
   spec, and the ``(index, pid, wall, result)`` tuple it answers with;
-* the engine's pool hand-out -- per-run pools sized to the shard, one warm
-  pool reused or replaced, healthy pools kept and broken ones discarded;
-* :func:`~repro.verifier.parallel.run_shard`'s per-worker accounting on the
+* the engine's one pool -- created unforked, forked once, reused by every
+  run until ``close()``, and discarded when broken;
+* :func:`~repro.verifier.pipeline.run_shard`'s per-worker accounting on the
   in-parent and pooled paths, and its cleanup when the pool fails.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import pytest
@@ -24,10 +25,14 @@ import pytest
 from repro.logic import INT
 from repro.logic.parser import parse_formula
 from repro.provers import ProofTask, default_portfolio
-from repro.provers.dispatch import PortfolioSpec
-from repro.verifier import parallel
+from repro.provers.dispatch import PortfolioEntry, PortfolioSpec, ProverPortfolio
+from repro.provers.interface import Prover
+from repro.provers.result import Outcome, ProverResult
+from repro.suite.common import StructureBuilder
+from repro.verifier import pipeline
 from repro.verifier.engine import VerificationEngine
-from repro.verifier.parallel import ProverPool, RunRecord, run_shard
+from repro.verifier.pipeline import ProverPool, RunRecord, run_shard
+from repro.verifier.report import table2_rows
 
 TIMEOUT_SCALE = 0.4
 
@@ -57,13 +62,12 @@ def scaled_portfolio():
 
 
 SPEC = PortfolioSpec.from_portfolio(scaled_portfolio())
-OTHER_SPEC = PortfolioSpec.from_portfolio(default_portfolio().scaled(1.0))
 
 
 def shard_of(tasks: list[ProofTask]) -> list:
-    """Shard slots as ``plan_class`` leaves them: the task and its position."""
+    """Shard slots as ``plan_suite`` leaves them: the task and its position."""
     return [
-        parallel._Slot(0, None, item, shard_index=index)
+        pipeline._Slot(0, None, item, shard_index=index)
         for index, item in enumerate(tasks)
     ]
 
@@ -95,14 +99,6 @@ class TestProverPool:
         for jobs in (0, -3):
             pool = ProverPool(SPEC, jobs)
             assert pool.jobs == 1
-            assert pool.matches(SPEC, 1) and pool.matches(SPEC, 0)
-
-    def test_matches_needs_the_same_spec_and_jobs(self):
-        pool = ProverPool(SPEC, 2)
-        assert pool.matches(SPEC, 2)
-        assert pool.matches(PortfolioSpec(SPEC.entries), 2)  # equal by value
-        assert not pool.matches(SPEC, 3)
-        assert not pool.matches(OTHER_SPEC, 2)
 
     def test_run_yields_each_index_once_from_pool_workers(self):
         pool = ProverPool(SPEC, 2)
@@ -166,17 +162,17 @@ class TestProverPool:
 
 class TestWorkerSide:
     def test_init_worker_builds_a_cacheless_portfolio_from_the_spec(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_WORKER_PORTFOLIO", None)
-        parallel._init_worker(SPEC)
-        portfolio = parallel._WORKER_PORTFOLIO
+        monkeypatch.setattr(pipeline, "_WORKER_PORTFOLIO", None)
+        pipeline._init_worker(SPEC)
+        portfolio = pipeline._WORKER_PORTFOLIO
         assert portfolio is not None
         assert portfolio.proof_cache is None  # the parent owns the cache
         assert PortfolioSpec.from_portfolio(portfolio) == SPEC
 
     def test_dispatch_in_worker_answers_index_pid_wall_result(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_WORKER_PORTFOLIO", None)
-        parallel._init_worker(SPEC)
-        index, pid, wall, result = parallel._dispatch_in_worker((5, TASKS[0]))
+        monkeypatch.setattr(pipeline, "_WORKER_PORTFOLIO", None)
+        pipeline._init_worker(SPEC)
+        index, pid, wall, result = pipeline._dispatch_in_worker((5, TASKS[0]))
         assert (index, pid) == (5, os.getpid())
         assert wall >= 0.0
         assert result.proved and result.winning_prover == "smt"
@@ -186,92 +182,79 @@ class TestWorkerSide:
         # Accounting and caching are the parent's later phases
         # (record_outcome / store_verdict); the prover phase does neither.
         portfolio = scaled_portfolio()
-        _, _, _, result = parallel._dispatch(portfolio, (0, TASKS[0]))
+        _, _, _, result = pipeline._dispatch(portfolio, (0, TASKS[0]))
         assert result.proved and not result.cached
         assert len(portfolio.proof_cache) == 0
         assert portfolio.statistics.sequents_proved == 0
 
 
 # ---------------------------------------------------------------------------
-# The engine's pool hand-out
+# The engine's one pool
 # ---------------------------------------------------------------------------
 
 
-class TestEnginePools:
-    def test_per_run_pool_is_sized_to_the_shard(self):
-        engine = VerificationEngine(scaled_portfolio(), jobs=4)
-        assert engine.acquire_pool(SPEC, 4, shard_size=2).jobs == 2
-        assert engine.acquire_pool(SPEC, 4, shard_size=10).jobs == 4
-        assert engine.acquire_pool(SPEC, 4).jobs == 4
-        assert engine._pool is None and not engine.pool_warm
+def build_toggle():
+    """A one-method class with a few cheap sequents."""
+    s = StructureBuilder("Toggle")
+    s.concrete("on", "int")
+    s.invariant("Bit", "0 <= on & on <= 1")
+    m = s.method("flip", modifies="on", ensures="on = 1 - old on")
+    m.assign("on", "1 - on")
+    m.done()
+    return s.build()
 
-    def test_per_run_pools_are_fresh_objects(self):
+
+class TestEnginePool:
+    def test_one_unforked_pool_per_engine(self):
         engine = VerificationEngine(scaled_portfolio(), jobs=2)
-        first = engine.acquire_pool(SPEC, 2)
-        second = engine.acquire_pool(SPEC, 2)
-        assert first is not second
-        assert not first.started and not second.started
+        pool = engine.acquire_pool()
+        assert engine.acquire_pool() is pool and engine._pool is pool
+        assert pool.spec == SPEC and pool.jobs == 2
+        assert not pool.started and not engine.pool_warm
 
-    def test_warm_engine_reuses_one_unsized_pool(self):
-        engine = VerificationEngine(scaled_portfolio(), jobs=2, keep_pool_warm=True)
-        pool = engine.acquire_pool(SPEC, 2)
-        assert engine.acquire_pool(SPEC, 2, shard_size=1) is pool
-        assert pool.jobs == 2  # a warm pool is never sized down
-        assert engine._pool is pool
-
-    def test_warm_engine_replaces_a_pool_for_another_spec(self, monkeypatch):
-        engine = VerificationEngine(scaled_portfolio(), jobs=2, keep_pool_warm=True)
-        old = engine.acquire_pool(SPEC, 2)
-        spy = ClosingSpy(monkeypatch, old)
-        new = engine.acquire_pool(OTHER_SPEC, 2)
-        assert new is not old and engine._pool is new
-        assert new.spec == OTHER_SPEC
-        assert spy.calls == [False]
-
-    def test_warm_engine_replaces_a_pool_for_other_jobs(self, monkeypatch):
-        engine = VerificationEngine(scaled_portfolio(), jobs=2, keep_pool_warm=True)
-        old = engine.acquire_pool(SPEC, 2)
-        spy = ClosingSpy(monkeypatch, old)
-        new = engine.acquire_pool(SPEC, 3)
-        assert engine._pool is new and new.jobs == 3
-        assert spy.calls == [False]
-
-    def test_release_keeps_a_healthy_warm_pool(self, monkeypatch):
-        engine = VerificationEngine(scaled_portfolio(), jobs=2, keep_pool_warm=True)
-        pool = engine.acquire_pool(SPEC, 2)
+    def test_discard_cancels_and_forgets_the_pool(self, monkeypatch):
+        engine = VerificationEngine(scaled_portfolio(), jobs=2)
+        pool = engine.acquire_pool()
         spy = ClosingSpy(monkeypatch, pool)
-        engine.release_pool(pool)
-        assert engine._pool is pool
-        assert spy.calls == []
-
-    def test_release_discards_a_broken_warm_pool(self, monkeypatch):
-        engine = VerificationEngine(scaled_portfolio(), jobs=2, keep_pool_warm=True)
-        pool = engine.acquire_pool(SPEC, 2)
-        spy = ClosingSpy(monkeypatch, pool)
-        engine.release_pool(pool, broken=True)
+        engine.discard_pool()
         assert engine._pool is None
         assert spy.calls == [True]  # queued work is cancelled, not waited out
-        assert engine.acquire_pool(SPEC, 2) is not pool
+        assert engine.acquire_pool() is not pool
 
-    def test_release_closes_a_per_run_pool(self, monkeypatch):
+    def test_close_shuts_the_pool_down_and_forgets_it(self, monkeypatch):
         engine = VerificationEngine(scaled_portfolio(), jobs=2)
-        pool = engine.acquire_pool(SPEC, 2)
+        pool = engine.acquire_pool()
         spy = ClosingSpy(monkeypatch, pool)
-        engine.release_pool(pool)
+        engine.close()
+        assert engine._pool is None
         assert spy.calls == [False]
 
-    def test_warm_pool_is_a_no_op_at_one_job(self):
-        engine = VerificationEngine(scaled_portfolio(), jobs=1, keep_pool_warm=True)
-        engine.warm_pool()
-        assert engine._pool is None and not engine.pool_warm
+    def test_one_job_engine_needs_no_spec_and_no_pool(self):
+        # A custom prover cannot be rebuilt in a worker, so its portfolio
+        # has no spec; a jobs=1 engine without a store never asks for one.
+        class Agreeable(Prover):
+            name = "agreeable"
 
-    def test_warm_pool_needs_keep_pool_warm(self):
-        engine = VerificationEngine(scaled_portfolio(), jobs=2)
+            def attempt(self, task, budget):
+                return ProverResult(Outcome.PROVED, reason="stub")
+
+        portfolio = ProverPortfolio([PortfolioEntry(Agreeable(), 1.0)])
+        engine = VerificationEngine(portfolio, jobs=1)
+        report = engine.verify_class(build_toggle())
+        assert report.verified and report.provers_used == {
+            "agreeable": report.sequents_total
+        }
+        assert engine._pool is None
+        with pytest.raises(ValueError, match="'agreeable'"):
+            engine.spec
+
+    def test_warm_pool_is_a_no_op_at_one_job(self):
+        engine = VerificationEngine(scaled_portfolio(), jobs=1)
         engine.warm_pool()
         assert engine._pool is None and not engine.pool_warm
 
     def test_warm_pool_forks_once_and_close_shuts_it_down(self):
-        engine = VerificationEngine(scaled_portfolio(), jobs=2, keep_pool_warm=True)
+        engine = VerificationEngine(scaled_portfolio(), jobs=2)
         try:
             engine.warm_pool()
             pool = engine._pool
@@ -283,6 +266,28 @@ class TestEnginePools:
             engine.close()
         assert not engine.pool_warm and engine._pool is None
         assert not pool.started
+        assert multiprocessing.active_children() == []
+
+    def test_every_run_uses_the_same_workers(self):
+        """verify_class, verify_suite and table2_rows on one jobs=2 engine
+        dispatch to one executor, and close() reaps its workers."""
+        toggle = build_toggle()
+        engine = VerificationEngine(scaled_portfolio(), jobs=2, use_proof_cache=False)
+        try:
+            engine.verify_class(toggle)
+            executor = engine._pool._executor
+            pids = {load.pid for load in engine.last_run.workers}
+            engine.verify_suite([toggle])
+            pids |= {load.pid for load in engine.last_run.workers}
+            run = RunRecord(jobs=2)
+            table2_rows([toggle], engine, run)
+            pids |= {load.pid for load in run.workers}
+            assert engine._pool._executor is executor
+            assert run.dispatched > 0
+            assert pids <= set(executor._processes) and 1 <= len(pids) <= 2
+        finally:
+            engine.close()
+        assert multiprocessing.active_children() == []
 
     def test_engine_jobs_are_clamped_to_one(self):
         assert VerificationEngine(scaled_portfolio(), jobs=0).jobs == 1
@@ -329,12 +334,15 @@ class TestRunShard:
             parent_run,
             lambda slot, result: None,
         )
-        engine = VerificationEngine(scaled_portfolio(), jobs=2)
-        run = RunRecord(jobs=2)
-        seen: list[int] = []
-        results = run_shard(
-            engine, shard_of(TASKS), run, lambda slot, _: seen.append(slot.shard_index)
-        )
+        with VerificationEngine(scaled_portfolio(), jobs=2) as engine:
+            run = RunRecord(jobs=2)
+            seen: list[int] = []
+            results = run_shard(
+                engine,
+                shard_of(TASKS),
+                run,
+                lambda slot, _: seen.append(slot.shard_index),
+            )
         assert sorted(seen) == list(range(len(TASKS)))
         assert [(r.proved, r.refuted, r.winning_prover) for r in results] == [
             (r.proved, r.refuted, r.winning_prover) for r in expected
@@ -343,21 +351,15 @@ class TestRunShard:
         assert pids == sorted(pids) and os.getpid() not in pids
         assert sum(load.tasks for load in run.workers) == len(TASKS)
 
-    def test_pooled_run_closes_its_per_run_pool(self, monkeypatch):
-        engine = VerificationEngine(scaled_portfolio(), jobs=2)
-        released: list[tuple[ProverPool, bool]] = []
-        release = engine.release_pool
-
-        def record(pool, broken=False):
-            released.append((pool, broken))
-            release(pool, broken)
-
-        monkeypatch.setattr(engine, "release_pool", record)
-        run_shard(engine, shard_of(TASKS[:2]), RunRecord(jobs=2), lambda *_: None)
-        [(pool, broken)] = released
-        assert not broken
-        assert pool.jobs == 2 and not pool.started
-        assert engine._pool is None
+    def test_pooled_runs_keep_the_engine_pool(self):
+        with VerificationEngine(scaled_portfolio(), jobs=2) as engine:
+            run_shard(engine, shard_of(TASKS[:2]), RunRecord(jobs=2), lambda *_: None)
+            pool = engine._pool
+            executor = pool._executor
+            assert pool.started
+            run_shard(engine, shard_of(TASKS[2:]), RunRecord(jobs=2), lambda *_: None)
+            assert engine._pool is pool and pool._executor is executor
+        assert engine._pool is None and not pool.started
 
     def test_failed_pooled_run_discards_its_pool(self, monkeypatch):
         def boom(self, items):
@@ -366,16 +368,17 @@ class TestRunShard:
 
         monkeypatch.setattr(ProverPool, "run", boom)
         engine = VerificationEngine(scaled_portfolio(), jobs=2)
-        released: list[bool] = []
-        release = engine.release_pool
+        discarded: list[ProverPool] = []
+        discard = engine.discard_pool
 
-        def record(pool, broken=False):
-            released.append(broken)
-            release(pool, broken)
+        def record():
+            discarded.append(engine._pool)
+            discard()
 
-        monkeypatch.setattr(engine, "release_pool", record)
+        monkeypatch.setattr(engine, "discard_pool", record)
         run = RunRecord(jobs=2)
         with pytest.raises(RuntimeError, match="executor died"):
             run_shard(engine, shard_of(TASKS), run, lambda *_: None)
-        assert released == [True]
+        assert len(discarded) == 1 and discarded[0] is not None
+        assert engine._pool is None
         assert run.workers == []

@@ -13,9 +13,8 @@ import pytest
 from repro.suite import structure_by_name
 from repro.verifier.daemon import VerifierDaemon
 from repro.verifier.engine import ClassReport, MethodReport, VerificationEngine
-from repro.verifier.parallel import RunRecord, WorkerLoad
+from repro.verifier.pipeline import ClassScheduleStats, RunRecord, WorkerLoad
 from repro.verifier.report import format_metrics, format_run, format_verify
-from repro.verifier.scheduler import ClassScheduleStats
 
 
 class TestFormatRun:

@@ -1,6 +1,6 @@
 """Differential harness: suite scheduling must equal the reference loop.
 
-The suite scheduler (:mod:`repro.verifier.scheduler`) plans the whole
+The pipeline (:mod:`repro.verifier.pipeline`) plans the whole
 catalogue as one job graph and dispatches it in plan order.  None of that
 may be observable in the results: for every ``jobs`` value and either
 input order, a ``verify_suite`` run must produce per-sequent verdicts,
@@ -20,7 +20,7 @@ import pytest
 from repro.provers.dispatch import default_portfolio
 from repro.suite import all_structures
 from repro.verifier.engine import VerificationEngine
-from repro.verifier.scheduler import execute_suite, plan_suite
+from repro.verifier.pipeline import execute_suite, plan_suite
 
 from test_parallel_differential import (
     FAST_CLASSES,

@@ -1,4 +1,4 @@
-"""Unit tests for the plan and execute phases of :mod:`repro.verifier.scheduler`.
+"""Unit tests for the plan and execute phases of :mod:`repro.verifier.pipeline`.
 
 The differential harness (``test_scheduler_differential.py``) checks that
 results equal the reference loop; these pin down the bookkeeping: what a
@@ -9,9 +9,9 @@ execution, and the engine's flush gating afterwards.
 from __future__ import annotations
 
 from repro.provers.dispatch import default_portfolio
-from repro.verifier import scheduler
+from repro.verifier import pipeline
 from repro.verifier.engine import VerificationEngine
-from repro.verifier.scheduler import ClassScheduleStats, execute_suite, plan_suite
+from repro.verifier.pipeline import execute_suite, plan_suite
 
 from test_parallel_differential import (
     FAST_CLASSES,
@@ -30,20 +30,28 @@ def test_planning_proves_nothing_and_accounts_every_sequent():
     assert engine.portfolio.statistics.sequents_proved == 0
     assert [cls.name for cls, _ in plan.planned] == [cls.name for cls in classes]
     assert plan.record
-    planned_rows = [
-        ClassScheduleStats.from_slots(cls.name, slots) for cls, slots in plan.planned
-    ]
-    for row, (_, slots) in zip(planned_rows, plan.planned):
-        assert row.sequents == len(slots)
-        assert (
-            row.dispatched + row.hits_memory + row.hits_disk + row.duplicates_folded
-            == row.sequents
-        )
-    assert sum(row.dispatched for row in planned_rows) == len(plan.shard)
+    # Every slot is exactly one of: in the shard, folded onto a pending
+    # duplicate, or already answered by the cache.
+    planned_columns = []
+    for _, slots in plan.planned:
+        dispatched = sum(slot.shard_index is not None for slot in slots)
+        folded = sum(slot.duplicate_of is not None for slot in slots)
+        answered = sum(slot.result is not None for slot in slots)
+        assert dispatched + folded + answered == len(slots)
+        planned_columns.append((len(slots), dispatched, folded, answered))
+    assert sum(column[1] for column in planned_columns) == len(plan.shard)
     # Execution builds the run record's rows from the same slots, after
     # the merge; dispatching them does not move a sequent between columns.
     _, run = execute_suite(engine, plan)
-    assert run.classes == planned_rows
+    assert [
+        (
+            row.sequents,
+            row.dispatched,
+            row.duplicates_folded,
+            row.hits_memory + row.hits_disk,
+        )
+        for row in run.classes
+    ] == planned_columns
     assert run.dispatched == len(plan.shard)
     assert run.sequents_total == sum(len(slots) for _, slots in plan.planned)
 
@@ -93,7 +101,7 @@ def test_execution_checkpoints_every_interval(monkeypatch, tmp_path):
     engine = VerificationEngine(
         default_portfolio().scaled(TIMEOUT_SCALE), jobs=1, cache_dir=tmp_path
     )
-    monkeypatch.setattr(scheduler, "_CHECKPOINT_EVERY", 2)
+    monkeypatch.setattr(pipeline, "_CHECKPOINT_EVERY", 2)
     flushes = []
     flush = engine.flush_persistent_cache
     monkeypatch.setattr(
