@@ -48,7 +48,10 @@ __all__ = [
 PRIORITY_LANES = ("interactive", "batch")
 
 #: How many interactive admissions a waiting batch request lets pass
-#: before the batch lane's head goes next.
+#: before the batch lane's head goes next.  At 4, eight closed-loop
+#: clients (four batch) kept interactive p90 at 391 ms against 576 ms
+#: under FIFO, and batch p50 fell from 6.3 s (strict lanes) to 1.2 s;
+#: docs/performance.md section 9 has the runs.
 BATCH_AGING = 4
 
 #: Every ``code`` a rejection can carry, for the docs drift check and the

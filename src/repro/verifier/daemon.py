@@ -206,8 +206,10 @@ class VerifierDaemon:
     ``timeout_scale`` (the same knobs the CLI exposes).  The engine's
     worker pool survives between requests, which is the whole point of
     the daemon.  :meth:`bind` forks that pool before it creates any
-    listening socket, so no worker inherits a listener or connection fd
-    and no request pays pool start-up.
+    listening socket, so its workers inherit no listener or connection fd
+    and no request pays pool start-up.  A pool that breaks is replaced
+    inside the next pooled request, and those workers do inherit the
+    listener and that request's connection.
 
     ``address`` may be a unix-socket path or a ``HOST:PORT`` TCP address;
     TCP requires ``secret`` (every client connection runs the
@@ -293,7 +295,8 @@ class VerifierDaemon:
         Pool first: workers forked after bind would inherit the
         listener's fd (orphans after a crash keep the address alive and
         block stale-socket takeover), and workers forked mid-request would
-        inherit the accepted connection's.
+        inherit the accepted connection's.  Only the first pool gets this:
+        one that replaces a broken pool forks mid-request.
         """
         self.engine.warm_pool()
         if self.http_door is not None:

@@ -355,9 +355,11 @@ class VerificationEngine:
     def warm_pool(self) -> None:
         """Fork the worker pool now instead of on the first pooled dispatch.
 
-        The daemon calls this before it creates a listening socket, so no
-        worker inherits a listener or connection fd and no request pays
-        pool start-up.  No-op at ``jobs=1`` or when already forked.
+        The daemon calls this before it creates a listening socket, so the
+        first pool's workers inherit no listener or connection fd and no
+        request pays pool start-up; a pool that replaces a discarded one
+        forks on the next pooled dispatch, inside a request.  No-op at
+        ``jobs=1`` or when already forked.
         """
         if self.jobs > 1 and not self.pool_warm:
             self.acquire_pool().warm_up()
