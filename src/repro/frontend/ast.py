@@ -54,6 +54,7 @@ __all__ = [
     "ProofStmt",
     "count_statements",
     "count_proof_constructs",
+    "called_method_names",
 ]
 
 
@@ -319,6 +320,12 @@ def count_statements(method: Method) -> int:
             continue
         executable += 1
     return executable
+
+
+def called_method_names(method: Method) -> tuple[str, ...]:
+    """Names of the methods a body calls, each once, in first-call order."""
+    calls = (stmt for stmt in _walk(method.body) if isinstance(stmt, Call))
+    return tuple(dict.fromkeys(call.method_name for call in calls))
 
 
 def count_proof_constructs(method: Method) -> dict[str, int]:

@@ -206,10 +206,10 @@ class VerifierDaemon:
     ``timeout_scale`` (the same knobs the CLI exposes).  The engine's
     worker pool survives between requests, which is the whole point of
     the daemon.  :meth:`bind` forks that pool before it creates any
-    listening socket, so its workers inherit no listener or connection fd
-    and no request pays pool start-up.  A pool that breaks is replaced
-    inside the next pooled request, and those workers do inherit the
-    listener and that request's connection.
+    listening socket, so no request pays pool start-up.  A pool that
+    breaks is replaced inside the next pooled request; its workers close
+    the listener and connection fds they inherit as they start, so no
+    worker ever holds one.
 
     ``address`` may be a unix-socket path or a ``HOST:PORT`` TCP address;
     TCP requires ``secret`` (every client connection runs the
@@ -292,11 +292,11 @@ class VerifierDaemon:
         """Fork the worker pool, then create and bind the listening
         socket(s) (idempotent).
 
-        Pool first: workers forked after bind would inherit the
-        listener's fd (orphans after a crash keep the address alive and
-        block stale-socket takeover), and workers forked mid-request would
-        inherit the accepted connection's.  Only the first pool gets this:
-        one that replaces a broken pool forks mid-request.
+        Pool first, so no request waits for the fork.  A pool that
+        replaces a broken one forks mid-request, after the listener
+        exists; its workers close every socket fd they inherit in their
+        initializer, because an orphan holding the listener would keep the
+        address alive after a crash and block stale-socket takeover.
         """
         self.engine.warm_pool()
         if self.http_door is not None:

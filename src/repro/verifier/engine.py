@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from ..frontend.ast import ClassModel, Method
+from ..frontend.ast import ClassModel, Method, called_method_names
 from ..frontend.lower import lower_method
 from ..gcl.desugar import Desugarer
 from ..provers.cache import PersistentCacheStore, ProofCache
@@ -50,6 +50,28 @@ __all__ = [
 
 #: Kept bound for perfbench/tracing.py, which patches both names.
 record_from_report = record_from_slots
+
+#: Distinct method contents the sequent memo holds before it is cleared.
+_SEQUENT_MEMO_LIMIT = 1 << 12
+
+
+def _content_key(cls: ClassModel, method: Method) -> tuple:
+    """Everything lowering ``method`` of ``cls`` reads, and nothing else."""
+    callees = tuple(
+        next((m for m in cls.methods if m.name == name), None)
+        for name in called_method_names(method)
+    )
+    return (
+        cls.state,
+        cls.invariants,
+        method.params,
+        method.return_var,
+        method.contract,
+        method.body,
+        method.is_public,
+        method.locals,
+        callees,
+    )
 
 
 @dataclass
@@ -195,9 +217,8 @@ class VerificationEngine:
         self.apply_from_clauses = apply_from_clauses
         self.use_relevance_filter = use_relevance_filter
         self.runtime_checks = runtime_checks
-        # Class name -> (the version last verified, {id(method): (method,
-        # sequents)}); see :meth:`method_sequents`.
-        self._sequents: dict[str, tuple[ClassModel, dict[int, tuple]]] = {}
+        # Content key -> sequents; see :meth:`method_sequents`.
+        self._sequents: dict[tuple, tuple[Sequent, ...]] = {}
         self.jobs = max(1, int(jobs))
         self.persist = persist
         self.persistent_store: PersistentCacheStore | None = None
@@ -231,23 +252,24 @@ class VerificationEngine:
     def method_sequents(self, cls: ClassModel, method: Method) -> list[Sequent]:
         """All (non-trivially-discharged) sequents of one method.
 
-        Class models are immutable and generation is deterministic, so the
-        engine keeps the sequents of the version of each class it verified
-        last: asked for the same class object again (a daemon serving a
-        catalogue class twice), it skips lowering and VC generation.  A new
-        version of the class replaces the old one.
+        A method's sequents are a pure function of what lowering reads: the
+        class's state and invariants, every field of the method but its
+        name, and the full :class:`Method` of every callee
+        (``runtime_checks`` is fixed per engine).  The engine keys its memo
+        on exactly that, so a method equal in content to one generated
+        before -- in another class, under another name, or in a reloaded
+        copy of the file -- skips lowering, desugaring and VC generation.
+        The memo starts over once it holds :data:`_SEQUENT_MEMO_LIMIT`
+        methods.
         """
-        version = self._sequents.get(cls.name)
-        if version is None or version[0] is not cls:
-            version = self._sequents[cls.name] = (cls, {})
-        # Each entry holds its method, so the id stays unique.
-        known = version[1].get(id(method))
+        key = _content_key(cls, method)
+        known = self._sequents.get(key)
         if known is None:
-            known = version[1][id(method)] = (
-                method,
-                self._generate_sequents(cls, method),
-            )
-        return list(known[1])
+            known = tuple(self._generate_sequents(cls, method))
+            if len(self._sequents) >= _SEQUENT_MEMO_LIMIT:
+                self._sequents.clear()
+            self._sequents[key] = known
+        return list(known)
 
     def _generate_sequents(self, cls: ClassModel, method: Method) -> list[Sequent]:
         lowering = lower_method(cls, method, runtime_checks=self.runtime_checks)
@@ -355,11 +377,11 @@ class VerificationEngine:
     def warm_pool(self) -> None:
         """Fork the worker pool now instead of on the first pooled dispatch.
 
-        The daemon calls this before it creates a listening socket, so the
-        first pool's workers inherit no listener or connection fd and no
+        The daemon calls this before it creates a listening socket, so no
         request pays pool start-up; a pool that replaces a discarded one
-        forks on the next pooled dispatch, inside a request.  No-op at
-        ``jobs=1`` or when already forked.
+        forks on the next pooled dispatch, inside a request, and its
+        workers close the socket fds they inherit.  No-op at ``jobs=1`` or
+        when already forked.
         """
         if self.jobs > 1 and not self.pool_warm:
             self.acquire_pool().warm_up()

@@ -46,7 +46,9 @@ The differential harnesses
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import stat
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -172,7 +174,33 @@ _WORKER_PORTFOLIO: ProverPortfolio | None = None
 
 def _init_worker(spec: PortfolioSpec) -> None:
     global _WORKER_PORTFOLIO
+    _close_inherited_sockets()
     _WORKER_PORTFOLIO = spec.build(proof_cache=None)
+
+
+def _close_inherited_sockets() -> None:
+    """Close every socket fd the fork copied into this worker.
+
+    A pool forked inside a daemon request (one that replaces a broken
+    pool) would otherwise hold the listener and that request's connection
+    for its lifetime.  The executor talks to its workers over pipes, which
+    stay open.  A no-op in a process that was not started by
+    :mod:`multiprocessing` (the parent's sockets are its own) and where
+    ``/dev/fd`` does not exist.
+    """
+    if multiprocessing.parent_process() is None:
+        return
+    try:
+        names = os.listdir("/dev/fd")
+    except OSError:
+        return
+    for name in names:
+        fd = int(name)
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:
+            pass  # the listing's own fd, closed by now
 
 
 def _dispatch_in_worker(item: tuple[int, ProofTask]):
@@ -222,10 +250,9 @@ class ProverPool:
 
         The daemon calls this (through
         :meth:`~repro.verifier.engine.VerificationEngine.warm_pool`) before
-        it creates a listening socket: a worker forked later would inherit
-        the listener's or an accepted connection's fd.  One short sleep per
-        worker starts all of them, whether the executor forks its workers
-        at once or one per outstanding task.
+        it creates a listening socket, so no request waits for the fork.
+        One short sleep per worker starts all of them, whether the executor
+        forks its workers at once or one per outstanding task.
         """
         executor = self._ensure_executor()
         futures = [executor.submit(time.sleep, 0.2) for _ in range(self.jobs)]

@@ -6,7 +6,7 @@ tier 1 so the workflow cannot drift from the repo it tests:
 
 * the YAML parses and has the structural shape Actions expects;
 * the tier-1 job runs the exact ROADMAP tier-1 command, with coverage
-  collected and uploaded as an artifact;
+  collected and uploaded as an artifact, and echoes its Hypothesis seed;
 * the slow and fuzz jobs are gated off plain pushes (schedule /
   dispatch / label), and the fuzz job echoes its Hypothesis seed so a
   failure reproduces locally;
@@ -65,6 +65,21 @@ def test_tier1_job_runs_the_roadmap_command():
     assert "PYTHONPATH=src python -m pytest -x -q" in runs
     roadmap = (REPO_ROOT / "ROADMAP.md").read_text(encoding="utf-8")
     assert "python -m pytest -x -q" in roadmap
+
+
+def test_tier1_hypothesis_seed_is_echoed_not_fixed():
+    """A random tier-1 Hypothesis failure must replay from the log: the
+    seed is fresh per run (never derandomized) and printed before pytest."""
+    (step,) = [
+        step
+        for step in load_workflow()["jobs"]["tier1"]["steps"]
+        if "python -m pytest -x -q" in step.get("run", "")
+    ]
+    run = step["run"]
+    assert "SEED=${{ github.run_id }}" in run
+    assert run.index("echo") < run.index("python -m pytest")
+    assert '--hypothesis-seed="$SEED"' in run
+    assert "derandomize" not in run
 
 
 def test_tier1_pip_cache_is_keyed_on_setup_py():

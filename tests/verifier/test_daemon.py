@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import os
+import signal
 import sys
 import threading
 import time
@@ -304,12 +305,24 @@ def test_parallel_daemon_serves_over_socket(tmp_path):
     assert not thread.is_alive()
 
 
+def _held_fds(pid: int) -> set[str]:
+    held = set()
+    for fd in Path(f"/proc/{pid}/fd").iterdir():
+        try:
+            held.add(os.readlink(fd))
+        except FileNotFoundError:
+            pass  # closed while listed
+    return held
+
+
 def test_bind_forks_the_pool_before_the_listener_exists(tmp_path):
-    """No worker of a jobs=2 daemon holds the listening socket: a worker
-    forked after bind would keep the address alive after a crash."""
+    """No worker of a jobs=2 daemon holds a socket: the first pool forks
+    before the listener exists, and a pool that replaces a broken one forks
+    mid-request but closes the listener and connection fds it inherits."""
     instance = VerifierDaemon(
         tmp_path / "fd.sock", jobs=2, persist=False, timeout_scale=TIMEOUT_SCALE
     )
+    thread = threading.Thread(target=instance.serve_forever, daemon=True)
     try:
         instance.bind()
         assert instance.engine.pool_warm
@@ -317,10 +330,29 @@ def test_bind_forks_the_pool_before_the_listener_exists(tmp_path):
         workers = list(instance.engine._pool._executor._processes)
         assert len(workers) == 2
         for pid in workers:
-            fds = Path(f"/proc/{pid}/fd")
-            held = {os.readlink(fd) for fd in fds.iterdir()}
-            assert listener not in held, f"worker {pid} holds the listener"
+            assert listener not in _held_fds(pid), f"worker {pid} holds the listener"
+
+        thread.start()
+        client = DaemonClient(instance.socket_path)
+        os.kill(workers[0], signal.SIGKILL)
+        broken = client.request({"op": "verify", "name": "Cursor List"})
+        assert not broken["ok"] and "BrokenProcessPool" in broken["error"]
+        assert client.request({"op": "verify", "name": "Cursor List"})["ok"]
+        replacements = set(instance.engine._pool._executor._processes)
+        assert len(replacements) == 2 and not replacements & set(workers)
+        for pid in replacements:
+            # A worker closes them in its initializer; allow it to get there.
+            deadline = time.monotonic() + 5.0
+            while True:
+                sockets = {fd for fd in _held_fds(pid) if fd.startswith("socket:")}
+                if not sockets or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+            assert not sockets, f"replacement worker {pid} holds {sockets}"
     finally:
+        if thread.is_alive():
+            instance.stop()
+            thread.join(timeout=10.0)
         instance.close()
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import socket
 
 import pytest
 
@@ -168,6 +169,15 @@ class TestWorkerSide:
         assert portfolio is not None
         assert portfolio.proof_cache is None  # the parent owns the cache
         assert PortfolioSpec.from_portfolio(portfolio) == SPEC
+
+    def test_init_worker_in_the_parent_keeps_its_sockets(self, monkeypatch):
+        # Only a pool worker drops the socket fds it inherited.
+        monkeypatch.setattr(pipeline, "_WORKER_PORTFOLIO", None)
+        left, right = socket.socketpair()
+        with left, right:
+            pipeline._init_worker(SPEC)
+            left.sendall(b"x")
+            assert right.recv(1) == b"x"
 
     def test_dispatch_in_worker_answers_index_pid_wall_result(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_WORKER_PORTFOLIO", None)
