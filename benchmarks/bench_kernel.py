@@ -12,10 +12,11 @@ on its own too), the SAT solver re-solving
 after each blocking clause, smt's attempts on one catalogue class, cold
 and warm, and cold smt attempts on the catalogue's theory-heavy sequents,
 where the search finds most of its theory conflicts.  ``clear_memos`` is
-the cold hook: it drops the process-wide memos (simplify's, and smt's
-instances, canonical atoms and theory-checker caches) that later calls
-would otherwise hit.  The workload builders are plain functions
-parameterised by size so the tier-1 smoke test
+the cold hook: it drops the process-wide memos (simplify's, smt's
+instances, canonical atoms and theory-checker caches, the proof cache's
+task fingerprints, and the dependency index's method digests and class
+artifacts) that later calls would otherwise hit.  The workload builders
+are plain functions parameterised by size so the tier-1 smoke test
 (``tests/test_bench_smoke.py``) can run the exact same code at tiny sizes;
 perf regressions then show up in the BENCH_*.json trajectory via the
 full-size runs here.
@@ -37,12 +38,13 @@ from repro.logic.simplify import clear_simplify_memos, simplify
 from repro.logic.sorts import INT
 from repro.logic.subst import substitute
 from repro.logic.terms import Term, Var, dag_size
-from repro.provers import lia, quant, smt, theory
+from repro.provers import cache, lia, quant, smt, theory
 from repro.provers.cache import CachedVerdict, PersistentCacheStore
 from repro.provers.result import ProofTask
 from repro.provers.sat import SatSolver
 from repro.suite import all_structures
 from repro.vcgen import generate_sequents
+from repro.verifier import incremental
 from repro.verifier.engine import VerificationEngine
 
 #: smt's per-attempt budget in the catalogue benchmarks: the default 4 s
@@ -51,14 +53,18 @@ SMT_TIMEOUT = 1.6
 
 
 def clear_memos() -> None:
-    """The cold hook: drop simplify's memos and smt's cross-attempt memos
+    """The cold hook: drop simplify's memos, smt's cross-attempt memos
     (ground instances, canonical atoms, and the theory checker's integer
-    positions and linear differences)."""
+    positions and linear differences) and the planner's content-keyed ones
+    (task fingerprints, method digests, class artifacts)."""
     clear_simplify_memos()
     quant._instance.cache_clear()
     smt._canonical_atom.cache_clear()
     theory._int_positions.cache_clear()
     lia._difference.cache_clear()
+    cache._TASK_MEMO.clear()
+    incremental._METHOD_DIGESTS.clear()
+    incremental._CLASS_ARTIFACTS.clear()
 
 
 def build_deep_formula(depth: int) -> Term:

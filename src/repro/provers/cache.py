@@ -76,6 +76,11 @@ CACHE_FORMAT_VERSION = 4
 _FP_MEMO_LIMIT = 1 << 17
 _FP_MEMO: dict[Term, object] = {}
 _HYPOTHESIS_MEMO: dict[Term, tuple[str, object]] = {}
+#: Distinct proof tasks whose fingerprints are remembered before the memo
+#: is cleared.  A task's hash costs one pass over its assumption pairs
+#: (interned terms hash in O(1)), far less than sorting its hypotheses.
+_TASK_MEMO_LIMIT = 1 << 14
+_TASK_MEMO: dict[ProofTask, tuple] = {}
 
 #: The store's compact JSON: no spaces after ``,`` and ``:``.
 _SEPARATORS = (",", ":")
@@ -149,13 +154,21 @@ def task_fingerprint(task: ProofTask) -> tuple:
 
     Assumption *names* are irrelevant to provability, so only the
     alpha-normalized formulas matter; they are deduplicated and sorted so
-    that assumption order does not split cache entries.
+    that assumption order does not split cache entries.  Memoized per
+    :class:`ProofTask` value: the engine hands the planner one task object
+    per distinct method content, however many methods share it.
     """
-    hypotheses = dict(_hypothesis_key(formula) for _, formula in task.assumptions)
-    return (
-        tuple(hypotheses[text] for text in sorted(hypotheses)),
-        _fingerprint(task.goal, {}, 0),
-    )
+    fingerprint = _TASK_MEMO.get(task)
+    if fingerprint is None:
+        hypotheses = dict(_hypothesis_key(formula) for _, formula in task.assumptions)
+        fingerprint = (
+            tuple(hypotheses[text] for text in sorted(hypotheses)),
+            _fingerprint(task.goal, {}, 0),
+        )
+        if len(_TASK_MEMO) >= _TASK_MEMO_LIMIT:
+            _TASK_MEMO.clear()
+        _TASK_MEMO[task] = fingerprint
+    return fingerprint
 
 
 def _hypothesis_key(term: Term) -> tuple[str, object]:

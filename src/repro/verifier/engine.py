@@ -217,8 +217,8 @@ class VerificationEngine:
         self.apply_from_clauses = apply_from_clauses
         self.use_relevance_filter = use_relevance_filter
         self.runtime_checks = runtime_checks
-        # Content key -> sequents; see :meth:`method_sequents`.
-        self._sequents: dict[tuple, tuple[Sequent, ...]] = {}
+        # Content key -> (sequent, task) pairs; see :meth:`sequent_tasks`.
+        self._sequents: dict[tuple, tuple[tuple[Sequent, ProofTask], ...]] = {}
         self.jobs = max(1, int(jobs))
         self.persist = persist
         self.persistent_store: PersistentCacheStore | None = None
@@ -250,26 +250,37 @@ class VerificationEngine:
     # -- sequent generation ------------------------------------------------------
 
     def method_sequents(self, cls: ClassModel, method: Method) -> list[Sequent]:
-        """All (non-trivially-discharged) sequents of one method.
+        """All (non-trivially-discharged) sequents of one method."""
+        return [sequent for sequent, _ in self.sequent_tasks(cls, method)]
+
+    def sequent_tasks(
+        self, cls: ClassModel, method: Method
+    ) -> tuple[tuple[Sequent, ProofTask], ...]:
+        """Each sequent of one method paired with its :meth:`task_for`.
 
         A method's sequents are a pure function of what lowering reads: the
         class's state and invariants, every field of the method but its
         name, and the full :class:`Method` of every callee
-        (``runtime_checks`` is fixed per engine).  The engine keys its memo
-        on exactly that, so a method equal in content to one generated
-        before -- in another class, under another name, or in a reloaded
-        copy of the file -- skips lowering, desugaring and VC generation.
-        The memo starts over once it holds :data:`_SEQUENT_MEMO_LIMIT`
-        methods.
+        (``runtime_checks`` is fixed per engine, and so is the policy of
+        :meth:`task_for`).  The engine keys its memo on exactly that, so a
+        method equal in content to one prepared before -- in another class,
+        under another name, or in a reloaded copy of the file -- skips
+        lowering, desugaring, VC generation and task building, and hands
+        the planner the same task objects, whose fingerprints
+        :func:`~repro.provers.cache.task_fingerprint` has memoized.  The
+        memo starts over once it holds :data:`_SEQUENT_MEMO_LIMIT` methods.
         """
         key = _content_key(cls, method)
         known = self._sequents.get(key)
         if known is None:
-            known = tuple(self._generate_sequents(cls, method))
+            known = tuple(
+                (sequent, self.task_for(sequent))
+                for sequent in self._generate_sequents(cls, method)
+            )
             if len(self._sequents) >= _SEQUENT_MEMO_LIMIT:
                 self._sequents.clear()
             self._sequents[key] = known
-        return list(known)
+        return known
 
     def _generate_sequents(self, cls: ClassModel, method: Method) -> list[Sequent]:
         lowering = lower_method(cls, method, runtime_checks=self.runtime_checks)

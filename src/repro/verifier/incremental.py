@@ -81,6 +81,14 @@ def artifact_digest(value) -> str:
     return hashlib.sha256(image).hexdigest()[:16]
 
 
+# Digests are memoized by value: artifacts that compare equal have equal
+# structures, so a memoized digest is byte-identical to a fresh one.  Each
+# memo starts over once it holds _DIGEST_MEMO_LIMIT values.
+_DIGEST_MEMO_LIMIT = 1 << 12
+_METHOD_DIGESTS: dict[Method, str] = {}
+_CLASS_ARTIFACTS: dict[tuple, dict[str, str]] = {}
+
+
 def class_artifacts(engine, cls: ClassModel) -> dict[str, str]:
     """The class-level artifacts every method's sequents depend on.
 
@@ -89,22 +97,34 @@ def class_artifacts(engine, cls: ClassModel) -> dict[str, str]:
     produces (from-clause application, relevance filter, runtime checks).
     A change to any of these dirties the whole class.
     """
-    return {
-        "state": artifact_digest(cls.state),
-        "invariants": artifact_digest(cls.invariants),
-        "policy": artifact_digest(
-            (
-                bool(engine.apply_from_clauses),
-                bool(engine.use_relevance_filter),
-                bool(engine.runtime_checks),
-            )
-        ),
-    }
+    policy = (
+        bool(engine.apply_from_clauses),
+        bool(engine.use_relevance_filter),
+        bool(engine.runtime_checks),
+    )
+    key = (cls.state, cls.invariants, policy)
+    artifacts = _CLASS_ARTIFACTS.get(key)
+    if artifacts is None:
+        artifacts = {
+            "state": artifact_digest(cls.state),
+            "invariants": artifact_digest(cls.invariants),
+            "policy": artifact_digest(policy),
+        }
+        if len(_CLASS_ARTIFACTS) >= _DIGEST_MEMO_LIMIT:
+            _CLASS_ARTIFACTS.clear()
+        _CLASS_ARTIFACTS[key] = artifacts
+    return dict(artifacts)
 
 
 def method_digest(method: Method) -> str:
-    """Digest of one method's contract, body and signature."""
-    return artifact_digest(method)
+    """Digest of one method's name, contract, body and signature."""
+    digest = _METHOD_DIGESTS.get(method)
+    if digest is None:
+        digest = artifact_digest(method)
+        if len(_METHOD_DIGESTS) >= _DIGEST_MEMO_LIMIT:
+            _METHOD_DIGESTS.clear()
+        _METHOD_DIGESTS[method] = digest
+    return digest
 
 
 # ---------------------------------------------------------------------------

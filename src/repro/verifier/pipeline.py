@@ -9,8 +9,10 @@ one-class suite and
 many-class one; both are :func:`plan_suite` followed by
 :func:`execute_suite`:
 
-1. **plan** (parent): every class's sequents are generated and offered to
-   the dispatcher's cache phase
+1. **plan** (parent): every class's sequents and their tasks (prepared
+   once per distinct method content,
+   :meth:`~repro.verifier.engine.VerificationEngine.sequent_tasks`) are
+   offered to the dispatcher's cache phase
    (:meth:`~repro.provers.dispatch.ProverPortfolio.consult_cache`) in
    catalogue/method/sequent order -- the order of the plain
    :meth:`~repro.verifier.engine.VerificationEngine.verify_method` loop the
@@ -316,8 +318,8 @@ def plan_suite(engine, classes: list[ClassModel], record: bool = True) -> SuiteP
     for cls in classes:
         slots: list[_Slot] = []
         for method_index, method in enumerate(cls.methods):
-            for sequent in engine.method_sequents(cls, method):
-                slot = _Slot(method_index, sequent, engine.task_for(sequent))
+            for sequent, task in engine.sequent_tasks(cls, method):
+                slot = _Slot(method_index, sequent, task)
                 slots.append(slot)
                 key, hit = portfolio.consult_cache(slot.task)
                 slot.key = key

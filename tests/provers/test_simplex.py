@@ -8,6 +8,8 @@ The systems are Hypothesis-generated rational rows (checked in two
 batches, as the theory checker's exchange loop does), hand-built
 degenerate ones, and, in the slow sweep, every system the theory checker
 and the set solver build on the catalogue and on a generated corpus.
+Implied equalities are compared pair by pair; a pair that a witness point
+(checked here in exact rationals) rules out skips the reference's probes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.logic import INT, map_of
 from repro.logic import builder as b
 from repro.logic.clauses import Literal
 from repro.logic.parser import parse_formula, parse_term
+from repro.logic.terms import Term
 from repro.provers.dispatch import default_portfolio
 from repro.provers.lia import LinearConstraint, LinearExpr, LinearSolver, linearize
 from repro.provers.result import Budget, BudgetExpired
@@ -131,8 +134,63 @@ def test_verdicts_and_explanations_match_the_reference(system, split):
     assert (fresh.explain_infeasible() is None) == (solver.explain_infeasible() is None)
 
 
-def reference_entails_eq(constraints, left, right) -> bool:
+def value_at(expr: LinearExpr, point: dict) -> Fraction:
+    """``expr`` at ``point`` in exact rationals; atoms ``point`` omits are 0."""
+    value = Fraction(expr.constant)
+    for atom, coeff in expr.coeffs:
+        value += coeff * point.get(atom, 0)
+    return value
+
+
+def checked_point(solver: LinearSolver, constraints) -> dict | None:
+    """``solver``'s assignment of the atoms when it finds its constraints
+    feasible and the assignment satisfies every one of ``constraints``,
+    checked here in exact rationals; otherwise None.
+
+    Only that check, not the solver under test, makes the point a
+    witness.
+    """
+    if solver.explain_infeasible() is not None:
+        return None
+    point = {
+        atom: solver._value[var]
+        for atom, var in solver._index.items()
+        if isinstance(atom, Term)
+    }
+    for constraint in constraints:
+        value = value_at(constraint.expr, point)
+        if value > 0 or (constraint.is_equality and value != 0):
+            return None
+    return point
+
+
+def rules_out(constraints, difference: LinearExpr, witnesses: list) -> bool:
+    """Whether a checked point satisfying every constraint puts
+    ``difference`` at least 1 or at most -1.
+
+    Such a point satisfies one of :func:`reference_entails_eq`'s probes,
+    so the pair is not entailed.  ``witnesses`` holds the points found so
+    far for the same system and is tried first; a new point is kept there.
+    """
+    if any(abs(value_at(difference, point)) >= 1 for point in witnesses):
+        return True
+    for side in (difference, difference.scale(-1)):
+        probe = LinearSolver()
+        probe.constraints = list(constraints)
+        probe.add_le(LinearExpr.of_constant(1).sub(side))
+        point = checked_point(probe, constraints)
+        if point is not None and value_at(side, point) >= 1:
+            witnesses.append(point)
+            return True
+    return False
+
+
+def reference_entails_eq(constraints, left, right, witnesses: list) -> bool:
     difference = linearize(left).sub(linearize(right))
+    # A checked witness rules the pair out without the two Fourier-Motzkin
+    # probes, which can run into the row cap many times over on one system.
+    if rules_out(constraints, difference, witnesses):
+        return False
     verdicts = []
     for side in (difference, difference.scale(-1)):
         probe = reference_for(constraints)
@@ -142,18 +200,47 @@ def reference_entails_eq(constraints, left, right) -> bool:
     return all(verdicts)
 
 
+#: A feasible system on which six of the 56 Fourier-Motzkin probes of
+#: :func:`reference_entails_eq` overflow the row cap; the probes alone took
+#: about 10 s.  Witnesses rule out every pair that would need them.
+PROBES_OVER_THE_CAP = [
+    (row({"g[0]": -5, "g[x1]": 1, "x2": -3}, -8), False),
+    (row({"g[x1]": 2, "x1": 3, "x2": -3, "x3": 2}, -3), True),
+    (row({"x1": Fraction(-4, 3), "x2": Fraction(-2, 3)}, Fraction(-4, 3)), True),
+    (row({"g[0]": 1, "x3": 1}, Fraction(-7, 2)), True),
+    (
+        row(
+            {"g[0]": Fraction(1, 2), "g[x1]": Fraction(-1, 3), "x1": -2, "x2": -5},
+            4,
+        ),
+        True,
+    ),
+    (row({"x1": Fraction(-4, 3), "x2": Fraction(-2, 3)}, Fraction(-4, 3)), True),
+    (row({"g[0]": -1, "x1": Fraction(-2, 3), "x3": 4}, Fraction(-4, 3)), False),
+    (
+        row(
+            {"g[0]": Fraction(1, 2), "g[x1]": Fraction(-1, 3), "x1": -2, "x2": -5},
+            4,
+        ),
+        True,
+    ),
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(systems)
+@example(PROBES_OVER_THE_CAP)
 def test_implied_equalities_match_the_reference(system):
     solver = solver_for(system)
     assume(reference_for(solver.constraints).decide() is False)
     # ``g[x2]`` occurs in no row (a free atom); ``0`` is a literal.
     terms = [T(text) for text in _ATOMS + ("g[x2]", "0", "x1 + 1")]
+    witnesses: list[dict] = []
     expected = [
         (left, right)
         for i, left in enumerate(terms)
         for right in terms[i + 1 :]
-        if reference_entails_eq(solver.constraints, left, right)
+        if reference_entails_eq(solver.constraints, left, right, witnesses)
     ]
     pairs = solver.implied_equalities(terms)
     assert [(left, right) for left, right, _ in pairs] == expected

@@ -12,12 +12,18 @@ tier 1 so the workflow cannot drift from the repo it tests:
   failure reproduces locally;
 * the benchmark smoke step and its artifact upload stay wired to a
   script entry point that actually exists and stays runnable, and every
-  benchmark script any job runs exists.
+  benchmark script any job runs exists;
+* the traced corpus-cold record's per-layer seconds reach the job
+  summary.
 """
 
 from __future__ import annotations
 
+import json
 import re
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import yaml
@@ -223,6 +229,50 @@ def test_tier1_runs_traced_corpus_cold_and_uploads_its_record():
         and step["with"]["name"] == "perfbench-corpus-cold-${{ github.sha }}"
         for step in uploads
     ), "tier1 must upload the perfbench corpus-cold record"
+
+
+def test_tier1_summarises_the_corpus_cold_layer_times():
+    """After the traced corpus-cold run, the job summary lists every
+    per-layer seconds metric of its record, so each commit shows the
+    layer shares."""
+    steps = load_workflow()["jobs"]["tier1"]["steps"]
+    [traced] = [
+        step
+        for step in steps
+        if "--workload corpus-cold" in step.get("run", "")
+        and "--trace 1" in step.get("run", "")
+    ]
+    [summary] = [
+        step
+        for step in steps
+        if "$GITHUB_STEP_SUMMARY" in step.get("run", "")
+        and "corpus-cold-seed1-trace1.json" in step.get("run", "")
+    ]
+    assert steps.index(summary) > steps.index(traced)
+    # Run the step's script on a small record: every ``*_s`` metric and
+    # nothing else becomes a row.
+    script = summary["run"].split("<<'PY'\n", 1)[1].rsplit("PY", 1)[0]
+    metrics = {
+        "trace.wall_s": 0.5,
+        "verifier.engine.self_s": 0.25,
+        "provers.cache.hits": 12.0,
+    }
+    record = {"metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()}}
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "record.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-", str(path)],
+            input=script,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    rows = [line for line in done.stdout.splitlines() if line.startswith("| `")]
+    assert rows == [
+        "| `trace.wall_s` | 0.500 | 100% |",
+        "| `verifier.engine.self_s` | 0.250 | 50% |",
+    ]
 
 
 def test_tier1_reports_src_line_delta_on_pull_requests():

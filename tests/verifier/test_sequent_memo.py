@@ -1,10 +1,10 @@
 """The engine's sequent memo, keyed by method content.
 
-``VerificationEngine.method_sequents`` memoizes on everything lowering
+``VerificationEngine.sequent_tasks`` memoizes on everything lowering
 reads (the class's state and invariants, the method minus its name, every
 callee's full ``Method``), so a memoized answer must equal a fresh
-``_generate_sequents`` for every method, and equal contents must share one
-generation while a changed input regenerates.
+``_generate_sequents`` and ``task_for`` for every method, and equal
+contents must share one generation while a changed input regenerates.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ def test_memoized_sequents_equal_fresh_generation():
                 cls.name,
                 method.name,
             )
+            # The memo's tasks are the ones a fresh ``task_for`` builds.
+            for sequent, task in engine.sequent_tasks(cls, method):
+                assert task == engine.task_for(sequent), (cls.name, method.name)
             checked += len(memoized)
     assert checked > 0
     # Equal contents share entries: fewer entries than methods asked for.
