@@ -19,24 +19,27 @@ Subcommands::
                                   as one suite-scheduled run)
     jahob-py table2               regenerate Table 2 (slow: verifies twice)
     jahob-py serve                run the warm verification daemon on a
-                                  unix socket (--socket) or TCP (--tcp),
-                                  optionally with an HTTP/JSON front door
-                                  (--http; see docs/service-api.md) and
-                                  an admission queue bound (--queue-limit)
+                                  unix socket (--socket), optionally with
+                                  the HTTP/JSON front door for remote
+                                  clients (--http; see
+                                  docs/service-api.md) and an admission
+                                  queue bound (--queue-limit)
     jahob-py metrics              scheduling metrics of a running daemon:
                                   cache provenance, admission, watch
                                   latency and the last run's plan
                                   (requires --connect)
-    jahob-py shutdown             stop a daemon (requires --connect)
+    jahob-py shutdown             stop a daemon (requires --connect
+                                  SOCKET)
 
-With ``--connect ADDR`` (a unix-socket path or ``HOST:PORT``) the ``list``
-/ ``verify`` / ``table1`` commands are served by a running daemon
-(``jahob-py serve``) instead of a cold local engine; the printed output is
-identical.  ``--client NAME`` attaches the client identity that keys the
-daemon's tenant cache namespace, and ``--priority
-batch`` yields the admission queue to interactive requests.  All TCP
-endpoints authenticate with the shared secret from ``--secret-file`` or
-``JAHOB_SECRET``.
+With ``--connect ADDR`` the ``list`` / ``verify`` / ``table1`` /
+``metrics`` commands are served by a running daemon (``jahob-py serve``)
+instead of a cold local engine; the printed output is identical.  A
+unix-socket path speaks to the daemon's socket; ``HOST:PORT`` speaks to
+its HTTP front door, signing every request with the shared secret from
+``--secret-file`` or ``JAHOB_SECRET``.  ``shutdown`` and ``verify
+--watch`` need the socket.  ``--client NAME`` attaches the client
+identity that keys the daemon's tenant cache namespace, and ``--priority
+batch`` yields the admission queue to interactive requests.
 """
 
 from __future__ import annotations
@@ -124,15 +127,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--connect",
         default=None,
         metavar="ADDR",
-        help="serve list/verify/table1/shutdown through the daemon listening "
-        "on this unix socket or HOST:PORT instead of a cold local engine",
+        help="serve list/verify/table1/metrics/shutdown through the daemon "
+        "listening on this unix socket, or through its HTTP door at "
+        "HOST:PORT, instead of a cold local engine",
     )
     parser.add_argument(
         "--secret-file",
         default=None,
         metavar="PATH",
-        help="file holding the shared secret that authenticates TCP "
-        "connections of --connect and serve (JAHOB_SECRET works "
+        help="file holding the shared secret that signs the HTTP requests "
+        "of --connect HOST:PORT and serve --http (JAHOB_SECRET works "
         "too); local runs never read it",
     )
     parser.add_argument(
@@ -140,8 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="",
         metavar="NAME",
         help="with --connect: the client identity that keys the daemon's "
-        "tenant proof-cache namespace (on TCP it "
-        "rides in the HMAC handshake and cannot be spoofed)",
+        "tenant proof-cache namespace (over HTTP it is signed and "
+        "cannot be spoofed)",
     )
     parser.add_argument(
         "--priority",
@@ -196,18 +200,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"unix socket to listen on (default: {DEFAULT_SOCKET})",
     )
     serve.add_argument(
-        "--tcp",
-        default=None,
-        metavar="HOST:PORT",
-        help="listen on TCP instead of the unix socket; requires the "
-        "shared secret (--secret-file or JAHOB_SECRET)",
-    )
-    serve.add_argument(
         "--http",
         default=None,
         metavar="HOST:PORT",
-        help="also serve the HTTP/JSON API on this address (requires the "
-        "shared secret; routes in docs/service-api.md)",
+        help="also serve the HTTP/JSON API for remote clients on this "
+        "address (requires the shared secret; routes in "
+        "docs/service-api.md)",
     )
     serve.add_argument(
         "--queue-limit",
@@ -235,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers.add_parser(
         "shutdown",
-        help="flush the daemon's caches and stop it (requires --connect)",
+        help="flush the daemon's caches and stop it (requires --connect "
+        "SOCKET)",
     )
     return parser
 
@@ -281,9 +280,18 @@ def _load_secret_arg(args: argparse.Namespace) -> bytes | None:
     return load_secret(args.secret_file)
 
 
+#: Why an op is refused on a ``HOST:PORT`` address.
+_SOCKET_ONLY = (
+    "{what} is served on the daemon's unix socket only: run it with "
+    "--connect SOCKET on the daemon's host (see docs/service-api.md)"
+)
+
+
 def _run_connected(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """Serve the command through a running daemon (``--connect``)."""
+    """Serve the command through a running daemon (``--connect``): its unix
+    socket for a path, its signed HTTP door for ``HOST:PORT``."""
     from .daemon import DaemonClient, DaemonError
+    from .wire import parse_address
 
     # Engine configuration lives in the daemon: flags that would rebuild
     # the engine locally cannot be forwarded, so say so instead of
@@ -300,7 +308,7 @@ def _run_connected(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     except OSError as exc:
         print(f"cannot read --secret-file: {exc}", file=sys.stderr)
         return 2
-    client = DaemonClient(args.connect, secret=secret, client_id=args.client)
+    remote = parse_address(args.connect)[0] == "tcp"
     if args.command == "verify" and args.watch:
         if not _is_program_path(args.name):
             print(
@@ -309,7 +317,10 @@ def _run_connected(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
                 file=sys.stderr,
             )
             return 2
-        return _stream_watch(client, args)
+        if remote:
+            print(_SOCKET_ONLY.format(what="verify --watch"), file=sys.stderr)
+            return 2
+        return _stream_watch(DaemonClient(args.connect, client_id=args.client), args)
     if args.command == "list":
         request = {"op": "list"}
     elif args.command == "verify" and _is_program_path(args.name):
@@ -327,14 +338,29 @@ def _run_connected(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     elif args.command == "metrics":
         request = {"op": "metrics"}
     elif args.command == "shutdown":
+        if remote:
+            print(_SOCKET_ONLY.format(what="shutdown"), file=sys.stderr)
+            return 2
         request = {"op": "shutdown"}
     else:
         print(f"--connect does not support {args.command!r}", file=sys.stderr)
         return 2
     if args.priority != "interactive":
         request["priority"] = args.priority
+    if remote and not secret:
+        print(
+            f"connecting to {args.connect} requires the shared secret "
+            "(--secret-file or JAHOB_SECRET)",
+            file=sys.stderr,
+        )
+        return 2
     try:
-        response = client.request(request)
+        if remote:
+            response = _http_request(args, secret, request)
+        else:
+            response = DaemonClient(args.connect, client_id=args.client).request(
+                request
+            )
     except DaemonError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -355,6 +381,22 @@ def _run_connected(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         return 0
     print(response["output"])
     return int(response.get("exit", 0))
+
+
+def _http_request(args: argparse.Namespace, secret: bytes, request: dict) -> dict:
+    """Send one line-protocol ``request`` to the daemon's HTTP door at
+    ``--connect HOST:PORT`` through the op's route in ``ROUTES``; every
+    status carries the same response object the socket would return."""
+    from .daemon import DaemonError
+    from .http import ROUTES, HttpApiClient, HttpApiError
+
+    (route,) = [route for route in ROUTES if route.op == request["op"]]
+    body = {key: value for key, value in request.items() if key != "op"}
+    client = HttpApiClient(args.connect, secret, client_id=args.client, timeout=None)
+    try:
+        return client.request(route.method, route.path, body or None)[1]
+    except HttpApiError as exc:
+        raise DaemonError(str(exc)) from exc
 
 
 def _stream_watch(client, args: argparse.Namespace) -> int:
@@ -455,7 +497,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         return 2
     try:
         daemon = VerifierDaemon(
-            args.tcp if args.tcp is not None else args.socket,
+            args.socket,
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             persist=not args.no_persist,
@@ -517,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.connect is not None:
         return _run_connected(parser, args)
     if args.command in ("shutdown", "metrics"):
-        print(f"{args.command} requires --connect SOCKET", file=sys.stderr)
+        print(f"{args.command} requires --connect ADDR", file=sys.stderr)
         return 2
 
     portfolio = default_portfolio(with_cache=not args.no_cache)

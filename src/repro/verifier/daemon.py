@@ -1,4 +1,4 @@
-"""Warm verification daemon: a unix-socket server that keeps the engine hot.
+"""Warm verification daemon: a server that keeps the engine hot.
 
 Every one-shot CLI invocation pays cold start: importing the package,
 building the catalogue, parsing the persistent cache, and -- for parallel
@@ -12,13 +12,13 @@ a repeat verification is answered from warm caches in milliseconds.
 Protocol
 --------
 
-Newline-delimited JSON, one request per connection: the client sends a
-single JSON object terminated by ``"\\n"``, the server replies with a
-single JSON object and closes the connection.  The daemon listens on an
-``AF_UNIX`` stream socket (authentication: filesystem permissions) or --
-``serve --tcp HOST:PORT`` -- a TCP socket, where every connection must
-first pass the mutual shared-secret handshake of
-:mod:`repro.verifier.wire` before its request line is read.
+The daemon has two doors.  Local clients use an ``AF_UNIX`` stream socket
+(authentication: filesystem permissions) that speaks newline-delimited
+JSON, one request per connection: the client sends a single JSON object
+terminated by ``"\\n"``, the server replies with a single JSON object and
+closes the connection.  Remote clients use the signed HTTP front door
+(``serve --http HOST:PORT``, :mod:`repro.verifier.http`), which serves the
+same ops; a daemon built on a ``HOST:PORT`` address has that door only.
 Every response carries ``"ok"`` (bool) and, on failure, ``"error"``.
 Supported ``"op"`` values:
 
@@ -48,8 +48,8 @@ Supported ``"op"`` values:
               streams one ``verdicts`` event per change, with
               clean/dirty/dispatched accounting, over the same connection --
               the one op that breaks the one-request/one-response rule,
-              which is why it exists on the socket transports only (the
-              HTTP front door deliberately does not route it)
+              which is why it exists on the unix socket only (the HTTP
+              front door deliberately does not route it)
 ``shutdown``  flush the persistent cache and stop the server (open watch
               subscriptions are closed cleanly first)
 ============  =========================================================
@@ -67,14 +67,10 @@ full queue, or a busy engine under ``"nowait": true``, is answered at
 once with the structured rejection shape
 ``{"ok": false, "busy": true, "code": ..., "retry_after": 1.0}``.
 Clients carry an identity -- the ``client`` request field on the trusted
-unix socket, the HMAC-authenticated handshake role (``client:NAME``, see
-:func:`repro.verifier.wire.client_role`) on TCP -- which keys the
-**per-tenant proof-cache namespace**: one tenant's cached verdicts can
-neither serve nor poison another's.
-
-The daemon can additionally serve the same ops over an **HTTP/1.1 JSON
-API** (``serve --http HOST:PORT``, :mod:`repro.verifier.http`); the route
-table and semantics are documented in ``docs/service-api.md``.
+unix socket, the HMAC-signed ``X-Jahob-Client`` header over HTTP -- which
+keys the **per-tenant proof-cache namespace**: one tenant's cached
+verdicts can neither serve nor poison another's.  The HTTP route table
+and semantics are documented in ``docs/service-api.md``.
 
 Shutdown is graceful in all paths -- the ``shutdown`` op, ``SIGTERM`` /
 ``SIGINT`` under ``jahob-py serve``, or :meth:`VerifierDaemon.stop` from a
@@ -82,9 +78,10 @@ controlling thread: the accept loop drains, in-flight request threads are
 joined, the persistent cache is flushed, the engine's warm pool is closed,
 and the socket file is removed.
 
-Clients use :class:`DaemonClient` (the CLI's ``--connect`` flag); the
-``output`` field of a response is printed verbatim, so daemon-served runs
-are textually identical to local ones.
+Local clients use :class:`DaemonClient`, remote ones
+:class:`~repro.verifier.http.HttpApiClient` (the CLI's ``--connect`` picks
+by address); the ``output`` field of a response is printed verbatim, so
+daemon-served runs are textually identical to local ones.
 """
 
 from __future__ import annotations
@@ -114,18 +111,7 @@ from .report import (
     table1_rows,
 )
 from .stats import LatencyHistogram
-from .wire import (
-    HandshakeError,
-    LineChannel,
-    WireError,
-    client_role,
-    connect_address,
-    create_listener,
-    handshake_accept,
-    handshake_connect,
-    parse_address,
-    parse_client_role,
-)
+from .wire import LineChannel, WireError, connect_address, parse_address
 
 __all__ = ["PROTOCOL_VERSION", "DaemonError", "VerifierDaemon", "DaemonClient"]
 
@@ -141,8 +127,10 @@ __all__ = ["PROTOCOL_VERSION", "DaemonError", "VerifierDaemon", "DaemonClient"]
 #: ``metrics.schedule.backend``, ``stats.remote_workers``); version 8 dropped
 #: per-client rate limits and the service-time estimate from admission (one
 #: rejection code and four ``metrics.admission`` fields fewer;
-#: ``retry_after`` is always 1 second).
-PROTOCOL_VERSION = 8
+#: ``retry_after`` is always 1 second); version 9 deleted the TCP line
+#: protocol and its handshake (remote clients use the HTTP door, which
+#: gained ``POST /v1/table1``).
+PROTOCOL_VERSION = 9
 
 #: Hard cap on one request line; a unix-socket peer is trusted, but a
 #: corrupt client must not make the daemon buffer without bound.
@@ -150,9 +138,8 @@ _MAX_REQUEST_BYTES = 1 << 20
 
 #: Socket-I/O deadline for reading a request line and writing a response.
 #: Connections are served on their own threads, but a peer that connects
-#: and then goes silent must not pin a thread (and, for TCP, a handshake)
-#: forever.  Request *handling* (proving) runs between the two I/O phases
-#: with no deadline.
+#: and then goes silent must not pin a thread forever.  Request *handling*
+#: (proving) runs between the two I/O phases with no deadline.
 _IO_TIMEOUT = 30.0
 
 #: Ops that drive the verification engine and therefore serialize on the
@@ -199,7 +186,7 @@ def _report_payload(report: ClassReport) -> dict:
 
 
 class VerifierDaemon:
-    """Serve verification requests over a unix or TCP socket, warm.
+    """Serve verification requests over a unix socket and HTTP, warm.
 
     Either pass a ready :class:`VerificationEngine` or let the daemon build
     one from ``jobs`` / ``cache_dir`` / ``persist`` / ``use_proof_cache`` /
@@ -211,9 +198,11 @@ class VerifierDaemon:
     the listener and connection fds they inherit as they start, so no
     worker ever holds one.
 
-    ``address`` may be a unix-socket path or a ``HOST:PORT`` TCP address;
-    TCP requires ``secret`` (every client connection runs the
-    :mod:`repro.verifier.wire` handshake first).
+    ``address`` is the unix-socket path.  ``http`` adds the signed HTTP
+    front door on a ``HOST:PORT`` address, which requires ``secret``.  A
+    ``HOST:PORT`` ``address`` builds an HTTP-only daemon: ``http``
+    defaults to it, there is no unix listener, and :meth:`serve_forever`
+    waits for :meth:`stop`.
     """
 
     def __init__(
@@ -230,13 +219,20 @@ class VerifierDaemon:
         queue_limit: int = 16,
         http: str | None = None,
     ) -> None:
-        self.address_kind, _ = parse_address(address)
-        self.socket_path = Path(address) if self.address_kind == "unix" else None
         self.address = str(address)
-        self.secret = secret
-        if self.address_kind == "tcp" and not secret:
+        self.socket_path = None
+        if parse_address(address)[0] == "unix":
+            self.socket_path = Path(address)
+        elif http is None or http == self.address:
+            http = self.address
+        else:
             raise DaemonError(
-                "serving on TCP requires a shared secret "
+                f"a HOST:PORT address ({self.address}) is the HTTP door "
+                f"itself; it cannot serve a second one on {http}"
+            )
+        if http is not None and not secret:
+            raise DaemonError(
+                "serving HTTP requires a shared secret "
                 "(--secret-file or JAHOB_SECRET)"
             )
         if engine is None:
@@ -275,11 +271,6 @@ class VerifierDaemon:
         if http is not None:
             from .http import HttpFrontDoor
 
-            if not secret:
-                raise DaemonError(
-                    "serving HTTP requires a shared secret "
-                    "(--secret-file or JAHOB_SECRET)"
-                )
             self.http_door = HttpFrontDoor(http, self, secret)
 
     # -- lifecycle ---------------------------------------------------------------
@@ -300,18 +291,17 @@ class VerifierDaemon:
         """
         self.engine.warm_pool()
         if self.http_door is not None:
-            self.http_door.bind()
-        if self._server is not None:
-            return
-        if self.address_kind == "tcp":
             try:
-                server = create_listener(self.address)
+                self.http_door.bind()
             except OSError as exc:
-                raise DaemonError(f"cannot bind {self.address}: {exc}") from exc
-            server.settimeout(0.2)
-            # Resolve ":0" to the actual port for logs and clients.
-            self.address = "%s:%d" % server.getsockname()[:2]
-            self._server = server
+                raise DaemonError(
+                    f"cannot bind {self.http_door.address}: {exc}"
+                ) from exc
+        if self.socket_path is None:
+            # HTTP only: the door is the daemon's address (":0" resolved).
+            self.address = self.http_door.address
+            return
+        if self._server is not None:
             return
         # A stale socket file from a crashed daemon: refuse to steal a
         # *live* daemon's address, silently replace a dead one's -- and
@@ -377,6 +367,8 @@ class VerifierDaemon:
             self.bind()
             if self.http_door is not None:
                 self.http_door.start()
+            if self.socket_path is None:
+                self._wake.wait()  # HTTP only: the door's thread serves
             while not self._stopping:
                 # Local alias: a concurrent close() nulls self._server, and
                 # the loop must see either the live socket (whose close()
@@ -469,18 +461,6 @@ class VerifierDaemon:
     def _serve_connection(self, connection: socket.socket) -> None:
         connection.settimeout(_IO_TIMEOUT)
         channel = LineChannel(connection, limit=_MAX_REQUEST_BYTES)
-        client: str | None = None
-        if self.address_kind == "tcp":
-            try:
-                role = handshake_accept(channel, self.secret, expect_role="client")
-            except (WireError, HandshakeError):
-                # An unauthenticated peer gets nothing, not even an op
-                # error; handshake_accept already said "handshake failed".
-                return
-            # The id inside "client:NAME" is MAC-covered by the handshake,
-            # so it overrides anything the request body claims; a bare
-            # "client" role stays anonymous.
-            client = parse_client_role(role) or ""
         try:
             try:
                 request = channel.recv()
@@ -494,9 +474,9 @@ class VerifierDaemon:
                 if isinstance(request, dict) and request.get("op") == "watch":
                     # The streaming op: many responses on one connection,
                     # served entirely inside the subscription loop.
-                    self._serve_watch(channel, connection, request, client)
+                    self._serve_watch(channel, connection, request)
                     return
-                response = self.handle(request, client=client)
+                response = self.handle(request)
             channel.send(response)
         except (OSError, WireError):
             # A client that hung up mid-request costs us nothing; the
@@ -520,7 +500,6 @@ class VerifierDaemon:
         channel: LineChannel,
         connection: socket.socket,
         request: dict,
-        client: str | None,
     ) -> None:
         """Serve one ``watch`` subscription until the client hangs up, the
         event budget is exhausted, or the daemon shuts down.
@@ -567,7 +546,7 @@ class VerifierDaemon:
                 }
             )
             return
-        client_id = client if client is not None else str(request.get("client") or "")
+        client_id = str(request.get("client") or "")
         self.requests_served += 1
         self.watch_subscriptions += 1
         self.watch_active += 1
@@ -698,8 +677,8 @@ class VerifierDaemon:
         with the structured shape of
         :func:`repro.verifier.admission.rejection_response`.
 
-        ``client`` is the transport-authenticated client id (TCP handshake
-        role, HTTP signed header); ``None`` means the transport carries no
+        ``client`` is the transport-authenticated client id (the HTTP
+        door's signed header); ``None`` means the transport carries no
         identity and the trusted ``"client"`` request field is used
         instead (the unix socket and direct ``handle`` calls).
         """
@@ -879,62 +858,48 @@ class VerifierDaemon:
 
 
 class DaemonClient:
-    """Talk to a :class:`VerifierDaemon` over its unix or TCP socket.
+    """Talk to a :class:`VerifierDaemon` over its unix socket.
 
     One request per connection, mirroring the server.  ``connect_timeout``
-    bounds the connect phase (and, for TCP, the handshake); a verification
-    request may legitimately run for minutes, so reads wait indefinitely
-    once connected.  TCP addresses require the daemon's shared ``secret``.
+    bounds the connect phase; a verification request may legitimately run
+    for minutes, so reads wait indefinitely once connected.  A
+    ``HOST:PORT`` address is the daemon's HTTP door, which
+    :class:`~repro.verifier.http.HttpApiClient` speaks; this client
+    refuses it.
     """
 
     def __init__(
         self,
         address: str | Path,
         connect_timeout: float = 5.0,
-        secret: bytes | None = None,
         client_id: str = "",
     ) -> None:
+        if parse_address(address)[0] != "unix":
+            raise DaemonError(
+                f"{address} is a HOST:PORT address: remote daemons speak "
+                "HTTP (HttpApiClient); DaemonClient needs the unix socket path"
+            )
         self.address = str(address)
-        self.is_tcp = parse_address(address)[0] == "tcp"
         self.connect_timeout = connect_timeout
-        self.secret = secret
         self.client_id = client_id
 
     def _open(self) -> LineChannel:
-        """Connect and, on TCP, run the handshake."""
-        if self.is_tcp and not self.secret:
-            raise DaemonError(
-                f"connecting to the TCP daemon at {self.address} requires "
-                "a shared secret (--secret-file or JAHOB_SECRET)"
-            )
         try:
             sock = connect_address(self.address, timeout=self.connect_timeout)
         except OSError as exc:
             raise DaemonError(
                 f"cannot connect to daemon at {self.address}: {exc}"
             ) from exc
-        channel = LineChannel(sock)
-        if self.is_tcp:
-            try:
-                handshake_connect(
-                    channel, self.secret, role=client_role(self.client_id)
-                )
-            except (WireError, HandshakeError) as exc:
-                channel.close()
-                raise DaemonError(
-                    f"handshake with daemon at {self.address} failed: {exc}"
-                ) from exc
         sock.settimeout(None)
-        return channel
+        return LineChannel(sock)
 
     def request(self, payload: dict) -> dict:
         """Send one request object and return the parsed response object.
 
-        On TCP the client id (if any) rides in the handshake role, where
-        the HMAC covers it; on the unix socket it is added as the trusted
-        ``client`` request field unless the payload already carries one.
+        The client id (if any) is added as the trusted ``client`` request
+        field unless the payload already carries one.
         """
-        if not self.is_tcp and self.client_id:
+        if self.client_id:
             payload = {"client": self.client_id, **payload}
         channel = self._open()
         try:
@@ -961,7 +926,7 @@ class DaemonClient:
         daemon takes as an unsubscribe.
         """
         payload = {**payload, "op": "watch"}
-        if not self.is_tcp and self.client_id and "client" not in payload:
+        if self.client_id and "client" not in payload:
             payload = {"client": self.client_id, **payload}
         channel = self._open()
         try:

@@ -1,31 +1,30 @@
 """HTTP/1.1 JSON front door for the verification daemon.
 
-The socket protocol (:mod:`repro.verifier.daemon`) is the native
-interface, but it asks every caller to speak newline-JSON framing and the
-HMAC handshake.  :class:`HttpFrontDoor` serves the same ops as plain
-HTTP -- ``POST /v1/verify`` with a JSON body, get a JSON response -- so
-anything that can send an HTTP request can drive the verifier.  Built on
-the stdlib :class:`~http.server.ThreadingHTTPServer`: no new
-dependencies, one thread per in-flight request, same admission control as
-the socket path (the HTTP layer is a *front door*, not a second engine).
+The unix socket (:mod:`repro.verifier.daemon`) serves local clients in
+newline-JSON framing.  :class:`HttpFrontDoor` is the daemon's one network
+door: it serves the same ops as plain HTTP -- ``POST /v1/verify`` with a
+JSON body, get a JSON response -- so anything that can send an HTTP
+request can drive the verifier, ``jahob-py --connect HOST:PORT`` among
+them.  Built on the stdlib :class:`~http.server.ThreadingHTTPServer`: no
+new dependencies, one thread per in-flight request, same admission
+control as the socket path (the HTTP layer is a *front door*, not a
+second engine).
 
 Routes are data, not code: :data:`ROUTES` is the single table mapping
 ``(method, path)`` to a daemon op plus whether the op passes admission
 control.  ``docs/service-api.md`` documents exactly this table and a
 tier-1 test (``tests/test_service_docs.py``) asserts the two never
-drift.  ``table1`` and ``shutdown`` are deliberately socket-only: the
-first is a batch report with a CLI rendering, the second is an
-operator's action that should require the operator's transport.
+drift.  ``shutdown`` (and the streaming ``watch``) are deliberately
+socket-only: stopping the daemon is an operator's action that should
+require the operator's transport.
 
-Authentication mirrors the socket handshake's trust model without its
-round trips: every request carries the caller's client id and an
+Authentication: every request carries the caller's client id and an
 HMAC-SHA256 over ``client\\nmethod\\npath\\nbody`` with the shared secret
 (headers ``X-Jahob-Client`` / ``X-Jahob-Signature``).  A missing or wrong
 signature is answered ``401`` before the body is parsed as JSON.  The
-daemon trusts the authenticated id for tenant cache namespacing, exactly
-like a ``client:NAME`` handshake role.  Transport
-encryption is deliberately out of scope -- run a TLS-terminating reverse
-proxy in front (``docs/operations.md``).
+daemon trusts the authenticated id for tenant cache namespacing.
+Transport encryption and replay protection are deliberately out of scope
+-- run a TLS-terminating reverse proxy in front (``docs/operations.md``).
 
 Status mapping: ``200`` for any handled op (including ``"ok": false``
 verification failures -- the HTTP layer reports transport success, the
@@ -94,6 +93,7 @@ ROUTES = (
         "verify every class model in an uploaded-by-path Python file",
     ),
     Route("POST", "/v1/suite", "suite", True, "suite-scheduled verification run"),
+    Route("POST", "/v1/table1", "table1", True, "the full catalogue as Table 1"),
     Route("GET", "/v1/stats", "stats", False, "engine counters and cache state"),
     Route(
         "GET",
@@ -290,13 +290,16 @@ class HttpApiError(RuntimeError):
 
 
 class HttpApiClient:
-    """A minimal signed client for the front door (tests, benchmarks).
+    """A minimal signed client for the front door (``--connect HOST:PORT``,
+    tests, benchmarks).
 
     One request per call over a fresh connection -- matching the socket
     client's one-shot model keeps the two transports behaviourally
     comparable under load.  ``request`` returns ``(status, response)``
     and only raises :class:`HttpApiError` for transport failures, never
     for HTTP error statuses: 429-handling is the caller's retry policy.
+    ``timeout`` bounds connect and every read; ``None`` waits as long as
+    the request takes.
     """
 
     def __init__(
@@ -304,7 +307,7 @@ class HttpApiClient:
         address: str,
         secret: bytes,
         client_id: str = "",
-        timeout: float = 60.0,
+        timeout: float | None = 60.0,
     ) -> None:
         kind, target = parse_address(address)
         if kind != "tcp":
@@ -336,6 +339,12 @@ class HttpApiClient:
             self.host, self.port, timeout=self.timeout
         )
         try:
+            try:
+                connection.connect()
+            except OSError as exc:
+                raise HttpApiError(
+                    f"cannot connect to {self.host}:{self.port}: {exc}"
+                ) from exc
             connection.request(method, path, body=payload, headers=headers)
             raw = connection.getresponse()
             status = raw.status

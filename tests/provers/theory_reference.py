@@ -168,7 +168,10 @@ def plain_linearize(term: Term) -> LinearExpr:
     return LinearExpr.of_atom(term)
 
 
-def plain_pick_atom(rows: list[LinearExpr]) -> Term:
+def plain_pick_atom(rows: list[LinearExpr]) -> tuple[Term, int, int]:
+    """The atom whose elimination builds the fewest upper x lower rows,
+    with the number of rows where it has a positive and a negative
+    coefficient."""
     occurrences: dict[Term, tuple[int, int]] = {}
     for row in rows:
         for atom, coeff in row.coeffs:
@@ -178,7 +181,8 @@ def plain_pick_atom(rows: list[LinearExpr]) -> Term:
             else:
                 neg += 1
             occurrences[atom] = (pos, neg)
-    return min(occurrences, key=lambda a: occurrences[a][0] * occurrences[a][1])
+    atom = min(occurrences, key=lambda a: occurrences[a][0] * occurrences[a][1])
+    return (atom, *occurrences[atom])
 
 
 def plain_eliminate(rows: list[LinearExpr], atom: Term) -> list[LinearExpr]:
@@ -290,6 +294,9 @@ class PlainLinearSolver:
             rows = pending
             if not rows:
                 return False
-            rows = plain_eliminate(rows, plain_pick_atom(rows))
-            if len(rows) > self.max_constraints:
+            atom, pos, neg = plain_pick_atom(rows)
+            # Elimination keeps the rows without the atom and builds one
+            # row per upper x lower pair: refuse before building them.
+            if len(rows) - pos - neg + pos * neg > self.max_constraints:
                 raise _BudgetExceeded()
+            rows = plain_eliminate(rows, atom)

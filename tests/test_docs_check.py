@@ -11,7 +11,10 @@ Three guards against documentation drift:
   once the daemon prints its ``listening on`` readiness line;
 * every CLI option and subcommand the argument parser actually defines
   must be mentioned in the README's CLI reference, and every option and
-  subcommand that reference's tables name must exist in the parser;
+  subcommand that reference's tables name must exist in the parser; so
+  must every ``--option`` on a ``jahob-py …`` or ``python -m
+  repro.verifier.cli …`` command line anywhere in ``README.md`` and
+  ``docs/*.md``, in code blocks and inline code alike;
 * every relative markdown link in ``README.md`` and ``docs/*.md`` must
   point at an existing file.
 """
@@ -297,6 +300,47 @@ def test_no_dead_relative_links(path: Path):
             continue
         resolved = (path.parent / target.split("#", 1)[0]).resolve()
         assert resolved.exists(), f"{path.name}: dead link {target}"
+
+
+_COMMAND = re.compile(r"(?:\bjahob-py|python3? -m repro\.verifier\.cli)\b(.*)")
+_OPTION = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
+
+
+def documented_command_lines(path: Path) -> list[str]:
+    """The argument text of every CLI command line in one markdown file:
+    fenced lines (``\\`` continuations joined, ``  #`` comments and pipes
+    cut) and inline code spans, from the command name on."""
+    found, fenced, pending = [], False, ""
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.lstrip().startswith("```"):
+            fenced, pending = not fenced, ""
+            continue
+        if fenced:
+            pending += line
+            if pending.endswith("\\"):
+                pending = pending[:-1] + " "
+                continue
+            spans, pending = [pending.split("  #", 1)[0]], ""
+        else:
+            spans = re.findall(r"`([^`]+)`", line)
+        for span in spans:
+            match = _COMMAND.search(span)
+            if match:
+                found.append(match.group(1).split(" | ", 1)[0])
+    return found
+
+
+@pytest.mark.parametrize("path", markdown_files(), ids=lambda p: p.name)
+def test_documented_command_lines_use_only_real_options(path: Path):
+    """A stale flag on any documented command line (say, a deleted
+    ``serve --tcp`` in a runbook example) fails here, not in a reader's
+    shell."""
+    options, _ = _parser_surface()
+    for arguments in documented_command_lines(path):
+        for option in _OPTION.findall(arguments):
+            assert option in options, (
+                f"{path.name}: a command line uses unknown {option}: {arguments}"
+            )
 
 
 def test_docs_mention_current_entry_points():

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,9 @@ import pytest
 from repro.provers.cache import CachedVerdict, PersistentCacheStore
 from repro.provers.dispatch import default_portfolio
 from repro.suite.common import StructureBuilder
+from repro.verifier.daemon import VerifierDaemon
 from repro.verifier.engine import VerificationEngine
+from repro.verifier.http import HttpApiClient
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -123,3 +127,45 @@ def test_cold_verify_class_goes_through_every_patched_layer(tracing):
         "verifier.engine.verify_class",
     ]
     assert [layer for layer in layers if tracer.calls(layer) == 0] == []
+
+
+def test_edit_serve_daemon_is_http_only(tmp_path, monkeypatch):
+    """``perfbench/workloads.py``'s ``EditServe.setup`` builds its daemon on
+    a ``HOST:PORT`` address with ``http`` on another ``:0``, then uses
+    ``bind``, ``http_door.address``, ``serve_forever``, ``stop`` and the
+    thread join.  That address means an HTTP-only daemon: no unix socket
+    file appears, ``/v1/ping`` answers through ``HttpApiClient``, and
+    ``stop()`` ends ``serve_forever`` at once, not after the benchmark's
+    60-second join."""
+    secret = b"perfbench-loopback-secret"
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    daemon = VerifierDaemon(
+        "127.0.0.1:0",
+        jobs=1,
+        cache_dir=tmp_path / "store",
+        persist=True,
+        timeout_scale=0.4,
+        secret=secret,
+        http="127.0.0.1:0",
+    )
+    thread = threading.Thread(target=daemon.serve_forever)
+    try:
+        daemon.bind()
+        address = daemon.http_door.address
+        assert not address.endswith(":0")
+        thread.start()
+        client = HttpApiClient(address, secret)
+        client.wait_ready()
+        status, response = client.request("GET", "/v1/ping")
+        assert status == 200 and response["ok"]
+        assert list(cwd.iterdir()) == []
+    finally:
+        daemon.stop()
+        start = time.monotonic()
+        thread.join(timeout=10.0)
+        stopped_in = time.monotonic() - start
+    assert not thread.is_alive()
+    assert stopped_in < 1.0
+    assert list(cwd.iterdir()) == []

@@ -62,7 +62,7 @@ def test_admission_column_matches_engine_ops():
 def test_socket_only_ops_stay_unrouted_and_documented():
     routed_ops = {route.op for route in ROUTES}
     socket_only = _ENGINE_OPS - routed_ops
-    assert socket_only == {"table1", "shutdown"}
+    assert socket_only == {"shutdown"}
     text = DOC.read_text(encoding="utf-8")
     for op in socket_only:
         assert f"`{op}`" in text, f"socket-only op {op!r} is undocumented"

@@ -1,10 +1,9 @@
-"""Concurrent request handling and the TCP transport of the daemon.
+"""Concurrent request handling of the daemon's unix socket.
 
-PR 3's daemon served one connection at a time: a long ``table1`` made even
-``ping`` queue behind it.  These tests pin the new contract: every
-connection gets its own thread, engine ops serialize on the engine lock,
-``nowait`` turns queueing into an immediate busy error, and the TCP
-listener authenticates every client with the shared-secret handshake.
+A daemon that served one connection at a time made even ``ping`` queue
+behind a long ``table1``.  These tests pin the contract: every connection
+gets its own thread, engine ops serialize on the engine lock, and
+``nowait`` turns queueing into an immediate busy error.
 """
 
 from __future__ import annotations
@@ -23,13 +22,12 @@ from repro.verifier.daemon import (
 from repro.verifier.engine import VerificationEngine
 
 TIMEOUT_SCALE = 0.4
-SECRET = b"daemon-test-secret"
 
 
-def start_daemon(daemon: VerifierDaemon, secret: bytes | None = None):
+def start_daemon(daemon: VerifierDaemon):
     thread = threading.Thread(target=daemon.serve_forever, daemon=True)
     thread.start()
-    client = DaemonClient(daemon.address, secret=secret)
+    client = DaemonClient(daemon.address)
     deadline = time.monotonic() + 10.0
     while True:
         try:
@@ -39,8 +37,6 @@ def start_daemon(daemon: VerifierDaemon, secret: bytes | None = None):
             if time.monotonic() > deadline:
                 raise
             time.sleep(0.02)
-            # TCP daemons resolve ":0" to a real port only after bind.
-            client = DaemonClient(daemon.address, secret=secret)
 
 
 @pytest.fixture()
@@ -150,49 +146,3 @@ class TestConcurrentRequests:
         # Strict nesting is impossible: starts and ends alternate.
         assert len(order) == 4
         assert [kind for kind, _ in order] == ["start", "end", "start", "end"]
-
-
-class TestTcpDaemon:
-    def test_tcp_end_to_end_with_handshake(self, tmp_path):
-        daemon = VerifierDaemon(
-            "127.0.0.1:0",
-            engine=VerificationEngine(
-                default_portfolio().scaled(TIMEOUT_SCALE), persist=False
-            ),
-            secret=SECRET,
-        )
-        client, thread = start_daemon(daemon, secret=SECRET)
-        try:
-            assert daemon.address.split(":")[1] != "0"  # port resolved
-            pong = client.ping()
-            assert pong["ok"]
-            response = client.request({"op": "verify", "name": "Linked List"})
-            assert response["ok"] and response["report"]["verified"]
-            assert response["output"].splitlines()[-1].startswith("total:")
-        finally:
-            client.shutdown()
-            thread.join(timeout=10.0)
-            daemon.close()
-
-    def test_tcp_requires_secret(self):
-        with pytest.raises(DaemonError, match="secret"):
-            VerifierDaemon("127.0.0.1:0", engine=VerificationEngine())
-
-    def test_wrong_secret_is_rejected(self, tmp_path):
-        daemon = VerifierDaemon(
-            "127.0.0.1:0", engine=VerificationEngine(persist=False), secret=SECRET
-        )
-        client, thread = start_daemon(daemon, secret=SECRET)
-        try:
-            intruder = DaemonClient(daemon.address, secret=b"wrong")
-            with pytest.raises(DaemonError, match="handshake"):
-                intruder.ping()
-            keyless = DaemonClient(daemon.address)
-            with pytest.raises(DaemonError, match="secret"):
-                keyless.ping()
-            # The daemon survives rejected peers.
-            assert client.ping()["ok"]
-        finally:
-            daemon.stop()
-            thread.join(timeout=10.0)
-            daemon.close()

@@ -37,10 +37,11 @@ def test_protocol_version_is_current():
     # limits, tenant namespaces) and the HTTP front door bumped it to 5;
     # the streaming watch subscription bumped it to 6; dropping the
     # remote-worker fields bumped it to 7; dropping rate limits and the
-    # service-time estimate from admission bumped it to 8.  Ping reports
+    # service-time estimate from admission bumped it to 8; deleting the
+    # TCP line protocol and its handshake bumped it to 9.  Ping reports
     # whatever the current version is -- pin it here so any future op
     # addition bumps the constant deliberately.
-    assert PROTOCOL_VERSION == 8
+    assert PROTOCOL_VERSION == 9
 
 
 class TestHandle:

@@ -20,7 +20,14 @@ import time
 
 import pytest
 
-from repro.verifier.daemon import PROTOCOL_VERSION, VerifierDaemon
+from repro.verifier.cli import main
+from repro.verifier.daemon import (
+    PROTOCOL_VERSION,
+    DaemonClient,
+    DaemonError,
+    VerifierDaemon,
+)
+from repro.verifier.engine import VerificationEngine
 from repro.verifier.http import (
     ROUTES,
     HttpApiClient,
@@ -167,9 +174,8 @@ class TestRoutingAndAuth:
 
     def test_socket_only_ops_are_not_routed(self, served):
         _, client = served
-        for path in ("/v1/table1", "/v1/shutdown"):
-            status, _ = client.request("POST", path)
-            assert status == 404
+        status, _ = client.request("POST", "/v1/shutdown")
+        assert status == 404
 
 
 class TestVerifyOverHttp:
@@ -277,6 +283,139 @@ class TestClientPlumbing:
     def test_rejects_non_tcp_addresses(self, tmp_path):
         with pytest.raises(HttpApiError):
             HttpApiClient(str(tmp_path / "door.sock"), SECRET)
+
+    def test_secret_never_crosses_the_wire(self):
+        """A request carries the HMAC of the secret, never the secret."""
+        secret = b"super-secret-value"
+        captured = bytearray()
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer_once():
+            connection, _ = listener.accept()
+            with connection:
+                while not (b"\r\n\r\n" in captured and captured.endswith(b"}")):
+                    chunk = connection.recv(65536)
+                    if not chunk:
+                        return
+                    captured.extend(chunk)
+                connection.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+
+        thread = threading.Thread(target=answer_once, daemon=True)
+        thread.start()
+        try:
+            address = "127.0.0.1:%d" % listener.getsockname()[1]
+            client = HttpApiClient(address, secret, client_id="alice", timeout=5.0)
+            assert client.request("POST", "/v1/verify", {"name": "x"}) == (200, {})
+        finally:
+            thread.join(timeout=5.0)
+            listener.close()
+        assert b"X-Jahob-Signature" in captured
+        assert secret not in captured
+
+    def test_refused_connection_says_cannot_connect(self):
+        client = HttpApiClient("127.0.0.1:1", SECRET, timeout=0.5)
+        with pytest.raises(HttpApiError, match="cannot connect"):
+            client.request("GET", "/v1/ping")
+
+
+class TestDoors:
+    """The unix socket for local clients, the signed HTTP door for remote
+    ones: how a daemon and its clients pick between the two."""
+
+    def test_http_requires_secret(self, tmp_path):
+        with pytest.raises(DaemonError, match="secret"):
+            VerifierDaemon(
+                tmp_path / "jahob.sock", engine=VerificationEngine(), http="127.0.0.1:0"
+            )
+
+    def test_host_port_address_refuses_a_second_http_door(self):
+        with pytest.raises(DaemonError, match="HTTP door"):
+            VerifierDaemon(
+                "127.0.0.1:0",
+                engine=VerificationEngine(),
+                secret=SECRET,
+                http="127.0.0.1:8780",
+            )
+
+    def test_busy_http_port_is_a_daemon_error(self, tmp_path):
+        busy = socket.create_server(("127.0.0.1", 0))
+        daemon = VerifierDaemon(
+            tmp_path / "jahob.sock",
+            engine=VerificationEngine(persist=False),
+            secret=SECRET,
+            http="127.0.0.1:%d" % busy.getsockname()[1],
+        )
+        try:
+            with pytest.raises(DaemonError, match="cannot bind"):
+                daemon.bind()
+        finally:
+            daemon.close()
+            busy.close()
+        assert not (tmp_path / "jahob.sock").exists()
+
+    def test_socket_client_refuses_host_port(self):
+        with pytest.raises(DaemonError, match="HTTP"):
+            DaemonClient("127.0.0.1:8700")
+
+    def test_table1_is_routed_through_admission(self, served):
+        daemon, client = served
+        assert daemon.admission.lock.acquire(timeout=5.0)
+        try:
+            status, response = client.request("POST", "/v1/table1", {"nowait": True})
+        finally:
+            daemon.admission.lock.release()
+        assert status == 429
+        assert response["code"] == "busy"
+
+
+class TestCliOverHttp:
+    """``--connect HOST:PORT`` drives the daemon through its HTTP door; the
+    printed text and exit status equal a run over the unix socket."""
+
+    @pytest.fixture()
+    def door(self, served, monkeypatch):
+        daemon, client = served
+        monkeypatch.setenv("JAHOB_SECRET", SECRET.decode())
+        return daemon, f"{client.host}:{client.port}"
+
+    def test_verify_matches_the_unix_socket(self, door, capsys):
+        daemon, address = door
+        argv = ["--client", "alice", "verify", "Linked List"]
+        over_socket = main(["--connect", str(daemon.socket_path), *argv])
+        socket_out = capsys.readouterr().out
+        over_http = main(["--connect", address, *argv])
+        http_out = capsys.readouterr().out
+        assert over_http == over_socket == 0
+        normalize = re.compile(r"\d+\.\d+s").sub
+        assert normalize("_s", http_out) == normalize("_s", socket_out)
+        assert http_out.splitlines()[-1].startswith("total:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["shutdown"], ["verify", "prog.py", "--watch"]],
+        ids=["shutdown", "watch"],
+    )
+    def test_socket_only_commands_name_the_socket(self, door, argv, capsys):
+        _, address = door
+        assert main(["--connect", address, *argv]) == 2
+        assert "unix socket" in capsys.readouterr().err
+        assert HttpApiClient(address, SECRET).request("GET", "/v1/ping")[0] == 200
+
+    def test_no_secret_fails_before_connecting(self, door, monkeypatch, capsys):
+        _, address = door
+        monkeypatch.delenv("JAHOB_SECRET")
+
+        def no_request(*args, **kwargs):
+            raise AssertionError("the CLI connected without a secret")
+
+        monkeypatch.setattr(HttpApiClient, "request", no_request)
+        assert main(["--connect", address, "list"]) == 2
+        assert "secret" in capsys.readouterr().err
+
+    def test_refused_connection_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("JAHOB_SECRET", SECRET.decode())
+        assert main(["--connect", "127.0.0.1:1", "list"]) == 2
+        assert "cannot connect" in capsys.readouterr().err
 
 
 class TestConcurrentTenants:

@@ -1,18 +1,14 @@
-"""Unit tests for the shared wire layer (framing, addresses, handshake)."""
+"""Unit tests for the shared wire layer (framing, addresses, secrets)."""
 
 from __future__ import annotations
 
 import socket
-import threading
 
 import pytest
 
 from repro.verifier.wire import (
-    HandshakeError,
     LineChannel,
     WireError,
-    handshake_accept,
-    handshake_connect,
     load_secret,
     parse_address,
 )
@@ -81,68 +77,6 @@ class TestLineChannel:
             b.recv()
         a.close()
         b.close()
-
-
-def run_handshake(secret_a: bytes, secret_b: bytes, expect_role=None):
-    """Acceptor with ``secret_a`` meets dialer with ``secret_b``."""
-    a, b = channel_pair()
-    results: dict = {}
-
-    def accept():
-        try:
-            results["role"] = handshake_accept(a, secret_a, expect_role)
-        except Exception as exc:  # noqa: BLE001 - recorded for assertions
-            results["accept_error"] = exc
-
-    thread = threading.Thread(target=accept)
-    thread.start()
-    try:
-        handshake_connect(b, secret_b, role="worker")
-    except Exception as exc:  # noqa: BLE001 - recorded for assertions
-        results["connect_error"] = exc
-    thread.join(5.0)
-    a.close()
-    b.close()
-    return results
-
-
-class TestHandshake:
-    def test_matching_secret_succeeds(self):
-        results = run_handshake(b"s3cret", b"s3cret")
-        assert results.get("role") == "worker"
-        assert "accept_error" not in results and "connect_error" not in results
-
-    def test_wrong_secret_fails_both_sides(self):
-        results = run_handshake(b"right", b"wrong")
-        assert isinstance(results.get("accept_error"), HandshakeError)
-        assert isinstance(results.get("connect_error"), HandshakeError)
-
-    def test_unexpected_role_is_rejected(self):
-        results = run_handshake(b"s", b"s", expect_role="client")
-        assert isinstance(results.get("accept_error"), HandshakeError)
-        assert isinstance(results.get("connect_error"), HandshakeError)
-
-    def test_secret_never_crosses_the_wire(self):
-        """Every handshake message is inspectable: none contains the secret."""
-        secret = b"super-secret-value"
-        captured: list[str] = []
-
-        class SniffingChannel(LineChannel):
-            def send(self, message):
-                captured.append(repr(message))
-                super().send(message)
-
-        a_sock, b_sock = socket.socketpair()
-        a, b = SniffingChannel(a_sock), SniffingChannel(b_sock)
-        thread = threading.Thread(target=handshake_accept, args=(a, secret))
-        thread.start()
-        handshake_connect(b, secret, role="worker")
-        thread.join(5.0)
-        a.close()
-        b.close()
-        assert len(captured) >= 3  # challenge, answer, verdict
-        for message in captured:
-            assert secret.decode() not in message
 
 
 class TestSecrets:
