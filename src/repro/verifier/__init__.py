@@ -1,6 +1,6 @@
 """The end-to-end verification engine, scheduling, serving and reporting."""
 
-from .daemon import DaemonClient, DaemonError, VerifierDaemon
+from .daemon import DaemonError, VerifierDaemon
 from .engine import ClassReport, MethodReport, SequentOutcome, VerificationEngine
 from .pipeline import ClassScheduleStats, ProverPool, RunRecord, WorkerLoad
 from .report import (

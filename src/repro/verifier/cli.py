@@ -13,8 +13,8 @@ Subcommands::
                                   keep verifying the file as it changes:
                                   stream verdicts per edit; the warm proof
                                   cache re-proves only the sequents each
-                                  edit invalidated (self-hosts a daemon,
-                                  or --connect)
+                                  edit invalidated (in-process, or
+                                  --connect SOCKET)
     jahob-py table1               regenerate Table 1 (the whole catalogue
                                   as one suite-scheduled run)
     jahob-py table2               regenerate Table 2 (slow: verifies twice)
@@ -33,13 +33,14 @@ Subcommands::
 
 With ``--connect ADDR`` the ``list`` / ``verify`` / ``table1`` /
 ``metrics`` commands are served by a running daemon (``jahob-py serve``)
-instead of a cold local engine; the printed output is identical.  A
-unix-socket path speaks to the daemon's socket; ``HOST:PORT`` speaks to
-its HTTP front door, signing every request with the shared secret from
-``--secret-file`` or ``JAHOB_SECRET``.  ``shutdown`` and ``verify
---watch`` need the socket.  ``--client NAME`` attaches the client
-identity that keys the daemon's tenant cache namespace, and ``--priority
-batch`` yields the admission queue to interactive requests.
+instead of a cold local engine; the printed output is identical.  Both
+of the daemon's doors speak the same HTTP protocol: a unix-socket path
+dials its socket, and ``HOST:PORT`` its network door, signing every
+request with the shared secret from ``--secret-file`` or
+``JAHOB_SECRET``.  ``shutdown`` and ``verify --watch`` need the socket.
+``--client NAME`` attaches the client identity that keys the daemon's
+tenant cache namespace, and ``--priority batch`` yields the admission
+queue to interactive requests.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="",
         metavar="NAME",
         help="with --connect: the client identity that keys the daemon's "
-        "tenant proof-cache namespace (over HTTP it is signed and "
+        "tenant proof-cache namespace (on HOST:PORT it is signed and "
         "cannot be spoofed)",
     )
     parser.add_argument(
@@ -289,8 +290,8 @@ _SOCKET_ONLY = (
 
 def _run_connected(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """Serve the command through a running daemon (``--connect``): its unix
-    socket for a path, its signed HTTP door for ``HOST:PORT``."""
-    from .daemon import DaemonClient, DaemonError
+    socket for a path, its signed network door for ``HOST:PORT``."""
+    from .http import HttpApiClient, HttpApiError
     from .wire import parse_address
 
     # Engine configuration lives in the daemon: flags that would rebuild
@@ -309,21 +310,19 @@ def _run_connected(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         print(f"cannot read --secret-file: {exc}", file=sys.stderr)
         return 2
     remote = parse_address(args.connect)[0] == "tcp"
-    if args.command == "verify" and args.watch:
-        if not _is_program_path(args.name):
-            print(
-                "--watch requires a file operand "
-                "(catalogue classes do not change on disk)",
-                file=sys.stderr,
-            )
-            return 2
-        if remote:
-            print(_SOCKET_ONLY.format(what="verify --watch"), file=sys.stderr)
-            return 2
-        return _stream_watch(DaemonClient(args.connect, client_id=args.client), args)
-    if args.command == "list":
-        request = {"op": "list"}
-    elif args.command == "verify" and _is_program_path(args.name):
+    watch = args.command == "verify" and args.watch
+    if watch and not _is_program_path(args.name):
+        print(
+            "--watch requires a file operand "
+            "(catalogue classes do not change on disk)",
+            file=sys.stderr,
+        )
+        return 2
+    if remote and (watch or args.command == "shutdown"):
+        what = "verify --watch" if watch else "shutdown"
+        print(_SOCKET_ONLY.format(what=what), file=sys.stderr)
+        return 2
+    if args.command == "verify" and _is_program_path(args.name):
         # The daemon runs in its own working directory, so forward the
         # absolute path (which also keeps the printed summary identical).
         request = {
@@ -333,15 +332,8 @@ def _run_connected(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         }
     elif args.command == "verify":
         request = {"op": "verify", "name": args.name, "strip": args.no_proofs}
-    elif args.command == "table1":
-        request = {"op": "table1"}
-    elif args.command == "metrics":
-        request = {"op": "metrics"}
-    elif args.command == "shutdown":
-        if remote:
-            print(_SOCKET_ONLY.format(what="shutdown"), file=sys.stderr)
-            return 2
-        request = {"op": "shutdown"}
+    elif args.command in ("list", "table1", "metrics", "shutdown"):
+        request = {"op": args.command}
     else:
         print(f"--connect does not support {args.command!r}", file=sys.stderr)
         return 2
@@ -354,14 +346,17 @@ def _run_connected(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             file=sys.stderr,
         )
         return 2
+    client = HttpApiClient(args.connect, secret, client_id=args.client, timeout=None)
+    if watch:
+
+        def subscribe(payload: dict, emit) -> None:
+            for event in client.watch(payload):
+                emit(event)
+
+        return _stream_watch(args, subscribe)
     try:
-        if remote:
-            response = _http_request(args, secret, request)
-        else:
-            response = DaemonClient(args.connect, client_id=args.client).request(
-                request
-            )
-    except DaemonError as exc:
+        response = client.call(request)
+    except HttpApiError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     if not response.get("ok"):
@@ -383,30 +378,16 @@ def _run_connected(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     return int(response.get("exit", 0))
 
 
-def _http_request(args: argparse.Namespace, secret: bytes, request: dict) -> dict:
-    """Send one line-protocol ``request`` to the daemon's HTTP door at
-    ``--connect HOST:PORT`` through the op's route in ``ROUTES``; every
-    status carries the same response object the socket would return."""
-    from .daemon import DaemonError
-    from .http import ROUTES, HttpApiClient, HttpApiError
+def _stream_watch(args: argparse.Namespace, subscribe) -> int:
+    """Print one ``watch`` subscription to the terminal.
 
-    (route,) = [route for route in ROUTES if route.op == request["op"]]
-    body = {key: value for key, value in request.items() if key != "op"}
-    client = HttpApiClient(args.connect, secret, client_id=args.client, timeout=None)
-    try:
-        return client.request(route.method, route.path, body or None)[1]
-    except HttpApiError as exc:
-        raise DaemonError(str(exc)) from exc
-
-
-def _stream_watch(client, args: argparse.Namespace) -> int:
-    """Stream one ``watch`` subscription to the terminal.
-
+    ``subscribe(payload, emit)`` runs the subscription, handing every
+    event (or the one error response of a refused request) to ``emit``.
     Exit status follows the *latest* verdict event (the file may go red
     and green again over the subscription's lifetime); ctrl-C unsubscribes
     cleanly.
     """
-    from .daemon import DaemonError
+    from .http import HttpApiError
     from .report import format_watch_event
 
     payload: dict = {"path": os.path.abspath(args.name)}
@@ -414,36 +395,32 @@ def _stream_watch(client, args: argparse.Namespace) -> int:
         payload["max_events"] = args.watch_max
     if args.priority != "interactive":
         payload["priority"] = args.priority
-    verified = True
+    status = {"refused": False, "verified": True}
+
+    def emit(event: dict) -> None:
+        print(format_watch_event(event), flush=True)
+        if "event" not in event and not event.get("ok", True):
+            status["refused"] = True
+        if event.get("event") == "verdicts":
+            status["verified"] = bool(event.get("verified"))
+
     try:
-        for event in client.watch(payload):
-            print(format_watch_event(event), flush=True)
-            if isinstance(event, dict):
-                if "event" not in event and not event.get("ok", True):
-                    return 2
-                if event.get("event") == "verdicts":
-                    verified = bool(event.get("verified"))
+        subscribe(payload, emit)
     except KeyboardInterrupt:
         pass
-    except DaemonError as exc:
+    except HttpApiError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    return 0 if verified else 1
+    if status["refused"]:
+        return 2
+    return 0 if status["verified"] else 1
 
 
 def _run_watch_local(args: argparse.Namespace, engine: VerificationEngine) -> int:
-    """``verify FILE --watch`` without ``--connect``.
-
-    Watch mode is daemon-native (the subscription protocol lives on the
-    socket -- see docs/service-api.md), so the local spelling self-hosts a
-    private daemon around the already-built engine on a temporary unix
-    socket for the duration of the subscription.
-    """
-    import tempfile
-    import threading
-    import time
-
-    from .daemon import DaemonClient, DaemonError, VerifierDaemon
+    """``verify FILE --watch`` without ``--connect``: the daemon's watch
+    loop, run in-process around the already-built engine by a daemon with
+    no doors, printing the events the unix socket would stream."""
+    from .daemon import VerifierDaemon
 
     if not _is_program_path(args.name):
         print(
@@ -458,32 +435,14 @@ def _run_watch_local(args: argparse.Namespace, engine: VerificationEngine) -> in
             "(watch always verifies the full proof language)",
             file=sys.stderr,
         )
-    with tempfile.TemporaryDirectory(prefix="jahob-watch-") as tmp:
-        daemon = VerifierDaemon(os.path.join(tmp, "watch.sock"), engine=engine)
-        try:
-            daemon.bind()
-        except DaemonError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
-        thread.start()
-        client = DaemonClient(daemon.socket_path)
-        deadline = time.monotonic() + 5.0
-        while True:
-            try:
-                client.ping()
-                break
-            except DaemonError:
-                if time.monotonic() > deadline:
-                    print("watch daemon did not come up", file=sys.stderr)
-                    return 2
-                time.sleep(0.02)
-        try:
-            return _stream_watch(client, args)
-        finally:
-            daemon.stop()
-            thread.join(timeout=10.0)
-            daemon.close()
+    daemon = VerifierDaemon(None, engine=engine)
+
+    def subscribe(payload: dict, emit) -> None:
+        error = daemon.watch(payload, emit)
+        if error is not None:
+            emit(error)
+
+    return _stream_watch(args, subscribe)
 
 
 def _run_serve(args: argparse.Namespace) -> int:

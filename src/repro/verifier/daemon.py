@@ -12,15 +12,15 @@ a repeat verification is answered from warm caches in milliseconds.
 Protocol
 --------
 
-The daemon has two doors.  Local clients use an ``AF_UNIX`` stream socket
-(authentication: filesystem permissions) that speaks newline-delimited
-JSON, one request per connection: the client sends a single JSON object
-terminated by ``"\\n"``, the server replies with a single JSON object and
-closes the connection.  Remote clients use the signed HTTP front door
-(``serve --http HOST:PORT``, :mod:`repro.verifier.http`), which serves the
-same ops; a daemon built on a ``HOST:PORT`` address has that door only.
-Every response carries ``"ok"`` (bool) and, on failure, ``"error"``.
-Supported ``"op"`` values:
+The daemon speaks one protocol, HTTP/1.1 JSON (:mod:`repro.verifier.http`),
+on two doors.  Local clients use an ``AF_UNIX`` stream socket, where
+filesystem permissions are the authentication; remote clients use the
+signed network door (``serve --http HOST:PORT``).  ``docs/service-api.md``
+lists the routes: every op below is one ``(method, path)`` row, and the
+local-only rows (``watch``, ``shutdown``) are served on the unix socket
+only.  A daemon built on a ``HOST:PORT`` address has the network door
+only.  Every response carries ``"ok"`` (bool) and, on failure,
+``"error"``.  The ops:
 
 ============  =========================================================
 ``ping``      liveness: pid, uptime, requests served
@@ -45,50 +45,45 @@ Supported ``"op"`` values:
               subscribe to a program file: the daemon polls its content,
               re-verifies it on every change (the warm proof cache
               re-proves only the sequents the edit invalidated) and
-              streams one ``verdicts`` event per change, with
-              clean/dirty/dispatched accounting, over the same connection --
-              the one op that breaks the one-request/one-response rule,
-              which is why it exists on the unix socket only (the HTTP
-              front door deliberately does not route it)
+              emits one ``verdicts`` event per change, with
+              clean/dirty/dispatched accounting (:meth:`VerifierDaemon.watch`;
+              the unix door streams the events as NDJSON lines)
 ``shutdown``  flush the persistent cache and stop the server (open watch
               subscriptions are closed cleanly first)
 ============  =========================================================
 
-Requests are served **concurrently**: every accepted connection gets its
-own thread, so ``ping`` / ``list`` / ``stats`` are answered immediately
-even while a multi-minute ``table1`` is in flight.  Ops that drive the
-engine (``verify`` / ``verify_file`` / ``suite`` / ``table1`` /
-``shutdown``) pass **admission control**
-(:mod:`repro.verifier.admission`) before touching the engine -- the
-portfolio's caches and counters are deliberately single-writer, so one
-request runs at a time while the rest wait in one bounded queue with
-priority lanes (``"priority": "interactive"`` ahead of ``"batch"``).  A
-full queue, or a busy engine under ``"nowait": true``, is answered at
-once with the structured rejection shape
+Requests are served **concurrently**, one thread per connection, so
+``ping`` / ``list`` / ``stats`` are answered immediately even while a
+multi-minute ``table1`` is in flight.  Ops whose route is marked for
+admission (``verify`` / ``verify_file`` / ``suite`` / ``table1`` /
+``shutdown``) pass **admission control** (:mod:`repro.verifier.admission`)
+before touching the engine -- the portfolio's caches and counters are
+deliberately single-writer, so one request runs at a time while the rest
+wait in one bounded queue with priority lanes (``"priority":
+"interactive"`` ahead of ``"batch"``); each ``watch`` cycle passes it
+too.  A full queue, or a busy engine under ``"nowait": true``, is
+answered at once with the structured rejection shape
 ``{"ok": false, "busy": true, "code": ..., "retry_after": 1.0}``.
-Clients carry an identity -- the ``client`` request field on the trusted
-unix socket, the HMAC-signed ``X-Jahob-Client`` header over HTTP -- which
-keys the **per-tenant proof-cache namespace**: one tenant's cached
-verdicts can neither serve nor poison another's.  The HTTP route table
-and semantics are documented in ``docs/service-api.md``.
+Clients carry an identity -- the ``X-Jahob-Client`` header, HMAC-signed
+on the network door -- which keys the **per-tenant proof-cache
+namespace**: one tenant's cached verdicts can neither serve nor poison
+another's.
 
 Shutdown is graceful in all paths -- the ``shutdown`` op, ``SIGTERM`` /
 ``SIGINT`` under ``jahob-py serve``, or :meth:`VerifierDaemon.stop` from a
-controlling thread: the accept loop drains, in-flight request threads are
-joined, the persistent cache is flushed, the engine's warm pool is closed,
-and the socket file is removed.
+controlling thread: the socket file is removed, the doors stop accepting,
+in-flight requests on the unix socket are joined, the persistent cache is
+flushed and the engine's warm pool is closed.
 
-Local clients use :class:`DaemonClient`, remote ones
-:class:`~repro.verifier.http.HttpApiClient` (the CLI's ``--connect`` picks
-by address); the ``output`` field of a response is printed verbatim, so
-daemon-served runs are textually identical to local ones.
+Clients use :class:`~repro.verifier.http.HttpApiClient` on either door;
+the ``output`` field of a response is printed verbatim, so daemon-served
+runs are textually identical to local ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import select
 import socket
 import stat
 import threading
@@ -103,6 +98,7 @@ from .admission import (
     rejection_response,
 )
 from .engine import ClassReport, VerificationEngine
+from .http import ROUTES, HttpFrontDoor
 from .report import (
     format_run,
     format_table1,
@@ -111,9 +107,9 @@ from .report import (
     table1_rows,
 )
 from .stats import LatencyHistogram
-from .wire import LineChannel, WireError, connect_address, parse_address
+from .wire import parse_address
 
-__all__ = ["PROTOCOL_VERSION", "DaemonError", "VerifierDaemon", "DaemonClient"]
+__all__ = ["PROTOCOL_VERSION", "DaemonError", "VerifierDaemon"]
 
 #: Bumped on incompatible protocol changes; ``ping`` reports it so clients
 #: can refuse to talk to a daemon from another era.  Version 3 added the
@@ -129,28 +125,28 @@ __all__ = ["PROTOCOL_VERSION", "DaemonError", "VerifierDaemon", "DaemonClient"]
 #: rejection code and four ``metrics.admission`` fields fewer;
 #: ``retry_after`` is always 1 second); version 9 deleted the TCP line
 #: protocol and its handshake (remote clients use the HTTP door, which
-#: gained ``POST /v1/table1``).
-PROTOCOL_VERSION = 9
+#: gained ``POST /v1/table1``); version 10 made the unix socket speak HTTP
+#: too (the newline-JSON line protocol is gone; ``watch`` and ``shutdown``
+#: are local-only routes, ``watch`` an NDJSON stream).
+PROTOCOL_VERSION = 10
 
-#: Hard cap on one request line; a unix-socket peer is trusted, but a
-#: corrupt client must not make the daemon buffer without bound.
-_MAX_REQUEST_BYTES = 1 << 20
-
-#: Socket-I/O deadline for reading a request line and writing a response.
-#: Connections are served on their own threads, but a peer that connects
-#: and then goes silent must not pin a thread forever.  Request *handling*
-#: (proving) runs between the two I/O phases with no deadline.
-_IO_TIMEOUT = 30.0
-
-#: Ops that drive the verification engine and therefore serialize on the
-#: daemon's engine lock; everything else is answered lock-free.
-_ENGINE_OPS = frozenset({"verify", "verify_file", "suite", "table1", "shutdown"})
+#: Ops that drive the verification engine and therefore pass admission
+#: control: the routes marked for it.  Everything else is answered
+#: lock-free (``watch`` takes admission per cycle instead).
+_ENGINE_OPS = frozenset(route.op for route in ROUTES if route.admission)
 
 
 class DaemonError(RuntimeError):
-    """Raised by :class:`DaemonClient` when the daemon cannot be reached
-    or returns a malformed response, and server-side for protocol
-    violations (an oversized request) that still get an error response."""
+    """A daemon that cannot be built or bound: a missing secret, a
+    conflicting address, a live or unreadable socket path."""
+
+
+def _unknown_priority(priority) -> dict:
+    return {
+        "ok": False,
+        "error": f"unknown priority {priority!r} "
+        f"(expected one of {', '.join(PRIORITY_LANES)})",
+    }
 
 
 def _report_payload(report: ClassReport) -> dict:
@@ -198,16 +194,17 @@ class VerifierDaemon:
     the listener and connection fds they inherit as they start, so no
     worker ever holds one.
 
-    ``address`` is the unix-socket path.  ``http`` adds the signed HTTP
-    front door on a ``HOST:PORT`` address, which requires ``secret``.  A
-    ``HOST:PORT`` ``address`` builds an HTTP-only daemon: ``http``
-    defaults to it, there is no unix listener, and :meth:`serve_forever`
-    waits for :meth:`stop`.
+    ``address`` is the unix-socket path.  ``http`` adds the signed network
+    door on a ``HOST:PORT`` address, which requires ``secret``.  A
+    ``HOST:PORT`` ``address`` builds a network-only daemon: ``http``
+    defaults to it and there is no unix socket.  ``address=None`` builds
+    a daemon with no doors, whose ops are reached in-process through
+    :meth:`handle` and :meth:`watch` (the local ``verify FILE --watch``).
     """
 
     def __init__(
         self,
-        address: str | Path,
+        address: str | Path | None,
         engine: VerificationEngine | None = None,
         *,
         jobs: int = 1,
@@ -219,17 +216,16 @@ class VerifierDaemon:
         queue_limit: int = 16,
         http: str | None = None,
     ) -> None:
-        self.address = str(address)
-        self.socket_path = None
-        if parse_address(address)[0] == "unix":
-            self.socket_path = Path(address)
-        elif http is None or http == self.address:
+        self.address = "" if address is None else str(address)
+        kind = parse_address(self.address)[0] if self.address else None
+        self.socket_path = Path(self.address) if kind == "unix" else None
+        if kind == "tcp":
+            if http not in (None, self.address):
+                raise DaemonError(
+                    f"a HOST:PORT address ({self.address}) is the HTTP door "
+                    f"itself; it cannot serve a second one on {http}"
+                )
             http = self.address
-        else:
-            raise DaemonError(
-                f"a HOST:PORT address ({self.address}) is the HTTP door "
-                f"itself; it cannot serve a second one on {http}"
-            )
         if http is not None and not secret:
             raise DaemonError(
                 "serving HTTP requires a shared secret "
@@ -250,8 +246,9 @@ class VerifierDaemon:
         self.requests_served = 0
         self.started_at = time.monotonic()
         self._stopping = False
-        #: Set on stop()/close(): sleeping watch loops wake immediately so
-        #: shutdown never waits out a poll interval per subscription.
+        #: Set on stop()/close(): serve_forever returns, and sleeping watch
+        #: loops wake immediately so shutdown never waits out a poll
+        #: interval per subscription.
         self._wake = threading.Event()
         #: Watch-mode observability, surfaced by the ``metrics`` op:
         #: subscription counts and the edit-to-verdict latency histogram.
@@ -259,25 +256,25 @@ class VerifierDaemon:
         self.watch_active = 0
         self.watch_events = 0
         self.watch_latency = LatencyHistogram()
-        self._server: socket.socket | None = None
         self._bound = False  # whether *we* own the socket file
         self.admission = AdmissionController(queue_limit=queue_limit)
         # The raw engine lock stays reachable under its old name: tests and
         # internal code that serialize against the engine directly keep
         # working, and the admission queue's lock-polling tolerates them.
         self._engine_lock = self.admission.lock
-        self._threads: set[threading.Thread] = set()
-        self.http_door = None
-        if http is not None:
-            from .http import HttpFrontDoor
-
-            self.http_door = HttpFrontDoor(http, self, secret)
+        self.unix_door = (
+            HttpFrontDoor(self.socket_path, self) if self.socket_path else None
+        )
+        self.http_door = HttpFrontDoor(http, self, secret) if http else None
 
     # -- lifecycle ---------------------------------------------------------------
 
     @property
     def running(self) -> bool:
-        return self._server is not None
+        return self._bound
+
+    def _doors(self) -> list[HttpFrontDoor]:
+        return [door for door in (self.unix_door, self.http_door) if door]
 
     def bind(self) -> None:
         """Fork the worker pool, then create and bind the listening
@@ -297,11 +294,11 @@ class VerifierDaemon:
                 raise DaemonError(
                     f"cannot bind {self.http_door.address}: {exc}"
                 ) from exc
-        if self.socket_path is None:
-            # HTTP only: the door is the daemon's address (":0" resolved).
-            self.address = self.http_door.address
-            return
-        if self._server is not None:
+            if self.unix_door is None:
+                # Network only: the door is the daemon's address (":0"
+                # resolved).
+                self.address = self.http_door.address
+        if self.unix_door is None or self._bound:
             return
         # A stale socket file from a crashed daemon: refuse to steal a
         # *live* daemon's address, silently replace a dead one's -- and
@@ -339,78 +336,37 @@ class VerifierDaemon:
                 )
             finally:
                 probe.close()
-        server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
             self.socket_path.parent.mkdir(parents=True, exist_ok=True)
-            server.bind(str(self.socket_path))
-            server.listen(8)
+            self.unix_door.bind()
         except OSError as exc:
             # EADDRINUSE from a concurrent bind race, an unwritable
             # directory, ...: a clean error beats a traceback.
-            server.close()
             raise DaemonError(f"cannot bind {self.socket_path}: {exc}") from exc
-        # A finite accept timeout keeps the loop responsive to stop();
-        # requests themselves are served without a deadline (proving is
-        # slow by design).
-        server.settimeout(0.2)
-        self._server = server
         self._bound = True
 
     def serve_forever(self) -> None:
-        """Bind (if needed) and serve until :meth:`stop` or a ``shutdown`` op.
+        """Bind (if needed), start the doors and serve until :meth:`stop`
+        or a ``shutdown`` op.
 
         Always tears down gracefully: the persistent cache is flushed, the
         warm pool is closed and the socket file is removed, even when the
-        loop exits via an exception (e.g. ``KeyboardInterrupt``).
+        wait exits via an exception (e.g. ``KeyboardInterrupt``).
         """
         try:
             self.bind()
-            if self.http_door is not None:
-                self.http_door.start()
-            if self.socket_path is None:
-                self._wake.wait()  # HTTP only: the door's thread serves
-            while not self._stopping:
-                # Local alias: a concurrent close() nulls self._server, and
-                # the loop must see either the live socket (whose close()
-                # surfaces here as OSError) or exit -- never an attribute
-                # load on None.
-                server = self._server
-                if server is None:
-                    break
-                try:
-                    connection, _ = server.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    if self._stopping:
-                        break
-                    raise
-                self._threads = {
-                    thread for thread in self._threads if thread.is_alive()
-                }
-                thread = threading.Thread(
-                    target=self._serve_connection_thread,
-                    args=(connection,),
-                    name="jahob-daemon-request",
-                    daemon=True,
-                )
-                self._threads.add(thread)
-                thread.start()
+            for door in self._doors():
+                door.start()
+            self._wake.wait()
         finally:
-            # Let in-flight requests finish writing their responses (the
-            # shutdown op's own response among them) before tearing the
-            # engine down under their feet.
-            for thread in tuple(self._threads):
-                thread.join(timeout=_IO_TIMEOUT)
             self.close()
 
     def stop(self) -> None:
-        """Ask the accept loop to exit after the in-flight request.
+        """Ask :meth:`serve_forever` to return after the in-flight requests.
 
         Waking the watch event first lets every open ``watch``
         subscription send its ``closed`` event and hang up before the
-        shutdown join deadline, so no client is ever left blocked on a
-        read."""
+        doors close, so no client is ever left blocked on a read."""
         self._stopping = True
         self._wake.set()
 
@@ -421,8 +377,7 @@ class VerifierDaemon:
         -- closing a daemon whose :meth:`bind` failed must never delete a
         live daemon's address.
         """
-        self._stopping = True
-        self._wake.set()
+        self.stop()
         # Unlink before closing the listening socket: the reverse order
         # has a window where a new daemon sees the probe refused, takes
         # over the path, and then loses its fresh socket file to our
@@ -433,55 +388,19 @@ class VerifierDaemon:
                 self.socket_path.unlink()
             except OSError:
                 pass
-        if self._server is not None:
-            self._server.close()
-            self._server = None
-        if self.http_door is not None:
-            self.http_door.close()
-        # Never tear the engine down under a still-running engine op: if
-        # a request thread outlived the bounded join in serve_forever,
-        # waiting on the slot here is what keeps the flush-on-shutdown
-        # guarantee (a flush racing a cache-mutating verify is not a
-        # flush).  exclusive() queues behind admitted work but bypasses
-        # the queue bound -- teardown is never load-shed.
+        # Closing the unix door joins its handler threads, so in-flight
+        # requests (the shutdown op's own response among them) finish
+        # before the engine goes down under their feet.
+        for door in self._doors():
+            door.close()
+        # Never tear the engine down under a still-running engine op (a
+        # network-door request is not joined above): waiting on the slot
+        # here is what keeps the flush-on-shutdown guarantee (a flush
+        # racing a cache-mutating verify is not a flush).  exclusive()
+        # queues behind admitted work but bypasses the queue bound --
+        # teardown is never load-shed.
         with self.admission.exclusive():
             self.engine.close()
-
-    # -- one request -------------------------------------------------------------
-
-    def _serve_connection_thread(self, connection: socket.socket) -> None:
-        try:
-            self._serve_connection(connection)
-        finally:
-            try:
-                connection.close()
-            except OSError:
-                pass
-
-    def _serve_connection(self, connection: socket.socket) -> None:
-        connection.settimeout(_IO_TIMEOUT)
-        channel = LineChannel(connection, limit=_MAX_REQUEST_BYTES)
-        try:
-            try:
-                request = channel.recv()
-            except WireError as exc:
-                # Protocol violation (oversized request, bad JSON): still
-                # answer, so the client can tell it from a daemon crash.
-                response = {"ok": False, "error": str(exc)}
-            else:
-                if request is None:
-                    return  # clean hang-up before any request
-                if isinstance(request, dict) and request.get("op") == "watch":
-                    # The streaming op: many responses on one connection,
-                    # served entirely inside the subscription loop.
-                    self._serve_watch(channel, connection, request)
-                    return
-                response = self.handle(request)
-            channel.send(response)
-        except (OSError, WireError):
-            # A client that hung up mid-request costs us nothing; the
-            # daemon must outlive its clients.
-            pass
 
     # -- watch mode ---------------------------------------------------------------
 
@@ -495,35 +414,38 @@ class VerifierDaemon:
         except OSError:
             return None
 
-    def _serve_watch(
+    def watch(
         self,
-        channel: LineChannel,
-        connection: socket.socket,
         request: dict,
-    ) -> None:
-        """Serve one ``watch`` subscription until the client hangs up, the
-        event budget is exhausted, or the daemon shuts down.
+        emit,
+        *,
+        client: str = "",
+        hung_up=lambda: False,
+    ) -> dict | None:
+        """Serve one ``watch`` subscription through ``emit`` until the
+        client hangs up, the event budget is exhausted, or the daemon
+        shuts down.
 
-        The first verification fires immediately (the subscriber wants a
-        baseline verdict), then the file's content digest is polled every
-        ``interval`` seconds and each change streams one ``verdicts``
-        event.  The subscription always ends with a ``closed`` event
-        carrying the reason, so clients never block on a read that nothing
-        will answer.
+        A request that cannot be served returns its error response and
+        emits nothing.  Otherwise every event goes to ``emit(event)``,
+        and an ``OSError`` from it means the client went away.  The first
+        verification fires immediately (the subscriber wants a baseline
+        verdict), then the file's content digest is polled every
+        ``interval`` seconds and each change emits one ``verdicts`` event;
+        ``hung_up()`` is asked between polls.  The subscription ends with
+        a ``closed`` event carrying the reason, so a streaming client
+        never blocks on a read that nothing will answer.
         """
         path = request.get("path")
         if not isinstance(path, str):
-            channel.send({"ok": False, "error": "watch needs a 'path' string"})
-            return
+            return {"ok": False, "error": "watch needs a 'path' string"}
         path = os.path.abspath(path)
         if not os.path.isfile(path):
-            channel.send({"ok": False, "error": f"watch: no such file: {path}"})
-            return
+            return {"ok": False, "error": f"watch: no such file: {path}"}
         try:
             interval = float(request.get("interval", 0.5))
         except (TypeError, ValueError):
-            channel.send({"ok": False, "error": "watch: 'interval' must be a number"})
-            return
+            return {"ok": False, "error": "watch: 'interval' must be a number"}
         interval = min(max(interval, 0.05), 10.0)
         max_events = request.get("max_events")
         if max_events is not None:
@@ -532,28 +454,20 @@ class VerifierDaemon:
             except (TypeError, ValueError):
                 max_events = 0
             if max_events <= 0:
-                channel.send(
-                    {"ok": False, "error": "watch: 'max_events' must be a positive int"}
-                )
-                return
+                return {
+                    "ok": False,
+                    "error": "watch: 'max_events' must be a positive int",
+                }
         priority = request.get("priority", "interactive")
         if priority not in PRIORITY_LANES:
-            channel.send(
-                {
-                    "ok": False,
-                    "error": f"unknown priority {priority!r} "
-                    f"(expected one of {', '.join(PRIORITY_LANES)})",
-                }
-            )
-            return
-        client_id = str(request.get("client") or "")
+            return _unknown_priority(priority)
         self.requests_served += 1
         self.watch_subscriptions += 1
         self.watch_active += 1
         events = 0
         reason = "client"
         try:
-            channel.send(
+            emit(
                 {
                     "ok": True,
                     "event": "subscribed",
@@ -570,32 +484,28 @@ class VerifierDaemon:
                 digest = self._file_digest(path)
                 if digest is not None and digest != last_digest:
                     last_digest = digest
-                    event = self._watch_verify(path, client_id, priority)
+                    event = self._watch_verify(path, client, priority)
                     events += 1
                     event["generation"] = events
-                    channel.send(event)
+                    emit(event)
                     if max_events is not None and events >= max_events:
                         reason = "max_events"
                         break
-                # Any inbound byte ends the subscription: a clean client
-                # hang-up (EOF) and an explicit unsubscribe line look the
-                # same from here, and neither should keep the loop alive.
-                if select.select([connection], [], [], 0)[0]:
+                if hung_up():
                     reason = "client"
                     break
                 if self._wake.wait(interval):
                     reason = "shutdown"
                     break
-        except (OSError, WireError):
+        except OSError:
             reason = "client"
         finally:
             self.watch_active -= 1
-            try:
-                channel.send(
-                    {"ok": True, "event": "closed", "reason": reason, "events": events}
-                )
-            except (OSError, WireError):
-                pass
+        try:
+            emit({"ok": True, "event": "closed", "reason": reason, "events": events})
+        except OSError:
+            pass
+        return None
 
     def _watch_verify(self, path: str, client_id: str, priority: str) -> dict:
         """One watch cycle: admit, load, verify, report.
@@ -666,34 +576,27 @@ class VerifierDaemon:
 
     # -- request handling ---------------------------------------------------------
 
-    def handle(self, request: dict, *, client: str | None = None) -> dict:
+    def handle(self, request: dict, *, client: str = "") -> dict:
         """Execute one request object and return the response object.
 
-        Exposed directly (besides the socket loop) so tests can exercise
-        op semantics without a live socket.  Engine-driving ops pass
+        Exposed directly (besides the doors) so tests can exercise op
+        semantics without a live socket.  Engine-driving ops pass
         admission control first: a busy engine queues the request in its
         priority lane (``"priority"``, default ``interactive``) unless
         ``"nowait": true``, and a full queue is rejected immediately, both
         with the structured shape of
         :func:`repro.verifier.admission.rejection_response`.
 
-        ``client`` is the transport-authenticated client id (the HTTP
-        door's signed header); ``None`` means the transport carries no
-        identity and the trusted ``"client"`` request field is used
-        instead (the unix socket and direct ``handle`` calls).
+        ``client`` is the caller's client id (a door's ``X-Jahob-Client``
+        header), which keys the tenant cache namespace.
         """
         op = request.get("op")
         handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
         if handler is None:
             return {"ok": False, "error": f"unknown op {op!r}"}
-        client_id = client if client is not None else str(request.get("client") or "")
         priority = request.get("priority", "interactive")
         if priority not in PRIORITY_LANES:
-            return {
-                "ok": False,
-                "error": f"unknown priority {priority!r} "
-                f"(expected one of {', '.join(PRIORITY_LANES)})",
-            }
+            return _unknown_priority(priority)
         admitted = False
         if op in _ENGINE_OPS:
             decision = self.admission.admit(
@@ -704,7 +607,7 @@ class VerifierDaemon:
             admitted = True
             # The engine slot is exclusive, so retargeting the shared
             # proof cache at this tenant's namespace is race-free.
-            self.engine.set_cache_namespace(client_id)
+            self.engine.set_cache_namespace(client)
         try:
             self.requests_served += 1
             start = time.monotonic()
@@ -856,109 +759,3 @@ class VerifierDaemon:
             "cache_entries": len(cache) if cache is not None else 0,
         }
 
-
-class DaemonClient:
-    """Talk to a :class:`VerifierDaemon` over its unix socket.
-
-    One request per connection, mirroring the server.  ``connect_timeout``
-    bounds the connect phase; a verification request may legitimately run
-    for minutes, so reads wait indefinitely once connected.  A
-    ``HOST:PORT`` address is the daemon's HTTP door, which
-    :class:`~repro.verifier.http.HttpApiClient` speaks; this client
-    refuses it.
-    """
-
-    def __init__(
-        self,
-        address: str | Path,
-        connect_timeout: float = 5.0,
-        client_id: str = "",
-    ) -> None:
-        if parse_address(address)[0] != "unix":
-            raise DaemonError(
-                f"{address} is a HOST:PORT address: remote daemons speak "
-                "HTTP (HttpApiClient); DaemonClient needs the unix socket path"
-            )
-        self.address = str(address)
-        self.connect_timeout = connect_timeout
-        self.client_id = client_id
-
-    def _open(self) -> LineChannel:
-        try:
-            sock = connect_address(self.address, timeout=self.connect_timeout)
-        except OSError as exc:
-            raise DaemonError(
-                f"cannot connect to daemon at {self.address}: {exc}"
-            ) from exc
-        sock.settimeout(None)
-        return LineChannel(sock)
-
-    def request(self, payload: dict) -> dict:
-        """Send one request object and return the parsed response object.
-
-        The client id (if any) is added as the trusted ``client`` request
-        field unless the payload already carries one.
-        """
-        if self.client_id:
-            payload = {"client": self.client_id, **payload}
-        channel = self._open()
-        try:
-            channel.send(payload)
-            response = channel.recv()
-        except WireError as exc:
-            # E.g. the daemon shut down between our connect and send.
-            raise DaemonError(
-                f"lost connection to daemon at {self.address}: {exc}"
-            ) from exc
-        finally:
-            channel.close()
-        if response is None:
-            raise DaemonError("daemon closed the connection without a response")
-        return response
-
-    def watch(self, payload: dict):
-        """Subscribe to a ``watch`` stream; yields event objects.
-
-        The generator holds one connection for the whole subscription (the
-        one op that streams) and ends after the daemon's ``closed`` event,
-        a validation error response, or a server hang-up.  Closing the
-        generator (or just dropping it) hangs the connection up, which the
-        daemon takes as an unsubscribe.
-        """
-        payload = {**payload, "op": "watch"}
-        if self.client_id and "client" not in payload:
-            payload = {"client": self.client_id, **payload}
-        channel = self._open()
-        try:
-            try:
-                channel.send(payload)
-            except WireError as exc:
-                raise DaemonError(
-                    f"lost connection to daemon at {self.address}: {exc}"
-                ) from exc
-            while True:
-                try:
-                    event = channel.recv()
-                except WireError as exc:
-                    raise DaemonError(
-                        f"lost watch stream from daemon at {self.address}: {exc}"
-                    ) from exc
-                if event is None:
-                    return
-                yield event
-                if not isinstance(event, dict):
-                    return
-                if event.get("event") == "closed" or "event" not in event:
-                    # "closed" ends a healthy stream; an event-less object
-                    # is a validation error response, which is terminal.
-                    return
-        finally:
-            channel.close()
-
-    # Small conveniences used by the CLI and the tests.
-
-    def ping(self) -> dict:
-        return self.request({"op": "ping"})
-
-    def shutdown(self) -> dict:
-        return self.request({"op": "shutdown"})

@@ -1,53 +1,67 @@
-"""HTTP/1.1 JSON front door for the verification daemon.
+"""HTTP/1.1 JSON protocol of the verification daemon, on both of its doors.
 
-The unix socket (:mod:`repro.verifier.daemon`) serves local clients in
-newline-JSON framing.  :class:`HttpFrontDoor` is the daemon's one network
-door: it serves the same ops as plain HTTP -- ``POST /v1/verify`` with a
-JSON body, get a JSON response -- so anything that can send an HTTP
-request can drive the verifier, ``jahob-py --connect HOST:PORT`` among
-them.  Built on the stdlib :class:`~http.server.ThreadingHTTPServer`: no
-new dependencies, one thread per in-flight request, same admission
-control as the socket path (the HTTP layer is a *front door*, not a
-second engine).
+The daemon (:mod:`repro.verifier.daemon`) speaks one wire protocol on two
+listeners, each an :class:`HttpFrontDoor`: its unix socket for local
+clients, and ``HOST:PORT`` (``serve --http``) for remote ones.  Either
+way it is plain HTTP -- ``POST /v1/verify`` with a JSON body, get a JSON
+response -- so anything that can send an HTTP request can drive the
+verifier, ``jahob-py --connect`` and ``curl --unix-socket`` among them.
+Built on the stdlib :mod:`http.server`: no new dependencies, one thread
+per connection, and the daemon's admission control behind every engine
+op (the HTTP layer is a *door*, not a second engine).
 
 Routes are data, not code: :data:`ROUTES` is the single table mapping
-``(method, path)`` to a daemon op plus whether the op passes admission
-control.  ``docs/service-api.md`` documents exactly this table and a
-tier-1 test (``tests/test_service_docs.py``) asserts the two never
-drift.  ``shutdown`` (and the streaming ``watch``) are deliberately
-socket-only: stopping the daemon is an operator's action that should
-require the operator's transport.
+``(method, path)`` to a daemon op, whether the op passes admission
+control and whether it is local-only.  ``docs/service-api.md`` documents
+exactly this table and a tier-1 test (``tests/test_service_docs.py``)
+asserts the two never drift.  The local-only rows -- ``shutdown`` and the
+streaming ``watch`` -- are served on the unix socket and answered ``404``
+on the network door: stopping the daemon is an operator's action that
+should require the operator's transport, and a watched file lives on the
+daemon's host.
 
-Authentication: every request carries the caller's client id and an
-HMAC-SHA256 over ``client\\nmethod\\npath\\nbody`` with the shared secret
-(headers ``X-Jahob-Client`` / ``X-Jahob-Signature``).  A missing or wrong
-signature is answered ``401`` before the body is parsed as JSON.  The
-daemon trusts the authenticated id for tenant cache namespacing.
-Transport encryption and replay protection are deliberately out of scope
--- run a TLS-terminating reverse proxy in front (``docs/operations.md``).
+``POST /v1/watch`` answers one ``Connection: close`` response whose
+``application/x-ndjson`` body is the subscription's event stream, one
+JSON object per line, ending with a ``closed`` event; the client hangs
+up to unsubscribe.  A request the daemon refuses is a ``400`` JSON body
+sent before any stream starts.
+
+Authentication: on the unix socket, filesystem permissions -- only
+accounts that can write the socket file connect at all -- so the
+``X-Jahob-Client`` header is trusted as it stands.  On the network door
+every request carries the caller's client id and an HMAC-SHA256 over
+``client\\nmethod\\npath\\nbody`` with the shared secret (headers
+``X-Jahob-Client`` / ``X-Jahob-Signature``); a missing or wrong signature
+is answered ``401`` before the body is parsed as JSON.  The daemon
+trusts the id for tenant cache namespacing.  Transport encryption and
+replay protection are deliberately out of scope -- run a TLS-terminating
+reverse proxy in front (``docs/operations.md``).
 
 Status mapping: ``200`` for any handled op (including ``"ok": false``
 verification failures -- the HTTP layer reports transport success, the
 body reports verdicts), ``400`` malformed input (a ``Content-Length``
-that is not a non-negative integer, an oversized body, malformed JSON),
-``401`` failed authentication, ``404`` unknown path, ``405`` known path
-with the wrong method, ``429`` admission rejections (``busy`` /
-``queue_full``) with a ``Retry-After: 1`` header.
+that is not a non-negative integer, an oversized body, malformed JSON, a
+refused ``watch``), ``401`` failed authentication, ``404`` unknown path,
+``405`` known path with the wrong method, ``429`` admission rejections
+(``busy`` / ``queue_full``) with a ``Retry-After: 1`` header.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-import http.client
 import json
+import select
+import socket
+import socketserver
+import sys
 import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .admission import RETRY_AFTER
-from .wire import WireError, parse_address
+from .wire import parse_address
 
 __all__ = [
     "ROUTES",
@@ -58,17 +72,23 @@ __all__ = [
     "sign_request",
 ]
 
-#: Hard cap on one request body, matching the socket protocol's line cap.
+#: Hard cap on one request body.
 _MAX_BODY_BYTES = 1 << 20
+
+#: Socket-I/O deadline of both doors, for reading a request and writing a
+#: response.  A peer that connects and then goes silent must not pin a
+#: handler thread forever.  Request *handling* (proving) runs between the
+#: two I/O phases with no deadline.
+_IO_TIMEOUT = 30.0
 
 
 @dataclass(frozen=True)
 class Route:
     """One row of the HTTP surface: a method+path bound to a daemon op.
 
-    ``admission`` marks ops that pass admission control (and can answer
-    429); it must agree with the daemon's ``_ENGINE_OPS`` -- the service
-    docs drift test checks both directions.
+    ``admission`` marks ops that pass admission control as a whole (and
+    can answer 429); the daemon derives its set of engine ops from this
+    column.  ``local_only`` rows are served on the unix socket only.
     """
 
     method: str
@@ -76,6 +96,7 @@ class Route:
     op: str
     admission: bool
     description: str
+    local_only: bool = False
 
 
 #: The entire HTTP surface.  ``docs/service-api.md`` is generated-by-hand
@@ -102,11 +123,31 @@ ROUTES = (
         False,
         "cache provenance, admission, watch and run-plan observability",
     ),
+    Route(
+        "POST",
+        "/v1/watch",
+        "watch",
+        False,
+        "stream verdicts for a program file as it changes (NDJSON)",
+        local_only=True,
+    ),
+    Route(
+        "POST",
+        "/v1/shutdown",
+        "shutdown",
+        True,
+        "flush the caches and stop the daemon",
+        local_only=True,
+    ),
 )
 
-_BY_PATH: dict[str, dict[str, Route]] = {}
+#: ``path -> method -> route`` for each door, keyed by whether it is the
+#: local (unix-socket) one.
+_BY_PATH: dict[bool, dict[str, dict[str, Route]]] = {True: {}, False: {}}
 for _route in ROUTES:
-    _BY_PATH.setdefault(_route.path, {})[_route.method] = _route
+    for _local in (True, False):
+        if _local or not _route.local_only:
+            _BY_PATH[_local].setdefault(_route.path, {})[_route.method] = _route
 
 
 def sign_request(
@@ -124,19 +165,35 @@ def sign_request(
     return hmac.new(secret, message, hashlib.sha256).hexdigest()
 
 
+def _encode(payload: dict) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """One request.  The daemon and secret arrive via the server object."""
+    """One connection.  The daemon and secret arrive via the server object."""
 
     protocol_version = "HTTP/1.1"
     server_version = "jahob-py"
+    # Buffered, so a response's head and body leave in one write (the
+    # stdlib flushes after each request; the watch stream flushes per
+    # event).
+    wbufsize = -1
+
+    @property
+    def timeout(self) -> float:  # read per connection by StreamRequestHandler
+        return _IO_TIMEOUT
 
     # -- plumbing ---------------------------------------------------------------
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # the daemon's metrics op is the observability surface
 
-    def _reply(self, status: int, payload: dict):
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    def _reply(self, status: int, payload: dict, close: bool = False):
+        # One request per connection on the socket, as its clients use it:
+        # an idle keep-alive connection would hold up shutdown, which
+        # joins the socket's handler threads, for up to _IO_TIMEOUT.
+        close = close or self.server.local
+        body = _encode(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -144,13 +201,16 @@ class _Handler(BaseHTTPRequestHandler):
             # Only admission rejections answer 429; Retry-After is whole
             # seconds.
             self.send_header("Retry-After", str(int(RETRY_AFTER)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     # -- the one code path ------------------------------------------------------
 
     def _serve(self) -> None:
-        methods = _BY_PATH.get(self.path)
+        server = self.server
+        methods = _BY_PATH[server.local].get(self.path)
         if methods is None:
             self._reply(404, {"ok": False, "error": f"no route {self.path!r}"})
             return
@@ -173,30 +233,31 @@ class _Handler(BaseHTTPRequestHandler):
         if not 0 <= length <= _MAX_BODY_BYTES:
             # The body stays unread, so its bytes cannot be told from a
             # next request: answer, then hang up.
-            self.close_connection = True
             error = (
                 "request body too large"
                 if length > 0
                 else "Content-Length must be a non-negative integer"
             )
-            self._reply(400, {"ok": False, "error": error})
+            self._reply(400, {"ok": False, "error": error}, close=True)
             return
         body = self.rfile.read(length) if length else b""
         client = self.headers.get("X-Jahob-Client", "")
-        signature = self.headers.get("X-Jahob-Signature", "")
-        expected = sign_request(
-            self.server.secret, client, self.command, self.path, body
-        )
-        if not signature or not hmac.compare_digest(signature, expected):
-            self._reply(
-                401,
-                {
-                    "ok": False,
-                    "error": "missing or invalid request signature "
-                    "(X-Jahob-Client / X-Jahob-Signature)",
-                },
+        # The unix socket's file permissions authenticate its peers.
+        if not server.local:
+            signature = self.headers.get("X-Jahob-Signature", "")
+            expected = sign_request(
+                server.secret, client, self.command, self.path, body
             )
-            return
+            if not signature or not hmac.compare_digest(signature, expected):
+                self._reply(
+                    401,
+                    {
+                        "ok": False,
+                        "error": "missing or invalid request signature "
+                        "(X-Jahob-Client / X-Jahob-Signature)",
+                    },
+                )
+                return
         if body:
             try:
                 request = json.loads(body.decode("utf-8"))
@@ -210,57 +271,101 @@ class _Handler(BaseHTTPRequestHandler):
                 return
         else:
             request = {}
-        request["op"] = route.op
-        response = self.server.daemon.handle(request, client=client)
-        if response.get("busy"):
-            self._reply(429, response)
+        if route.op == "watch":
+            self._stream_watch(request, client)
             return
-        self._reply(200, response)
+        request["op"] = route.op
+        response = server.daemon.handle(request, client=client)
+        self._reply(429 if response.get("busy") else 200, response)
+
+    def _stream_watch(self, request: dict, client: str) -> None:
+        """Serve ``watch`` as one NDJSON stream; the headers go out with
+        the first event, so a refused request can still answer 400."""
+        started = False
+
+        def emit(event: dict) -> None:
+            nonlocal started
+            if not started:
+                started = True
+                self.send_response(200)
+                self.send_header("Content-Type", "application/x-ndjson")
+                self.send_header("Connection", "close")
+                self.end_headers()
+            self.wfile.write(_encode(event) + b"\n")
+            self.wfile.flush()
+
+        def hung_up() -> bool:
+            # A client sends nothing after its request; readable means it
+            # hung up (or misbehaves), and either ends the subscription.
+            return bool(select.select([self.connection], [], [], 0)[0])
+
+        error = self.server.daemon.watch(request, emit, client=client, hung_up=hung_up)
+        if error is not None:
+            self._reply(400, error)
 
     do_GET = _serve
     do_POST = _serve
 
 
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
+class _DoorServer:
+    """What both door servers share: the daemon, the secret, the backlog
+    and quiet hang-ups."""
+
     # The admission queue is the real concurrency bound; a deeper accept
     # backlog just keeps bursts from seeing connection resets.
     request_queue_size = 128
 
-    def __init__(self, address, daemon, secret: bytes) -> None:
+    def __init__(self, address, daemon, secret: bytes | None) -> None:
         super().__init__(address, _Handler)
         self.daemon = daemon
         self.secret = secret
 
+    def handle_error(self, request, client_address) -> None:
+        # A client that hung up mid-request costs the daemon nothing.
+        if not isinstance(sys.exc_info()[1], OSError):
+            super().handle_error(request, client_address)
+
+
+class _TcpServer(_DoorServer, ThreadingHTTPServer):
+    local = False
+
+
+class _UnixServer(_DoorServer, socketserver.ThreadingUnixStreamServer):
+    # Non-daemon handler threads: server_close() joins them, so shutdown
+    # lets in-flight requests (the shutdown op's own among them) finish.
+    local = True
+    daemon_threads = False
+
 
 class HttpFrontDoor:
-    """Lifecycle wrapper tying a :class:`_Server` to a daemon.
+    """One listener of the daemon: its unix socket (a path) or its network
+    door (``HOST:PORT``, which requires ``secret``).
 
     Owned by :class:`~repro.verifier.daemon.VerifierDaemon`: ``bind()``
-    inside the daemon's bind, ``start()`` when the accept loop starts,
-    ``close()`` on teardown.  The server thread is a daemon thread, so a
+    inside the daemon's bind, ``start()`` in its ``serve_forever``,
+    ``close()`` on teardown.  The accept thread is a daemon thread, so a
     crashed main thread never hangs on it.
     """
 
-    def __init__(self, address: str, daemon, secret: bytes) -> None:
+    def __init__(self, address, daemon, secret: bytes | None = None) -> None:
         kind, target = parse_address(address)
-        if kind != "tcp":
-            raise WireError(
-                f"the HTTP front door needs a HOST:PORT address, got {address!r}"
-            )
+        self.local = kind == "unix"
         self._target = target
         self.daemon = daemon
         self.secret = secret
-        self.address = address
-        self._server: _Server | None = None
+        self.address = str(address)
+        self._server: _DoorServer | None = None
         self._thread: threading.Thread | None = None
 
     def bind(self) -> None:
-        """Bind the HTTP listener and resolve ``:0`` (idempotent)."""
+        """Bind the listener and resolve ``:0`` (idempotent)."""
         if self._server is not None:
             return
-        self._server = _Server(self._target, self.daemon, self.secret)
-        self.address = "%s:%d" % self._server.server_address[:2]
+        if self.local:
+            self._server = _UnixServer(self._target, self.daemon, None)
+        else:
+            self._server = _TcpServer(self._target, self.daemon, self.secret)
+            self.address = "%s:%d" % self._server.server_address[:2]
 
     def start(self) -> None:
         self.bind()
@@ -269,7 +374,7 @@ class HttpFrontDoor:
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             kwargs={"poll_interval": 0.2},
-            name="jahob-http-door",
+            name="jahob-unix-door" if self.local else "jahob-http-door",
             daemon=True,
         )
         self._thread.start()
@@ -286,80 +391,151 @@ class HttpFrontDoor:
 
 
 class HttpApiError(RuntimeError):
-    """A transport-level failure talking to the HTTP front door."""
+    """A transport-level failure talking to the daemon."""
 
 
 class HttpApiClient:
-    """A minimal signed client for the front door (``--connect HOST:PORT``,
-    tests, benchmarks).
+    """The daemon's client (``--connect``, tests, benchmarks), on either
+    door: a unix-socket path, or ``HOST:PORT`` with the shared ``secret``
+    that signs every request.
 
-    One request per call over a fresh connection -- matching the socket
-    client's one-shot model keeps the two transports behaviourally
-    comparable under load.  ``request`` returns ``(status, response)``
-    and only raises :class:`HttpApiError` for transport failures, never
-    for HTTP error statuses: 429-handling is the caller's retry policy.
-    ``timeout`` bounds connect and every read; ``None`` waits as long as
-    the request takes.
+    One request per call over a fresh connection, framed by hand: the
+    doors' responses carry a ``Content-Length`` or end with the
+    connection (``watch``), which is all of HTTP/1.1 this client reads.
+    :mod:`http.client` made a warm round trip on the unix socket about
+    30 % slower than the line protocol it replaced; this client keeps it
+    within the benchmark's 25 % latency bound (``docs/performance.md``
+    §11).  ``request`` returns ``(status,
+    response)`` and only raises :class:`HttpApiError` for transport
+    failures, never for HTTP error statuses: 429-handling is the caller's
+    retry policy.  ``timeout`` bounds connect and every read; ``None``
+    waits as long as the request takes.
     """
 
     def __init__(
         self,
         address: str,
-        secret: bytes,
+        secret: bytes | None = None,
         client_id: str = "",
         timeout: float | None = 60.0,
     ) -> None:
+        if "\r" in client_id or "\n" in client_id:
+            raise HttpApiError(f"client id {client_id!r} must be one line")
         kind, target = parse_address(address)
-        if kind != "tcp":
-            raise HttpApiError(f"need a HOST:PORT address, got {address!r}")
-        host, port = target
-        self.host = host or "127.0.0.1"
-        self.port = port
+        self.host, self.port = target if kind == "tcp" else (None, None)
+        self.socket_path = target if kind == "unix" else None
+        # How errors name the daemon, as the CLI has always printed it.
+        self.where = (
+            f"daemon at {target}" if kind == "unix" else f"{self.host}:{self.port}"
+        )
         self.secret = secret
         self.client_id = client_id
         self.timeout = timeout
 
+    def _connect(self) -> socket.socket:
+        if self.socket_path is None:
+            return socket.create_connection(
+                (self.host, self.port), timeout=self.timeout
+            )
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(self.timeout)
+            sock.connect(self.socket_path)
+        except OSError:
+            sock.close()
+            raise
+        return sock
+
+    def _open(self, method: str, path: str, body: dict | None):
+        """Send one request and read the response head: the socket, a
+        reader at the body, the status and the body length (``None``: up
+        to the end of the connection)."""
+        payload = _encode(body) if body is not None else b""
+        head = [
+            f"{method} {path} HTTP/1.1",
+            f"Host: {'localhost' if self.port is None else self.where}",
+            f"X-Jahob-Client: {self.client_id}",
+            f"Content-Length: {len(payload)}",
+        ]
+        if self.secret is not None:
+            signature = sign_request(self.secret, self.client_id, method, path, payload)
+            head.append(f"X-Jahob-Signature: {signature}")
+        if payload:
+            head.append("Content-Type: application/json")
+        message = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload
+        try:
+            sock = self._connect()
+        except OSError as exc:
+            raise HttpApiError(f"cannot connect to {self.where}: {exc}") from exc
+        reader = sock.makefile("rb")
+        try:
+            try:
+                sock.sendall(message)
+            except (BrokenPipeError, ConnectionResetError):
+                # The daemon answers a body it refuses (an oversized one)
+                # before reading it, then hangs up; the answer is still
+                # there to read.
+                pass
+            status_line = reader.readline(65537).split(None, 2)
+            if len(status_line) < 2 or not status_line[0].startswith(b"HTTP/"):
+                raise ValueError("the daemon sent no HTTP response")
+            length = None
+            while (line := reader.readline(65537)).strip():
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            return sock, reader, int(status_line[1]), length
+        except (OSError, ValueError) as exc:
+            reader.close()
+            sock.close()
+            raise HttpApiError(f"HTTP request to {self.where} failed: {exc}") from exc
+
     def request(
         self, method: str, path: str, body: dict | None = None
     ) -> tuple[int, dict]:
-        payload = (
-            json.dumps(body, separators=(",", ":")).encode("utf-8")
-            if body is not None
-            else b""
-        )
-        headers = {
-            "X-Jahob-Client": self.client_id,
-            "X-Jahob-Signature": sign_request(
-                self.secret, self.client_id, method, path, payload
-            ),
-        }
-        if payload:
-            headers["Content-Type"] = "application/json"
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        sock, reader, status, length = self._open(method, path, body)
         try:
-            try:
-                connection.connect()
-            except OSError as exc:
-                raise HttpApiError(
-                    f"cannot connect to {self.host}:{self.port}: {exc}"
-                ) from exc
-            connection.request(method, path, body=payload, headers=headers)
-            raw = connection.getresponse()
-            status = raw.status
-            data = raw.read()
-        except (OSError, http.client.HTTPException) as exc:
-            raise HttpApiError(
-                f"HTTP request to {self.host}:{self.port} failed: {exc}"
-            ) from exc
+            data = reader.read() if length is None else reader.read(length)
+        except OSError as exc:
+            raise HttpApiError(f"HTTP request to {self.where} failed: {exc}") from exc
         finally:
-            connection.close()
+            reader.close()
+            sock.close()
         try:
             response = json.loads(data.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise HttpApiError(f"non-JSON response (status {status})") from exc
         return status, response
+
+    def call(self, request: dict) -> dict:
+        """Send one daemon request object (``{"op": ..., **fields}``)
+        through its op's row in :data:`ROUTES`; the response object,
+        whatever the status (a 429 carries the rejection shape)."""
+        (route,) = [route for route in ROUTES if route.op == request["op"]]
+        body = {key: value for key, value in request.items() if key != "op"}
+        return self.request(route.method, route.path, body or None)[1]
+
+    def watch(self, body: dict):
+        """Subscribe to ``POST /v1/watch``; yields event objects.
+
+        The generator holds one connection for the whole subscription and
+        ends after the daemon's ``closed`` event, or after the one error
+        response of a refused request.  Closing the generator (or just
+        dropping it) hangs the connection up, which the daemon takes as an
+        unsubscribe.
+        """
+        sock, reader, status, length = self._open("POST", "/v1/watch", body)
+        try:
+            if status != 200:
+                yield json.loads(reader.read(length))
+                return
+            while line := reader.readline():
+                yield json.loads(line)
+        except (OSError, ValueError) as exc:
+            raise HttpApiError(f"lost watch stream from {self.where}: {exc}") from exc
+        finally:
+            reader.close()
+            sock.close()
 
     def wait_ready(self, deadline: float = 10.0) -> dict:
         """Poll ``/v1/ping`` until the door answers (daemon start-up)."""

@@ -16,7 +16,8 @@ Three guards against documentation drift:
   repro.verifier.cli …`` command line anywhere in ``README.md`` and
   ``docs/*.md``, in code blocks and inline code alike;
 * every relative markdown link in ``README.md`` and ``docs/*.md`` must
-  point at an existing file.
+  point at an existing file, and every ``/v1/...`` API path they name
+  must be a route of ``repro.verifier.http.ROUTES``.
 """
 
 from __future__ import annotations
@@ -341,6 +342,21 @@ def test_documented_command_lines_use_only_real_options(path: Path):
             assert option in options, (
                 f"{path.name}: a command line uses unknown {option}: {arguments}"
             )
+
+
+_API_PATH = re.compile(r"/v1/[a-z0-9][a-z0-9-]*")
+
+
+@pytest.mark.parametrize("path", markdown_files(), ids=lambda p: p.name)
+def test_documented_api_paths_are_routes(path: Path):
+    """Every ``/v1/...`` path a document names is a row of ``ROUTES``, so
+    a renamed or removed route cannot live on in the prose."""
+    from repro.verifier.http import ROUTES
+
+    routed = {route.path for route in ROUTES}
+    text = path.read_text(encoding="utf-8")
+    for api_path in _API_PATH.findall(text):
+        assert api_path in routed, f"{path.name} names unrouted {api_path}"
 
 
 def test_docs_mention_current_entry_points():

@@ -4,10 +4,10 @@ The service handbook promises its route table is asserted against the
 code; this is that assertion.  Three directions:
 
 * the markdown route table is exactly ``repro.verifier.http.ROUTES``
-  (method, path, op and admission column, in order);
-* the *admission* column agrees with the daemon's engine-op set, so the
-  doc cannot claim an op is lock-free when it actually queues (or vice
-  versa);
+  (method, path, op, admission and local-only columns, in order);
+* the *admission* column agrees with ``ROUTES``, from which the daemon
+  derives its engine-op set, so the doc cannot claim an op is lock-free
+  when it actually queues (or vice versa);
 * every rejection code the admission layer can emit is documented, and
   the doc documents no others.
 """
@@ -27,23 +27,24 @@ _ROUTE_ROW = re.compile(
     r"^\|\s*(GET|POST|PUT|DELETE)\s*"  # method
     r"\|\s*`([^`]+)`\s*"  # path
     r"\|\s*`([^`]+)`\s*"  # op
-    r"\|\s*(yes|no)\s*\|",  # admission
+    r"\|\s*(yes|no)\s*"  # admission
+    r"\|\s*(yes|no)\s*\|",  # local-only
     re.MULTILINE,
 )
 
 
-def documented_routes() -> list[tuple[str, str, str, bool]]:
+def documented_routes() -> list[tuple[str, str, str, bool, bool]]:
     text = DOC.read_text(encoding="utf-8")
     rows = _ROUTE_ROW.findall(text)
     assert rows, "service-api.md lost its route table"
     return [
-        (method, path, op, admission == "yes")
-        for method, path, op, admission in rows
+        (method, path, op, admission == "yes", local == "yes")
+        for method, path, op, admission, local in rows
     ]
 
 
 def test_route_table_matches_registered_routes():
-    served = [(r.method, r.path, r.op, r.admission) for r in ROUTES]
+    served = [(r.method, r.path, r.op, r.admission, r.local_only) for r in ROUTES]
     assert documented_routes() == served, (
         "docs/service-api.md route table is out of sync with "
         "repro.verifier.http.ROUTES -- update them together"
@@ -51,30 +52,29 @@ def test_route_table_matches_registered_routes():
 
 
 def test_admission_column_matches_engine_ops():
-    for route in ROUTES:
-        assert route.admission == (route.op in _ENGINE_OPS), (
-            f"route {route.path}: admission={route.admission} but the "
-            f"daemon {'gates' if route.op in _ENGINE_OPS else 'does not gate'} "
-            f"op {route.op!r}"
-        )
+    # The daemon's engine-op set is derived from ROUTES, so the doc's
+    # column is compared with ROUTES alone.
+    documented = {op: admission for _, _, op, admission, _ in documented_routes()}
+    assert documented == {route.op: route.admission for route in ROUTES}
 
 
-def test_socket_only_ops_stay_unrouted_and_documented():
-    routed_ops = {route.op for route in ROUTES}
-    socket_only = _ENGINE_OPS - routed_ops
-    assert socket_only == {"shutdown"}
+def test_socket_only_ops_are_local_only_routes_and_documented():
+    local_only = {route.op for route in ROUTES if route.local_only}
+    assert local_only == {"shutdown", "watch"}
     text = DOC.read_text(encoding="utf-8")
-    for op in socket_only:
-        assert f"`{op}`" in text, f"socket-only op {op!r} is undocumented"
+    for op in local_only:
+        assert f"`{op}`" in text, f"local-only op {op!r} is undocumented"
 
 
 def test_watch_stream_is_socket_only_and_documented():
-    """``watch`` streams over one held connection; it must stay off the
-    op table (and so off the HTTP front door) and the doc must say so."""
+    """``watch`` streams NDJSON over one held connection: a local-only
+    route whose cycles each take admission, so the route itself is not
+    gated, and the doc must say so."""
+    (route,) = [route for route in ROUTES if route.op == "watch"]
+    assert route.local_only and not route.admission
     assert "watch" not in _ENGINE_OPS
-    assert "watch" not in {route.op for route in ROUTES}
     text = DOC.read_text(encoding="utf-8")
-    assert "`watch`" in text and "socket-only" in text
+    assert "application/x-ndjson" in text and "local-only" in text
 
 
 def test_rejection_codes_are_exactly_documented():

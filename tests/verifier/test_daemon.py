@@ -1,11 +1,12 @@
 """Daemon lifecycle: start, warm requests, cache-hit provenance, shutdown.
 
 The daemon runs in a background thread over a real unix socket in a tmp
-directory; the client is the same :class:`DaemonClient` the CLI's
-``--connect`` flag uses.  Wall-clock assertions are limited to the one
-acceptance ratio (a warm request within 3x of a front-end-only pass over
-the class; measured 0.6-1.3x inside a tier-1 run on a 2-vCPU VM);
-everything else asserts verdicts and provenance, which are deterministic.
+directory; the client is the same :class:`HttpApiClient` the CLI's
+``--connect`` flag uses, dialing the socket path.  Wall-clock assertions
+are limited to the one acceptance ratio (a warm request within 3x of a
+front-end-only pass over the class; measured 0.6-1.3x inside a tier-1
+run on a 2-vCPU VM); everything else asserts verdicts and provenance,
+which are deterministic.
 """
 
 from __future__ import annotations
@@ -25,13 +26,9 @@ from repro.provers.cache import PersistentCacheStore
 from repro.provers.dispatch import default_portfolio
 from repro.suite.catalog import structure_by_name
 from repro.suite.generate import FAMILIES, generate_corpus, regression_source
-from repro.verifier.daemon import (
-    PROTOCOL_VERSION,
-    DaemonClient,
-    DaemonError,
-    VerifierDaemon,
-)
+from repro.verifier.daemon import PROTOCOL_VERSION, DaemonError, VerifierDaemon
 from repro.verifier.engine import VerificationEngine
+from repro.verifier.http import HttpApiClient, HttpApiError
 
 _PROVER_TESTS = Path(__file__).resolve().parent.parent / "provers"
 if str(_PROVER_TESTS) not in sys.path:
@@ -53,16 +50,8 @@ def daemon(tmp_path):
     )
     thread = threading.Thread(target=instance.serve_forever, daemon=True)
     thread.start()
-    deadline = time.monotonic() + 5.0
-    client = DaemonClient(instance.socket_path)
-    while True:
-        try:
-            client.ping()
-            break
-        except DaemonError:
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.02)
+    client = HttpApiClient(str(instance.socket_path))
+    client.wait_ready(deadline=5.0)
     yield instance, client, thread
     if thread.is_alive():
         instance.stop()
@@ -80,9 +69,9 @@ def outcomes_of(report_payload):
 
 def test_ping_and_list(daemon):
     _, client, _ = daemon
-    pong = client.ping()
+    pong = client.call({"op": "ping"})
     assert pong["ok"] and pong["protocol"] == PROTOCOL_VERSION
-    names = client.request({"op": "list"})["structures"]
+    names = client.call({"op": "list"})["structures"]
     assert "Linked List" in names and len(names) == 8
 
 
@@ -102,7 +91,7 @@ def _front_end_seconds(name: str) -> float:
 def test_two_warm_requests_and_provenance(daemon):
     """Cold request runs provers; the repeats are served from warm memory."""
     _, client, _ = daemon
-    cold = client.request({"op": "verify", "name": "Array List"})
+    cold = client.call({"op": "verify", "name": "Array List"})
     assert cold["ok"] and cold["exit"] == 0
     assert cold["report"]["verified"]
     assert any(not outcome["cached"] for outcome in outcomes_of(cold["report"]))
@@ -111,7 +100,7 @@ def test_two_warm_requests_and_provenance(daemon):
     for _ in range(3):
         gc.collect()
         start = time.monotonic()
-        warm = client.request({"op": "verify", "name": "Array List"})
+        warm = client.call({"op": "verify", "name": "Array List"})
         warm_times.append(time.monotonic() - start)
         assert warm["ok"] and warm["exit"] == 0
         warm_outcomes = outcomes_of(warm["report"])
@@ -138,7 +127,7 @@ def test_two_warm_requests_and_provenance(daemon):
     front_end = min(_front_end_seconds("Array List") for _ in range(5))
     assert warm_elapsed <= 3 * front_end, (warm_elapsed, front_end)
 
-    stats = client.request({"op": "stats"})
+    stats = client.call({"op": "stats"})
     assert stats["ok"]
     assert stats["counters"]["proof_cache_hits_memory"] >= 3 * len(warm_outcomes)
 
@@ -226,7 +215,7 @@ def test_verify_file_edits_keep_the_store_byte_identical(tmp_path):
 
 def test_suite_op_runs_scheduler(daemon):
     _, client, _ = daemon
-    response = client.request({"op": "suite", "names": ["Array List", "Cursor List"]})
+    response = client.call({"op": "suite", "names": ["Array List", "Cursor List"]})
     assert response["ok"]
     assert [payload["class"] for payload in response["reports"]] == [
         "Array List",
@@ -237,31 +226,34 @@ def test_suite_op_runs_scheduler(daemon):
 
 def test_unknown_op_and_bad_request(daemon):
     _, client, _ = daemon
-    response = client.request({"op": "frobnicate"})
-    assert not response["ok"] and "unknown op" in response["error"]
-    response = client.request({"op": "verify"})
+    # An unknown op has no route.
+    status, response = client.request("POST", "/v1/frobnicate", {})
+    assert status == 404 and not response["ok"]
+    assert "/v1/frobnicate" in response["error"]
+    response = client.call({"op": "verify"})
     assert not response["ok"]
-    response = client.request({"op": "verify", "name": "No Such Structure"})
+    response = client.call({"op": "verify", "name": "No Such Structure"})
     assert not response["ok"] and "KeyError" in response["error"]
     # An oversized request still gets a response (not a bare hang-up).
-    response = client.request({"op": "verify", "name": "x" * (1 << 20)})
+    status, response = client.request("POST", "/v1/verify", {"name": "x" * (1 << 20)})
+    assert status == 400
     assert not response["ok"] and "too large" in response["error"]
     # The daemon survived all of that.
-    assert client.ping()["ok"]
+    assert client.call({"op": "ping"})["ok"]
 
 
 def test_clean_shutdown_flushes_and_unlinks(daemon):
     instance, client, thread = daemon
-    client.request({"op": "verify", "name": "Cursor List"})
-    response = client.shutdown()
+    client.call({"op": "verify", "name": "Cursor List"})
+    response = client.call({"op": "shutdown"})
     assert response["ok"]
     thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert not instance.socket_path.exists()
     # The persistent store was written on the way down.
     assert (instance.engine.persistent_store.path).exists()
-    with pytest.raises(DaemonError):
-        client.ping()
+    with pytest.raises(HttpApiError):
+        client.call({"op": "ping"})
 
 
 def test_parallel_daemon_serves_over_socket(tmp_path):
@@ -271,35 +263,27 @@ def test_parallel_daemon_serves_over_socket(tmp_path):
     request, so the workers inherited the accepted connection fd and a
     client reading to EOF hung forever even though the response was sent.
     The daemon now pre-forks before accepting, and the client stops at
-    the protocol's newline delimiter either way.
+    the response's ``Content-Length`` either way.
     """
     instance = VerifierDaemon(
         tmp_path / "par.sock", jobs=2, persist=False, timeout_scale=TIMEOUT_SCALE
     )
     thread = threading.Thread(target=instance.serve_forever, daemon=True)
     thread.start()
-    client = DaemonClient(instance.socket_path)
-    deadline = time.monotonic() + 15.0
-    while True:
-        try:
-            client.ping()
-            break
-        except DaemonError:
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.05)
+    client = HttpApiClient(str(instance.socket_path))
+    client.wait_ready(deadline=15.0)
     try:
         # bind() forked the pool before creating the listener, so no
         # request can leak its fd into a worker.
         assert instance.engine.pool_warm
-        cold = client.request({"op": "verify", "name": "Array List"})
+        cold = client.call({"op": "verify", "name": "Array List"})
         assert cold["ok"] and cold["report"]["verified"]
         assert any(not outcome["cached"] for outcome in outcomes_of(cold["report"]))
-        warm = client.request({"op": "verify", "name": "Array List"})
+        warm = client.call({"op": "verify", "name": "Array List"})
         assert warm["ok"]
         assert all(outcome["cached"] for outcome in outcomes_of(warm["report"]))
     finally:
-        client.shutdown()
+        client.call({"op": "shutdown"})
         thread.join(timeout=10.0)
         instance.close()
     assert not thread.is_alive()
@@ -326,18 +310,20 @@ def test_bind_forks_the_pool_before_the_listener_exists(tmp_path):
     try:
         instance.bind()
         assert instance.engine.pool_warm
-        listener = "socket:[%d]" % os.fstat(instance._server.fileno()).st_ino
+        server = instance.unix_door._server
+        listener = "socket:[%d]" % os.fstat(server.fileno()).st_ino
         workers = list(instance.engine._pool._executor._processes)
         assert len(workers) == 2
         for pid in workers:
             assert listener not in _held_fds(pid), f"worker {pid} holds the listener"
 
         thread.start()
-        client = DaemonClient(instance.socket_path)
+        client = HttpApiClient(str(instance.socket_path))
+        client.wait_ready()
         os.kill(workers[0], signal.SIGKILL)
-        broken = client.request({"op": "verify", "name": "Cursor List"})
+        broken = client.call({"op": "verify", "name": "Cursor List"})
         assert not broken["ok"] and "BrokenProcessPool" in broken["error"]
-        assert client.request({"op": "verify", "name": "Cursor List"})["ok"]
+        assert client.call({"op": "verify", "name": "Cursor List"})["ok"]
         replacements = set(instance.engine._pool._executor._processes)
         assert len(replacements) == 2 and not replacements & set(workers)
         for pid in replacements:
@@ -383,9 +369,9 @@ def test_broken_warm_pool_is_discarded(monkeypatch):
 
 
 def test_connect_to_missing_socket_is_a_clear_error(tmp_path):
-    client = DaemonClient(tmp_path / "nobody-home.sock")
-    with pytest.raises(DaemonError, match="cannot connect"):
-        client.ping()
+    client = HttpApiClient(str(tmp_path / "nobody-home.sock"))
+    with pytest.raises(HttpApiError, match="cannot connect"):
+        client.call({"op": "ping"})
 
 
 def test_bind_refuses_live_socket_and_replaces_stale(tmp_path, daemon):
@@ -396,7 +382,7 @@ def test_bind_refuses_live_socket_and_replaces_stale(tmp_path, daemon):
     # Closing the loser must not unlink the live daemon's socket.
     conflict.close()
     assert live.socket_path.exists()
-    assert DaemonClient(live.socket_path).ping()["ok"]
+    assert HttpApiClient(str(live.socket_path)).call({"op": "ping"})["ok"]
     # A stale socket file (no listener behind it) is silently replaced.
     import socket as socket_module
 

@@ -14,12 +14,9 @@ import time
 import pytest
 
 from repro.provers.dispatch import default_portfolio
-from repro.verifier.daemon import (
-    DaemonClient,
-    DaemonError,
-    VerifierDaemon,
-)
+from repro.verifier.daemon import VerifierDaemon
 from repro.verifier.engine import VerificationEngine
+from repro.verifier.http import HttpApiClient
 
 TIMEOUT_SCALE = 0.4
 
@@ -27,16 +24,9 @@ TIMEOUT_SCALE = 0.4
 def start_daemon(daemon: VerifierDaemon):
     thread = threading.Thread(target=daemon.serve_forever, daemon=True)
     thread.start()
-    client = DaemonClient(daemon.address)
-    deadline = time.monotonic() + 10.0
-    while True:
-        try:
-            client.ping()
-            return client, thread
-        except DaemonError:
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.02)
+    client = HttpApiClient(daemon.address)
+    client.wait_ready()
+    return client, thread
 
 
 @pytest.fixture()
@@ -70,7 +60,7 @@ class TestConcurrentRequests:
         responses = {}
 
         def long_request():
-            responses["slow"] = client.request({"op": "verify", "name": "x"})
+            responses["slow"] = client.call({"op": "verify", "name": "x"})
 
         worker = threading.Thread(target=long_request, daemon=True)
         worker.start()
@@ -78,8 +68,8 @@ class TestConcurrentRequests:
             assert started.wait(10.0), "slow op never started"
             # The engine is busy, yet ping and list answer immediately.
             t0 = time.monotonic()
-            assert client.ping()["ok"]
-            names = client.request({"op": "list"})
+            assert client.call({"op": "ping"})["ok"]
+            names = client.call({"op": "list"})
             assert names["ok"] and len(names["structures"]) == 8
             assert time.monotonic() - t0 < 5.0
             assert not responses, "slow op finished too early"
@@ -100,18 +90,18 @@ class TestConcurrentRequests:
 
         daemon._op_verify = slow_verify
         worker = threading.Thread(
-            target=lambda: client.request({"op": "verify", "name": "x"}),
+            target=lambda: client.call({"op": "verify", "name": "x"}),
             daemon=True,
         )
         worker.start()
         try:
             assert started.wait(10.0)
-            busy = client.request({"op": "table1", "nowait": True})
+            busy = client.call({"op": "table1", "nowait": True})
             assert not busy["ok"]
             assert busy.get("busy") is True
             assert "busy" in busy["error"]
             # Non-engine ops never report busy.
-            assert client.request({"op": "ping", "nowait": True})["ok"]
+            assert client.call({"op": "ping", "nowait": True})["ok"]
         finally:
             release.set()
         worker.join(timeout=10.0)
@@ -134,7 +124,7 @@ class TestConcurrentRequests:
         daemon._op_verify = recording_verify
         threads = [
             threading.Thread(
-                target=lambda n=name: client.request({"op": "verify", "name": n}),
+                target=lambda n=name: client.call({"op": "verify", "name": n}),
                 daemon=True,
             )
             for name in ("a", "b")

@@ -14,17 +14,12 @@ Three layers:
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
 from repro.verifier.cli import main
-from repro.verifier.daemon import (
-    PROTOCOL_VERSION,
-    DaemonClient,
-    DaemonError,
-    VerifierDaemon,
-)
+from repro.verifier.daemon import PROTOCOL_VERSION, VerifierDaemon
+from repro.verifier.http import HttpApiClient
 
 from test_stats import COUNTER_KEYS
 
@@ -38,10 +33,11 @@ def test_protocol_version_is_current():
     # the streaming watch subscription bumped it to 6; dropping the
     # remote-worker fields bumped it to 7; dropping rate limits and the
     # service-time estimate from admission bumped it to 8; deleting the
-    # TCP line protocol and its handshake bumped it to 9.  Ping reports
-    # whatever the current version is -- pin it here so any future op
-    # addition bumps the constant deliberately.
-    assert PROTOCOL_VERSION == 9
+    # TCP line protocol and its handshake bumped it to 9; serving the unix
+    # socket over HTTP too (no newline-JSON line protocol) bumped it to 10.
+    # Ping reports whatever the current version is -- pin it here so any
+    # future op addition bumps the constant deliberately.
+    assert PROTOCOL_VERSION == 10
 
 
 class TestHandle:
@@ -136,16 +132,8 @@ class TestLiveDaemon:
         )
         thread = threading.Thread(target=instance.serve_forever, daemon=True)
         thread.start()
-        client = DaemonClient(instance.socket_path)
-        deadline = time.monotonic() + 5.0
-        while True:
-            try:
-                client.ping()
-                break
-            except DaemonError:
-                if time.monotonic() > deadline:
-                    raise
-                time.sleep(0.02)
+        client = HttpApiClient(str(instance.socket_path))
+        client.wait_ready(deadline=5.0)
         yield instance, client
         instance.stop()
         thread.join(timeout=10.0)
@@ -153,7 +141,7 @@ class TestLiveDaemon:
 
     def test_cli_metrics_connect_prints_the_report(self, served, capsys):
         instance, client = served
-        assert client.request({"op": "verify", "name": "Array List"})["ok"]
+        assert client.call({"op": "verify", "name": "Array List"})["ok"]
         exit_code = main(["--connect", str(instance.socket_path), "metrics"])
         out = capsys.readouterr().out
         assert exit_code == 0

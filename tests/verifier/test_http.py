@@ -1,13 +1,15 @@
-"""HTTP front door, end to end against a live daemon.
+"""The daemon's HTTP doors, end to end against a live daemon.
 
-One daemon fixture serves a real :class:`VerifierDaemon` with the HTTP
-listener enabled; the tests drive it through :class:`HttpApiClient`
-exactly like an external caller would: authentication failures, routing
-errors, verify round-trips (bit-identical to a direct ``handle`` call),
-structured 429 rejections with a ``Retry-After`` header, and tenant
-identity flowing from the signed ``X-Jahob-Client`` header into the
-admission snapshot.  A second, small daemon takes concurrent clients of
-two tenants through a two-slot admission queue.
+One daemon fixture serves a real :class:`VerifierDaemon` on its unix
+socket and its network door; the tests drive it through
+:class:`HttpApiClient` exactly like an external caller would:
+authentication failures (the network door signs, the unix socket does
+not), routing errors, local-only routes, verify round-trips
+(bit-identical to a direct ``handle`` call), structured 429 rejections
+with a ``Retry-After`` header, tenant identity flowing from the
+``X-Jahob-Client`` header into the cache namespace, and the I/O deadline
+both doors put on a silent peer.  A second, small daemon takes
+concurrent clients of two tenants through a two-slot admission queue.
 """
 
 from __future__ import annotations
@@ -20,13 +22,9 @@ import time
 
 import pytest
 
+from repro.verifier import http as http_module
 from repro.verifier.cli import main
-from repro.verifier.daemon import (
-    PROTOCOL_VERSION,
-    DaemonClient,
-    DaemonError,
-    VerifierDaemon,
-)
+from repro.verifier.daemon import PROTOCOL_VERSION, DaemonError, VerifierDaemon
 from repro.verifier.engine import VerificationEngine
 from repro.verifier.http import (
     ROUTES,
@@ -90,6 +88,8 @@ class TestRoutingAndAuth:
             f"{client.host}:{client.port}", b"wrong-secret", client_id="pytest"
         )
         for route in ROUTES:
+            if route.local_only:
+                continue  # not routed on this door: 404, see below
             status, response = impostor.request(route.method, route.path)
             assert status == 401, route.path
             assert response["ok"] is False
@@ -176,6 +176,36 @@ class TestRoutingAndAuth:
         _, client = served
         status, _ = client.request("POST", "/v1/shutdown")
         assert status == 404
+        status, _ = client.request("POST", "/v1/watch", {"path": __file__})
+        assert status == 404
+
+    def test_unsigned_request_is_served_on_the_unix_door_only(self, served):
+        # Filesystem permissions authenticate the unix socket; the network
+        # door still wants the signature.
+        daemon, client = served
+        unsigned = HttpApiClient(f"{client.host}:{client.port}", client_id="pytest")
+        assert unsigned.request("GET", "/v1/ping")[0] == 401
+        local = HttpApiClient(str(daemon.socket_path), client_id="pytest")
+        status, response = local.request("GET", "/v1/ping")
+        assert status == 200 and response["ok"]
+        assert response["protocol"] == PROTOCOL_VERSION
+
+
+    def test_unix_door_serves_one_request_per_connection(self, served):
+        # No keep-alive on the socket: an idle connection must not hold up
+        # shutdown, which joins the socket's handler threads.
+        daemon, _ = served
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as peer:
+            peer.settimeout(5.0)
+            peer.connect(str(daemon.socket_path))
+            peer.sendall(b"GET /v1/ping HTTP/1.1\r\nHost: localhost\r\n\r\n")
+            data = b""
+            while chunk := peer.recv(4096):
+                data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"Connection: close" in head
+        assert json.loads(body)["ok"]
 
 
 class TestVerifyOverHttp:
@@ -280,10 +310,6 @@ class TestClientPlumbing:
         with pytest.raises(HttpApiError):
             client.request("GET", "/v1/ping")
 
-    def test_rejects_non_tcp_addresses(self, tmp_path):
-        with pytest.raises(HttpApiError):
-            HttpApiClient(str(tmp_path / "door.sock"), SECRET)
-
     def test_secret_never_crosses_the_wire(self):
         """A request carries the HMAC of the secret, never the secret."""
         secret = b"super-secret-value"
@@ -353,10 +379,6 @@ class TestDoors:
             busy.close()
         assert not (tmp_path / "jahob.sock").exists()
 
-    def test_socket_client_refuses_host_port(self):
-        with pytest.raises(DaemonError, match="HTTP"):
-            DaemonClient("127.0.0.1:8700")
-
     def test_table1_is_routed_through_admission(self, served):
         daemon, client = served
         assert daemon.admission.lock.acquire(timeout=5.0)
@@ -366,6 +388,73 @@ class TestDoors:
             daemon.admission.lock.release()
         assert status == 429
         assert response["code"] == "busy"
+
+
+class TestTenantsOnTheUnixDoor:
+    def test_client_ids_do_not_share_cached_verdicts(self, tmp_path):
+        daemon = VerifierDaemon(
+            tmp_path / "jahob.sock", persist=False, timeout_scale=TIMEOUT_SCALE
+        )
+        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+        thread.start()
+        try:
+            alice = HttpApiClient(str(daemon.socket_path), client_id="alice")
+            bob = HttpApiClient(str(daemon.socket_path), client_id="bob")
+            alice.wait_ready()
+
+            def cached(client: HttpApiClient, body: dict) -> list[bool]:
+                response = client.call({"op": "verify", **body})
+                assert response["ok"] and response["exit"] == 0, response
+                return [
+                    outcome["cached"]
+                    for method in response["report"]["methods"]
+                    for outcome in method["outcomes"]
+                ]
+
+            body = {"name": "Array List"}
+            assert not all(cached(alice, body))
+            assert all(cached(alice, body))
+            # bob's namespace is cold, and a "client" body field cannot
+            # borrow alice's: the header is the identity.
+            assert not all(cached(bob, {**body, "client": "alice"}))
+            assert all(cached(bob, body))
+        finally:
+            daemon.stop()
+            thread.join(timeout=10.0)
+
+
+class TestIoDeadline:
+    """Both doors hang up on a peer that connects and sends nothing, after
+    the one ``_IO_TIMEOUT``."""
+
+    @pytest.mark.parametrize("door", ["tcp", "unix"])
+    def test_silent_peer_is_hung_up(self, tmp_path, monkeypatch, door):
+        monkeypatch.setattr(http_module, "_IO_TIMEOUT", 0.5, raising=False)
+        daemon = VerifierDaemon(
+            tmp_path / "jahob.sock",
+            engine=VerificationEngine(persist=False),
+            secret=SECRET,
+            http="127.0.0.1:0",
+        )
+        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+        thread.start()
+        try:
+            address = _wait_address(daemon)
+            HttpApiClient(address, SECRET).wait_ready()
+            if door == "tcp":
+                host, port = address.rsplit(":", 1)
+                peer = socket.create_connection((host, int(port)), timeout=5.0)
+            else:
+                peer = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                peer.settimeout(5.0)
+                peer.connect(str(daemon.socket_path))
+            with peer:
+                start = time.monotonic()
+                assert peer.recv(1) == b""  # the server hung up
+                assert time.monotonic() - start < 4.0
+        finally:
+            daemon.stop()
+            thread.join(timeout=10.0)
 
 
 class TestCliOverHttp:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import re
 import threading
-import time
 
 import pytest
 
 from repro.frontend.loader import ProgramLoadError, load_class_models
 from repro.verifier.cli import main as cli_main
-from repro.verifier.daemon import DaemonClient, DaemonError, VerifierDaemon
+from repro.verifier.daemon import VerifierDaemon
+from repro.verifier.http import HttpApiClient
 
 TIMEOUT_SCALE = 0.4
 
@@ -223,16 +223,8 @@ def daemon(tmp_path):
     )
     thread = threading.Thread(target=instance.serve_forever, daemon=True)
     thread.start()
-    client = DaemonClient(instance.socket_path)
-    deadline = time.monotonic() + 5.0
-    while True:
-        try:
-            client.ping()
-            break
-        except DaemonError:
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.02)
+    client = HttpApiClient(str(instance.socket_path))
+    client.wait_ready(deadline=5.0)
     yield instance, client
     if thread.is_alive():
         instance.stop()
@@ -242,17 +234,17 @@ def daemon(tmp_path):
 
 def test_daemon_verify_file_over_socket(daemon, program, capsys):
     instance, client = daemon
-    response = client.request({"op": "verify_file", "path": str(program)})
+    response = client.call({"op": "verify_file", "path": str(program)})
     assert response["ok"] and response["exit"] == 0
     (payload,) = response["reports"]
     assert payload["class"] == "Toggle" and payload["verified"]
     assert response["output"].splitlines()[-1].endswith("1/1 class models verified")
 
-    missing = client.request(
+    missing = client.call(
         {"op": "verify_file", "path": str(program.parent / "gone.py")}
     )
     assert not missing["ok"] and "no such file" in missing["error"]
-    badreq = client.request({"op": "verify_file"})
+    badreq = client.call({"op": "verify_file"})
     assert not badreq["ok"] and "'path'" in badreq["error"]
 
     # --connect routes verify FILE to the daemon and prints its output;

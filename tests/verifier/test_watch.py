@@ -1,27 +1,27 @@
 """Daemon watch mode: subscription streaming over a live unix socket.
 
 A background editor thread rewrites the watched file while the main
-thread consumes the stream through the same :meth:`DaemonClient.watch`
-generator the CLI uses, so the tests pin the full loop: subscribe,
-baseline verdict, edit detection, incremental delta (only dirty sequents
-re-dispatch), mid-edit error tolerance, and -- the shutdown regression --
-a daemon stopping under an active subscription closes it cleanly instead
-of leaving the client blocked on a read.
+thread consumes the ``POST /v1/watch`` NDJSON stream through the same
+:meth:`HttpApiClient.watch` generator the CLI uses, so the tests pin the
+full loop: subscribe, baseline verdict, edit detection, incremental delta
+(only dirty sequents re-dispatch), mid-edit error tolerance, a refused
+request answered 400 before any stream, a client hang-up ending the
+subscription, and -- the shutdown regression -- a daemon stopping under
+an active subscription closes it cleanly instead of leaving the client
+blocked on a read.
 """
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
 
 import pytest
 
-from repro.verifier.daemon import (
-    PROTOCOL_VERSION,
-    DaemonClient,
-    DaemonError,
-    VerifierDaemon,
-)
+from repro.verifier.daemon import PROTOCOL_VERSION, VerifierDaemon
+from repro.verifier.http import HttpApiClient
 
 TIMEOUT_SCALE = 0.4
 
@@ -60,16 +60,8 @@ def daemon(tmp_path):
     )
     thread = threading.Thread(target=instance.serve_forever, daemon=True)
     thread.start()
-    client = DaemonClient(instance.socket_path)
-    deadline = time.monotonic() + 5.0
-    while True:
-        try:
-            client.ping()
-            break
-        except DaemonError:
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.02)
+    client = HttpApiClient(str(instance.socket_path))
+    client.wait_ready(deadline=5.0)
     yield instance, client, thread, program
     if thread.is_alive():
         instance.stop()
@@ -94,8 +86,8 @@ def edit_after_first_verdict(events, program, text):
 
 
 def test_watch_is_socket_only(daemon):
-    """``watch`` streams; it must stay off the request/response op table
-    (and therefore off the HTTP front door -- see docs/service-api.md)."""
+    """``watch`` streams; it is no request/response op of ``handle``, only
+    the unix socket's local-only route (see docs/service-api.md)."""
     instance, _, _, _ = daemon
     response = instance.handle({"op": "watch"})
     assert not response["ok"] and "unknown op" in response["error"]
@@ -190,6 +182,47 @@ def test_watch_rejects_bad_requests(daemon):
     assert len(bad_budget) == 1 and not bad_budget[0]["ok"]
 
 
+def test_refused_watch_is_a_400_before_any_stream(daemon):
+    instance, client, _, program = daemon
+    status, response = client.request(
+        "POST", "/v1/watch", {"path": str(program), "priority": "urgent"}
+    )
+    assert status == 400
+    assert not response["ok"] and "unknown priority" in response["error"]
+    assert instance.watch_subscriptions == 0
+
+
+def test_stream_is_ndjson_and_a_hang_up_unsubscribes(daemon):
+    """The stream is one ``Connection: close`` NDJSON response; a client
+    that hangs up mid-stream ends its subscription."""
+    instance, _, _, program = daemon
+    body = json.dumps({"path": str(program), "interval": 0.1}).encode()
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30.0)
+        sock.connect(str(instance.socket_path))
+        sock.sendall(
+            b"POST /v1/watch HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body
+        )
+        data = b""
+        while b'"event":"verdicts"' not in data:
+            chunk = sock.recv(65536)
+            assert chunk, f"stream ended early: {data!r}"
+            data += chunk
+        head, _, stream = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"Content-Type: application/x-ndjson" in head
+        assert b"Connection: close" in head
+        subscribed = json.loads(stream.splitlines()[0])
+        assert subscribed["event"] == "subscribed"
+        assert instance.watch_active == 1
+    deadline = time.monotonic() + 10.0
+    while instance.watch_active and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert instance.watch_active == 0
+    assert instance.watch_subscriptions == 1
+
+
 def test_shutdown_closes_active_watch_cleanly(daemon):
     """A daemon stopping under a live subscription must end the stream
     with a ``closed`` event (no hung client read) and unlink its socket."""
@@ -211,8 +244,8 @@ def test_shutdown_closes_active_watch_cleanly(daemon):
         assert time.monotonic() < deadline, f"no baseline verdict: {events}"
         time.sleep(0.02)
 
-    shutdown_client = DaemonClient(instance.socket_path)
-    assert shutdown_client.shutdown()["ok"]
+    shutdown_client = HttpApiClient(str(instance.socket_path))
+    assert shutdown_client.call({"op": "shutdown"})["ok"]
 
     assert done.wait(timeout=10.0), "watch client still blocked after shutdown"
     watcher.join(timeout=10.0)
